@@ -13,19 +13,22 @@ fully deterministic given (config, seed): fixed step sequence, fixed reduction
 order, one source draw per arrival.
 
 The force of a constant kernel collapses to c*(mean - x_i); that O(N) path is
-used automatically (it is an algebraic identity, not an approximation). The
-generic pairwise path keeps the i = j term (identically zero) rather than
-branching it away.
+used automatically (it is an algebraic identity, not an approximation). Any
+other kernel goes through the pair weights W_ij = psi(|x_j - x_i|), built a
+tile of rows at a time: with y = x - x[0], row i of the force is
+((W y)_i - (sum_j W_ij) y_i) / N, one matrix product per tile, so a force
+evaluation holds O(N * tile) memory whatever the dimension d.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import Kernel, _pair_tiles
 from .observables import InjectionJump, MomentSeries, SeriesRow, compute_moments, dissipation_of
 from .schedules import GrowthSchedule, final_injection_count, injection_time
 from .sources import OpinionSource, sample_incoming
@@ -69,9 +72,10 @@ class SimState:
 def rhs(state: SimState, kernel: Kernel) -> np.ndarray:
     """Instantaneous opinion velocities, shape (N, d).
 
-    The pairwise weight matrix is exactly antisymmetric after multiplication
-    by the displacement, so velocities sum to zero up to final roundoff and
-    the mean is conserved along the flow.
+    The pair weight matrix W is symmetric bit for bit, so the velocities
+    (W y - r * y) / N, with r the row sums of W, sum to zero in exact
+    arithmetic: the mean is conserved along the flow up to roundoff. The
+    pivot y = x - x[0] makes exact consensus (y = 0) give exactly zero.
     """
     x = np.asarray(state.opinions, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -86,10 +90,12 @@ def _force(x: np.ndarray, kernel: Kernel) -> np.ndarray:
         dev = x - x[0]
         mean_dev = dev.sum(axis=0) / n
         return kernel.coef[0] * (mean_dev - dev)
-    diff = x[None, :, :] - x[:, None, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    wts = kernel.eval_squared(d2)
-    return np.einsum("ij,ijk->ik", wts, diff) / n
+    # sum_j w_ij (y_j - y_i) = (W y)_i - (sum_j w_ij) y_i
+    y = x - x[0]
+    out = np.empty_like(y)
+    for rows, w, _ in _pair_tiles(y, kernel):
+        out[rows] = w @ y - w.sum(axis=1)[:, None] * y[rows]
+    return out / n
 
 
 def _rk4_step(x: np.ndarray, kernel: Kernel, h: float, track: bool) -> float:
@@ -310,7 +316,10 @@ def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
     for g in sorted(set(float(g) for g in config.record_grid)):
         if not 0.0 < g <= t_end:
             continue
-        if any(abs(g - t_j) <= _TIME_TOL * max(1.0, g) for t_j in arrivals):
+        # arrivals are increasing, so the nearest one on each side decides
+        i = bisect.bisect_left(arrivals, g)
+        nearest = arrivals[max(i - 1, 0):i + 1]
+        if any(abs(g - t_j) <= _TIME_TOL * max(1.0, g) for t_j in nearest):
             continue
         grid.append(g)
 

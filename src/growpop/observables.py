@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import Kernel, _pair_tiles
 
 __all__ = [
     "MomentRecord",
@@ -104,7 +104,9 @@ def compute_moments(state, kernel: Kernel, m) -> MomentRecord:
 
     W is computed directly by summation and must agree with V + |m1 - m|^2;
     likewise V against m2 - |m1|^2. Disagreement beyond a scale-aware 1e-10
-    raises: it is a standing self-check, not a recoverable condition.
+    raises: it is a standing self-check, not a recoverable condition. A
+    non-finite moment fails the same checks, so an opinion that is inf or nan
+    raises too.
 
     The mean is computed pivot-subtracted (about opinions[0]) so that an
     exactly coincident population yields exactly V = 0.
@@ -124,11 +126,12 @@ def compute_moments(state, kernel: Kernel, m) -> MomentRecord:
     w = float(np.einsum("ij,ij->", off, off)) / n
 
     scale = max(1.0, abs(m2))
-    if abs(v - (m2 - float(m1 @ m1))) > _SELF_CHECK_TOL * scale:
+    # written as not (<=) so that a nan residual fails the check
+    if not abs(v - (m2 - float(m1 @ m1))) <= _SELF_CHECK_TOL * scale:
         raise RuntimeError(
             f"moment self-check failed: V={v!r} vs m2-|m1|^2={m2 - float(m1 @ m1)!r}"
         )
-    if abs(w - (v + float((m1 - m) @ (m1 - m)))) > _SELF_CHECK_TOL * scale:
+    if not abs(w - (v + float((m1 - m) @ (m1 - m)))) <= _SELF_CHECK_TOL * scale:
         raise RuntimeError(
             f"moment self-check failed: W={w!r} vs V+|m1-m|^2="
             f"{v + float((m1 - m) @ (m1 - m))!r}"
@@ -142,8 +145,10 @@ def dissipation_of(x: np.ndarray, kernel: Kernel, v: float | None = None) -> flo
     """D = -(1/N^2) sum_ij psi(|x_j - x_i|) |x_j - x_i|^2.
 
     For a constant kernel this collapses to -2cV (sum_ij |x_i - x_j|^2 equals
-    2 N^2 V), an O(N) identity; the generic pairwise path costs O(N^2) and is
-    only run at record times.
+    2 N^2 V), an O(N) identity. Any other kernel sums the pair weights times
+    the squared distances over tiles of rows: O(N^2) time, O(N * tile)
+    memory, never an (N, N, d) array. It runs at record times, and at every
+    RK4 stage when the D integral is tracked.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -154,10 +159,10 @@ def dissipation_of(x: np.ndarray, kernel: Kernel, v: float | None = None) -> flo
             cen = x - m1
             v = float(np.einsum("ij,ij->", cen, cen)) / n
         return -2.0 * kernel.coef[0] * v
-    diff = x[None, :, :] - x[:, None, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    wts = kernel.eval_squared(d2)
-    return -float(np.einsum("ij,ij->", wts, d2)) / (n * n)
+    total = 0.0
+    for _, w, d2 in _pair_tiles(x - x[0], kernel):
+        total += float(np.einsum("ij,ij->", w, d2))
+    return -total / (n * n)
 
 
 class JumpPrediction(NamedTuple):

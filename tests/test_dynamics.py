@@ -6,6 +6,7 @@ the constant-kernel shortcut) are checked on random states.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from growpop import (
     run_simulation,
     uniform_record_grid,
 )
+from growpop.kernels import _TILE_ROWS, _pair_tiles
 
 RNG = np.random.default_rng(424242)
 
@@ -34,6 +36,10 @@ RHS_RTOL = 1e-13
 RHS_ATOL = 1e-15
 MEAN_DRIFT_TOL = 1e-12
 EQUIVARIANCE_TOL = 1e-12
+
+# populations on both sides of one and of two tile edges of the pair sums
+TILE_EDGE_SHAPES = [(n, d) for n in (_TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1,
+                                     2 * _TILE_ROWS + 3) for d in (1, 2, 3)]
 
 
 def brute_force_rhs(x, kernel):
@@ -54,7 +60,7 @@ def state_of(x):
 
 
 class TestForceField:
-    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (5, 2), (11, 3)])
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (5, 2), (11, 3)] + TILE_EDGE_SHAPES)
     @pytest.mark.parametrize("maker", [lambda: constant_kernel(0.8),
                                        lambda: rational_kernel(0.5, 0.5)])
     def test_matches_brute_force(self, n, d, maker):
@@ -77,13 +83,14 @@ class TestForceField:
         assert np.all(rhs(state_of(x), maker()) == 0.0)
 
     def test_pairwise_terms_exactly_antisymmetric(self):
-        # fl(a-b) == -fl(b-a), squares coincide, so the weighted displacement
-        # matrix is antisymmetric bit for bit; only the row reduction rounds.
+        # the tiles' squared distances are summed coordinate by coordinate and
+        # fl(a-b) == -fl(b-a), so the weights they make up are symmetric and
+        # the weighted displacements antisymmetric bit for bit, across tiles
         kernel = rational_kernel(0.5, 0.5)
-        x = RNG.normal(0.0, 1.0, size=(7, 2))
-        diff = x[None, :, :] - x[:, None, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        terms = kernel.eval_squared(d2)[:, :, None] * diff
+        x = RNG.normal(0.0, 1.0, size=(2 * _TILE_ROWS + 3, 2))
+        wts = np.vstack([w for _, w, _ in _pair_tiles(x, kernel)])
+        assert np.array_equal(wts, wts.T)
+        terms = wts[:, :, None] * (x[None, :, :] - x[:, None, :])
         assert np.array_equal(terms, -np.transpose(terms, (1, 0, 2)))
 
     def test_velocity_sum_near_zero(self):
@@ -91,6 +98,18 @@ class TestForceField:
         x = RNG.normal(0.0, 3.0, size=(40, 2))
         total = rhs(state_of(x), kernel).sum(axis=0)
         assert np.all(np.abs(total) < 1e-13 * np.abs(x).max() * x.shape[0])
+
+    def test_pairwise_force_memory_is_tiled(self):
+        # one (N, N, d) displacement array alone would take 64 MB here
+        state = state_of(np.random.default_rng(2000).normal(size=(2000, 2)))
+        kernel = rational_kernel(0.5, 0.5)
+        tracemalloc.start()
+        try:
+            rhs(state, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     @pytest.mark.parametrize("maker", [lambda: constant_kernel(1.0),
                                        lambda: rational_kernel(0.5, 0.5)])

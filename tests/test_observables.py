@@ -5,6 +5,8 @@ brute-force recomputation from raw opinions, and (for the expectations)
 against seeded Monte Carlo with 5-sigma bands.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from growpop import (
     rational_kernel,
     variance_jump_coefficient,
 )
+from growpop.kernels import _TILE_ROWS
 
 RNG = np.random.default_rng(133700)
 
@@ -80,7 +83,18 @@ class TestComputeMoments:
         assert rec.w == 0.0
         assert rec.dissipation == 0.0
 
-    @pytest.mark.parametrize("n,d", [(2, 1), (7, 2), (12, 3)])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("maker", [lambda: constant_kernel(0.9),
+                                       lambda: rational_kernel(0.4, 1.1)])
+    def test_non_finite_opinion_raises(self, bad, maker):
+        x = np.array([[0.0], [bad], [1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="self-check"):
+            record_of(x, maker(), np.zeros(1))
+
+    # the last twelve sit on both sides of one and of two tile edges of the pair sums
+    @pytest.mark.parametrize("n,d", [(2, 1), (7, 2), (12, 3)] + [
+        (n, d) for n in (_TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1, 2 * _TILE_ROWS + 3)
+        for d in (1, 2, 3)])
     @pytest.mark.parametrize("maker", [lambda: constant_kernel(0.9),
                                        lambda: rational_kernel(0.4, 1.1)])
     def test_dissipation_matches_brute_force(self, n, d, maker):
