@@ -40,7 +40,7 @@ def main() -> None:
     times = gp.asymptotic_injection_times(1.0)
     for lam in (1.0, 2.0):
         s = gp.condition_sum(lam, times, 100_000)
-        limit = gp.boundary_condition_sum_limit(lam)
+        limit = 1.0 / lam
         print(f"  S({lam}, 1e5) = {s:.12f}   (n -> inf limit {limit:.12f})")
 
     print("\ncomparison integral F(p, 1, x):")

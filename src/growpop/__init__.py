@@ -10,9 +10,6 @@ reproducible parallel Monte Carlo.
 from .kernels import (
     Kernel,
     constant_kernel,
-    eval_kernel,
-    kernel_bounds,
-    kernel_from_config,
     rational_kernel,
 )
 from .schedules import (
@@ -22,13 +19,11 @@ from .schedules import (
     final_injection_count,
     injection_time,
     population_at,
-    schedule_from_config,
 )
 from .sources import (
     OpinionSource,
     gaussian_source,
     sample_incoming,
-    source_from_config,
     two_point_source,
     uniform_source,
 )
@@ -67,7 +62,6 @@ from .analysis import (
     RateBounds,
     ScheduleClass,
     asymptotic_injection_times,
-    boundary_condition_sum_limit,
     classify_schedule,
     condition_sum,
     dawson_f,
@@ -82,18 +76,15 @@ from .montecarlo import (
     estimated_jump_means,
     run_ensemble,
 )
-from .cli import ConfigError, ExperimentConfig, emit_series_csv, load_config
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Kernel", "constant_kernel", "rational_kernel", "eval_kernel",
-    "kernel_bounds", "kernel_from_config",
+    "Kernel", "constant_kernel", "rational_kernel",
     "PowerExponentialSchedule", "ExplicitSchedule", "GrowthSchedule",
     "injection_time", "population_at", "final_injection_count",
-    "schedule_from_config",
     "OpinionSource", "gaussian_source", "uniform_source", "two_point_source",
-    "sample_incoming", "source_from_config",
+    "sample_incoming",
     "MomentRecord", "MomentSeries", "SeriesRow", "InjectionJump",
     "JumpPrediction", "MeanDeviationExpectation", "compute_moments",
     "dissipation_of", "predict_jumps", "m1_closed_form",
@@ -102,11 +93,9 @@ __all__ = [
     "integrate_interval", "inject_agent", "run_simulation",
     "uniform_record_grid", "geometric_record_grid",
     "AsymptoticTimes", "asymptotic_injection_times", "condition_sum",
-    "boundary_condition_sum_limit", "dawson_f", "ScheduleClass",
-    "ClassificationError", "classify_schedule", "HarmonicScaled",
-    "ExplicitJumps", "EnvelopeSpec", "envelope_bound", "DecayFit",
-    "fit_decay_exponent", "RateBounds", "consensus_rate_bounds",
+    "dawson_f", "ScheduleClass", "ClassificationError", "classify_schedule",
+    "HarmonicScaled", "ExplicitJumps", "EnvelopeSpec", "envelope_bound",
+    "DecayFit", "fit_decay_exponent", "RateBounds", "consensus_rate_bounds",
     "EnsembleStats", "derive_run_seed", "run_ensemble", "ensemble_statistic",
     "estimated_jump_means",
-    "ConfigError", "ExperimentConfig", "load_config", "emit_series_csv",
 ]

@@ -33,7 +33,6 @@ __all__ = [
     "condition_sum",
     "asymptotic_injection_times",
     "AsymptoticTimes",
-    "boundary_condition_sum_limit",
     "dawson_f",
     "ScheduleClass",
     "ClassificationError",
@@ -116,13 +115,6 @@ def condition_sum(lam: float, times: TimesSource, n: int) -> float:
     t = _times_array(times, n)
     expo = -lam * (t[-1] - t) - np.log(np.arange(1, n + 1, dtype=float))
     return math.fsum(np.exp(expo))
-
-
-def boundary_condition_sum_limit(lam: float) -> float:
-    """lim_n S(lambda, n) on the boundary scale t_k = ln k: exactly 1/lambda."""
-    if not (lam > 0.0):
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    return 1.0 / lam
 
 
 def dawson_f(p: float, rate: float, x: float) -> float:

@@ -3,8 +3,10 @@
 Subcommands: simulate (one trajectory to CSV), ensemble (aggregate statistics
 to CSV), conditions (condition-sum table plus classification), envelope
 (decayed-recursion bound table), check (built-in oracle suite). Configs are
-JSON; command-line flags override file fields. Exit codes: 0 success, 1 usage
-error, 2 runtime error.
+JSON, and this module alone reads that format: ``load_config`` checks each
+field's type, and the constructor a value goes to checks its range.
+Command-line flags override file fields. Exit codes: 0 success, 1 usage error,
+2 runtime error.
 
 CSV output is deterministic: UTF-8, LF newlines, floats in shortest
 round-trip form (repr), and the seed surfaced in a leading "# seed=" comment,
@@ -39,16 +41,21 @@ from .dynamics import (
     uniform_record_grid,
     _end_time,
 )
-from .kernels import kernel_from_config, rational_kernel, constant_kernel
+from .kernels import Kernel, constant_kernel, rational_kernel
 from .montecarlo import EnsembleStats, run_ensemble
 from .observables import MomentSeries, predict_jumps
 from .schedules import (
     ExplicitSchedule,
+    GrowthSchedule,
     PowerExponentialSchedule,
     injection_time,
-    schedule_from_config,
 )
-from .sources import gaussian_source, source_from_config
+from .sources import (
+    OpinionSource,
+    gaussian_source,
+    two_point_source,
+    uniform_source,
+)
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config",
            "emit_series_csv", "cmd_dispatch", "main"]
@@ -89,39 +96,126 @@ class ExperimentConfig:
     envelope: EnvelopeBlock | None = None
 
 
-def _expect_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
+# What a field of each kind read by _Fields.get must hold, for error messages.
+_EXPECTED = {
+    "string": "a string",
+    "boolean": "true or false",
+    "integer": "an integer",
+    "integers": "a nonempty list of integers",
+    "number": "a finite number",
+    "numbers": "a nonempty list of finite numbers",
+    "times": "a list of finite numbers",
+    "vector": "a finite number or a nonempty list of finite numbers",
+    "opinions": '"at_mean" or a list of opinions, each a number or a list of numbers',
+}
 
 
-def _get_num(obj: dict, key: str, path: str, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing required field {path}.{key}")
-        return default
-    val = obj[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
-    return float(val)
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _get_int(obj: dict, key: str, path: str, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing required field {path}.{key}")
-        return default
-    val = obj[key]
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
-    return val
+def _is_finite(val) -> bool:
+    """A JSON number, not a bool, within the range of finite floats (so not NaN)."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
+def _finite_list(val, nonempty: bool = True) -> tuple[float, ...] | None:
+    if isinstance(val, list) and (val or not nonempty) and all(map(_is_finite, val)):
+        return tuple(float(v) for v in val)
+    return None
+
+
+def _opinion_rows(val) -> np.ndarray | None:
+    """One row per opinion: a number is an opinion in d = 1, a list one in d >= 1."""
+    if not isinstance(val, list):
+        return None
+    rows = [_finite_list(row if isinstance(row, list) else [row]) for row in val]
+    if None in rows or len({len(row) for row in rows}) > 1:
+        return None
+    return np.array(rows)
+
+
+class _Fields:
+    """One JSON object of a config, read field by field.
+
+    ``get`` type-checks a field and names it by its dotted path on failure;
+    ``close`` rejects every key that was never read. Ranges are left to the
+    constructors the values go to (see ``_build``).
+    """
+
+    def __init__(self, obj, path: str):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path or 'config'}: expected an object, "
+                              f"got {type(obj).__name__}")
+        self.obj, self.read = obj, set()
+        self.prefix = f"{path}." if path else ""
+
+    def get(self, key: str, kind: str, default=...):
+        """Field ``key`` as "object" or a kind of _EXPECTED; required without a default."""
+        self.read.add(key)
+        if key not in self.obj:
+            if default is ...:
+                raise ConfigError(f"missing required field {self.prefix}{key}")
+            return default
+        val = self.obj[key]
+        if kind == "object":
+            return _Fields(val, self.prefix + key)
+        if kind == "string":
+            out = val if isinstance(val, str) else None
+        elif kind == "boolean":
+            out = val if isinstance(val, bool) else None
+        elif kind == "integer":
+            out = val if _is_int(val) else None
+        elif kind == "integers":
+            ok = isinstance(val, list) and val and all(map(_is_int, val))
+            out = tuple(val) if ok else None
+        elif kind == "number":
+            out = float(val) if _is_finite(val) else None
+        elif kind == "vector":
+            out = float(val) if _is_finite(val) else _finite_list(val)
+        elif kind == "opinions":
+            out = val if val == "at_mean" else _opinion_rows(val)
+        else:  # "numbers" or "times"
+            out = _finite_list(val, nonempty=kind == "numbers")
+        if out is None:
+            raise ConfigError(f"{self.prefix}{key}: expected {_EXPECTED[kind]}, got {val!r}")
+        return out
+
+    def variant(self, *options: str) -> str:
+        """The ``type`` field, which names one of the variants ``options``."""
+        kind = self.get("type", "string")
+        if kind not in options:
+            raise ConfigError(f"{self.prefix}type: unknown type {kind!r}, "
+                              f"expected one of {', '.join(options)}")
+        return kind
+
+    def close(self) -> None:
+        unknown = [self.prefix + key for key in self.obj if key not in self.read]
+        if unknown:
+            raise ConfigError(f"unknown field(s): {', '.join(unknown)}")
+
+
+def _build(prefix: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a ValueError from it named by its config path.
+
+    Each constructor's message starts with the name of its parameter, so
+    ``prefix`` "schedule." turns "alpha must be > 0" into "schedule.alpha
+    must be > 0".
+    """
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{prefix}{err}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config.
 
-    Every validation failure names the offending field (e.g. schedule.alpha);
-    parse failures carry the line and column.
+    Every field is type-checked here, and every range by the constructor the
+    value goes to; either failure names the offending field (e.g.
+    schedule.alpha), and so does a key that no field reads. Parse failures
+    carry the line and column.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -132,167 +226,115 @@ def load_config(path: str) -> ExperimentConfig:
         ) from None
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    top = _expect_object(raw, "config")
+    top = _Fields(raw, "")
 
-    dim = _get_int(top, "dim", "config", default=1)
-    if dim is None or dim < 1:
-        raise ConfigError(f"dim: must be an integer >= 1, got {dim!r}")
-
-    if "kernel" not in top:
-        raise ConfigError("missing required field kernel")
-    if "schedule" not in top:
-        raise ConfigError("missing required field schedule")
-    if "source" not in top:
-        raise ConfigError("missing required field source")
-    try:
-        kernel = kernel_from_config(top["kernel"], "kernel")
-        schedule = schedule_from_config(top["schedule"], "schedule")
-        source = source_from_config(top["source"], "source")
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    kernel = _kernel(top.get("kernel", "object"))
+    schedule = _schedule(top.get("schedule", "object"))
+    source = _source(top.get("source", "object"))
     if source.sigma2 == 0.0:
         warnings.warn("source.sigma2 = 0: incoming opinions are a point mass at the mean",
                       UserWarning, stacklevel=2)
-    if source.dim != dim:
-        raise ConfigError(f"source.mean: dimension {source.dim} does not match dim = {dim}")
-
-    n0 = schedule.n0
-    init = top.get("initial_opinions", "at_mean")
-    if isinstance(init, str):
-        if init != "at_mean":
-            raise ConfigError(f"initial_opinions: unknown preset {init!r}")
-        x0 = np.tile(source.mean_vector, (n0, 1))
-    elif isinstance(init, list):
-        try:
-            x0 = np.asarray(init, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("initial_opinions: expected numbers") from None
-        if x0.ndim == 1:
-            x0 = x0[:, None]
-        if x0.ndim != 2 or x0.shape != (n0, dim):
-            raise ConfigError(
-                f"initial_opinions: shape {tuple(x0.shape)} does not match (n0, dim) = ({n0}, {dim})"
-            )
-    else:
-        raise ConfigError(f"initial_opinions: expected a list or \"at_mean\", got {init!r}")
-
-    step_max = _get_num(top, "step_max", "config", default=1e-2)
-    horizon = _get_num(top, "horizon", "config")
-    max_agents = _get_int(top, "max_agents", "config")
-    if horizon is None and max_agents is None:
-        raise ConfigError("horizon: one of horizon / max_agents must be set")
-
-    try:
-        sim = SimConfig(dim=dim, kernel=kernel, schedule=schedule, source=source,
-                        initial_opinions=x0, step_max=step_max, horizon=horizon,
-                        max_agents=max_agents, record_grid=(),
-                        track_dissipation_integral=bool(top.get("track_dissipation_integral",
-                                                                False)))
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-    t_end = _end_time(sim)
-    sim.record_grid = _parse_record_grid(top.get("record_grid"), t_end, step_max)
-
-    runs = _get_int(top, "runs", "config", default=100)
-    if runs < 2:
-        raise ConfigError(f"runs: must be an integer >= 2, got {runs}")
-    master_seed = _get_int(top, "master_seed", "config", default=0)
-    if master_seed < 0:
-        raise ConfigError(f"master_seed: must be >= 0, got {master_seed}")
-    workers = _get_int(top, "workers", "config")
-    if workers is not None and workers < 1:
-        raise ConfigError(f"workers: must be an integer >= 1, got {workers}")
-    output_path = top.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError(f"output_path: expected a string, got {output_path!r}")
+    dim = top.get("dim", "integer", 1)
+    x0 = top.get("initial_opinions", "opinions", "at_mean")
+    if isinstance(x0, str):
+        x0 = np.tile(source.mean_vector, (schedule.n0, 1))
+    step_max = top.get("step_max", "number", 1e-2)
+    horizon = top.get("horizon", "number", None)
+    max_agents = top.get("max_agents", "integer", None)
+    t_end = _build("", _end_time, schedule, horizon, max_agents)
+    grid_spec = top.get("record_grid", "object", None)
+    sim = _build("", SimConfig, dim=dim, kernel=kernel, schedule=schedule, source=source,
+                 initial_opinions=x0, step_max=step_max, horizon=horizon,
+                 max_agents=max_agents, record_grid=_record_grid(grid_spec, t_end, step_max),
+                 track_dissipation_integral=top.get("track_dissipation_integral",
+                                                    "boolean", False))
 
     conditions = None
-    if "conditions" in top:
-        block = _expect_object(top["conditions"], "conditions")
-        n_max = _get_int(block, "n_max", "conditions", default=100_000)
-        if n_max < 10:
-            raise ConfigError(f"conditions.n_max: must be >= 10, got {n_max}")
-        lambdas = None
-        if "lambdas" in block:
-            vals = block["lambdas"]
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError("conditions.lambdas: expected a nonempty list of numbers")
-            lam_out = []
-            for i, lam in enumerate(vals):
-                if not isinstance(lam, (int, float)) or isinstance(lam, bool) or lam <= 0:
-                    raise ConfigError(f"conditions.lambdas[{i}]: must be a number > 0, got {lam!r}")
-                lam_out.append(float(lam))
-            lambdas = tuple(lam_out)
-        conditions = ConditionsBlock(n_max=n_max, lambdas=lambdas)
+    block = top.get("conditions", "object", None)
+    if block is not None:
+        conditions = ConditionsBlock(n_max=block.get("n_max", "integer", 100_000),
+                                     lambdas=block.get("lambdas", "numbers", None))
+        block.close()
 
     envelope = None
-    if "envelope" in top:
-        block = _expect_object(top["envelope"], "envelope")
-        y0 = _get_num(block, "y0", "envelope", required=True)
-        decay = _get_num(block, "lambda", "envelope")
-        if decay is not None and decay <= 0:
-            raise ConfigError(f"envelope.lambda: must be > 0, got {decay}")
-        jump_spec = _expect_object(block.get("jump", {"type": "harmonic", "c": 1.0}),
-                                   "envelope.jump")
-        jkind = jump_spec.get("type")
-        if jkind == "harmonic":
-            jump = HarmonicScaled(c=_get_num(jump_spec, "c", "envelope.jump", required=True))
-        elif jkind == "explicit":
-            vals = jump_spec.get("values")
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError("envelope.jump.values: expected a nonempty list")
-            jump = ExplicitJumps(values=tuple(float(v) for v in vals))
-        else:
-            raise ConfigError(f"envelope.jump.type: unknown jump bound type {jkind!r}")
-        n_values = None
-        if "n" in block:
-            vals = block["n"]
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError("envelope.n: expected a nonempty list of integers")
-            for i, v in enumerate(vals):
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise ConfigError(f"envelope.n[{i}]: must be an integer >= 1, got {v!r}")
-            n_values = tuple(vals)
-        envelope = EnvelopeBlock(y0=y0, decay_rate=decay, jump=jump, n_values=n_values)
+    block = top.get("envelope", "object", None)
+    if block is not None:
+        envelope = EnvelopeBlock(y0=block.get("y0", "number"),
+                                 decay_rate=block.get("lambda", "number", None),
+                                 jump=_jump_bound(block.get("jump", "object", None)),
+                                 n_values=block.get("n", "integers", None))
+        block.close()
 
-    return ExperimentConfig(sim=sim, runs=runs, master_seed=master_seed,
-                            output_path=output_path, workers=workers,
-                            conditions=conditions, envelope=envelope)
+    cfg = ExperimentConfig(sim=sim, runs=top.get("runs", "integer", 100),
+                           master_seed=top.get("master_seed", "integer", 0),
+                           output_path=top.get("output_path", "string", None),
+                           workers=top.get("workers", "integer", None),
+                           conditions=conditions, envelope=envelope)
+    top.close()
+    return cfg
 
 
-def _parse_record_grid(spec, t_end: float, step_max: float) -> tuple[float, ...]:
+def _kernel(spec: _Fields) -> Kernel:
+    if spec.variant("constant", "rational") == "constant":
+        kernel = _build(spec.prefix, constant_kernel, spec.get("c", "number"))
+    else:
+        kernel = _build(spec.prefix, rational_kernel, spec.get("a", "number"),
+                        spec.get("b", "number"))
+    spec.close()
+    return kernel
+
+
+def _schedule(spec: _Fields) -> GrowthSchedule:
+    kind = spec.variant("power_exp", "explicit")
+    n0 = spec.get("n0", "integer", 1)
+    if kind == "power_exp":
+        schedule = _build(spec.prefix, PowerExponentialSchedule,
+                          alpha=spec.get("alpha", "number"), n0=n0)
+    else:
+        schedule = _build(spec.prefix, ExplicitSchedule, n0=n0, times=spec.get("times", "times"))
+    spec.close()
+    return schedule
+
+
+def _source(spec: _Fields) -> OpinionSource:
+    kind = spec.variant("gaussian", "uniform", "two_point")
+    if kind == "gaussian":
+        make = gaussian_source
+    elif kind == "uniform":
+        make = uniform_source
+    else:
+        make = two_point_source
+    source = _build(spec.prefix, make, spec.get("mean", "vector"), spec.get("sigma2", "number"))
+    spec.close()
+    return source
+
+
+def _record_grid(spec: _Fields | None, t_end: float, step_max: float) -> tuple[float, ...]:
+    t_first = min(max(t_end / 100.0, step_max / 10.0), t_end)
     if spec is None:
-        if t_end <= 0.0:
-            return ()
-        return geometric_record_grid(max(t_end / 100.0, step_max / 10.0), t_end, 64)
-    grid_spec = _expect_object(spec, "record_grid")
-    kind = grid_spec.get("type")
+        return geometric_record_grid(t_first, t_end, 64) if t_end > 0.0 else ()
+    kind = spec.variant("uniform", "geometric", "explicit")
     if kind == "uniform":
-        dt = _get_num(grid_spec, "dt", "record_grid", required=True)
-        if dt <= 0:
-            raise ConfigError(f"record_grid.dt: must be > 0, got {dt}")
-        return uniform_record_grid(t_end, dt)
-    if kind == "geometric":
-        points = _get_int(grid_spec, "points", "record_grid", default=64)
-        t_first = _get_num(grid_spec, "t_first", "record_grid",
-                           default=max(t_end / 100.0, step_max / 10.0))
-        if points < 2:
-            raise ConfigError(f"record_grid.points: must be >= 2, got {points}")
-        if not 0.0 < t_first <= t_end:
-            raise ConfigError(f"record_grid.t_first: must lie in (0, horizon], got {t_first}")
-        return geometric_record_grid(t_first, t_end, points)
-    if kind == "explicit":
-        times = grid_spec.get("times")
-        if not isinstance(times, list):
-            raise ConfigError("record_grid.times: expected a list of times")
-        out = []
-        for i, t in enumerate(times):
-            if not isinstance(t, (int, float)) or isinstance(t, bool) or t < 0:
-                raise ConfigError(f"record_grid.times[{i}]: must be a number >= 0, got {t!r}")
-            out.append(float(t))
-        return tuple(out)
-    raise ConfigError(f"record_grid.type: unknown grid type {kind!r}")
+        grid = _build(spec.prefix, uniform_record_grid, t_end, spec.get("dt", "number"))
+    elif kind == "geometric":
+        grid = _build(spec.prefix, geometric_record_grid,
+                      spec.get("t_first", "number", t_first), t_end,
+                      spec.get("points", "integer", 64))
+    else:
+        grid = spec.get("times", "times")
+    spec.close()
+    return grid
+
+
+def _jump_bound(spec: _Fields | None) -> HarmonicScaled | ExplicitJumps:
+    if spec is None:
+        return HarmonicScaled(c=1.0)
+    if spec.variant("harmonic", "explicit") == "harmonic":
+        jump = HarmonicScaled(c=spec.get("c", "number"))
+    else:
+        jump = ExplicitJumps(values=spec.get("values", "numbers"))
+    spec.close()
+    return jump
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +466,7 @@ def _cmd_ensemble(args) -> int:
 def _cmd_conditions(args) -> int:
     alpha = args.alpha
     lambdas = (args.lam,) if args.lam is not None else None
-    n_max = args.n_max
+    block = ConditionsBlock()
     if args.config is not None:
         cfg = load_config(args.config)
         if alpha is None:
@@ -434,17 +476,14 @@ def _cmd_conditions(args) -> int:
                     "schedule.type: conditions needs a power_exp schedule (or pass --alpha)"
                 )
             alpha = sched.alpha
-        block = cfg.conditions or ConditionsBlock()
+        block = cfg.conditions or block
         if lambdas is None:
             lambdas = block.lambdas or (cfg.sim.kernel.psi_star, cfg.sim.kernel.psi_max)
-        if n_max is None:
-            n_max = block.n_max
     if alpha is None or lambdas is None:
         raise _UsageError("conditions needs either --config or both --alpha and --lambda")
-    if n_max is None:
-        n_max = 100_000
+    n_max = args.n_max if args.n_max is not None else block.n_max
     if n_max < 10:
-        raise ConfigError(f"conditions.n_max: must be >= 10, got {n_max}")
+        raise ConfigError(f"conditions.n_max must be >= 10, got {n_max}")
 
     lambdas = tuple(dict.fromkeys(lambdas))  # drop duplicates, keep order
     times = asymptotic_injection_times(alpha)
@@ -483,10 +522,7 @@ def _cmd_envelope(args) -> int:
     if ns is None:
         ns = tuple(int(n) for n in np.unique(np.geomspace(10, 1000, 10).astype(int)))
 
-    rows = []
-    for n in ns:
-        t_n = injection_time(schedule, int(n))
-        rows.append((int(n), t_n, envelope_bound(spec, schedule, int(n))))
+    rows = [(n, injection_time(schedule, n), envelope_bound(spec, schedule, n)) for n in ns]
     print("%8s  %18s  %18s" % ("n", "t_n", "bound"))
     for n, t_n, b in rows:
         print("%8d  %18.12g  %18.12g" % (n, t_n, b))

@@ -187,7 +187,7 @@ def inject_agent(state: SimState, x_new, t_k: float) -> SimState:
 def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
     """Record times dt, 2*dt, ... capped at and including t_end."""
     if not (dt > 0.0) or not (t_end > 0.0):
-        raise ValueError("uniform grid needs dt > 0 and t_end > 0")
+        raise ValueError(f"dt must be > 0 with t_end > 0, got dt = {dt}, t_end = {t_end}")
     pts = [i * dt for i in range(1, int(math.floor(t_end / dt)) + 1)]
     if not pts or pts[-1] < t_end:
         pts.append(t_end)
@@ -197,9 +197,9 @@ def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
 def geometric_record_grid(t_first: float, t_end: float, points: int) -> tuple[float, ...]:
     """Geometrically spaced record times from t_first to t_end inclusive."""
     if not (0.0 < t_first <= t_end):
-        raise ValueError("geometric grid needs 0 < t_first <= t_end")
+        raise ValueError(f"t_first must lie in (0, t_end = {t_end}], got {t_first}")
     if points < 2:
-        raise ValueError("geometric grid needs at least 2 points")
+        raise ValueError(f"points must be >= 2, got {points}")
     return tuple(float(g) for g in np.geomspace(t_first, t_end, points))
 
 
@@ -243,38 +243,39 @@ def validate_sim_config(config: SimConfig) -> None:
         raise ValueError("initial_opinions must be finite")
     if config.source.dim != config.dim:
         raise ValueError(
-            f"source mean has dimension {config.source.dim}, config dim is {config.dim}"
+            f"source.mean has dimension {config.source.dim}, config dim is {config.dim}"
         )
     if not (config.step_max > 0.0) or not math.isfinite(config.step_max):
         raise ValueError(f"step_max must be positive and finite, got {config.step_max}")
-    if config.horizon is None and config.max_agents is None:
-        raise ValueError("one of horizon / max_agents must be set")
-    if config.horizon is not None:
-        if not (config.horizon > 0.0) or not math.isfinite(config.horizon):
-            raise ValueError(f"horizon must be positive and finite, got {config.horizon}")
-    if config.max_agents is not None:
-        if not isinstance(config.max_agents, int) or config.max_agents < n0:
-            raise ValueError(
-                f"max_agents must be an integer >= n0 = {n0}, got {config.max_agents!r}"
-            )
-        limit = final_injection_count(config.schedule)
-        if limit is not None and config.max_agents - n0 > limit:
-            raise ValueError(
-                f"max_agents = {config.max_agents} needs {config.max_agents - n0} arrivals "
-                f"but the schedule defines only {limit}"
-            )
+    _end_time(config.schedule, config.horizon, config.max_agents)
     for g in config.record_grid:
         if not math.isfinite(g) or g < 0.0:
-            raise ValueError(f"record grid times must be finite and >= 0, got {g}")
+            raise ValueError(f"record_grid times must be finite and >= 0, got {g}")
 
 
-def _end_time(config: SimConfig) -> float:
+def _end_time(schedule: GrowthSchedule, horizon: float | None,
+              max_agents: int | None) -> float:
+    """End of a run: the horizon or the arrival that fills max_agents, whichever
+    is first. Checks the stop fields for SimConfig."""
+    if horizon is None and max_agents is None:
+        raise ValueError("horizon or max_agents must be set")
     ends = []
-    if config.horizon is not None:
-        ends.append(float(config.horizon))
-    if config.max_agents is not None:
-        k_needed = config.max_agents - config.schedule.n0
-        ends.append(injection_time(config.schedule, k_needed) if k_needed > 0 else 0.0)
+    if horizon is not None:
+        if not (horizon > 0.0) or not math.isfinite(horizon):
+            raise ValueError(f"horizon must be positive and finite, got {horizon}")
+        ends.append(float(horizon))
+    if max_agents is not None:
+        n0 = schedule.n0
+        if not isinstance(max_agents, int) or max_agents < n0:
+            raise ValueError(f"max_agents must be an integer >= n0 = {n0}, got {max_agents!r}")
+        k_needed = max_agents - n0
+        limit = final_injection_count(schedule)
+        if limit is not None and k_needed > limit:
+            raise ValueError(
+                f"max_agents = {max_agents} needs {k_needed} arrivals "
+                f"but the schedule defines only {limit}"
+            )
+        ends.append(injection_time(schedule, k_needed) if k_needed > 0 else 0.0)
     return min(ends)
 
 
@@ -307,7 +308,7 @@ def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
     m = source.mean_vector
     track = config.track_dissipation_integral
 
-    t_end = _end_time(config)
+    t_end = _end_time(schedule, config.horizon, config.max_agents)
     arrivals = _arrival_times(config, t_end)
 
     # Grid times coinciding with an arrival are dropped: the pre/post pair

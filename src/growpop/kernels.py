@@ -23,9 +23,6 @@ __all__ = [
     "Kernel",
     "constant_kernel",
     "rational_kernel",
-    "kernel_from_config",
-    "eval_kernel",
-    "kernel_bounds",
 ]
 
 # max_r |d/dr b/(1+r^2)| = b * 3*sqrt(3)/8, attained at r = 1/sqrt(3)
@@ -56,7 +53,23 @@ class Kernel:
     lipschitz: float
 
     def __call__(self, r):
-        return eval_kernel(self, r)
+        """psi at distance(s) r >= 0: scalars map to floats, arrays to arrays.
+
+        Negative distances are a domain error. The formula is written out
+        here, apart from ``eval_squared``, so tests can use one to check the
+        other.
+        """
+        arr = np.asarray(r, dtype=float)
+        if np.any(arr < 0.0):
+            raise ValueError("kernel distance must be nonnegative")
+        if self.kind == "constant":
+            out = np.full_like(arr, self.coef[0])
+        else:
+            a, b = self.coef
+            out = a + b / (1.0 + arr * arr)
+        if arr.ndim == 0:
+            return float(out)
+        return out
 
     def eval_squared(self, r2):
         """psi evaluated at distance sqrt(r2); skips the square root.
@@ -102,7 +115,7 @@ def constant_kernel(c: float) -> Kernel:
     """Distance-independent coupling psi(r) = c, c > 0."""
     c = float(c)
     if not (c > 0.0) or not math.isfinite(c):
-        raise ValueError(f"constant kernel needs c > 0, got {c}")
+        raise ValueError(f"c must be finite and > 0, got {c}")
     return Kernel(kind="constant", coef=(c,), psi_star=c, psi_max=c, lipschitz=0.0)
 
 
@@ -110,9 +123,9 @@ def rational_kernel(a: float, b: float) -> Kernel:
     """Decaying coupling psi(r) = a + b/(1 + r^2) with floor a > 0, b >= 0."""
     a, b = float(a), float(b)
     if not (a > 0.0) or not math.isfinite(a):
-        raise ValueError(f"rational kernel needs a > 0, got a={a}")
-    if b < 0.0 or not math.isfinite(b):
-        raise ValueError(f"rational kernel needs b >= 0, got b={b}")
+        raise ValueError(f"a must be finite and > 0, got {a}")
+    if not (b >= 0.0) or not math.isfinite(b):
+        raise ValueError(f"b must be finite and >= 0, got {b}")
     return Kernel(
         kind="rational",
         coef=(a, b),
@@ -120,59 +133,3 @@ def rational_kernel(a: float, b: float) -> Kernel:
         psi_max=a + b,
         lipschitz=b * _RATIONAL_SLOPE,
     )
-
-
-def kernel_from_config(spec: dict, path: str = "kernel") -> Kernel:
-    """Build a kernel from its config mapping, e.g. {"type": "constant", "c": 1.0}."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{path}: expected an object, got {type(spec).__name__}")
-    kind = spec.get("type")
-    if kind == "constant":
-        c = _req(spec, "c", path)
-        if not c > 0.0:
-            raise ValueError(f"{path}.c: must be > 0, got {c}")
-        return constant_kernel(c)
-    if kind == "rational":
-        a = _req(spec, "a", path)
-        b = _req(spec, "b", path)
-        if not a > 0.0:
-            raise ValueError(f"{path}.a: must be > 0, got {a}")
-        if b < 0.0:
-            raise ValueError(f"{path}.b: must be >= 0, got {b}")
-        return rational_kernel(a, b)
-    raise ValueError(f"{path}.type: unknown kernel type {kind!r}")
-
-
-def _req(spec: dict, key: str, path: str) -> float:
-    if key not in spec:
-        raise ValueError(f"missing required field {path}.{key}")
-    val = spec[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ValueError(f"{path}.{key}: expected a number, got {val!r}")
-    return float(val)
-
-
-def eval_kernel(kernel: Kernel, r):
-    """Evaluate psi at distance(s) r >= 0.
-
-    Scalars map to floats, arrays to arrays. Negative distances are a domain
-    error.
-    """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("kernel distance must be nonnegative")
-    if kernel.kind == "constant":
-        out = np.full_like(arr, kernel.coef[0])
-    elif kernel.kind == "rational":
-        a, b = kernel.coef
-        out = a + b / (1.0 + arr * arr)
-    else:  # pragma: no cover - factories only produce the two kinds
-        raise ValueError(f"unknown kernel kind {kernel.kind!r}")
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def kernel_bounds(kernel: Kernel) -> tuple[float, float]:
-    """Certified (inf, sup) of psi over all distances."""
-    return kernel.psi_star, kernel.psi_max

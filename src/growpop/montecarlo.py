@@ -22,7 +22,6 @@ import numpy as np
 
 from .dynamics import SimConfig, run_simulation
 from .observables import MomentSeries
-from .sources import OpinionSource, sample_incoming  # re-exported: ensemble-facing API
 
 __all__ = [
     "derive_run_seed",
@@ -30,8 +29,6 @@ __all__ = [
     "run_ensemble",
     "ensemble_statistic",
     "estimated_jump_means",
-    "OpinionSource",
-    "sample_incoming",
 ]
 
 _MASK64 = (1 << 64) - 1

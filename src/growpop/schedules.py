@@ -22,7 +22,6 @@ __all__ = [
     "PowerExponentialSchedule",
     "ExplicitSchedule",
     "GrowthSchedule",
-    "schedule_from_config",
     "injection_time",
     "population_at",
 ]
@@ -63,47 +62,6 @@ class ExplicitSchedule:
 
 
 GrowthSchedule = Union[PowerExponentialSchedule, ExplicitSchedule]
-
-
-def schedule_from_config(spec: dict, path: str = "schedule") -> GrowthSchedule:
-    """Build a schedule from config, e.g. {"type": "power_exp", "alpha": 0.5, "n0": 10}."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{path}: expected an object, got {type(spec).__name__}")
-    kind = spec.get("type")
-    try:
-        if kind == "power_exp":
-            alpha = spec.get("alpha")
-            n0 = spec.get("n0", 1)
-            if alpha is None:
-                raise ValueError(f"missing required field {path}.alpha")
-            if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-                raise ValueError(f"{path}.alpha: expected a number, got {alpha!r}")
-            if not (float(alpha) > 0.0) or not math.isfinite(float(alpha)):
-                raise ValueError(f"{path}.alpha: must be > 0, got {alpha!r}")
-            if not isinstance(n0, int) or isinstance(n0, bool):
-                raise ValueError(f"{path}.n0: expected an integer, got {n0!r}")
-            if n0 < 1:
-                raise ValueError(f"{path}.n0: must be >= 1, got {n0}")
-            return PowerExponentialSchedule(alpha=float(alpha), n0=n0)
-        if kind == "explicit":
-            times = spec.get("times")
-            n0 = spec.get("n0", 1)
-            if times is None:
-                raise ValueError(f"missing required field {path}.times")
-            if not isinstance(times, (list, tuple)):
-                raise ValueError(f"{path}.times: expected a list")
-            if not isinstance(n0, int) or isinstance(n0, bool):
-                raise ValueError(f"{path}.n0: expected an integer, got {n0!r}")
-            if n0 < 1:
-                raise ValueError(f"{path}.n0: must be >= 1, got {n0}")
-            try:
-                return ExplicitSchedule(n0=n0, times=tuple(times))
-            except ValueError as err:
-                raise ValueError(f"{path}.times: {err}") from None
-    except ValueError as err:
-        msg = str(err)
-        raise ValueError(msg if msg.startswith(("missing", path)) else f"{path}: {msg}") from None
-    raise ValueError(f"{path}.type: unknown schedule type {kind!r}")
 
 
 def injection_time(schedule: GrowthSchedule, j: int) -> float:

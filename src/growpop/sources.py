@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["OpinionSource", "gaussian_source", "uniform_source",
-           "two_point_source", "source_from_config", "sample_incoming"]
-
-_KINDS = ("gaussian", "uniform", "two_point")
+           "two_point_source", "sample_incoming"]
 
 
 @dataclass(frozen=True)
@@ -43,15 +41,14 @@ class OpinionSource:
 
 
 def _make(kind: str, mean, sigma2: float) -> OpinionSource:
-    if np.isscalar(mean):
-        mean = (float(mean),)
-    else:
-        mean = tuple(float(c) for c in mean)
+    mean = tuple(float(c) for c in np.atleast_1d(mean))
     if len(mean) < 1:
         raise ValueError("mean must have at least one coordinate")
+    if not all(math.isfinite(c) for c in mean):
+        raise ValueError(f"mean must be finite, got {mean}")
     sigma2 = float(sigma2)
     if not (sigma2 >= 0.0) or not math.isfinite(sigma2):
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     return OpinionSource(kind=kind, mean=mean, sigma2=sigma2)
 
 
@@ -65,34 +62,6 @@ def uniform_source(mean, sigma2: float) -> OpinionSource:
 
 def two_point_source(mean, sigma2: float) -> OpinionSource:
     return _make("two_point", mean, sigma2)
-
-
-def source_from_config(spec: dict, path: str = "source") -> OpinionSource:
-    """Build a source from config, e.g. {"type": "gaussian", "mean": 0.0, "sigma2": 1.0}."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{path}: expected an object, got {type(spec).__name__}")
-    kind = spec.get("type")
-    if kind not in _KINDS:
-        raise ValueError(f"{path}.type: unknown source type {kind!r}")
-    if "mean" not in spec:
-        raise ValueError(f"missing required field {path}.mean")
-    if "sigma2" not in spec:
-        raise ValueError(f"missing required field {path}.sigma2")
-    mean = spec["mean"]
-    if isinstance(mean, list):
-        if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in mean):
-            raise ValueError(f"{path}.mean: expected numbers")
-    elif not isinstance(mean, (int, float)) or isinstance(mean, bool):
-        raise ValueError(f"{path}.mean: expected a number or list of numbers, got {mean!r}")
-    sigma2 = spec["sigma2"]
-    if not isinstance(sigma2, (int, float)) or isinstance(sigma2, bool):
-        raise ValueError(f"{path}.sigma2: expected a number, got {sigma2!r}")
-    if sigma2 < 0:
-        raise ValueError(f"{path}.sigma2: must be >= 0, got {sigma2}")
-    try:
-        return _make(kind, mean, sigma2)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
 
 
 def sample_incoming(source: OpinionSource, rng: np.random.Generator) -> np.ndarray:

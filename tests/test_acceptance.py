@@ -14,6 +14,7 @@ import pytest
 from scipy import stats as sps
 
 import growpop as gp
+from growpop.cli import emit_series_csv
 from growpop.sources import sample_incoming
 
 # Wall-clock budgets, generous multiples of observed runtimes.
@@ -383,7 +384,7 @@ def test_arrival_sum_identities():
 def test_bytewise_reproducibility(tmp_path, decay_run, jump_audit_run, mean_dev_ensemble):
     def emit(obj, name):
         path = tmp_path / name
-        gp.emit_series_csv(obj, str(path))
+        emit_series_csv(obj, str(path))
         return path.read_bytes()
 
     same = []

@@ -5,13 +5,28 @@ error. CSV files must round-trip bit for bit (repr floats, LF newlines) and
 start with the seed comment.
 """
 
+import importlib
 import json
+import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from growpop import ConfigError, emit_series_csv, load_config, run_simulation
-from growpop.cli import cmd_dispatch
+import growpop
+from growpop import (
+    ExplicitSchedule,
+    PowerExponentialSchedule,
+    constant_kernel,
+    rational_kernel,
+    run_simulation,
+)
+from growpop.cli import ConfigError, cmd_dispatch, emit_series_csv, load_config
 
 BASE_CONFIG = {
     "dim": 1,
@@ -123,6 +138,170 @@ class TestLoadConfig:
         path = write_config(tmp_path, record_grid={"type": "log"})
         with pytest.raises(ConfigError, match=r"record_grid\.type"):
             load_config(path)
+
+
+def with_field(spec, path, value):
+    """A copy of ``spec`` with the field at dotted ``path`` set to ``value``.
+
+    A numeric path component indexes a list: "envelope.n.0".
+    """
+    spec = json.loads(json.dumps(spec))
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = spec
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return spec
+
+
+def load_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))  # writes NaN and Infinity as json.load reads them
+    return load_config(str(path))
+
+
+# A config with every optional block, so each of their fields can be probed.
+FULL_CONFIG = {
+    **BASE_CONFIG,
+    "kernel": {"type": "rational", "a": 0.4, "b": 1.2},
+    "record_grid": {"type": "geometric", "t_first": 0.1, "points": 8},
+    "horizon": 5.0,
+    "workers": 2,
+    "conditions": {"n_max": 1000, "lambdas": [0.5, 1.0]},
+    "envelope": {"y0": 1.0, "lambda": 0.5, "jump": {"type": "harmonic", "c": 1.0},
+                 "n": [5, 10]},
+}
+# Configs that load and hold the fields the probes below replace.
+AT_HORIZON = {**{k: v for k, v in BASE_CONFIG.items() if k != "max_agents"}, "horizon": 2.0}
+EXPLICIT_TIMES = with_field(AT_HORIZON, "schedule",
+                            {"type": "explicit", "times": [1.0], "n0": 3})
+AT_MEAN = {k: v for k, v in BASE_CONFIG.items() if k != "initial_opinions"}
+EXPLICIT_JUMPS = with_field(FULL_CONFIG, "envelope.jump",
+                            {"type": "explicit", "values": [1.0]})
+EXPLICIT_GRID = with_field(BASE_CONFIG, "record_grid", {"type": "explicit", "times": [0.5]})
+# Every numeric field of the format, with a config that holds it.
+NUMERIC_FIELDS = [(FULL_CONFIG, path) for path in (
+    "dim", "kernel.a", "kernel.b", "schedule.alpha", "schedule.n0", "source.mean",
+    "source.sigma2", "initial_opinions.1", "step_max", "horizon", "max_agents",
+    "record_grid.t_first", "record_grid.points", "runs", "master_seed", "workers",
+    "conditions.n_max", "conditions.lambdas.0", "envelope.y0", "envelope.lambda",
+    "envelope.jump.c", "envelope.n.1",
+)] + [(BASE_CONFIG, "kernel.c"), (BASE_CONFIG, "record_grid.dt"),
+      (EXPLICIT_TIMES, "schedule.times.0"), (EXPLICIT_JUMPS, "envelope.jump.values.0"),
+      (EXPLICIT_GRID, "record_grid.times.0")]
+PROBE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def field_name(path):
+    """The name an error gives a field: list indices dropped."""
+    return ".".join(k for k in path.split(".") if not k.isdigit())
+
+
+class TestFieldTypes:
+    """Each field is type-checked once, at load, and named when it fails."""
+
+    @pytest.mark.parametrize("base, path, value", [
+        (BASE_CONFIG, "track_dissipation_integral", "no"),
+        (EXPLICIT_TIMES, "schedule.times", ["1"]),
+        (EXPLICIT_TIMES, "schedule.times", [True]),
+        (AT_MEAN, "source.mean", math.nan),
+        (BASE_CONFIG, "source.mean", [math.inf]),
+        (BASE_CONFIG, "initial_opinions", [True, False, True]),
+        (EXPLICIT_JUMPS, "envelope.jump.values", ["a"]),
+        (EXPLICIT_JUMPS, "envelope.jump.values", [[1.0]]),
+        (EXPLICIT_JUMPS, "envelope.jump.values", [True]),
+        (FULL_CONFIG, "envelope.y0", math.nan),
+        (FULL_CONFIG, "envelope.lambda", math.nan),
+        (EXPLICIT_GRID, "record_grid.times", [math.inf]),
+        (BASE_CONFIG, "record_grid.dt", math.inf),
+        (FULL_CONFIG, "conditions.lambdas", [math.inf]),
+    ])
+    def test_ill_typed_field_is_named(self, tmp_path, base, path, value):
+        assert load_spec(tmp_path, base)
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            load_spec(tmp_path, with_field(base, path, value))
+
+    def test_full_config_loads(self, tmp_path):
+        cfg = load_spec(tmp_path, FULL_CONFIG)
+        assert cfg.workers == 2 and cfg.conditions.lambdas == (0.5, 1.0)
+        assert cfg.envelope.decay_rate == 0.5 and cfg.envelope.n_values == (5, 10)
+
+    @PROBE_SETTINGS
+    @given(field=st.sampled_from(NUMERIC_FIELDS),
+           value=st.sampled_from([True, False, "1", math.nan, math.inf, -math.inf]))
+    def test_any_numeric_field_rejects_non_numbers(self, tmp_path, field, value):
+        base, path = field
+        with pytest.raises(ConfigError, match=re.escape(field_name(path))):
+            load_spec(tmp_path, with_field(base, path, value))
+
+    @pytest.mark.parametrize("path", ["step", "kernel.c", "record_grid.dt",
+                                      "envelope.decay_rate", "envelope.n_values"])
+    def test_unknown_key_is_named(self, tmp_path, path):
+        with pytest.raises(ConfigError, match=rf"unknown field\(s\): {re.escape(path)}"):
+            load_spec(tmp_path, with_field(FULL_CONFIG, path, 1.0))
+
+
+positive = st.floats(min_value=1e-6, max_value=1e6)
+finite = st.floats(min_value=-1e6, max_value=1e6)
+KERNELS = st.one_of(
+    st.builds(lambda c: ({"type": "constant", "c": c}, constant_kernel(c)), positive),
+    st.builds(lambda a, b: ({"type": "rational", "a": a, "b": b}, rational_kernel(a, b)),
+              positive, st.floats(min_value=0.0, max_value=1e6)),
+)
+SCHEDULES = st.one_of(
+    st.builds(lambda alpha, n0: ({"type": "power_exp", "alpha": alpha, "n0": n0},
+                                 PowerExponentialSchedule(alpha=alpha, n0=n0)),
+              st.floats(min_value=1e-3, max_value=1e3), st.integers(1, 20)),
+    st.builds(lambda times, n0: ({"type": "explicit", "times": times, "n0": n0},
+                                 ExplicitSchedule(n0=n0, times=tuple(times))),
+              st.lists(positive, max_size=5, unique=True).map(sorted), st.integers(1, 20)),
+)
+SOURCES = st.tuples(
+    st.sampled_from(["gaussian", "uniform", "two_point"]),
+    st.one_of(finite, st.lists(finite, min_size=1, max_size=3)),
+    st.floats(min_value=0.0, max_value=1e6),
+)
+
+
+class TestRoundTrip:
+    @pytest.mark.filterwarnings("ignore:source.sigma2 = 0")
+    @PROBE_SETTINGS
+    @given(kernel=KERNELS, schedule=SCHEDULES, source=SOURCES, step_max=positive)
+    def test_load_builds_what_the_constructors_build(self, tmp_path, kernel, schedule,
+                                                     source, step_max):
+        kind, mean, sigma2 = source
+        built = getattr(growpop, f"{kind}_source")(mean, sigma2)
+        cfg = load_spec(tmp_path, {
+            "dim": built.dim,
+            "kernel": kernel[0],
+            "schedule": schedule[0],
+            "source": {"type": kind, "mean": mean, "sigma2": sigma2},
+            "step_max": step_max,
+            "horizon": 1.0,
+        })
+        assert cfg.sim.kernel == kernel[1]
+        assert cfg.sim.schedule == schedule[1]
+        assert cfg.sim.source == built
+        assert cfg.sim.step_max == step_max
+
+
+class TestPackageSurface:
+    @pytest.mark.parametrize("module", ["growpop"] + [
+        f"growpop.{name}" for name in ("kernels", "schedules", "sources", "observables",
+                                       "dynamics", "montecarlo", "analysis", "cli")])
+    def test_every_public_name_resolves(self, module):
+        mod = importlib.import_module(module)
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+    def test_cli_runs_as_module_without_warnings(self):
+        src = os.path.dirname(os.path.dirname(growpop.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "growpop.cli", "check"], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0
+        assert done.stderr == ""
 
 
 class TestCsvEmission:

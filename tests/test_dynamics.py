@@ -18,7 +18,6 @@ from growpop import (
     PowerExponentialSchedule,
     ExplicitSchedule,
     constant_kernel,
-    eval_kernel,
     gaussian_source,
     geometric_record_grid,
     inject_agent,
@@ -48,7 +47,7 @@ def brute_force_rhs(x, kernel):
     for i in range(n):
         for j in range(n):
             r = math.sqrt(sum((x[j, c] - x[i, c]) ** 2 for c in range(d)))
-            w = eval_kernel(kernel, r)
+            w = kernel(r)
             for c in range(d):
                 out[i, c] += w * (x[j, c] - x[i, c])
     return out / n

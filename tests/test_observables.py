@@ -15,7 +15,6 @@ from growpop import (
     compute_moments,
     constant_kernel,
     dissipation_of,
-    eval_kernel,
     expected_m1_deviation,
     m1_closed_form,
     predict_jumps,
@@ -45,7 +44,7 @@ def brute_dissipation(x, kernel):
     for i in range(n):
         for j in range(n):
             r2 = float((x[j] - x[i]) @ (x[j] - x[i]))
-            total += eval_kernel(kernel, np.sqrt(r2)) * r2
+            total += kernel(np.sqrt(r2)) * r2
     return -total / (n * n)
 
 

@@ -5,6 +5,7 @@ population count must agree with those pinned times *exactly*, i.e.
 population_at(s, t_j) == n0 + j and one ulp earlier it is n0 + j - 1.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ from growpop import (
     final_injection_count,
     injection_time,
     population_at,
-    schedule_from_config,
 )
+from growpop.cli import ConfigError, load_config
 
 RNG = np.random.default_rng(8128)
 
@@ -119,27 +120,39 @@ class TestExplicitSchedule:
             ExplicitSchedule(n0=1, times=times)
 
 
+def load_schedule(tmp_path, spec):
+    """The schedule that load_config builds from the block ``spec``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "kernel": {"type": "constant", "c": 1.0},
+        "schedule": spec,
+        "source": {"type": "gaussian", "mean": 0.0, "sigma2": 1.0},
+        "horizon": 1.0,
+    }))
+    return load_config(str(path)).sim.schedule
+
+
 class TestConfig:
-    def test_power_exp_round_trip(self):
-        s = schedule_from_config({"type": "power_exp", "alpha": 0.5, "n0": 10})
+    def test_power_exp_round_trip(self, tmp_path):
+        s = load_schedule(tmp_path, {"type": "power_exp", "alpha": 0.5, "n0": 10})
         assert s == PowerExponentialSchedule(alpha=0.5, n0=10)
 
-    def test_explicit_round_trip(self):
-        s = schedule_from_config({"type": "explicit", "times": [1.0, 2.0], "n0": 4})
+    def test_explicit_round_trip(self, tmp_path):
+        s = load_schedule(tmp_path, {"type": "explicit", "times": [1.0, 2.0], "n0": 4})
         assert s == ExplicitSchedule(n0=4, times=(1.0, 2.0))
 
-    def test_default_n0(self):
-        s = schedule_from_config({"type": "power_exp", "alpha": 1.0})
+    def test_default_n0(self, tmp_path):
+        s = load_schedule(tmp_path, {"type": "power_exp", "alpha": 1.0})
         assert s.n0 == 1
 
-    def test_zero_alpha_names_field(self):
-        with pytest.raises(ValueError, match=r"schedule\.alpha"):
-            schedule_from_config({"type": "power_exp", "alpha": 0.0})
+    def test_zero_alpha_names_field(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"schedule\.alpha must be > 0"):
+            load_schedule(tmp_path, {"type": "power_exp", "alpha": 0.0})
 
-    def test_bad_times_name_field(self):
-        with pytest.raises(ValueError, match=r"schedule\.times"):
-            schedule_from_config({"type": "explicit", "times": [2.0, 1.0]})
+    def test_bad_times_name_field(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"schedule\.times"):
+            load_schedule(tmp_path, {"type": "explicit", "times": [2.0, 1.0]})
 
-    def test_unknown_type(self):
-        with pytest.raises(ValueError, match=r"schedule\.type"):
-            schedule_from_config({"type": "linear"})
+    def test_unknown_type(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"schedule\.type"):
+            load_schedule(tmp_path, {"type": "linear"})
