@@ -5,19 +5,22 @@ system
 
     dx_i/dt = (1/N) sum_j psi(|x_j - x_i|) (x_j - x_i),
 
-integrated with a fixed-step classical Runge-Kutta 4 scheme whose last step is
-shortened to land exactly on the requested endpoint. At each scheduled time
-t_k the integration stops on the instant, one newcomer is appended (existing
-opinions untouched), and integration resumes with N+1 agents. The driver is
-fully deterministic given (config, seed): fixed step sequence, fixed reduction
-order, one source draw per arrival.
+advanced from each event to the next. At each scheduled time t_k the flow
+stops on the instant, one newcomer is appended (existing opinions untouched),
+and the flow resumes with N+1 agents. A run is fully deterministic given
+(config, seed): fixed update sequence, fixed reduction order, one source draw
+per arrival.
 
-The force of a constant kernel collapses to c*(mean - x_i); that O(N) path is
-used automatically (it is an algebraic identity, not an approximation). Any
-other kernel goes through the pair weights W_ij = psi(|x_j - x_i|), built a
-tile of rows at a time: with y = x - x[0], row i of the force is
-((W y)_i - (sum_j W_ij) y_i) / N, one matrix product per tile, so a force
-evaluation holds O(N * tile) memory whatever the dimension d.
+The force of a constant kernel collapses to c*(mean - x_i), and its flow is
+exact: x_i(t) = m1 + (x_i(s) - m1) e^{-c(t-s)}, one O(N) update per interval
+whatever its length, so step_max does not enter. Any other kernel is
+integrated with classical Runge-Kutta 4 at a fixed step, the last one
+shortened to land exactly on the endpoint. The step is step_max, capped at
+RK4's real-axis stability limit for the kernel's certified psi_max. Its force
+goes through the pair weights W_ij = psi(|x_j - x_i|), built a tile of rows at
+a time: with y = x - x[0], row i of the force is ((W y)_i - (sum_j W_ij) y_i)
+/ N, one matrix product per tile, so a force evaluation holds O(N * tile)
+memory whatever the dimension d.
 """
 
 from __future__ import annotations
@@ -47,6 +50,12 @@ __all__ = [
 
 # Intervals below this length are traversed with one step of that exact size.
 _MIN_SPLIT = 1e-14
+
+# Classical RK4 is stable for h * lambda on the real interval [-2.785, 0]
+# (Hairer & Wanner, Solving ODEs II, Sec. IV.2). The force's Jacobian is
+# symmetric with spectral radius at most 2 * psi_max (block Gershgorin), so
+# steps of up to this over 2 * psi_max keep every mode decaying.
+_RK4_REAL_STABILITY = 2.785
 
 # Slack when matching the integrator's landing time against an arrival time.
 _TIME_TOL = 1e-12
@@ -120,6 +129,26 @@ def _rk4_step(x: np.ndarray, kernel: Kernel, h: float, track: bool) -> float:
     return dq
 
 
+def _constant_flow(x: np.ndarray, c: float, span: float, track: bool) -> float:
+    """Advance opinions in place by the exact flow of the constant kernel c over
+    span; returns the interval's D-integral when track is set.
+
+    Pivoted about x[0] as in ``_force``, so exact consensus stays put bit for
+    bit. D = -2cV and V decays as e^{-2c t}, so the integral is
+    V_a (e^{-2c span} - 1) with V_a the variance at the start.
+    """
+    n = x.shape[0]
+    dev = x - x[0]
+    mean_dev = dev.sum(axis=0) / n
+    towards_mean = mean_dev - dev
+    dq = 0.0
+    if track:
+        v = float(np.einsum("ij,ij->", towards_mean, towards_mean)) / n
+        dq = v * math.expm1(-2.0 * c * span)
+    x += (-math.expm1(-c * span)) * towards_mean
+    return dq
+
+
 def _integrate(state: SimState, kernel: Kernel, t_end: float, step_max: float,
                track: bool = False) -> tuple[SimState, float]:
     span = t_end - state.t
@@ -128,16 +157,19 @@ def _integrate(state: SimState, kernel: Kernel, t_end: float, step_max: float,
     x = state.opinions.copy()
     q = 0.0
     if span > 0.0:
-        if span <= _MIN_SPLIT:
+        if kernel.kind == "constant":
+            q = _constant_flow(x, kernel.coef[0], span, track)
+        elif span <= _MIN_SPLIT:
             q += _rk4_step(x, kernel, span, track)
         else:
-            n_full = int(math.floor(span / step_max))
-            rem = span - n_full * step_max
-            if rem > step_max:  # floor slipped by one ulp
+            h = min(step_max, _RK4_REAL_STABILITY / (2.0 * kernel.psi_max))
+            n_full = int(math.floor(span / h))
+            rem = span - n_full * h
+            if rem > h:  # floor slipped by one ulp
                 n_full += 1
-                rem = span - n_full * step_max
+                rem = span - n_full * h
             for _ in range(n_full):
-                q += _rk4_step(x, kernel, step_max, track)
+                q += _rk4_step(x, kernel, h, track)
             if rem > 0.0:
                 q += _rk4_step(x, kernel, rem, track)
     return SimState(t=t_end, k=state.k, opinions=x, dim=state.dim), q
@@ -148,9 +180,11 @@ def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
                        schedule: GrowthSchedule | None = None) -> SimState:
     """Integrate the flow from state.t to t_end with no arrivals inside.
 
-    Steps are of size step_max with the final one shortened to land exactly on
-    t_end. When a schedule is supplied, an arrival time strictly inside the
-    open interval is a contract violation.
+    A constant kernel takes its exact flow in one update, and step_max does
+    not enter. Any other kernel takes RK4 steps of step_max, capped at RK4's
+    real-axis stability limit 2.785 / (2 psi_max), with the final one
+    shortened to land exactly on t_end. When a schedule is supplied, an
+    arrival time strictly inside the open interval is a contract violation.
     """
     if not (step_max > 0.0) or not math.isfinite(step_max):
         raise ValueError(f"step_max must be positive and finite, got {step_max}")
@@ -210,6 +244,11 @@ class SimConfig:
     Exactly one of horizon / max_agents may be omitted; when both are present
     the run stops at whichever comes first. max_agents counts the total
     population, so max_agents = n0 + k stops right after the k-th arrival.
+
+    step_max is an upper bound on the RK4 step of a non-constant kernel: the
+    step taken is min(step_max, 2.785 / (2 psi_max)), RK4's real-axis
+    stability limit for the kernel. A constant kernel is advanced by its
+    exact flow and ignores step_max.
     """
 
     dim: int

@@ -147,8 +147,8 @@ def dissipation_of(x: np.ndarray, kernel: Kernel, v: float | None = None) -> flo
     For a constant kernel this collapses to -2cV (sum_ij |x_i - x_j|^2 equals
     2 N^2 V), an O(N) identity. Any other kernel sums the pair weights times
     the squared distances over tiles of rows: O(N^2) time, O(N * tile)
-    memory, never an (N, N, d) array. It runs at record times, and at every
-    RK4 stage when the D integral is tracked.
+    memory, never an (N, N, d) array. It runs at record times and, for a
+    non-constant kernel, at every RK4 stage when the D integral is tracked.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]

@@ -10,6 +10,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from growpop import (
     ContractViolationError,
@@ -28,6 +31,7 @@ from growpop import (
     uniform_record_grid,
 )
 from growpop.kernels import _TILE_ROWS, _pair_tiles
+from growpop.observables import compute_moments
 
 RNG = np.random.default_rng(424242)
 
@@ -164,6 +168,33 @@ class TestIntegrator:
             err.append(np.abs(sol - ref).max())
         ratio = err[0] / err[1]
         assert 12.0 < ratio < 20.0
+
+    def test_constant_kernel_flow_is_exact(self):
+        # x(t) = m1 + (x - m1) e^{-ct}; RK4 at h = 1e-2 is off by about 1e-10
+        x = RNG.normal(0.0, 1.0, size=(2000, 1))
+        m1 = x.mean(axis=0)
+        out = integrate_interval(state_of(x), constant_kernel(1.0), 1.0, step_max=1e-2)
+        exact = m1 + (x - m1) * math.exp(-1.0)
+        assert np.abs(out.opinions - exact).max() <= 1e-14
+
+    def test_constant_kernel_ignores_step_max(self):
+        x = RNG.normal(0.0, 1.0, size=(30, 2))
+        kernel = constant_kernel(1.7)
+        fine = integrate_interval(state_of(x), kernel, 2.5, step_max=1e-3)
+        coarse = integrate_interval(state_of(x), kernel, 2.5, step_max=3.0)
+        np.testing.assert_array_equal(fine.opinions, coarse.opinions)
+
+    def test_constant_kernel_consensus_is_exact_fixed_point(self):
+        x = np.full((7, 2), [0.3, -1.1])
+        out = integrate_interval(state_of(x), constant_kernel(2.0), 4.0, step_max=0.5)
+        np.testing.assert_array_equal(out.opinions, x)
+
+    def test_rational_step_capped_at_stability_limit(self):
+        # h = 4 is past RK4's stability limit 2.785 / (2 psi_max) = 0.87;
+        # uncapped, the run stalls on a spurious fixed point at V ~ 0.03
+        x = RNG.normal(0.0, 1.0, size=(50, 1))
+        out = integrate_interval(state_of(x), rational_kernel(0.4, 1.2), 30.0, step_max=4.0)
+        assert out.opinions.var() < 1e-20
 
     def test_tiny_interval_single_step(self):
         kernel = constant_kernel(1.0)
@@ -336,28 +367,89 @@ class TestRunSimulation:
 
     def test_dissipation_integral_reconstructs_m2(self):
         # d(m2)/dt = D between arrivals, plus the recorded jump at each one
-        config = small_config(
-            kernel=rational_kernel(0.5, 0.8),
-            schedule=ExplicitSchedule(n0=3, times=(0.4, 0.9)),
-            max_agents=5,
-            horizon=1.5,
-            step_max=1e-2,
-            record_grid=(0.2, 0.7, 1.2, 1.5),
-            track_dissipation_integral=True,
-        )
-        series = run_simulation(config, seed=11)
-        q = dict()
-        for (t, integral), row in zip(series.dissipation_checkpoints[1:],
-                                      series.rows[1:]):
-            if row.event == "record":
-                q[t] = integral
-        m2_0 = series.rows[0].record.m2
-        jumps = [(p.pre.t, p.post.m2 - p.pre.m2) for p in series.injection_pairs]
-        for rec in series.records:
-            if rec.t == 0.0:
-                continue
-            expected = m2_0 + q[rec.t] + sum(dj for tj, dj in jumps if tj <= rec.t)
-            np.testing.assert_allclose(rec.m2, expected, rtol=1e-8)
+        assert_m2_reconstructed(rational_kernel(0.5, 0.8), rtol=1e-8)
+
+    def test_dissipation_integral_reconstructs_m2_constant_kernel(self):
+        # the constant kernel's D integral is closed form, so only roundoff is left
+        assert_m2_reconstructed(constant_kernel(1.3), rtol=1e-12)
+
+    def test_constant_kernel_run_ignores_step_max(self):
+        # c h = 3 is past RK4's stability limit; the exact flow does not care
+        config = dict(kernel=constant_kernel(1.0), max_agents=40,
+                      record_grid=geometric_record_grid(0.5, 30.0, 16))
+        fine = run_simulation(small_config(step_max=0.01, **config), seed=12)
+        coarse = run_simulation(small_config(step_max=3.0, **config), seed=12)
+        v_fine, v_coarse = fine.final_record().v, coarse.final_record().v
+        assert abs(v_coarse - v_fine) <= 1e-12 * v_fine
+
+
+def assert_m2_reconstructed(kernel, rtol):
+    config = small_config(
+        kernel=kernel,
+        schedule=ExplicitSchedule(n0=3, times=(0.4, 0.9)),
+        max_agents=5,
+        horizon=1.5,
+        step_max=1e-2,
+        record_grid=(0.2, 0.7, 1.2, 1.5),
+        track_dissipation_integral=True,
+    )
+    series = run_simulation(config, seed=11)
+    q = dict()
+    for (t, integral), row in zip(series.dissipation_checkpoints[1:],
+                                  series.rows[1:]):
+        if row.event == "record":
+            q[t] = integral
+    m2_0 = series.rows[0].record.m2
+    jumps = [(p.pre.t, p.post.m2 - p.pre.m2) for p in series.injection_pairs]
+    for rec in series.records:
+        if rec.t == 0.0:
+            continue
+        expected = m2_0 + q[rec.t] + sum(dj for tj, dj in jumps if tj <= rec.t)
+        np.testing.assert_allclose(rec.m2, expected, rtol=rtol)
+
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+OPINIONS = st.tuples(st.integers(1, 40), st.integers(1, 3)).flatmap(
+    lambda shape: arrays(float, shape, elements=st.floats(-100.0, 100.0)))
+CONSTANT_KERNELS = st.floats(0.05, 20.0).map(constant_kernel)
+RATIONAL_KERNELS = st.builds(rational_kernel, st.floats(0.05, 2.0), st.floats(0.0, 4.0))
+SPANS = st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=4)
+# constant: any step, it does not enter; rational: steps a stable RK4 resolves
+KERNEL_STEPS = st.one_of(
+    st.tuples(CONSTANT_KERNELS, st.floats(1e-3, 10.0)),
+    st.tuples(RATIONAL_KERNELS, st.floats(0.02, 0.1)),
+)
+
+
+def flow_through(x, kernel, step_max, spans):
+    """States at the ends of consecutive intervals of the given lengths."""
+    states = [state_of(x)]
+    for span in spans:
+        states.append(integrate_interval(states[-1], kernel, states[-1].t + span,
+                                         step_max=step_max))
+    return states
+
+
+class TestFlowProperties:
+    @PROPERTY_SETTINGS
+    @given(x=OPINIONS, kernel_step=KERNEL_STEPS, spans=SPANS)
+    def test_mean_conserved(self, x, kernel_step, spans):
+        kernel, step_max = kernel_step
+        m1_0 = x.mean(axis=0)
+        scale = max(1.0, float(np.abs(x).max()))
+        for state in flow_through(x, kernel, step_max, spans)[1:]:
+            drift = np.abs(state.opinions.mean(axis=0) - m1_0).max()
+            assert drift <= MEAN_DRIFT_TOL * scale
+
+    @PROPERTY_SETTINGS
+    @given(x=OPINIONS, kernel_step=KERNEL_STEPS, spans=SPANS)
+    def test_variance_nonincreasing(self, x, kernel_step, spans):
+        kernel, step_max = kernel_step
+        target = np.zeros(x.shape[1])
+        moments = [compute_moments(state, kernel, target)
+                   for state in flow_through(x, kernel, step_max, spans)]
+        for before, after in zip(moments, moments[1:]):
+            assert after.v <= before.v + 1e-12 * max(1.0, before.m2)
 
 
 class TestRecordGrids:
