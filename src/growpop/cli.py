@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -245,7 +244,7 @@ def load_config(path: str) -> ExperimentConfig:
     grid_spec = top.get("record_grid", "object", None)
     sim = _build("", SimConfig, dim=dim, kernel=kernel, schedule=schedule, source=source,
                  initial_opinions=x0, step_max=step_max, horizon=horizon,
-                 max_agents=max_agents, record_grid=_record_grid(grid_spec, t_end, step_max),
+                 max_agents=max_agents, record_grid=_record_grid(grid_spec, t_end),
                  track_dissipation_integral=top.get("track_dissipation_integral",
                                                     "boolean", False))
 
@@ -309,8 +308,9 @@ def _source(spec: _Fields) -> OpinionSource:
     return source
 
 
-def _record_grid(spec: _Fields | None, t_end: float, step_max: float) -> tuple[float, ...]:
-    t_first = min(max(t_end / 100.0, step_max / 10.0), t_end)
+def _record_grid(spec: _Fields | None, t_end: float) -> tuple[float, ...]:
+    """The grid ``spec`` asks for; without one, 64 points from t_end / 100 to t_end."""
+    t_first = t_end / 100.0
     if spec is None:
         return geometric_record_grid(t_first, t_end, 64) if t_end > 0.0 else ()
     kind = spec.variant("uniform", "geometric", "explicit")
@@ -350,21 +350,20 @@ def _write_series(series: MomentSeries, fh) -> None:
     cols = ["t", "n"] + [f"m1_{i}" for i in range(d)] + ["m2", "v", "w", "dissipation", "event"]
     fh.write(f"# seed={series.seed}\n")
     fh.write(",".join(cols) + "\n")
-    for row in series.rows:
-        rec = row.record
-        vals = [_fmt(rec.t), str(rec.n)]
-        vals += [_fmt(c) for c in rec.m1]
-        vals += [_fmt(rec.m2), _fmt(rec.v), _fmt(rec.w), _fmt(rec.dissipation), row.event]
-        fh.write(",".join(vals) + "\n")
+    # tolist() gives Python ints and floats, whose repr is the CSV format
+    values = [series.t, series.n, *series.m1.T, series.m2, series.v, series.w,
+              series.dissipation]
+    for *vals, event in zip(*(col.tolist() for col in values), series.event):
+        fh.write(",".join(map(repr, vals)) + f",{event}\n")
 
 
 def _write_ensemble(stats: EnsembleStats, fh) -> None:
     fh.write(f"# seed={stats.master_seed}\n")
     fh.write("t,mean_w,stderr_w,mean_v,stderr_v,mean_m1_dev,stderr_m1_dev\n")
-    for i in range(stats.grid.size):
-        vals = [stats.grid[i], stats.mean_w[i], stats.stderr_w[i], stats.mean_v[i],
-                stats.stderr_v[i], stats.mean_m1_dev[i], stats.stderr_m1_dev[i]]
-        fh.write(",".join(_fmt(v) for v in vals) + "\n")
+    values = [stats.grid, stats.mean_w, stats.stderr_w, stats.mean_v, stats.stderr_v,
+              stats.mean_m1_dev, stats.stderr_m1_dev]
+    for vals in zip(*(col.tolist() for col in values)):
+        fh.write(",".join(map(repr, vals)) + "\n")
 
 
 def emit_series_csv(obj, path: str) -> None:
@@ -551,11 +550,9 @@ def _check_constant_decay() -> str | None:
         record_grid=uniform_record_grid(1.0, 0.25),
     )
     series = run_simulation(config, seed=1)
-    v0 = series.rows[0].record.v
-    worst = 0.0
-    for rec in series.records:
-        expected = v0 * math.exp(-2.0 * rec.t)
-        worst = max(worst, abs(rec.v - expected) / expected)
+    is_record = np.array(series.event) == "record"
+    expected = series.v[0] * np.exp(-2.0 * series.t[is_record])
+    worst = float(np.max(np.abs(series.v[is_record] - expected) / expected))
     if worst > 1e-6:
         return f"variance decay off by relative {worst:.3e} (tolerance 1e-6)"
     return None

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import Kernel, _pair_tiles
-from .observables import InjectionJump, MomentSeries, SeriesRow, compute_moments, dissipation_of
+from .observables import MomentSeries, compute_moments, dissipation_of
 from .schedules import GrowthSchedule, final_injection_count, injection_time
 from .sources import OpinionSource, sample_incoming
 
@@ -337,9 +337,9 @@ def _arrival_times(config: SimConfig, t_end: float) -> list[float]:
 def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
     """One deterministic trajectory of the full hybrid system.
 
-    Returns the moment stream: a record at t = 0, a record at every grid time,
-    and a pre/post pair straddling every arrival. Identical (config, seed)
-    reproduce the series bit for bit.
+    Returns the moment stream: a record at t = 0, one at every grid time and a
+    pre/post pair straddling every arrival; the flow stops at the last row.
+    Identical (config, seed) reproduce the series bit for bit.
     """
     validate_sim_config(config)
     rng = np.random.default_rng(seed)
@@ -368,45 +368,39 @@ def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
         + [(t_j, "inject", j + 1) for j, t_j in enumerate(arrivals)]
     )
 
-    state = SimState(t=0.0, k=0,
-                     opinions=np.array(config.initial_opinions, dtype=float),
-                     dim=config.dim)
-    rows = [SeriesRow("record", 0, compute_moments(state, kernel, m))]
-    pairs: list[InjectionJump] = []
-    q = 0.0
-    checkpoints = [(0.0, 0.0)] if track else None
+    # one row at t = 0, one per grid time, two per arrival
+    event = ["record"]
+    for _, tag, _ in events:
+        event += ["record"] if tag == "record" else ["pre_jump", "post_jump"]
+    rows, d = len(event), config.dim
+    series = MomentSeries(
+        t=np.empty(rows), event=tuple(event), k=np.empty(rows, dtype=np.int64),
+        n=np.empty(rows, dtype=np.int64), m1=np.empty((rows, d)), m2=np.empty(rows),
+        v=np.empty(rows), w=np.empty(rows), dissipation=np.empty(rows),
+        x_new=np.empty((len(arrivals), d)), target_mean=m, seed=int(seed),
+        n0=schedule.n0, dim=d, d_integral=np.empty(rows) if track else None,
+    )
 
+    def write_row(i: int, k: int, state: SimState, q: float) -> int:
+        rec = compute_moments(state, kernel, m)
+        series.t[i], series.k[i], series.n[i], series.m1[i] = rec.t, k, rec.n, rec.m1
+        series.m2[i], series.v[i], series.w[i] = rec.m2, rec.v, rec.w
+        series.dissipation[i] = rec.dissipation
+        if track:
+            series.d_integral[i] = q
+        return i + 1
+
+    state = SimState(t=0.0, k=0, opinions=config.initial_opinions.copy(), dim=config.dim)
+    q = 0.0
+    i = write_row(0, 0, state, q)
     for t_ev, tag, j in events:
         state, dq = _integrate(state, kernel, t_ev, config.step_max, track)
         q += dq
         if tag == "record":
-            rows.append(SeriesRow("record", state.k, compute_moments(state, kernel, m)))
-            if track:
-                checkpoints.append((t_ev, q))
+            i = write_row(i, state.k, state, q)
         else:
-            pre = compute_moments(state, kernel, m)
-            rows.append(SeriesRow("pre_jump", j, pre))
-            x_new = sample_incoming(source, rng)
-            state = inject_agent(state, x_new, t_ev)
-            post = compute_moments(state, kernel, m)
-            rows.append(SeriesRow("post_jump", j, post))
-            pairs.append(InjectionJump(k=j, x_new=x_new, pre=pre, post=post))
-            if track:
-                checkpoints.append((t_ev, q))
-                checkpoints.append((t_ev, q))
-
-    if state.t < t_end:
-        state, dq = _integrate(state, kernel, t_end, config.step_max, track)
-        q += dq
-        if track:
-            checkpoints.append((t_end, q))
-
-    return MomentSeries(
-        rows=rows,
-        injection_pairs=pairs,
-        target_mean=m,
-        seed=int(seed),
-        n0=schedule.n0,
-        dim=config.dim,
-        dissipation_checkpoints=checkpoints,
-    )
+            i = write_row(i, j, state, q)
+            series.x_new[j - 1] = sample_incoming(source, rng)
+            state = inject_agent(state, series.x_new[j - 1], t_ev)
+            i = write_row(i, j, state, q)
+    return series

@@ -81,34 +81,12 @@ class EnsembleStats:
     master_seed: int
 
 
-def _series_arrays(series: MomentSeries):
-    """Flatten one run into (t, event, k, w, v, |m1-m|^2) row arrays."""
-    m = series.target_mean
-    t = np.empty(len(series.rows))
-    w = np.empty(len(series.rows))
-    v = np.empty(len(series.rows))
-    dev = np.empty(len(series.rows))
-    events = []
-    ks = np.empty(len(series.rows), dtype=np.int64)
-    for i, row in enumerate(series.rows):
-        rec = row.record
-        t[i] = rec.t
-        w[i] = rec.w
-        v[i] = rec.v
-        diff = rec.m1 - m
-        dev[i] = float(diff @ diff)
-        events.append(row.event)
-        ks[i] = row.k
-    return t, tuple(events), ks, w, v, dev
-
-
-def _run_one(task):
+def _run_one(task) -> MomentSeries:
     config, run_index, seed = task
     try:
-        series = run_simulation(config, seed)
+        return run_simulation(config, seed)
     except Exception as err:
         raise RuntimeError(f"ensemble run {run_index} (seed {seed}) failed: {err}") from err
-    return _series_arrays(series)
 
 
 def run_ensemble(config: SimConfig, runs: int, master_seed: int,
@@ -132,21 +110,23 @@ def run_ensemble(config: SimConfig, runs: int, master_seed: int,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, tasks, chunksize=chunk))
 
-    t0, events0, ks0 = results[0][0], results[0][1], results[0][2]
-    for i, res in enumerate(results[1:], start=1):
-        if res[1] != events0 or not np.array_equal(res[0], t0) \
-                or not np.array_equal(res[2], ks0):
+    first = results[0]
+    for i, series in enumerate(results[1:], start=1):
+        if series.event != first.event or not np.array_equal(series.t, first.t) \
+                or not np.array_equal(series.k, first.k):
             raise RuntimeError(f"run {i} produced a different record timeline than run 0")
 
-    w = np.vstack([res[3] for res in results])
-    v = np.vstack([res[4] for res in results])
-    dev = np.vstack([res[5] for res in results])
+    w = np.stack([series.w for series in results])
+    v = np.stack([series.v for series in results])
+    diff = np.stack([series.m1 for series in results]) - first.target_mean
+    # |m1 - m|^2 row by row as a (1, d) @ (d, 1) product: the rounding of diff @ diff
+    dev = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
     scale = 1.0 / math.sqrt(runs)
 
     return EnsembleStats(
-        grid=t0,
-        event=events0,
-        k=ks0,
+        grid=first.t,
+        event=first.event,
+        k=first.k,
         mean_w=w.mean(axis=0),
         stderr_w=w.std(axis=0, ddof=1) * scale,
         mean_v=v.mean(axis=0),
@@ -195,11 +175,9 @@ def estimated_jump_means(stats: EnsembleStats) -> np.ndarray:
     Suitable (via absolute values) as an ExplicitJumps envelope bound built
     from measured jump expectations.
     """
-    pre = {int(kk): i for i, (ev, kk) in enumerate(zip(stats.event, stats.k))
-           if ev == "pre_jump"}
-    post = {int(kk): i for i, (ev, kk) in enumerate(zip(stats.event, stats.k))
-            if ev == "post_jump"}
-    ks = sorted(pre)
-    if ks != sorted(post) or ks != list(range(1, len(ks) + 1)):
+    event = np.array(stats.event)
+    pre, post = np.flatnonzero(event == "pre_jump"), np.flatnonzero(event == "post_jump")
+    if not (np.array_equal(post, pre + 1)
+            and np.array_equal(stats.k[pre], np.arange(1, pre.size + 1))):
         raise RuntimeError("ensemble timeline is missing arrival rows")
-    return np.array([stats.mean_v[post[k]] - stats.mean_v[pre[k]] for k in ks])
+    return stats.mean_v[post] - stats.mean_v[pre]

@@ -17,6 +17,7 @@ simulations can be checked against them injection by injection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,29 +75,59 @@ class SeriesRow(NamedTuple):
 
 @dataclass(eq=False)
 class MomentSeries:
-    """Chronological moment stream of one simulation run.
+    """Chronological moment stream of one simulation run, one array per column.
 
-    ``rows`` is the full output stream (grid records plus both sides of every
-    arrival, in time order). ``records`` filters the grid records;
-    ``injection_pairs`` pairs up the arrival rows.
+    Rows, in time order: the record at t = 0, a record per grid time, and a
+    pre_jump/post_jump pair per arrival. ``t``, ``n``, ``k`` (arrivals applied;
+    a pre_jump row holds the index of the arrival about to join), ``m2``,
+    ``v``, ``w`` and ``dissipation`` have shape (rows,) and ``m1`` (rows, d);
+    ``event`` is the tuple of row kinds; ``x_new`` (arrivals, d) holds the
+    arrivals in order; ``d_integral`` (rows,), the integral of D from 0 to
+    each row's t, is None unless the run tracked it.
+
+    ``rows``, ``records``, ``injection_pairs`` and ``final_record()`` give the
+    same stream as objects, built from the columns when first read. ``rows``
+    and ``injection_pairs`` are then kept; editing them does not edit the columns.
     """
 
-    rows: list[SeriesRow]
-    injection_pairs: list[InjectionJump]
+    t: np.ndarray
+    event: tuple[str, ...]
+    k: np.ndarray
+    n: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    dissipation: np.ndarray
+    x_new: np.ndarray
     target_mean: np.ndarray
     seed: int
     n0: int
     dim: int
-    # cumulative integral of D at event boundaries, when tracking was enabled:
-    # list of (t, integral from 0 to t), one entry per row.
-    dissipation_checkpoints: list[tuple[float, float]] | None = None
+    d_integral: np.ndarray | None = None
+
+    def _record(self, i: int) -> MomentRecord:
+        return MomentRecord(t=float(self.t[i]), n=int(self.n[i]), m1=self.m1[i].copy(),
+                            m2=float(self.m2[i]), v=float(self.v[i]), w=float(self.w[i]),
+                            dissipation=float(self.dissipation[i]))
+
+    @cached_property
+    def rows(self) -> list[SeriesRow]:
+        return [SeriesRow(ev, int(kk), self._record(i))
+                for i, (ev, kk) in enumerate(zip(self.event, self.k))]
 
     @property
     def records(self) -> list[MomentRecord]:
         return [row.record for row in self.rows if row.event == "record"]
 
+    @cached_property
+    def injection_pairs(self) -> list[InjectionJump]:
+        pre = [i for i, ev in enumerate(self.event) if ev == "pre_jump"]
+        return [InjectionJump(k=int(self.k[i]), x_new=x.copy(), pre=self._record(i),
+                              post=self._record(i + 1)) for i, x in zip(pre, self.x_new)]
+
     def final_record(self) -> MomentRecord:
-        return self.rows[-1].record
+        return self._record(-1)
 
 
 def compute_moments(state, kernel: Kernel, m) -> MomentRecord:

@@ -27,6 +27,7 @@ from growpop import (
     run_simulation,
 )
 from growpop.cli import ConfigError, cmd_dispatch, emit_series_csv, load_config
+from growpop.dynamics import _end_time
 
 BASE_CONFIG = {
     "dim": 1,
@@ -74,6 +75,16 @@ class TestLoadConfig:
         np.testing.assert_array_equal(cfg.sim.initial_opinions, np.zeros((3, 1)))
         assert cfg.sim.step_max == 1e-2
         assert len(cfg.sim.record_grid) == 64  # default geometric grid
+
+    @pytest.mark.parametrize("grid", [None, {"type": "geometric", "points": 16}])
+    def test_default_grid_does_not_depend_on_step_max(self, tmp_path, grid):
+        # the constant kernel's exact flow ignores step_max, so must its rows
+        spec = dict(schedule={"type": "power_exp", "alpha": 0.5, "n0": 10},
+                    initial_opinions=None, max_agents=200, record_grid=grid)
+        fine = load_config(write_config(tmp_path, "fine.json", step_max=0.01, **spec))
+        coarse = load_config(write_config(tmp_path, "coarse.json", step_max=3.0, **spec))
+        assert fine.sim.record_grid == coarse.sim.record_grid
+        assert fine.sim.record_grid[0] == _end_time(fine.sim.schedule, None, 200) / 100
 
     def test_parse_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -318,18 +329,26 @@ class TestCsvEmission:
         assert lines[1] == "t,n,m1_0,m2,v,w,dissipation,event"
         assert b"\r" not in out.read_bytes()
 
-    def test_floats_round_trip_exactly(self, tmp_path):
-        series = self.run_series(tmp_path)
+    @pytest.mark.parametrize("kernel", [{"type": "constant", "c": 1.0},
+                                        {"type": "rational", "a": 0.5, "b": 0.5}],
+                             ids=["constant", "rational"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_floats_round_trip_exactly(self, tmp_path, dim, kernel):
+        x0 = [[0.5, -0.25, 0.125], [-0.5, 0.75, 0.0], [1.0, 0.0, -1.0]]
+        cfg = load_config(write_config(
+            tmp_path, dim=dim, kernel=kernel, initial_opinions=[x[:dim] for x in x0],
+            source={"type": "gaussian", "mean": [0.0] * dim, "sigma2": 1.0}))
+        series = run_simulation(cfg.sim, 5)
         out = tmp_path / "run.csv"
         emit_series_csv(series, str(out))
         lines = out.read_text().strip().split("\n")[2:]
         assert len(lines) == len(series.rows)
         for line, row in zip(lines, series.rows):
             cells = line.split(",")
-            assert float(cells[0]) == row.record.t
-            assert int(cells[1]) == row.record.n
-            assert float(cells[2]) == row.record.m1[0]
-            assert float(cells[4]) == row.record.v
+            rec = row.record
+            assert int(cells[1]) == rec.n
+            assert [float(c) for c in cells[:-1]] == [rec.t, rec.n, *rec.m1, rec.m2, rec.v,
+                                                      rec.w, rec.dissipation]
             assert cells[-1] == row.event
 
     def test_identical_runs_identical_bytes(self, tmp_path):

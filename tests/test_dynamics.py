@@ -30,6 +30,7 @@ from growpop import (
     run_simulation,
     uniform_record_grid,
 )
+from growpop import dynamics
 from growpop.kernels import _TILE_ROWS, _pair_tiles
 from growpop.observables import compute_moments
 
@@ -373,6 +374,20 @@ class TestRunSimulation:
         # the constant kernel's D integral is closed form, so only roundoff is left
         assert_m2_reconstructed(constant_kernel(1.3), rtol=1e-12)
 
+    def test_integrates_up_to_the_last_row_only(self, monkeypatch):
+        # one interval per row after the first, none past the last row to the horizon
+        calls = []
+        integrate = dynamics._integrate
+        monkeypatch.setattr(dynamics, "_integrate",
+                            lambda *args: calls.append(args[2]) or integrate(*args))
+        config = small_config(kernel=rational_kernel(0.5, 0.5),
+                              schedule=ExplicitSchedule(n0=3, times=(50.0,)),
+                              max_agents=None, horizon=10.0,
+                              record_grid=(0.25, 0.5, 0.6, 0.75))
+        series = run_simulation(config, seed=13)
+        assert len(calls) == len(series.rows) - 1 == 4
+        assert calls[-1] == 0.75
+
     def test_constant_kernel_run_ignores_step_max(self):
         # c h = 3 is past RK4's stability limit; the exact flow does not care
         config = dict(kernel=constant_kernel(1.0), max_agents=40,
@@ -395,8 +410,7 @@ def assert_m2_reconstructed(kernel, rtol):
     )
     series = run_simulation(config, seed=11)
     q = dict()
-    for (t, integral), row in zip(series.dissipation_checkpoints[1:],
-                                  series.rows[1:]):
+    for t, integral, row in zip(series.t[1:], series.d_integral[1:], series.rows[1:]):
         if row.event == "record":
             q[t] = integral
     m2_0 = series.rows[0].record.m2

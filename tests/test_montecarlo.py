@@ -1,5 +1,7 @@
 """Seed derivation, arrival sampling, and reproducible parallel ensembles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from growpop import (
     expected_m1_deviation,
     gaussian_source,
     run_ensemble,
+    run_simulation,
     sample_incoming,
     two_point_source,
     uniform_source,
@@ -162,6 +165,30 @@ class TestRunEnsemble:
             np.testing.assert_array_equal(a.stderr_w, other.stderr_w)
             np.testing.assert_array_equal(a.mean_v, other.mean_v)
             np.testing.assert_array_equal(a.mean_m1_dev, other.mean_m1_dev)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_its_single_runs(self, dim, workers):
+        # the reduction, row by row, of the runs replayed one by one
+        mean = np.linspace(-0.5, 0.75, dim)
+        config = ensemble_config(
+            dim=dim, source=gaussian_source(mean, 1.0), max_agents=60,
+            initial_opinions=np.linspace(-1.0, 1.0, 2 * dim).reshape(2, dim))
+        runs, master = 4, 21
+        stats = run_ensemble(config, runs=runs, master_seed=master, workers=workers)
+        series = [run_simulation(config, derive_run_seed(master, i)) for i in range(runs)]
+        dev = [[float((row.record.m1 - mean) @ (row.record.m1 - mean)) for row in s.rows]
+               for s in series]
+        scale = 1.0 / math.sqrt(runs)
+        for values, mean_name, err_name in (
+            ([s.w for s in series], "mean_w", "stderr_w"),
+            ([s.v for s in series], "mean_v", "stderr_v"),
+            (dev, "mean_m1_dev", "stderr_m1_dev"),
+        ):
+            values = np.array(values)
+            np.testing.assert_array_equal(getattr(stats, mean_name), values.mean(axis=0))
+            np.testing.assert_array_equal(getattr(stats, err_name),
+                                          values.std(axis=0, ddof=1) * scale)
 
     def test_master_seed_changes_results(self):
         config = ensemble_config()
