@@ -16,6 +16,7 @@ so identical (config, seed) pairs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -98,7 +99,6 @@ class ExperimentConfig:
 # What a field of each kind read by _Fields.get must hold, for error messages.
 _EXPECTED = {
     "string": "a string",
-    "boolean": "true or false",
     "integer": "an integer",
     "integers": "a nonempty list of integers",
     "number": "a finite number",
@@ -162,8 +162,6 @@ class _Fields:
             return _Fields(val, self.prefix + key)
         if kind == "string":
             out = val if isinstance(val, str) else None
-        elif kind == "boolean":
-            out = val if isinstance(val, bool) else None
         elif kind == "integer":
             out = val if _is_int(val) else None
         elif kind == "integers":
@@ -244,9 +242,7 @@ def load_config(path: str) -> ExperimentConfig:
     grid_spec = top.get("record_grid", "object", None)
     sim = _build("", SimConfig, dim=dim, kernel=kernel, schedule=schedule, source=source,
                  initial_opinions=x0, step_max=step_max, horizon=horizon,
-                 max_agents=max_agents, record_grid=_record_grid(grid_spec, t_end),
-                 track_dissipation_integral=top.get("track_dissipation_integral",
-                                                    "boolean", False))
+                 max_agents=max_agents, record_grid=_record_grid(grid_spec, t_end))
 
     conditions = None
     block = top.get("conditions", "object", None)
@@ -558,17 +554,23 @@ def _check_constant_decay() -> str | None:
     return None
 
 
-def _check_jump_identities() -> str | None:
+@functools.cache
+def _rational_run() -> MomentSeries:
+    """The run the jump and energy checks audit: rational kernel, d = 2, 40 arrivals."""
     config = SimConfig(
         dim=2,
         kernel=rational_kernel(0.5, 0.5),
         schedule=PowerExponentialSchedule(alpha=0.5, n0=2),
         source=gaussian_source((0.25, -0.5), 1.0),
         initial_opinions=np.array([[0.5, 0.0], [-0.5, 0.3]]),
-        step_max=0.05,
+        step_max=0.01,  # m2 meets its energy balance to O(h^4): 5.5e-10 (3.5e-7 at 0.05)
         max_agents=42,
     )
-    series = run_simulation(config, seed=7)
+    return run_simulation(config, seed=7)
+
+
+def _check_jump_identities() -> str | None:
+    series = _rational_run()
     worst = 0.0
     for pair in series.injection_pairs:
         pred = predict_jumps(pair.pre, pair.x_new, pair.k, series.n0)
@@ -584,6 +586,19 @@ def _check_jump_identities() -> str | None:
     return None
 
 
+def _check_energy_balance() -> str | None:
+    # d(m2)/dt = D between arrivals: m2 at each row is m2(0), plus the integral
+    # of D, plus the m2 jumps of the arrivals so far
+    series = _rational_run()
+    is_post = np.array(series.event) == "post_jump"
+    jumps = np.where(is_post, np.diff(series.m2, prepend=series.m2[0]), 0.0)
+    expected = series.m2[0] + series.d_integral + np.cumsum(jumps)
+    worst = float(np.max(np.abs(series.m2 - expected) / np.abs(expected)))
+    if not worst <= 1e-8:
+        return f"m2 off its energy balance by relative {worst:.3e} (tolerance 1e-8)"
+    return None
+
+
 def _check_boundary_sum() -> str | None:
     s = condition_sum(1.0, asymptotic_injection_times(1.0), 2000)
     if abs(s - 1.0) > 1e-12:
@@ -595,6 +610,7 @@ def _cmd_check(args) -> int:
     checks = [
         ("constant-kernel variance decay", _check_constant_decay),
         ("arrival jump identities", _check_jump_identities),
+        ("energy balance", _check_energy_balance),
         ("boundary condition sum", _check_boundary_sum),
     ]
     failed = False

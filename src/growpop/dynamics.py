@@ -20,7 +20,10 @@ RK4's real-axis stability limit for the kernel's certified psi_max. Its force
 goes through the pair weights W_ij = psi(|x_j - x_i|), built a tile of rows at
 a time: with y = x - x[0], row i of the force is ((W y)_i - (sum_j W_ij) y_i)
 / N, one matrix product per tile, so a force evaluation holds O(N * tile)
-memory whatever the dimension d.
+memory whatever the dimension d. The same tiles give the dissipation D at
+each RK4 stage, and Simpson's rule over the stages gives each step's integral
+of D, which every run records (``d_integral``): the witness of the energy
+balance d(m2)/dt = D between arrivals.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import Kernel, _pair_tiles
-from .observables import MomentSeries, compute_moments, dissipation_of
+from .observables import MomentSeries, compute_moments
 from .schedules import GrowthSchedule, final_injection_count, injection_time
 from .sources import OpinionSource, sample_incoming
 
@@ -74,9 +77,6 @@ class SimState:
     opinions: np.ndarray
     dim: int
 
-    def copy(self) -> "SimState":
-        return SimState(self.t, self.k, self.opinions.copy(), self.dim)
-
 
 def rhs(state: SimState, kernel: Kernel) -> np.ndarray:
     """Instantaneous opinion velocities, shape (N, d).
@@ -89,68 +89,43 @@ def rhs(state: SimState, kernel: Kernel) -> np.ndarray:
     x = np.asarray(state.opinions, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("state.opinions must be a nonempty (N, d) array")
-    return _force(x, kernel)
+    return _force(x, kernel)[0]
 
 
-def _force(x: np.ndarray, kernel: Kernel) -> np.ndarray:
+def _force(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, float]:
+    """Velocities (N, d) at x, and the dissipation D there."""
     n = x.shape[0]
     if kernel.kind == "constant":
         # c * (m1 - x_i), pivoted about x[0] so exact consensus is a fixed point
         dev = x - x[0]
-        mean_dev = dev.sum(axis=0) / n
-        return kernel.coef[0] * (mean_dev - dev)
+        towards_mean = dev.sum(axis=0) / n - dev
+        c = kernel.coef[0]
+        return c * towards_mean, -2.0 * c * float(np.vdot(towards_mean, towards_mean)) / n
     # sum_j w_ij (y_j - y_i) = (W y)_i - (sum_j w_ij) y_i
     y = x - x[0]
     out = np.empty_like(y)
-    for rows, w, _ in _pair_tiles(y, kernel):
+    total = 0.0
+    for rows, w, d2 in _pair_tiles(y, kernel):
         out[rows] = w @ y - w.sum(axis=1)[:, None] * y[rows]
-    return out / n
+        total += float(np.vdot(w, d2))
+    return out / n, -total / (n * n)
 
 
-def _rk4_step(x: np.ndarray, kernel: Kernel, h: float, track: bool) -> float:
-    """Advance opinions in place by one RK4 step; returns the step's D-integral
-    contribution (Simpson-weighted stage values) when track is set."""
-    k1 = _force(x, kernel)
-    x2 = x + (0.5 * h) * k1
-    k2 = _force(x2, kernel)
-    x3 = x + (0.5 * h) * k2
-    k3 = _force(x3, kernel)
-    x4 = x + h * k3
-    k4 = _force(x4, kernel)
-    dq = 0.0
-    if track:
-        dq = (h / 6.0) * (
-            dissipation_of(x, kernel)
-            + 2.0 * dissipation_of(x2, kernel)
-            + 2.0 * dissipation_of(x3, kernel)
-            + dissipation_of(x4, kernel)
-        )
+def _rk4_step(x: np.ndarray, kernel: Kernel, h: float) -> float:
+    """Advance opinions in place by one RK4 step; returns the step's integral of
+    D, its four stage values weighted by Simpson's rule."""
+    k1, d1 = _force(x, kernel)
+    k2, d2 = _force(x + (0.5 * h) * k1, kernel)
+    k3, d3 = _force(x + (0.5 * h) * k2, kernel)
+    k4, d4 = _force(x + h * k3, kernel)
     x += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return dq
+    return (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
 
 
-def _constant_flow(x: np.ndarray, c: float, span: float, track: bool) -> float:
-    """Advance opinions in place by the exact flow of the constant kernel c over
-    span; returns the interval's D-integral when track is set.
-
-    Pivoted about x[0] as in ``_force``, so exact consensus stays put bit for
-    bit. D = -2cV and V decays as e^{-2c t}, so the integral is
-    V_a (e^{-2c span} - 1) with V_a the variance at the start.
-    """
-    n = x.shape[0]
-    dev = x - x[0]
-    mean_dev = dev.sum(axis=0) / n
-    towards_mean = mean_dev - dev
-    dq = 0.0
-    if track:
-        v = float(np.einsum("ij,ij->", towards_mean, towards_mean)) / n
-        dq = v * math.expm1(-2.0 * c * span)
-    x += (-math.expm1(-c * span)) * towards_mean
-    return dq
-
-
-def _integrate(state: SimState, kernel: Kernel, t_end: float, step_max: float,
-               track: bool = False) -> tuple[SimState, float]:
+def _integrate(state: SimState, kernel: Kernel, t_end: float,
+               step_max: float) -> tuple[SimState, float]:
+    """State at t_end, and the RK4 steps' integral of D over the span; 0.0 for
+    the constant kernel, whose integral ``run_simulation`` takes in closed form."""
     span = t_end - state.t
     if span < 0.0:
         raise ContractViolationError(f"t_end={t_end} precedes state.t={state.t}")
@@ -158,9 +133,11 @@ def _integrate(state: SimState, kernel: Kernel, t_end: float, step_max: float,
     q = 0.0
     if span > 0.0:
         if kernel.kind == "constant":
-            q = _constant_flow(x, kernel.coef[0], span, track)
+            # exact flow, pivoted about x[0] as in _force so consensus stays put
+            dev = x - x[0]
+            x += (-math.expm1(-kernel.coef[0] * span)) * (dev.sum(axis=0) / x.shape[0] - dev)
         elif span <= _MIN_SPLIT:
-            q += _rk4_step(x, kernel, span, track)
+            q += _rk4_step(x, kernel, span)
         else:
             h = min(step_max, _RK4_REAL_STABILITY / (2.0 * kernel.psi_max))
             n_full = int(math.floor(span / h))
@@ -169,9 +146,9 @@ def _integrate(state: SimState, kernel: Kernel, t_end: float, step_max: float,
                 n_full += 1
                 rem = span - n_full * h
             for _ in range(n_full):
-                q += _rk4_step(x, kernel, h, track)
+                q += _rk4_step(x, kernel, h)
             if rem > 0.0:
-                q += _rk4_step(x, kernel, rem, track)
+                q += _rk4_step(x, kernel, rem)
     return SimState(t=t_end, k=state.k, opinions=x, dim=state.dim), q
 
 
@@ -199,8 +176,7 @@ def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
                 raise ContractViolationError(
                     f"arrival {j_next} at t={t_next} lies inside ({state.t}, {t_end})"
                 )
-    new_state, _ = _integrate(state, kernel, t_end, step_max)
-    return new_state
+    return _integrate(state, kernel, t_end, step_max)[0]
 
 
 def inject_agent(state: SimState, x_new, t_k: float) -> SimState:
@@ -248,7 +224,8 @@ class SimConfig:
     step_max is an upper bound on the RK4 step of a non-constant kernel: the
     step taken is min(step_max, 2.785 / (2 psi_max)), RK4's real-axis
     stability limit for the kernel. A constant kernel is advanced by its
-    exact flow and ignores step_max.
+    exact flow and ignores step_max. Every run records the integral of the
+    dissipation D, whatever the config (``MomentSeries.d_integral``).
     """
 
     dim: int
@@ -260,7 +237,6 @@ class SimConfig:
     horizon: float | None = None
     max_agents: int | None = None
     record_grid: tuple[float, ...] = ()
-    track_dissipation_integral: bool = False
 
     def __post_init__(self):
         self.initial_opinions = np.atleast_2d(
@@ -345,7 +321,6 @@ def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
     rng = np.random.default_rng(seed)
     kernel, source, schedule = config.kernel, config.source, config.schedule
     m = source.mean_vector
-    track = config.track_dissipation_integral
 
     t_end = _end_time(schedule, config.horizon, config.max_agents)
     arrivals = _arrival_times(config, t_end)
@@ -378,29 +353,30 @@ def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
         n=np.empty(rows, dtype=np.int64), m1=np.empty((rows, d)), m2=np.empty(rows),
         v=np.empty(rows), w=np.empty(rows), dissipation=np.empty(rows),
         x_new=np.empty((len(arrivals), d)), target_mean=m, seed=int(seed),
-        n0=schedule.n0, dim=d, d_integral=np.empty(rows) if track else None,
+        n0=schedule.n0, dim=d, d_integral=np.empty(rows),
     )
 
     def write_row(i: int, k: int, state: SimState, q: float) -> int:
         rec = compute_moments(state, kernel, m)
         series.t[i], series.k[i], series.n[i], series.m1[i] = rec.t, k, rec.n, rec.m1
         series.m2[i], series.v[i], series.w[i] = rec.m2, rec.v, rec.w
-        series.dissipation[i] = rec.dissipation
-        if track:
-            series.d_integral[i] = q
+        series.dissipation[i], series.d_integral[i] = rec.dissipation, q
         return i + 1
 
     state = SimState(t=0.0, k=0, opinions=config.initial_opinions.copy(), dim=config.dim)
     q = 0.0
     i = write_row(0, 0, state, q)
     for t_ev, tag, j in events:
-        state, dq = _integrate(state, kernel, t_ev, config.step_max, track)
+        state, dq = _integrate(state, kernel, t_ev, config.step_max)
         q += dq
-        if tag == "record":
-            i = write_row(i, state.k, state, q)
-        else:
-            i = write_row(i, j, state, q)
+        i = write_row(i, j if tag == "inject" else state.k, state, q)
+        if tag == "inject":
             series.x_new[j - 1] = sample_incoming(source, rng)
             state = inject_agent(state, series.x_new[j - 1], t_ev)
             i = write_row(i, j, state, q)
+    if kernel.kind == "constant":
+        # D = -2cV and V decays as e^{-2c t}, so an interval adds V_a (e^{-2c span}
+        # - 1), V_a the V of the row it starts from; a pre/post pair adds exactly 0
+        steps = series.v[:-1] * np.expm1(-2.0 * kernel.coef[0] * np.diff(series.t))
+        np.cumsum(steps, out=series.d_integral[1:])
     return series

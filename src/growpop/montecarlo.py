@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimConfig, run_simulation
-from .observables import MomentSeries
 
 __all__ = [
     "derive_run_seed",
@@ -81,12 +80,27 @@ class EnsembleStats:
     master_seed: int
 
 
-def _run_one(task) -> MomentSeries:
+def _run_one(task):
+    """One replica, reduced to the columns the ensemble reads."""
     config, run_index, seed = task
     try:
-        return run_simulation(config, seed)
+        series = run_simulation(config, seed)
     except Exception as err:
         raise RuntimeError(f"ensemble run {run_index} (seed {seed}) failed: {err}") from err
+    return series.t, series.event, series.k, series.w, series.v, series.m1
+
+
+def _stack(results, runs: int):
+    """The timeline t, event, k every replica must share, then w and v as
+    (runs, rows) arrays and m1 as (runs, rows, d), filled in run-index order."""
+    for i, (t_i, event_i, k_i, *cols) in enumerate(results):
+        if i == 0:
+            t, event, k = t_i, event_i, k_i
+            w, v, m1 = (np.empty((runs,) + col.shape) for col in cols)
+        elif event_i != event or not np.array_equal(t_i, t) or not np.array_equal(k_i, k):
+            raise RuntimeError(f"run {i} produced a different record timeline than run 0")
+        w[i], v[i], m1[i] = cols
+    return t, event, k, w, v, m1
 
 
 def run_ensemble(config: SimConfig, runs: int, master_seed: int,
@@ -104,29 +118,21 @@ def run_ensemble(config: SimConfig, runs: int, master_seed: int,
 
     tasks = [(config, i, derive_run_seed(master_seed, i)) for i in range(runs)]
     if workers == 1:
-        results = [_run_one(task) for task in tasks]
+        t, event, k, w, v, m1 = _stack(map(_run_one, tasks), runs)
     else:
         chunk = max(1, runs // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, tasks, chunksize=chunk))
+            t, event, k, w, v, m1 = _stack(pool.map(_run_one, tasks, chunksize=chunk), runs)
 
-    first = results[0]
-    for i, series in enumerate(results[1:], start=1):
-        if series.event != first.event or not np.array_equal(series.t, first.t) \
-                or not np.array_equal(series.k, first.k):
-            raise RuntimeError(f"run {i} produced a different record timeline than run 0")
-
-    w = np.stack([series.w for series in results])
-    v = np.stack([series.v for series in results])
-    diff = np.stack([series.m1 for series in results]) - first.target_mean
+    diff = m1 - config.source.mean_vector
     # |m1 - m|^2 row by row as a (1, d) @ (d, 1) product: the rounding of diff @ diff
     dev = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
     scale = 1.0 / math.sqrt(runs)
 
     return EnsembleStats(
-        grid=first.t,
-        event=first.event,
-        k=first.k,
+        grid=t,
+        event=event,
+        k=k,
         mean_w=w.mean(axis=0),
         stderr_w=w.std(axis=0, ddof=1) * scale,
         mean_v=v.mean(axis=0),

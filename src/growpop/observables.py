@@ -80,10 +80,9 @@ class MomentSeries:
     Rows, in time order: the record at t = 0, a record per grid time, and a
     pre_jump/post_jump pair per arrival. ``t``, ``n``, ``k`` (arrivals applied;
     a pre_jump row holds the index of the arrival about to join), ``m2``,
-    ``v``, ``w`` and ``dissipation`` have shape (rows,) and ``m1`` (rows, d);
-    ``event`` is the tuple of row kinds; ``x_new`` (arrivals, d) holds the
-    arrivals in order; ``d_integral`` (rows,), the integral of D from 0 to
-    each row's t, is None unless the run tracked it.
+    ``v``, ``w``, ``dissipation`` and ``d_integral`` (the integral of D from 0
+    to the row's t) have shape (rows,) and ``m1`` (rows, d); ``event`` is the
+    tuple of row kinds; ``x_new`` (arrivals, d) holds the arrivals in order.
 
     ``rows``, ``records``, ``injection_pairs`` and ``final_record()`` give the
     same stream as objects, built from the columns when first read. ``rows``
@@ -99,12 +98,12 @@ class MomentSeries:
     v: np.ndarray
     w: np.ndarray
     dissipation: np.ndarray
+    d_integral: np.ndarray
     x_new: np.ndarray
     target_mean: np.ndarray
     seed: int
     n0: int
     dim: int
-    d_integral: np.ndarray | None = None
 
     def _record(self, i: int) -> MomentRecord:
         return MomentRecord(t=float(self.t[i]), n=int(self.n[i]), m1=self.m1[i].copy(),
@@ -178,8 +177,8 @@ def dissipation_of(x: np.ndarray, kernel: Kernel, v: float | None = None) -> flo
     For a constant kernel this collapses to -2cV (sum_ij |x_i - x_j|^2 equals
     2 N^2 V), an O(N) identity. Any other kernel sums the pair weights times
     the squared distances over tiles of rows: O(N^2) time, O(N * tile)
-    memory, never an (N, N, d) array. It runs at record times and, for a
-    non-constant kernel, at every RK4 stage when the D integral is tracked.
+    memory, never an (N, N, d) array. It runs once per recorded row; the RK4
+    stages take D from the force's own tile pass instead.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]

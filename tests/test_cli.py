@@ -213,7 +213,7 @@ class TestFieldTypes:
     """Each field is type-checked once, at load, and named when it fails."""
 
     @pytest.mark.parametrize("base, path, value", [
-        (BASE_CONFIG, "track_dissipation_integral", "no"),
+        (BASE_CONFIG, "output_path", 1),
         (EXPLICIT_TIMES, "schedule.times", ["1"]),
         (EXPLICIT_TIMES, "schedule.times", [True]),
         (AT_MEAN, "source.mean", math.nan),
@@ -247,7 +247,8 @@ class TestFieldTypes:
             load_spec(tmp_path, with_field(base, path, value))
 
     @pytest.mark.parametrize("path", ["step", "kernel.c", "record_grid.dt",
-                                      "envelope.decay_rate", "envelope.n_values"])
+                                      "envelope.decay_rate", "envelope.n_values",
+                                      "track_dissipation_integral"])
     def test_unknown_key_is_named(self, tmp_path, path):
         with pytest.raises(ConfigError, match=rf"unknown field\(s\): {re.escape(path)}"):
             load_spec(tmp_path, with_field(FULL_CONFIG, path, 1.0))
@@ -482,5 +483,6 @@ class TestDispatch:
     def test_check_passes(self, capsys):
         assert cmd_dispatch(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok:") == 3
+        assert out.count("ok:") == 4
+        assert "ok: energy balance" in out
         assert "FAIL" not in out

@@ -32,7 +32,7 @@ from growpop import (
 )
 from growpop import dynamics
 from growpop.kernels import _TILE_ROWS, _pair_tiles
-from growpop.observables import compute_moments
+from growpop.observables import compute_moments, dissipation_of
 
 RNG = np.random.default_rng(424242)
 
@@ -96,6 +96,16 @@ class TestForceField:
         assert np.array_equal(wts, wts.T)
         terms = wts[:, :, None] * (x[None, :, :] - x[:, None, :])
         assert np.array_equal(terms, -np.transpose(terms, (1, 0, 2)))
+
+    @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
+    @pytest.mark.parametrize("maker", [lambda: constant_kernel(0.8),
+                                       lambda: rational_kernel(0.5, 0.5)])
+    def test_force_pass_dissipation_matches_dissipation_of(self, n, d, maker):
+        # the D the RK4 stages integrate comes from the force's own tiles
+        kernel = maker()
+        x = RNG.normal(0.0, 2.0, size=(n, d))
+        _, d_force = dynamics._force(x, kernel)
+        np.testing.assert_allclose(d_force, dissipation_of(x, kernel), rtol=1e-13)
 
     def test_velocity_sum_near_zero(self):
         kernel = rational_kernel(0.5, 0.5)
@@ -406,7 +416,6 @@ def assert_m2_reconstructed(kernel, rtol):
         horizon=1.5,
         step_max=1e-2,
         record_grid=(0.2, 0.7, 1.2, 1.5),
-        track_dissipation_integral=True,
     )
     series = run_simulation(config, seed=11)
     q = dict()

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from growpop import (
     SimState,
@@ -16,6 +19,7 @@ from growpop import (
     constant_kernel,
     dissipation_of,
     expected_m1_deviation,
+    inject_agent,
     m1_closed_form,
     predict_jumps,
     rational_kernel,
@@ -163,6 +167,38 @@ class TestPredictJumps:
         pre = record_of(RNG.normal(size=(5, 2)), constant_kernel(1.0), np.zeros(2))
         with pytest.raises(ValueError, match="shape"):
             predict_jumps(pre, np.zeros(3), k=1, n0=5)
+
+
+COORDS = st.floats(-100.0, 100.0)
+KERNELS = st.one_of(st.floats(0.05, 20.0).map(constant_kernel),
+                    st.builds(rational_kernel, st.floats(0.05, 2.0), st.floats(0.0, 4.0)))
+
+
+@st.composite
+def arrivals(draw):
+    """A pre-arrival population of N <= 40 in d <= 3, the arrival, and n0 <= N."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    x_pre = draw(arrays(float, (n, d), elements=COORDS))
+    x_new = draw(arrays(float, (d,), elements=COORDS))
+    return x_pre, x_new, draw(st.integers(1, n))
+
+
+class TestJumpLawProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(arrival=arrivals(), kernel=KERNELS)
+    def test_injection_matches_predicted_jumps(self, arrival, kernel):
+        x_pre, x_new, n0 = arrival
+        k = x_pre.shape[0] - n0 + 1
+        m = np.zeros(x_pre.shape[1])
+        state = SimState(t=0.5, k=k - 1, opinions=x_pre, dim=x_pre.shape[1])
+        pre = compute_moments(state, kernel, m)
+        post = compute_moments(inject_agent(state, x_new, 0.5), kernel, m)
+        pred = predict_jumps(pre, x_new, k, n0)
+        scale = max(1.0, abs(pre.m2), float(x_new @ x_new))
+        residual = max(float(np.max(np.abs((post.m1 - pre.m1) - pred.dm1))),
+                       abs((post.m2 - pre.m2) - pred.dm2),
+                       abs((post.v - pre.v) - pred.dv))
+        assert residual <= JUMP_RTOL * scale
 
 
 class TestMeanClosedForms:
