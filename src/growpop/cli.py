@@ -549,8 +549,8 @@ def _check_constant_decay() -> str | None:
     is_record = np.array(series.event) == "record"
     expected = series.v[0] * np.exp(-2.0 * series.t[is_record])
     worst = float(np.max(np.abs(series.v[is_record] - expected) / expected))
-    if worst > 1e-6:
-        return f"variance decay off by relative {worst:.3e} (tolerance 1e-6)"
+    if not worst <= 1e-12:
+        return f"variance decay off by relative {worst:.3e} (tolerance 1e-12)"
     return None
 
 

@@ -8,12 +8,59 @@ system
 advanced from each event to the next. At each scheduled time t_k the flow
 stops on the instant, one newcomer is appended (existing opinions untouched),
 and the flow resumes with N+1 agents. A run is fully deterministic given
-(config, seed): fixed update sequence, fixed reduction order, one source draw
-per arrival.
+(config, seed): fixed update sequence, fixed reduction order, and one draw of
+all its arrivals from a generator seeded by the seed.
 
-The force of a constant kernel collapses to c*(mean - x_i), and its flow is
-exact: x_i(t) = m1 + (x_i(s) - m1) e^{-c(t-s)}, one O(N) update per interval
-whatever its length, so step_max does not enter. Any other kernel is
+The engine runs a block of replicas, runs of one config under different
+seeds, which share the timeline of grid records and arrivals; a replica's
+result does not depend on the block around it, and ``run_simulation`` is a
+block of one. There is one engine per kernel family.
+
+The constant kernel's force collapses to c*(m1 - x_i), so its flow is exact,
+x_i(t) = m1 + (x_i(s) - m1) e^{-c(t-s)}, and every opinion stays an affine
+image x_i = a + g*z_i of a stored z_i: a (one per replica) and g (one per
+block, as it depends only on the timeline) are common to the population. The
+engine keeps a, g, the z's and their sums S1 = sum_i z_i and S2 = sum_i |z_i|^2,
+so each event costs O(d) per replica, not O(N):
+
+* a flow span tau, with e = e^{-c tau}: a += (1 - e) g S1/n and g *= e;
+* an arrival x: z_{n+1} = (x - a)/g joins S1 and S2, no other opinion moves;
+* a row's moments: m1 = a + g S1/n, V = g^2 (S2/n - |S1/n|^2),
+  m2 = V + |m1|^2, W = V + |m1 - m|^2 and D = -2cV, computed for all rows
+  after the event loop.
+
+The z's start pivoted about the first founder (a = x_1, g = 1), so a
+population in exact consensus has z = 0 and V == 0.0 exactly. g decays like
+e^{-ct}; once it is below 1e-100 the engine renormalises, z <- g z and
+g <- 1, an O(N) step that the regime runs (g above about 1e-25) never take.
+
+V from S1 and S2 is the textbook one-pass variance of the z's, scaled by
+g^2. Chan, Golub & LeVeque, "Algorithms for computing the sample variance",
+Am. Stat. 37 (1983), bound its relative error by about n*eps*kappa^2, where
+kappa^2 = 1 + |S1/n|^2 / var z, here 1 + |m1 - a|^2 / V: the pivot a must
+stay near m1. A flow span leaves kappa as it is, since it moves a the share
+1 - e of the way to m1, so |m1 - a| shrinks by e just as sqrt(V) does. An
+arrival can raise it, and arrivals that keep landing on one side of a (a
+founder far from the source under weak coupling, say) raise it without
+bound, but slowly: one arrival to a population of n multiplies kappa^2 by at
+most (n + 1)/n (the worst arrival lands beyond m1, away from a, at
+distance V/|m1 - a| from it), so kappa^2 at most doubles while the
+population doubles. So for the founders, and each time the population has
+doubled since, the engine re-centres each replica with |S1/n|^2 > 2 var z:
+a <- a + g S1/n and z <- z - S1/n, its sums recomputed, an O(n) step. That
+holds kappa^2 <= 6 at every row, for O(N) work over a run. The regime runs never re-centre;
+one founder 1000 away from the source at c = 0.01 re-centres twice in 2000
+arrivals. The tests hold V to 1e-13 relative of the particle engine's.
+
+The engine checks itself against the opinions: at every grid record it
+materialises x = a + g z for one replica, taking the block's replicas in
+turn, and at the last row for every replica, and runs ``compute_moments``
+on them, whose own self-checks then run on real opinions. A V that differs
+from the affine one by more than 1e-12 relative, with a floor of
+1e-15 max(1, m2), raises, as does a non-finite moment; either error names
+the replica.
+
+Any other kernel runs on the opinions themselves, replica after replica,
 integrated with classical Runge-Kutta 4 at a fixed step, the last one
 shortened to land exactly on the endpoint. The step is step_max, capped at
 RK4's real-axis stability limit for the kernel's certified psi_max. Its force
@@ -23,7 +70,13 @@ a time: with y = x - x[0], row i of the force is ((W y)_i - (sum_j W_ij) y_i)
 memory whatever the dimension d. The same tiles give the dissipation D at
 each RK4 stage, and Simpson's rule over the stages gives each step's integral
 of D, which every run records (``d_integral``): the witness of the energy
-balance d(m2)/dt = D between arrivals.
+balance d(m2)/dt = D between arrivals. The constant kernel's integral is
+closed form, from the V column.
+
+``integrate_interval`` takes one span on given opinions: the exact flow, in
+one O(N) update, for the constant kernel, and the RK4 steps otherwise. Its
+constant branch is not a second engine for runs: it is the particle reference
+that the tests replay a run through and compare the affine engine against.
 """
 
 from __future__ import annotations
@@ -37,7 +90,7 @@ import numpy as np
 from .kernels import Kernel, _pair_tiles
 from .observables import MomentSeries, compute_moments
 from .schedules import GrowthSchedule, final_injection_count, injection_time
-from .sources import OpinionSource, sample_incoming
+from .sources import OpinionSource, _draw_incoming
 
 __all__ = [
     "SimState",
@@ -62,6 +115,18 @@ _RK4_REAL_STABILITY = 2.785
 
 # Slack when matching the integrator's landing time against an arrival time.
 _TIME_TOL = 1e-12
+
+# The affine engine renormalises (z <- g z, g <- 1) once g falls below this.
+_G_FLOOR = 1e-100
+
+# It re-centres a replica (a <- m1) if |S1/n|^2 exceeds this multiple of var z
+# when it checks, each time the population has doubled.
+_RECENTRE = 2.0
+
+# Its audit: V of the materialised opinions against the affine V, relative,
+# with an absolute floor relative to max(1, m2).
+_AUDIT_RTOL = 1e-12
+_AUDIT_ATOL = 1e-15
 
 
 class ContractViolationError(RuntimeError):
@@ -125,7 +190,7 @@ def _rk4_step(x: np.ndarray, kernel: Kernel, h: float) -> float:
 def _integrate(state: SimState, kernel: Kernel, t_end: float,
                step_max: float) -> tuple[SimState, float]:
     """State at t_end, and the RK4 steps' integral of D over the span; 0.0 for
-    the constant kernel, whose integral ``run_simulation`` takes in closed form."""
+    the constant kernel, whose exact flow takes no steps."""
     span = t_end - state.t
     if span < 0.0:
         raise ContractViolationError(f"t_end={t_end} precedes state.t={state.t}")
@@ -310,19 +375,19 @@ def _arrival_times(config: SimConfig, t_end: float) -> list[float]:
     return out
 
 
-def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
-    """One deterministic trajectory of the full hybrid system.
+@dataclass(frozen=True, eq=False)
+class _Timeline:
+    """The rows every run of a config shares: the columns ``event``, ``t``, ``k``
+    and ``n`` of ``MomentSeries``."""
 
-    Returns the moment stream: a record at t = 0, one at every grid time and a
-    pre/post pair straddling every arrival; the flow stops at the last row.
-    Identical (config, seed) reproduce the series bit for bit.
-    """
-    validate_sim_config(config)
-    rng = np.random.default_rng(seed)
-    kernel, source, schedule = config.kernel, config.source, config.schedule
-    m = source.mean_vector
+    event: tuple[str, ...]
+    t: np.ndarray
+    k: np.ndarray
+    n: np.ndarray
 
-    t_end = _end_time(schedule, config.horizon, config.max_agents)
+
+def _timeline(config: SimConfig) -> _Timeline:
+    t_end = _end_time(config.schedule, config.horizon, config.max_agents)
     arrivals = _arrival_times(config, t_end)
 
     # Grid times coinciding with an arrival are dropped: the pre/post pair
@@ -338,45 +403,225 @@ def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
             continue
         grid.append(g)
 
-    events = sorted(
-        [(g, "record", 0) for g in grid]
-        + [(t_j, "inject", j + 1) for j, t_j in enumerate(arrivals)]
+    # one row at t = 0, one per grid time, two per arrival (j = 0 marks a grid time)
+    event, t, k, arrived = ["record"], [0.0], [0], 0
+    for t_ev, j in sorted([(g, 0) for g in grid] + [(t_j, j + 1) for j, t_j in enumerate(arrivals)]):
+        if j == 0:
+            event.append("record")
+            t.append(t_ev)
+            k.append(arrived)
+        else:
+            event += ["pre_jump", "post_jump"]
+            t += [t_ev, t_ev]
+            k += [j, j]
+            arrived = j
+    k = np.array(k, dtype=np.int64)
+    # a pre_jump row holds the index of the arrival about to join
+    applied = k - np.array([ev == "pre_jump" for ev in event])
+    return _Timeline(tuple(event), np.array(t), k, config.schedule.n0 + applied)
+
+
+class _ReplicaError(RuntimeError):
+    """A run of a block failed; ``replica`` is its place in the block."""
+
+    def __init__(self, replica: int, message: str):
+        super().__init__(message)
+        self.replica = replica
+
+
+def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
+    """One deterministic trajectory of the full hybrid system.
+
+    Returns the moment stream: a record at t = 0, one at every grid time and a
+    pre/post pair straddling every arrival; the flow stops at the last row.
+    Identical (config, seed) reproduce the series bit for bit. It is the
+    one-replica block of the engine ``run_ensemble`` runs, so replica i of an
+    ensemble is run_simulation(config, derive_run_seed(master, i)), bit for bit.
+    """
+    tl, cols = _run_block(config, [seed])
+    return MomentSeries(
+        t=tl.t, event=tl.event, k=tl.k, n=tl.n, **{name: col[0] for name, col in cols.items()},
+        target_mean=config.source.mean_vector, seed=int(seed), n0=config.schedule.n0,
+        dim=config.dim,
     )
 
-    # one row at t = 0, one per grid time, two per arrival
-    event = ["record"]
-    for _, tag, _ in events:
-        event += ["record"] if tag == "record" else ["pre_jump", "post_jump"]
-    rows, d = len(event), config.dim
-    series = MomentSeries(
-        t=np.empty(rows), event=tuple(event), k=np.empty(rows, dtype=np.int64),
-        n=np.empty(rows, dtype=np.int64), m1=np.empty((rows, d)), m2=np.empty(rows),
-        v=np.empty(rows), w=np.empty(rows), dissipation=np.empty(rows),
-        x_new=np.empty((len(arrivals), d)), target_mean=m, seed=int(seed),
-        n0=schedule.n0, dim=d, d_integral=np.empty(rows),
-    )
 
-    def write_row(i: int, k: int, state: SimState, q: float) -> int:
+def _run_block(config: SimConfig, seeds) -> tuple[_Timeline, dict[str, np.ndarray]]:
+    """Runs of ``config`` under each seed: the shared timeline, and the columns
+    ``m1``, ``m2``, ``v``, ``w``, ``dissipation``, ``d_integral`` and ``x_new``
+    of ``MomentSeries`` with a leading replica axis. A replica's result does not
+    depend on the others or on their number. A failure that belongs to one
+    replica raises ``_ReplicaError`` with its place in ``seeds``.
+    """
+    validate_sim_config(config)
+    tl = _timeline(config)
+    arrivals = tl.event.count("post_jump")
+    x_new = np.stack([_draw_incoming(config.source, np.random.default_rng(s), arrivals)
+                      for s in seeds])
+    engine = _affine_block if config.kernel.kind == "constant" else _particle_block
+    cols = engine(config, tl, x_new)
+    cols["x_new"] = x_new
+    return tl, cols
+
+
+def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict:
+    """Each replica on the opinions themselves, one after the other: RK4 between
+    events, an appended row at each arrival, every row from ``compute_moments``."""
+    kernel, m = config.kernel, config.source.mean_vector
+    replicas, rows = x_new.shape[0], tl.t.size
+    cols = {"m1": np.empty((replicas, rows, config.dim))}
+    cols.update((name, np.empty((replicas, rows)))
+                for name in ("m2", "v", "w", "dissipation", "d_integral"))
+
+    def write_row(i: int, state: SimState, q: float) -> None:
         rec = compute_moments(state, kernel, m)
-        series.t[i], series.k[i], series.n[i], series.m1[i] = rec.t, k, rec.n, rec.m1
-        series.m2[i], series.v[i], series.w[i] = rec.m2, rec.v, rec.w
-        series.dissipation[i], series.d_integral[i] = rec.dissipation, q
-        return i + 1
+        cols["m1"][r, i], cols["m2"][r, i], cols["v"][r, i] = rec.m1, rec.m2, rec.v
+        cols["w"][r, i], cols["dissipation"][r, i], cols["d_integral"][r, i] = (
+            rec.w, rec.dissipation, q)
 
-    state = SimState(t=0.0, k=0, opinions=config.initial_opinions.copy(), dim=config.dim)
-    q = 0.0
-    i = write_row(0, 0, state, q)
-    for t_ev, tag, j in events:
-        state, dq = _integrate(state, kernel, t_ev, config.step_max)
-        q += dq
-        i = write_row(i, j if tag == "inject" else state.k, state, q)
-        if tag == "inject":
-            series.x_new[j - 1] = sample_incoming(source, rng)
-            state = inject_agent(state, series.x_new[j - 1], t_ev)
-            i = write_row(i, j, state, q)
-    if kernel.kind == "constant":
-        # D = -2cV and V decays as e^{-2c t}, so an interval adds V_a (e^{-2c span}
-        # - 1), V_a the V of the row it starts from; a pre/post pair adds exactly 0
-        steps = series.v[:-1] * np.expm1(-2.0 * kernel.coef[0] * np.diff(series.t))
-        np.cumsum(steps, out=series.d_integral[1:])
-    return series
+    times = tl.t.tolist()
+    for r in range(replicas):
+        try:
+            state = SimState(t=0.0, k=0, opinions=config.initial_opinions.copy(),
+                             dim=config.dim)
+            q = 0.0
+            write_row(0, state, q)
+            for i in range(1, rows):
+                if tl.event[i] == "post_jump":
+                    state = inject_agent(state, x_new[r, tl.k[i] - 1], times[i])
+                else:
+                    state, dq = _integrate(state, kernel, times[i], config.step_max)
+                    q += dq
+                write_row(i, state, q)
+        except RuntimeError as err:
+            raise _ReplicaError(r, str(err)) from err
+    return cols
+
+
+def _affine_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict:
+    """The constant kernel's replicas at once, as x_i = a + g z_i (see the module
+    docstring): O(d) work per replica and event."""
+    c = config.kernel.coef[0]
+    m = config.source.mean_vector
+    replicas, _, d = x_new.shape
+    x0 = config.initial_opinions
+    n = x0.shape[0]
+    rows = tl.t.size
+
+    # pivot about x0[0], so a population in exact consensus has z = 0
+    dev = x0 - x0[0]
+    z = np.empty((replicas, n + x_new.shape[1], d))
+    z[:, :n] = dev
+    a = np.tile(x0[0], (replicas, 1))
+    s1 = np.tile(dev.sum(axis=0), (replicas, 1))
+    s2 = np.full(replicas, float((dev * dev).sum()))
+    _recentre(z, n, a, 1.0, s1, s2)
+    g, t, audits, n_check = 1.0, 0.0, 0, 2 * n
+    # the state at each row; the moments are computed from it after the loop
+    a_row, s1_row = np.empty((replicas, rows, d)), np.empty((replicas, rows, d))
+    s2_row, g_row = np.empty((replicas, rows)), np.empty(rows)
+    times, event, k = tl.t.tolist(), tl.event, tl.k.tolist()
+
+    for i in range(rows):
+        if event[i] == "post_jump":
+            zn = (x_new[:, k[i] - 1] - a) / g
+            z[:, n] = zn
+            s1 += zn
+            s2 += _sq(zn)
+            n += 1
+            if n >= n_check:
+                _recentre(z, n, a, g, s1, s2)
+                n_check = 2 * n
+        elif times[i] > t:
+            a += (-math.expm1(-c * (times[i] - t)) * g / n) * s1
+            g *= math.exp(-c * (times[i] - t))
+            if g < _G_FLOOR:
+                g = _renormalise(z[:, :n], g, s1, s2)
+            t = times[i]
+        a_row[:, i], s1_row[:, i], s2_row[:, i], g_row[i] = a, s1, s2, g
+        # every replica at the last row, one in turn at each grid record
+        if i == rows - 1:
+            for r in range(replicas):
+                _audit(config, t, r, a, g, z[:, :n], s1, s2)
+        elif i and event[i] == "record":
+            _audit(config, t, audits % replicas, a, g, z[:, :n], s1, s2)
+            audits += 1
+
+    # in place, to hold few (replicas, rows) arrays at once: s1_row becomes
+    # S1/n, s2_row V = g^2 (S2/n - |S1/n|^2) and a_row m1 = a + g S1/n, the
+    # operations of the audit's V, in its order
+    s1_row /= tl.n[:, None]
+    v = s2_row
+    v /= tl.n
+    v -= _sq(s1_row)
+    v *= g_row * g_row
+    s1_row *= g_row[:, None]
+    m1 = a_row
+    m1 += s1_row
+    del s1_row
+    m2, w = v + _sq(m1), v + _sq(m1 - m)
+    finite = np.isfinite(m1).all(axis=2) & np.isfinite(m2) & np.isfinite(w)
+    if not finite.all():
+        r, i = (int(ax[0]) for ax in np.nonzero(~finite))
+        raise _ReplicaError(r, f"non-finite moment at t={tl.t[i]!r} (row {i})")
+    # D = -2cV and V decays as e^{-2c t}, so an interval adds V_a (e^{-2c span}
+    # - 1), V_a the V of the row it starts from; a pre/post pair adds exactly 0
+    d_integral = np.zeros_like(v)
+    np.cumsum(v[:, :-1] * np.expm1((-2.0 * c) * np.diff(tl.t)), axis=1, out=d_integral[:, 1:])
+    return {"m1": m1, "m2": m2, "v": v, "w": w, "dissipation": (-2.0 * c) * v,
+            "d_integral": d_integral}
+
+
+def _sq(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis, added coordinate by coordinate: each value's
+    rounding does not depend on the lengths of the other axes."""
+    out = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        out = out + x[..., j] * x[..., j]
+    return out
+
+
+def _audit(config: SimConfig, t: float, r: int, a: np.ndarray, g: float, z: np.ndarray,
+           s1: np.ndarray, s2: np.ndarray) -> None:
+    """Materialises replica r's opinions a + g z and checks its affine V against
+    ``compute_moments`` (with its own self-checks) on them; a mismatch beyond
+    1e-12 relative, with a floor of 1e-15 max(1, m2), raises ``_ReplicaError``."""
+    state = SimState(t=float(t), k=0, opinions=a[r] + g * z[r], dim=config.dim)
+    try:
+        rec = compute_moments(state, config.kernel, config.source.mean_vector)
+    except RuntimeError as err:
+        raise _ReplicaError(r, str(err)) from err
+    n = z.shape[1]
+    v = float((s2[r] / n - _sq(s1[r] / n)) * (g * g))
+    if not abs(rec.v - v) <= max(_AUDIT_RTOL * abs(v), _AUDIT_ATOL * max(1.0, rec.m2)):
+        raise _ReplicaError(r, f"audit at t={state.t!r}: affine V={v!r}, "
+                               f"materialised V={rec.v!r}")
+
+
+def _recentre(z: np.ndarray, n: int, a: np.ndarray, g: float, s1: np.ndarray,
+              s2: np.ndarray) -> None:
+    """Moves the pivot of each replica whose first n z's have drifted off centre,
+    |S1/n|^2 > _RECENTRE var z, to its m1: a <- a + g S1/n and z <- z - S1/n in
+    place, leaving every opinion a + g z as it is, and the sums recomputed."""
+    # |S1/n|^2 > K (S2/n - |S1/n|^2), multiplied through by n^2
+    far = _sq(s1) * (1.0 + _RECENTRE) > (_RECENTRE * n) * s2
+    for r in np.flatnonzero(far):
+        shift = s1[r] / n
+        a[r] += g * shift
+        z[r, :n] -= shift
+        _resum(z[:, :n], s1, s2, r)
+
+
+def _renormalise(z: np.ndarray, g: float, s1: np.ndarray, s2: np.ndarray) -> float:
+    """z <- g z in place, leaving every opinion a + g z as it is; returns the new
+    g, 1.0, with each replica's sums recomputed."""
+    z *= g
+    for r in range(z.shape[0]):
+        _resum(z, s1, s2, r)
+    return 1.0
+
+
+def _resum(z: np.ndarray, s1: np.ndarray, s2: np.ndarray, r: int) -> None:
+    """Replica r's S1 and S2 from its z's, by the same reductions whatever the block."""
+    s1[r] = z[r].sum(axis=0)
+    s2[r] = (z[r] * z[r]).sum()

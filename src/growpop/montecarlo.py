@@ -4,6 +4,10 @@ The only randomness in a run is the sequence of incoming opinions, so an
 ensemble is a set of runs of one SimConfig under seeds derived from a master
 seed by a counter-mixing construction (SplitMix64 finalizer over a Weyl
 sequence): distinct run indices and distinct master seeds can never collide.
+Runs go to the engine in blocks of consecutive run indices: one block in
+this process for the constant kernel, one block per worker process for any
+other. A failure names the run index and seed of its replica, or, when a
+worker dies, those of its block.
 
 All runs of a config share the record timeline exactly (the schedule and the
 record grid are deterministic), so per-row sample means and standard errors
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimConfig, run_simulation
+from .dynamics import SimConfig, _ReplicaError, _run_block
 
 __all__ = [
     "derive_run_seed",
@@ -80,49 +84,80 @@ class EnsembleStats:
     master_seed: int
 
 
-def _run_one(task):
-    """One replica, reduced to the columns the ensemble reads."""
-    config, run_index, seed = task
+def _runs(start: int, seeds) -> str:
+    return f"runs {start}-{start + len(seeds) - 1} (seeds {', '.join(map(str, seeds))})"
+
+
+def _run_task(task):
+    """One block of replicas, reduced to the columns the ensemble reads. A
+    failure names its replica's run index and seed, or else the block's."""
+    config, start, seeds = task
     try:
-        series = run_simulation(config, seed)
+        tl, cols = _run_block(config, seeds)
+    except _ReplicaError as err:
+        raise RuntimeError(f"ensemble run {start + err.replica} (seed {seeds[err.replica]}) "
+                           f"failed: {err}") from err
     except Exception as err:
-        raise RuntimeError(f"ensemble run {run_index} (seed {seed}) failed: {err}") from err
-    return series.t, series.event, series.k, series.w, series.v, series.m1
+        raise RuntimeError(f"ensemble {_runs(start, seeds)} failed: {err}") from err
+    return tl.t, tl.event, tl.k, cols["w"], cols["v"], cols["m1"]
 
 
 def _stack(results, runs: int):
-    """The timeline t, event, k every replica must share, then w and v as
-    (runs, rows) arrays and m1 as (runs, rows, d), filled in run-index order."""
-    for i, (t_i, event_i, k_i, *cols) in enumerate(results):
-        if i == 0:
-            t, event, k = t_i, event_i, k_i
-            w, v, m1 = (np.empty((runs,) + col.shape) for col in cols)
-        elif event_i != event or not np.array_equal(t_i, t) or not np.array_equal(k_i, k):
-            raise RuntimeError(f"run {i} produced a different record timeline than run 0")
-        w[i], v[i], m1[i] = cols
+    """The timeline t, event, k every block must share, then w and v as (runs,
+    rows) arrays and m1 as (runs, rows, d), filled in run-index order."""
+    start = 0
+    for t_b, event_b, k_b, *cols in results:
+        if start == 0:
+            t, event, k = t_b, event_b, k_b
+            w, v, m1 = (np.empty((runs,) + col.shape[1:]) for col in cols)
+        elif event_b != event or not np.array_equal(t_b, t) or not np.array_equal(k_b, k):
+            raise RuntimeError(f"run {start} produced a different record timeline than run 0")
+        stop = start + cols[0].shape[0]
+        w[start:stop], v[start:stop], m1[start:stop] = cols
+        start = stop
     return t, event, k, w, v, m1
+
+
+def _pooled(tasks, workers: int):
+    """Block results in task order from a process pool. A dead worker fails
+    every block not yet done; the first of them is reported with its runs and
+    seeds."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        futures = [pool.submit(_run_task, task) for task in tasks]
+        for (_, start, seeds), future in zip(tasks, futures):
+            try:
+                yield future.result()
+            except BrokenProcessPool as err:
+                raise RuntimeError(f"ensemble {_runs(start, seeds)} lost their worker: "
+                                   f"{err}") from err
 
 
 def run_ensemble(config: SimConfig, runs: int, master_seed: int,
                  workers: int = 1) -> EnsembleStats:
     """Run ``runs`` independent replicas and aggregate moment statistics.
 
-    Replica i uses seed derive_run_seed(master_seed, i). With workers > 1 the
-    replicas are distributed over processes; results are always reduced in
-    run-index order, so the statistics do not depend on the worker count.
+    Replica i uses seed derive_run_seed(master_seed, i). A constant kernel's
+    replicas run as one block in this process, whatever ``workers``; any other
+    kernel's are cut into blocks of ceil(runs / workers) consecutive run
+    indices, each run by one call of the block engine, in a process of its own
+    when there is more than one block. Results are reduced in run-index order,
+    and a replica's result does not depend on its block, so the statistics do
+    not depend on the worker count.
     """
     if not isinstance(runs, int) or runs < 2:
         raise ValueError(f"runs must be an integer >= 2, got {runs!r}")
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
-    tasks = [(config, i, derive_run_seed(master_seed, i)) for i in range(runs)]
-    if workers == 1:
-        t, event, k, w, v, m1 = _stack(map(_run_one, tasks), runs)
-    else:
-        chunk = max(1, runs // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            t, event, k, w, v, m1 = _stack(pool.map(_run_one, tasks, chunksize=chunk), runs)
+    seeds = [derive_run_seed(master_seed, i) for i in range(runs)]
+    # the constant kernel's engine does O(d) work per replica and event, less
+    # than a worker process costs to start, so its runs stay in one block here
+    size = runs if config.kernel.kind == "constant" else math.ceil(runs / workers)
+    tasks = [(config, i, seeds[i:i + size]) for i in range(0, runs, size)]
+    results = map(_run_task, tasks) if len(tasks) == 1 else _pooled(tasks, workers)
+    t, event, k, w, v, m1 = _stack(results, runs)
 
     diff = m1 - config.source.mean_vector
     # |m1 - m|^2 row by row as a (1, d) @ (d, 1) product: the rounding of diff @ diff

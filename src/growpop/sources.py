@@ -66,16 +66,26 @@ def two_point_source(mean, sigma2: float) -> OpinionSource:
 
 def sample_incoming(source: OpinionSource, rng: np.random.Generator) -> np.ndarray:
     """Draw one incoming opinion; advances rng by exactly one draw."""
+    return _draw_incoming(source, rng, 1)[0]
+
+
+def _draw_incoming(source: OpinionSource, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` incoming opinions, shape (count, d), in one call on rng.
+
+    Row j is bit for bit the j-th of ``count`` successive ``sample_incoming``
+    calls on the same generator: numpy fills a (count, d) request in the
+    order of ``count`` requests of d values.
+    """
     m = source.mean_vector
     d = m.size
     s2 = source.sigma2
     if source.kind == "gaussian":
-        return m + rng.normal(0.0, math.sqrt(s2 / d), size=d)
+        return m + rng.normal(0.0, math.sqrt(s2 / d), size=(count, d))
     if source.kind == "uniform":
         half = math.sqrt(3.0 * s2 / d)
-        return m + rng.uniform(-half, half, size=d)
+        return m + rng.uniform(-half, half, size=(count, d))
     # two_point: a fair sign on a fixed offset along the first axis
-    sign = 1.0 if rng.integers(0, 2) == 1 else -1.0
-    x = m.copy()
-    x[0] += sign * math.sqrt(s2)
+    sign = np.where(rng.integers(0, 2, size=count) == 1, 1.0, -1.0)
+    x = np.tile(m, (count, 1))
+    x[:, 0] += sign * math.sqrt(s2)
     return x

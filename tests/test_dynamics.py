@@ -24,11 +24,15 @@ from growpop import (
     gaussian_source,
     geometric_record_grid,
     inject_agent,
+    injection_time,
     integrate_interval,
     rational_kernel,
     rhs,
     run_simulation,
+    sample_incoming,
+    two_point_source,
     uniform_record_grid,
+    uniform_source,
 )
 from growpop import dynamics
 from growpop.kernels import _TILE_ROWS, _pair_tiles
@@ -429,6 +433,123 @@ def assert_m2_reconstructed(kernel, rtol):
             continue
         expected = m2_0 + q[rec.t] + sum(dj for tj, dj in jumps if tj <= rec.t)
         np.testing.assert_allclose(rec.m2, expected, rtol=rtol)
+
+
+def particle_reference(config, series):
+    """V and m1 at every row of ``series``, replayed on the opinions themselves
+    through the public integrate_interval, inject_agent and compute_moments,
+    with the arrivals drawn one at a time by sample_incoming."""
+    rng = np.random.default_rng(series.seed)
+    state = state_of(config.initial_opinions)
+    recs = [compute_moments(state, config.kernel, config.source.mean_vector)]
+    for i in range(1, len(series.event)):
+        t = float(series.t[i])
+        if series.event[i] == "post_jump":
+            x_new = sample_incoming(config.source, rng)
+            assert np.array_equal(x_new, series.x_new[series.k[i] - 1])
+            state = inject_agent(state, x_new, t)
+        else:
+            state = integrate_interval(state, config.kernel, t, step_max=config.step_max)
+        recs.append(compute_moments(state, config.kernel, config.source.mean_vector))
+    return np.array([r.v for r in recs]), np.array([r.m1 for r in recs])
+
+
+def regime_config(alpha):
+    # the acceptance regime config, cut to N = 300
+    schedule = PowerExponentialSchedule(alpha=alpha, n0=10)
+    t_end = injection_time(schedule, 290)
+    return SimConfig(dim=1, kernel=constant_kernel(1.0), schedule=schedule,
+                     source=gaussian_source(0.0, 1.0), initial_opinions=np.zeros((10, 1)),
+                     step_max=1e-2, max_agents=300,
+                     record_grid=geometric_record_grid(0.5, t_end, 64))
+
+
+def d3_config(make_source):
+    schedule = PowerExponentialSchedule(alpha=0.5, n0=4)
+    return SimConfig(dim=3, kernel=constant_kernel(0.7), schedule=schedule,
+                     source=make_source((0.3, -0.2, 1.0), 2.0),
+                     initial_opinions=np.arange(12.0).reshape(4, 3) / 7, step_max=1e-2,
+                     max_agents=200,
+                     record_grid=geometric_record_grid(0.1, injection_time(schedule, 196), 40))
+
+
+def far_founders_config(dim):
+    # weak coupling (c t_end < 1) and one founder far from the source mean: the
+    # arrivals keep landing on one side of the pivot, which must re-centre
+    schedule = PowerExponentialSchedule(alpha=0.5, n0=1)
+    return SimConfig(dim=dim, kernel=constant_kernel(0.01), schedule=schedule,
+                     source=gaussian_source(np.zeros(dim), 1.0),
+                     initial_opinions=np.full((1, dim), 1000.0), step_max=1e-2, max_agents=800,
+                     record_grid=geometric_record_grid(0.5, injection_time(schedule, 799), 64))
+
+
+class TestAffineEngine:
+    """The constant kernel's affine engine against the particle reference."""
+
+    V_RTOL = 1e-13
+    M1_TOL = 1e-15  # times max(1, the largest opinion coordinate)
+
+    def m1_scale(self, config, series):
+        return max(1.0, float(np.abs(np.vstack([config.initial_opinions, series.x_new])).max()))
+
+    @pytest.mark.parametrize("config", [
+        regime_config(0.5), regime_config(1.5), d3_config(uniform_source),
+        d3_config(two_point_source)], ids=["regime-0.5", "regime-1.5", "d3-uniform",
+                                           "d3-two-point"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_particle_reference(self, config, seed):
+        series = run_simulation(config, seed)
+        v, m1 = particle_reference(config, series)
+        # rows that are exactly 0 (the regime's founders all sit at 0) stay so
+        assert np.array_equal(series.v == 0.0, v == 0.0)
+        np.testing.assert_allclose(series.v, v, rtol=self.V_RTOL, atol=0.0)
+        assert np.abs(series.m1 - m1).max() <= self.M1_TOL * self.m1_scale(config, series)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_far_founders_recentre(self, monkeypatch, dim):
+        calls = []
+        resum = dynamics._resum
+        monkeypatch.setattr(dynamics, "_resum", lambda *args: calls.append(args[3]) or resum(*args))
+        config = far_founders_config(dim)
+        series = run_simulation(config, seed=5)
+        assert calls  # g stays above e^{-0.45}, so only re-centring resums
+        v, _ = particle_reference(config, series)
+        np.testing.assert_allclose(series.v, v, rtol=self.V_RTOL, atol=0.0)
+        # The reference's m1 carries about 1e-15 of the founders' 1000 per
+        # coordinate from its flow updates, so m1 is held to the exact mean,
+        # which the flow conserves: that of the founders and arrivals so far.
+        points = np.vstack([config.initial_opinions, series.x_new])
+        exact = np.array([[math.fsum(points[:n, j]) / n for j in range(dim)] for n in series.n])
+        assert np.abs(series.m1 - exact).max() <= self.M1_TOL * self.m1_scale(config, series)
+
+    def test_long_decay_renormalises(self, monkeypatch):
+        # e^{-50} per unit gap: g falls below 1e-100 every fifth gap
+        calls = []
+        renormalise = dynamics._renormalise
+        monkeypatch.setattr(dynamics, "_renormalise",
+                            lambda *args: calls.append(args[1]) or renormalise(*args))
+        c = 50.0
+        config = SimConfig(
+            dim=2, kernel=constant_kernel(c),
+            schedule=ExplicitSchedule(n0=3, times=tuple(float(j) for j in range(1, 25))),
+            source=gaussian_source((1.0, -2.0), 1.0),
+            initial_opinions=np.array([[0.0, 1.0], [1.0, 0.5], [-1.0, 2.0]]),
+            step_max=1e-2, max_agents=27, record_grid=tuple(j + 0.5 for j in range(25)))
+        series = run_simulation(config, seed=4)
+        assert len(series.injection_pairs) == 24 and len(calls) >= 3
+        v, m1 = particle_reference(config, series)
+        assert np.abs(series.m1 - m1).max() <= self.M1_TOL * self.m1_scale(config, series)
+        # A decayed V (about 1e-22 and 1e-44 of m2 here) is below what the
+        # particle reference resolves: its opinions carry roundoff of about
+        # 1e-16 |x|. Those rows are held to the exact decay law instead, and the
+        # rows the reference resolves to it.
+        resolved = v >= 1e-8 * np.maximum(1.0, series.m2)
+        assert resolved.sum() == 1 + 24  # t = 0 and every post_jump row
+        np.testing.assert_allclose(series.v[resolved], v[resolved], rtol=self.V_RTOL, atol=0.0)
+        decayed = np.array([ev != "post_jump" for ev in series.event])[1:]
+        exact = series.v[:-1] * np.exp(-2.0 * c * np.diff(series.t))
+        np.testing.assert_allclose(series.v[1:][decayed], exact[decayed], rtol=self.V_RTOL,
+                                   atol=0.0)
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)

@@ -1,9 +1,15 @@
 """Seed derivation, arrival sampling, and reproducible parallel ensembles."""
 
+import dataclasses
+import io
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growpop import (
     EnsembleStats,
@@ -15,12 +21,16 @@ from growpop import (
     estimated_jump_means,
     expected_m1_deviation,
     gaussian_source,
+    rational_kernel,
     run_ensemble,
     run_simulation,
     sample_incoming,
     two_point_source,
     uniform_source,
 )
+from growpop import dynamics, montecarlo
+from growpop.cli import _write_ensemble
+from growpop.sources import _draw_incoming
 
 MASK64 = (1 << 64) - 1
 
@@ -127,6 +137,28 @@ class TestSampling:
         np.testing.assert_array_equal(np.array(a), np.array(b))
 
 
+    @pytest.mark.parametrize("make", [gaussian_source, uniform_source, two_point_source])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_run_draws_what_single_draws_drew(self, make, dim):
+        # a run's (K, d) draw equals K draws made one at a time with the
+        # generator calls below, so every seed keeps its arrivals
+        source = make(np.linspace(-0.5, 0.5, dim), 0.9)
+        rng = np.random.default_rng(31)
+        one_at_a_time = []
+        for _ in range(500):
+            x = source.mean_vector.copy()
+            if make is gaussian_source:
+                x += rng.normal(0.0, math.sqrt(0.9 / dim), size=dim)
+            elif make is uniform_source:
+                half = math.sqrt(3.0 * 0.9 / dim)
+                x += rng.uniform(-half, half, size=dim)
+            else:
+                x[0] += math.sqrt(0.9) if rng.integers(0, 2) == 1 else -math.sqrt(0.9)
+            one_at_a_time.append(x)
+        block = _draw_incoming(source, np.random.default_rng(31), 500)
+        assert block.tobytes() == np.array(one_at_a_time).tobytes()
+
+
 def ensemble_config(**overrides):
     base = dict(
         dim=1,
@@ -219,6 +251,122 @@ class TestRunEnsemble:
                                       np.zeros(1), 1.0)
         mean, err = ensemble_statistic(stats, "m1_dev", at_k=8)
         assert abs(mean - exact.e_dev) < 5.0 * err
+
+
+def replicas_of(config, runs, master, workers):
+    """The ensemble's statistics, its CSV text, and the (runs, rows) columns w, v
+    and m1 its reduction read, captured from ``montecarlo._stack``."""
+    stacked = []
+    stack = montecarlo._stack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_stack",
+                   lambda results, n: stacked.append(stack(results, n)) or stacked[-1])
+        stats = run_ensemble(config, runs=runs, master_seed=master, workers=workers)
+    text = io.StringIO()
+    _write_ensemble(stats, text)
+    _, _, _, w, v, m1 = stacked[0]
+    return stats, text.getvalue(), w, v, m1
+
+
+SOURCES = [gaussian_source, uniform_source, two_point_source]
+
+
+class TestBlockInvariance:
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(runs=st.sampled_from([2, 7, 100]), workers=st.sampled_from([2, 3]),
+           dim=st.integers(1, 3), kind=st.sampled_from(["constant", "rational"]),
+           make_source=st.sampled_from(SOURCES), master=st.integers(0, 2**64 - 1))
+    def test_replica_is_its_single_run(self, runs, workers, dim, kind, make_source, master):
+        # replica i, in a block of any size at any worker count, is
+        # run_simulation under derive_run_seed(master, i), bit for bit
+        if kind == "constant":
+            kernel, n0, arrivals, alpha = constant_kernel(1.3), 2, 12, 0.5
+        else:  # small N: the particle path costs O(N^2) per force
+            kernel, n0, arrivals, alpha = rational_kernel(0.5, 0.5), 2, 3, 1.5
+        config = ensemble_config(
+            dim=dim, kernel=kernel, schedule=PowerExponentialSchedule(alpha=alpha, n0=n0),
+            source=make_source(np.linspace(-0.5, 0.75, dim), 1.0), max_agents=n0 + arrivals,
+            initial_opinions=np.linspace(-1.0, 1.0, n0 * dim).reshape(n0, dim),
+            record_grid=(0.25, 0.5, 1.0))
+        serial = replicas_of(config, runs, master, workers=1)
+        pooled = replicas_of(config, runs, master, workers=workers)
+        assert serial[1] == pooled[1]  # CSV text, so bytes too
+        for i in range(runs):
+            single = run_simulation(config, derive_run_seed(master, i))
+            for _, _, w, v, m1 in (serial, pooled):
+                assert w[i].tobytes() == single.w.tobytes()
+                assert v[i].tobytes() == single.v.tobytes()
+                assert m1[i].tobytes() == single.m1.tobytes()
+
+
+class TestReplicaFailures:
+    def test_audit_mismatch_names_the_replica(self, monkeypatch):
+        # one block holds the 5 runs and its audits take them in turn, so the
+        # third audit is on run 2
+        audits = []
+        compute_moments = dynamics.compute_moments
+
+        def perturbed(state, kernel, m):
+            rec = compute_moments(state, kernel, m)
+            audits.append(state.t)
+            return dataclasses.replace(rec, v=rec.v * (1.0 + 1e-9)) if len(audits) == 3 else rec
+
+        monkeypatch.setattr(dynamics, "compute_moments", perturbed)
+        config = ensemble_config(record_grid=(0.5, 1.0, 1.5, 2.0))
+        seed = derive_run_seed(4, 2)
+        with pytest.raises(RuntimeError, match=rf"ensemble run 2 \(seed {seed}\) failed: audit"):
+            run_ensemble(config, runs=5, master_seed=4, workers=1)
+        assert len(audits) == 3
+
+    def test_every_replica_is_audited(self, monkeypatch):
+        # 7 runs in one block, 2 grid records: the records audit runs 0 and 1
+        # in turn, and the last row audits all 7
+        audited = []
+        audit = dynamics._audit
+        monkeypatch.setattr(dynamics, "_audit",
+                            lambda *args: audited.append(args[2]) or audit(*args))
+        run_ensemble(ensemble_config(), runs=7, master_seed=3, workers=1)
+        assert audited == [0, 1] + list(range(7))
+
+    @pytest.mark.parametrize("kernel", [constant_kernel(1.0), rational_kernel(0.5, 0.5)],
+                             ids=["constant", "rational"])
+    def test_non_finite_moment_names_the_replica(self, monkeypatch, kernel):
+        # run 3's second arrival is nan; with no grid only the last row is
+        # audited, on every run of the block
+        bad_seed = derive_run_seed(6, 3)
+        draw, draws = dynamics._draw_incoming, []
+
+        def draw_nan(source, rng, count):
+            draws.append(draw(source, rng, count))
+            if len(draws) == 4:  # run 3's arrivals
+                draws[-1][1] = np.nan
+            return draws[-1]
+
+        monkeypatch.setattr(dynamics, "_draw_incoming", draw_nan)
+        config = ensemble_config(kernel=kernel, record_grid=())
+        with np.errstate(invalid="ignore"), pytest.raises(
+                RuntimeError, match=rf"ensemble run 3 \(seed {bad_seed}\) failed"):
+            run_ensemble(config, runs=5, master_seed=6, workers=1)
+
+    def test_other_failure_names_the_block(self, monkeypatch):
+        def fail(config, seeds):
+            raise ValueError("no replica to blame")
+
+        monkeypatch.setattr(montecarlo, "_run_block", fail)
+        seeds = ", ".join(str(derive_run_seed(8, i)) for i in range(3))
+        with pytest.raises(RuntimeError, match=rf"ensemble runs 0-2 \(seeds {seeds}\) failed: no"):
+            run_ensemble(ensemble_config(), runs=3, master_seed=8, workers=1)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched engine reaches the workers only through fork")
+    def test_dead_worker_names_its_runs(self, monkeypatch):
+        # every worker dies; the first block in run order, runs 0-3, is reported
+        # (the rational kernel's ensembles are the ones that use workers)
+        monkeypatch.setattr(montecarlo, "_run_block", lambda config, seeds: os._exit(1))
+        seeds = ", ".join(str(derive_run_seed(8, i)) for i in range(4))
+        config = ensemble_config(kernel=rational_kernel(0.5, 0.5))
+        with pytest.raises(RuntimeError, match=rf"ensemble runs 0-3 \(seeds {seeds}\) lost"):
+            run_ensemble(config, runs=8, master_seed=8, workers=2)
 
 
 @pytest.fixture(scope="module")
