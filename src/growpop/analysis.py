@@ -8,7 +8,19 @@ which controls whether the variance contributions of early arrivals are
 forgotten (S -> 0, consensus) or pile up (S bounded away from zero). Every
 term is evaluated in the shifted form exp(-lambda*(t_n - t_k) - ln k), whose
 exponent is never positive, so nothing overflows regardless of how fast the
-times grow; the sum itself is accumulated with compensated (exact) summation.
+times grow.
+
+A table of S at increasing n_1 < n_2 < ... costs one O(n_max) pass per rate:
+segment j, the terms n_{j-1} < k <= n_j, is summed by numpy's pairwise
+``np.sum``, and the running total is carried by
+
+    S(lambda, n_j) = exp(-lambda (t_{n_j} - t_{n_{j-1}})) S(lambda, n_{j-1}) + segment_j.
+
+The factor is at most 1, so the recurrence is a contraction and carried
+errors do not grow. The terms are positive, so pairwise summation has a
+relative error of O(eps log n) (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., section 4.2); that matches the 1-ulp rounding of each
+``exp`` in the terms, which no exact summation of the rounded terms removes.
 
 For arrival times on the scale t_k = (ln k)^p the sum is asymptotically the
 generalized Dawson integral F(p, x) = exp(-lambda x^p) * int_0^x
@@ -21,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -101,6 +114,48 @@ def _times_array(times: TimesSource, n: int) -> np.ndarray:
     return t
 
 
+def _positive_index(n) -> int:
+    """``n`` as an int >= 1; any integer type is accepted except bool."""
+    if not isinstance(n, bool):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            pass
+        else:
+            if n >= 1:
+                return n
+    raise ValueError(f"n must be an integer >= 1, got {n!r}")
+
+
+def _condition_sums(lam: float, times: TimesSource, ns) -> np.ndarray:
+    """S(lambda, n) at every n of the strictly increasing integers ``ns``.
+
+    One pass over k <= ns[-1]: each segment ns[j-1] < k <= ns[j] is summed
+    pairwise and added to the previous sum carried forward by its decay
+    factor (see the module docstring). Temporaries are one segment long.
+    """
+    if not (lam > 0.0) or not math.isfinite(lam):
+        raise ValueError(f"lambda must be > 0, got {lam}")
+    grid = np.asarray(ns)
+    if (grid.ndim != 1 or grid.size == 0 or not np.issubdtype(grid.dtype, np.integer)
+            or grid[0] < 1 or np.any(np.diff(grid) <= 0)):
+        raise ValueError(f"ns must be strictly increasing integers >= 1, got {ns!r}")
+    t = _times_array(times, int(grid[-1]))
+    sums = np.empty(grid.size)
+    total, lo = 0.0, 0
+    for j, hi in enumerate(grid.tolist()):
+        # exp(-lam (t_n - t_k) - ln k) for lo < k <= hi, built in place
+        terms = t[lo:hi] - t[hi - 1]
+        terms *= lam
+        log_k = np.arange(lo + 1, hi + 1, dtype=float)
+        terms -= np.log(log_k, out=log_k)
+        segment = float(np.sum(np.exp(terms, out=terms)))
+        total = segment + (math.exp(-lam * (t[hi - 1] - t[lo - 1])) * total if lo else 0.0)
+        sums[j] = total
+        lo = hi
+    return sums
+
+
 def condition_sum(lam: float, times: TimesSource, n: int) -> float:
     """S(lambda, n) = sum_{k<=n} (1/k) exp(-lambda (t_n - t_k)).
 
@@ -108,13 +163,7 @@ def condition_sum(lam: float, times: TimesSource, n: int) -> float:
     sequence of times, or a callable k -> t_k. Only time differences enter,
     so the value is invariant under shifting all times by a constant.
     """
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    t = _times_array(times, n)
-    expo = -lam * (t[-1] - t) - np.log(np.arange(1, n + 1, dtype=float))
-    return math.fsum(np.exp(expo))
+    return float(_condition_sums(lam, times, (_positive_index(n),))[0])
 
 
 def dawson_f(p: float, rate: float, x: float) -> float:
@@ -189,39 +238,48 @@ def classify_schedule(alpha: float, psi_star: float, psi_max: float,
     if not isinstance(n_max, int) or n_max < 10_000:
         raise ValueError(f"n_max must be an integer >= 10000, got {n_max!r}")
 
-    if alpha < 1.0:
-        verdict = ScheduleClass.CONVERGES_C1
-    elif alpha > 1.0:
-        verdict = ScheduleClass.FAILS_C2
-    else:
-        verdict = ScheduleClass.EXPONENTIAL_BOUNDARY
-
     times = asymptotic_injection_times(alpha)
-    grid = np.unique(np.geomspace(10, n_max, 12).astype(int))
+    grid = _sum_grid(n_max)
+    return _classify(alpha, psi_star, psi_max, grid,
+                     lambda lam: _condition_sums(lam, times, grid))
 
-    if verdict is ScheduleClass.CONVERGES_C1:
-        s = [condition_sum(psi_star, times, int(n)) for n in grid]
+
+def _sum_grid(n_max: int) -> np.ndarray:
+    """The geometric n-grid of the condition-sum table and of the classifier."""
+    return np.unique(np.geomspace(10, n_max, 12).astype(int))
+
+
+def _classify(alpha: float, psi_star: float, psi_max: float, grid: np.ndarray,
+              sums_at: Callable[[float], np.ndarray]) -> ScheduleClass:
+    """The analytic verdict for ``alpha``, cross-checked on S at ``grid``.
+
+    ``sums_at(lam)`` gives S(lam, n) at every n of ``grid`` on the scale
+    t_k = (ln k)^(1/alpha); it is asked only for psi_star and psi_max.
+    """
+    if alpha < 1.0:
+        s = sums_at(psi_star).tolist()
         tail = s[len(s) // 2:]
         decreasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(tail, tail[1:]))
         if not decreasing or not s[-1] < s[0]:
             raise ClassificationError(
                 f"alpha={alpha} < 1 predicts decaying sums, observed {s}"
             )
-    elif verdict is ScheduleClass.FAILS_C2:
-        s = [condition_sum(psi_max, times, int(n)) for n in grid]
+        return ScheduleClass.CONVERGES_C1
+    if alpha > 1.0:
+        s = sums_at(psi_max).tolist()
         if s[-1] < 0.9 * s[len(s) // 2] or s[-1] <= 1e-8:
             raise ClassificationError(
                 f"alpha={alpha} > 1 predicts non-vanishing sums, observed {s}"
             )
-    else:
-        for lam in {psi_star, psi_max}:
-            s_last = condition_sum(lam, times, int(grid[-1]))
-            if s_last < 0.25 * min(1.0, 1.0 / lam):
-                raise ClassificationError(
-                    f"boundary alpha=1 predicts S -> 1/lambda = {1.0 / lam}, "
-                    f"observed {s_last} at n={grid[-1]}"
-                )
-    return verdict
+        return ScheduleClass.FAILS_C2
+    for lam in {psi_star, psi_max}:
+        s_last = float(sums_at(lam)[-1])
+        if s_last < 0.25 * min(1.0, 1.0 / lam):
+            raise ClassificationError(
+                f"boundary alpha=1 predicts S -> 1/lambda = {1.0 / lam}, "
+                f"observed {s_last} at n={grid[-1]}"
+            )
+    return ScheduleClass.EXPONENTIAL_BOUNDARY
 
 
 @dataclass(frozen=True)
@@ -279,19 +337,25 @@ def envelope_bound(spec: EnvelopeSpec, times: TimesSource, n: int) -> float:
     """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)), t_0 = 0.
 
     All exponents are nonpositive, so the evaluation cannot overflow however
-    large the times are.
+    large the times are. The terms are summed pairwise: with nonnegative jump
+    bounds the error is O(eps log n) relative to the sum; with a reverse
+    envelope's bounds of mixed sign it is O(eps log n) relative to the sum of
+    the terms' absolute values (Higham, section 4.2), and cancellation can
+    make it large relative to the sum itself.
     """
     lam = spec.decay_rate
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"decay rate must be > 0, got {lam}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = _positive_index(n)
     t = _times_array(times, n)
     g = _jump_values(spec.jump_bound, n)
     if not spec.reverse and np.any(g < 0.0):
         raise ValueError("upper envelopes need nonnegative jump bounds")
-    terms = g * np.exp(-lam * (t[-1] - t))
-    return spec.y0 * math.exp(-lam * t[-1]) + math.fsum(terms)
+    terms = t - t[-1]  # built in place: one (n,) temporary beside t and g
+    terms *= lam
+    np.exp(terms, out=terms)
+    terms *= g
+    return spec.y0 * math.exp(-lam * t[-1]) + float(np.sum(terms))
 
 
 class DecayFit(NamedTuple):

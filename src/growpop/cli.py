@@ -33,6 +33,9 @@ from .analysis import (
     classify_schedule,
     condition_sum,
     envelope_bound,
+    _classify,
+    _condition_sums,
+    _sum_grid,
 )
 from .dynamics import (
     SimConfig,
@@ -481,11 +484,15 @@ def _cmd_conditions(args) -> int:
         raise ConfigError(f"conditions.n_max must be >= 10, got {n_max}")
 
     lambdas = tuple(dict.fromkeys(lambdas))  # drop duplicates, keep order
-    times = asymptotic_injection_times(alpha)
-    grid = np.unique(np.geomspace(10, n_max, 12).astype(int))
-    rows = [(int(n), [condition_sum(lam, times, int(n)) for lam in lambdas]) for n in grid]
-    verdict = classify_schedule(alpha, min(lambdas), max(lambdas),
-                                n_max=max(int(n_max), 10_000))
+    grid = _sum_grid(n_max)
+    times = asymptotic_injection_times(alpha).array(int(grid[-1]))  # built once for all rates
+    columns = {lam: _condition_sums(lam, times, grid) for lam in lambdas}
+    if n_max >= 10_000:
+        # the classifier's grid is this table's, and its rates are columns
+        verdict = _classify(alpha, min(lambdas), max(lambdas), grid, columns.__getitem__)
+    else:
+        verdict = classify_schedule(alpha, min(lambdas), max(lambdas), n_max=10_000)
+    rows = [(int(n), [columns[lam][i] for lam in lambdas]) for i, n in enumerate(grid)]
 
     head = ["n"] + [f"S(lambda={lam:g})" for lam in lambdas]
     widths = [max(len(head[0]), len(str(rows[-1][0])))] + [max(18, len(h)) for h in head[1:]]

@@ -12,6 +12,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growpop import (
     AsymptoticTimes,
@@ -30,6 +32,7 @@ from growpop import (
     fit_decay_exponent,
     consensus_rate_bounds,
 )
+from growpop.analysis import _condition_sums
 
 RNG = np.random.default_rng(3141592)
 
@@ -113,6 +116,65 @@ class TestConditionSum:
             condition_sum(1.0, [1.0], 0)
         with pytest.raises(ValueError):
             condition_sum(1.0, [2.0, 1.0], 2)  # decreasing times
+
+    def test_numpy_integer_n(self):
+        times = asymptotic_injection_times(1.0)
+        assert condition_sum(1.0, times, np.int64(100)) == condition_sum(1.0, times, 100)
+        for n in np.geomspace(10, 1000, 4).astype(int):  # numpy integers
+            assert abs(condition_sum(2.0, times, n) - (n + 1) / (2.0 * n)) <= CLOSED_FORM_TOL
+
+    @pytest.mark.parametrize("n", [True, np.bool_(True), 2.0, np.float64(2.0), "2", 0,
+                                   np.int64(-1)])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            condition_sum(1.0, [0.0, 1.0], n)
+
+
+@st.composite
+def sum_tables(draw):
+    """Nondecreasing times (ties included), a rate, and a strictly increasing ns."""
+    size = draw(st.integers(1, 300))
+    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                         min_size=size, max_size=size))
+    times = draw(st.floats(-5.0, 5.0)) + np.cumsum(gaps)
+    lam = draw(st.floats(0.05, 5.0))
+    ns = sorted(draw(st.sets(st.integers(1, size), min_size=1, max_size=12)))
+    return times, lam, ns
+
+
+class TestOnePassTable:
+    @staticmethod
+    def reference(lam, times, n):
+        k = np.arange(1, n + 1, dtype=float)
+        return math.fsum(np.exp(-lam * (times[n - 1] - times[:n]) - np.log(k)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sum_tables())
+    def test_matches_per_n_exact_sums(self, case):
+        times, lam, ns = case
+        table = _condition_sums(lam, times, ns)
+        assert table.shape == (len(ns),)
+        for n, got in zip(ns, table):
+            want = self.reference(lam, times, n)
+            assert abs(got - want) <= 1e-13 * want, (n, got, want)
+        # the public entry point is the one-point table, bit for bit
+        one_point = _condition_sums(lam, times, ns[-1:])[0]
+        assert condition_sum(lam, times, ns[-1]) == one_point
+        assert abs(table[-1] - one_point) <= 1e-13 * one_point
+
+    @pytest.mark.parametrize("ns", [[3, 2], [2, 2], [1, 2, 2], [], [0, 2], [1, 5],
+                                    [1.0, 2.0], [[1, 2]]])
+    def test_rejects_bad_grids(self, ns):
+        with pytest.raises(ValueError):
+            _condition_sums(1.0, [0.0, 0.5, 1.0, 2.0], ns)
+
+    def test_closed_forms_on_a_grid(self):
+        times = asymptotic_injection_times(1.0)
+        ns = np.unique(np.geomspace(10, 10**6, 12).astype(int))
+        np.testing.assert_allclose(_condition_sums(1.0, times, ns), 1.0,
+                                   rtol=0, atol=CLOSED_FORM_TOL)
+        np.testing.assert_allclose(_condition_sums(2.0, times, ns), (ns + 1) / (2.0 * ns),
+                                   rtol=0, atol=CLOSED_FORM_TOL)
 
 
 class TestDawsonTransform:
@@ -249,6 +311,15 @@ class TestEnvelope:
         # on the boundary scale: sum (1/k^2) (k/n) = H-ish / n
         expect = sum((1.0 / k**2) * (k / 100.0) for k in range(1, 101))
         np.testing.assert_allclose(val, expect, rtol=1e-12)
+
+    def test_numpy_integer_n(self):
+        spec = EnvelopeSpec(decay_rate=1.0, y0=1.5, jump_bound=HarmonicScaled(c=0.5))
+        times = asymptotic_injection_times(1.0)
+        assert envelope_bound(spec, times, np.int64(400)) == envelope_bound(spec, times, 400)
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            envelope_bound(spec, times, True)
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            envelope_bound(spec, times, 4.0)
 
     def test_schedule_times_source(self):
         sched = PowerExponentialSchedule(alpha=0.5, n0=2)

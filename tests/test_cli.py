@@ -452,6 +452,29 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "classification: converges_c1" in out
 
+    @pytest.mark.parametrize("n_max", [1000, 20000])  # below / at the classifier's grid
+    @pytest.mark.parametrize("alpha, verdict", [(0.5, "converges_c1"),
+                                                (1.0, "exponential_boundary"),
+                                                (1.5, "fails_c2")])
+    def test_conditions_table_matches_condition_sum(self, tmp_path, capsys,
+                                                    alpha, verdict, n_max):
+        lambdas = (0.4, 1.2)
+        path = write_config(tmp_path, conditions={"lambdas": list(lambdas)})
+        out = tmp_path / "cond.csv"
+        assert cmd_dispatch(["conditions", "--config", path, "--alpha", str(alpha),
+                             "--n-max", str(n_max), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"classification: {verdict}"
+        lines = out.read_text().splitlines()
+        assert lines[:2] == [f"# classification={verdict}", "n,s_lambda_0,s_lambda_1"]
+        times = growpop.asymptotic_injection_times(alpha)
+        rows = [line.split(",") for line in lines[2:]]
+        assert [int(row[0]) for row in rows] == sorted(
+            set(np.geomspace(10, n_max, 12).astype(int).tolist()))
+        for n, *cells in rows:
+            for lam, cell in zip(lambdas, cells, strict=True):
+                want = growpop.condition_sum(lam, times, int(n))
+                assert abs(float(cell) - want) <= 1e-15 * want, (n, lam, cell, want)
+
     def test_conditions_without_alpha_is_usage_error(self, capsys):
         assert cmd_dispatch(["conditions", "--lambda", "1.0"]) == 1
 
