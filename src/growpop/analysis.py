@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
@@ -235,18 +236,40 @@ def classify_schedule(alpha: float, psi_star: float, psi_max: float,
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not (0.0 < psi_star <= psi_max) or not math.isfinite(psi_max):
         raise ValueError(f"need 0 < psi_star <= psi_max, got ({psi_star}, {psi_max})")
-    if not isinstance(n_max, int) or n_max < 10_000:
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 10_000:
         raise ValueError(f"n_max must be an integer >= 10000, got {n_max!r}")
 
     times = asymptotic_injection_times(alpha)
     grid = _sum_grid(n_max)
+    # one condition_sum call per grid point: each sum is its own one-point
+    # table, independent of the carried recurrence of a multi-point one
     return _classify(alpha, psi_star, psi_max, grid,
-                     lambda lam: _condition_sums(lam, times, grid))
+                     lambda lam: np.array([condition_sum(lam, times, n) for n in grid.tolist()]))
 
 
 def _sum_grid(n_max: int) -> np.ndarray:
     """The geometric n-grid of the condition-sum table and of the classifier."""
     return np.unique(np.geomspace(10, n_max, 12).astype(int))
+
+
+def _conditions_table(alpha: float, lambdas: Sequence[float], n_max: int):
+    """(grid, {lam: S(lam, grid)}, verdict) for ``growpop conditions``.
+
+    Each rate's column is one pass on the geometric grid up to n_max, on the
+    scale t_k = (ln k)^(1/alpha). From n_max >= 10000 on this grid is the
+    classifier's and its rates, the smallest and largest lambda, are columns,
+    so the verdict is checked on the table; below that ``classify_schedule``
+    evaluates its own grid up to 10000.
+    """
+    grid = _sum_grid(n_max)
+    times = asymptotic_injection_times(alpha).array(int(grid[-1]))  # built once for all rates
+    columns = {lam: _condition_sums(lam, times, grid) for lam in lambdas}
+    psi_star, psi_max = min(lambdas), max(lambdas)
+    if n_max >= 10_000:
+        verdict = _classify(alpha, psi_star, psi_max, grid, columns.__getitem__)
+    else:
+        verdict = classify_schedule(alpha, psi_star, psi_max, n_max=10_000)
+    return grid, columns, verdict
 
 
 def _classify(alpha: float, psi_star: float, psi_max: float, grid: np.ndarray,

@@ -30,12 +30,9 @@ from .analysis import (
     ExplicitJumps,
     HarmonicScaled,
     asymptotic_injection_times,
-    classify_schedule,
     condition_sum,
     envelope_bound,
-    _classify,
-    _condition_sums,
-    _sum_grid,
+    _conditions_table,
 )
 from .dynamics import (
     SimConfig,
@@ -484,14 +481,7 @@ def _cmd_conditions(args) -> int:
         raise ConfigError(f"conditions.n_max must be >= 10, got {n_max}")
 
     lambdas = tuple(dict.fromkeys(lambdas))  # drop duplicates, keep order
-    grid = _sum_grid(n_max)
-    times = asymptotic_injection_times(alpha).array(int(grid[-1]))  # built once for all rates
-    columns = {lam: _condition_sums(lam, times, grid) for lam in lambdas}
-    if n_max >= 10_000:
-        # the classifier's grid is this table's, and its rates are columns
-        verdict = _classify(alpha, min(lambdas), max(lambdas), grid, columns.__getitem__)
-    else:
-        verdict = classify_schedule(alpha, min(lambdas), max(lambdas), n_max=10_000)
+    grid, columns, verdict = _conditions_table(alpha, lambdas, n_max)
     rows = [(int(n), [columns[lam][i] for lam in lambdas]) for i, n in enumerate(grid)]
 
     head = ["n"] + [f"S(lambda={lam:g})" for lam in lambdas]

@@ -157,10 +157,8 @@ class TestOnePassTable:
         for n, got in zip(ns, table):
             want = self.reference(lam, times, n)
             assert abs(got - want) <= 1e-13 * want, (n, got, want)
-        # the public entry point is the one-point table, bit for bit
-        one_point = _condition_sums(lam, times, ns[-1:])[0]
-        assert condition_sum(lam, times, ns[-1]) == one_point
-        assert abs(table[-1] - one_point) <= 1e-13 * one_point
+        single = condition_sum(lam, times, ns[-1])
+        assert abs(single - want) <= 1e-13 * want, (single, want)
 
     @pytest.mark.parametrize("ns", [[3, 2], [2, 2], [1, 2, 2], [], [0, 2], [1, 5],
                                     [1.0, 2.0], [[1, 2]]])
@@ -244,6 +242,14 @@ class TestClassification:
     def test_small_n_max_rejected(self):
         with pytest.raises(ValueError):
             classify_schedule(0.5, 0.5, 1.0, n_max=1000)
+
+    def test_numpy_integer_n_max(self):
+        assert classify_schedule(0.5, 0.4, 1.6, n_max=np.int64(20000)) is ScheduleClass.CONVERGES_C1
+
+    @pytest.mark.parametrize("n_max", [True, 20000.0, np.float64(20000.0), "20000"])
+    def test_n_max_must_be_an_integer(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer >= 10000"):
+            classify_schedule(0.5, 0.4, 1.6, n_max=n_max)
 
     def test_bad_rates_rejected(self):
         with pytest.raises(ValueError):
