@@ -29,12 +29,13 @@ def main() -> None:
     )
     series = gp.run_simulation(config, seed=3)
 
+    is_record = np.array(series.event) == "record"
+    t = series.t[is_record]
     print(f"{'t':>8} {'N':>5} {'m1':>9} {'m2':>9} {'V':>10} {'W':>10}")
-    for rec in series.records:
-        print(f"{rec.t:8.3f} {rec.n:5d} {rec.m1[0]:9.4f} {rec.m2:9.4f} "
-              f"{rec.v:10.3e} {rec.w:10.3e}")
-    final = series.final_record()
-    print(f"\nfinal population {final.n}, V = {final.v:.3e}, "
+    for i in np.flatnonzero(is_record):
+        print(f"{series.t[i]:8.3f} {series.n[i]:5d} {series.m1[i, 0]:9.4f} "
+              f"{series.m2[i]:9.4f} {series.v[i]:10.3e} {series.w[i]:10.3e}")
+    print(f"\nfinal population {series.n[-1]}, V = {series.v[-1]:.3e}, "
           f"{len(series.injection_pairs)} arrivals")
 
     try:
@@ -45,15 +46,14 @@ def main() -> None:
         print("matplotlib not available; skipping the figure")
         return
 
-    t = np.array([r.t for r in series.records])
     fig, axes = plt.subplots(2, 1, sharex=True, figsize=(7, 6))
     for ax, values, label in (
-        (axes[0], np.array([r.v for r in series.records]), "V(t)"),
-        (axes[1], np.array([r.w for r in series.records]), "W(t)"),
+        (axes[0], series.v[is_record], "V(t)"),
+        (axes[1], series.w[is_record], "W(t)"),
     ):
         ax.semilogy(t, values, "o-", ms=3)
-        for jump in series.injection_pairs:
-            ax.axvline(jump.pre.t, color="0.85", lw=0.5, zorder=0)
+        for t_k in series.t[np.array(series.event) == "post_jump"]:
+            ax.axvline(t_k, color="0.85", lw=0.5, zorder=0)
         ax.set_ylabel(label)
     axes[1].set_xlabel("t")
     fig.suptitle("dispersion under growth: arrivals kick V up, the flow pulls it down")

@@ -33,15 +33,12 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
 
-from .schedules import ExplicitSchedule, GrowthSchedule, PowerExponentialSchedule
+from .schedules import ExplicitSchedule, GrowthSchedule, PowerExponentialSchedule, _integer
 
 __all__ = [
     "condition_sum",
@@ -77,11 +74,6 @@ class AsymptoticTimes:
         if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
-    def __call__(self, k: int) -> float:
-        if k < 1:
-            raise ValueError(f"index must be >= 1, got {k}")
-        return math.log(k) ** (1.0 / self.alpha)
-
     def array(self, n: int) -> np.ndarray:
         return np.log(np.arange(1, n + 1, dtype=float)) ** (1.0 / self.alpha)
 
@@ -90,7 +82,7 @@ def asymptotic_injection_times(alpha: float) -> AsymptoticTimes:
     return AsymptoticTimes(alpha=float(alpha))
 
 
-TimesSource = Union[GrowthSchedule, AsymptoticTimes, Sequence[float], Callable[[int], float]]
+TimesSource = Union[GrowthSchedule, AsymptoticTimes, Sequence[float]]
 
 
 def _times_array(times: TimesSource, n: int) -> np.ndarray:
@@ -103,29 +95,18 @@ def _times_array(times: TimesSource, n: int) -> np.ndarray:
         t = np.asarray(times.times[:n], dtype=float)
     elif isinstance(times, AsymptoticTimes):
         t = times.array(n)
-    elif callable(times):
-        t = np.array([float(times(k)) for k in range(1, n + 1)])
     else:
-        t = np.asarray(times, dtype=float).reshape(-1)
+        try:
+            t = np.asarray(times, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise ValueError("times must be a growth schedule, an AsymptoticTimes scale or a "
+                             f"sequence of times t_1..t_n, got {times!r}") from None
         if t.size < n:
             raise ValueError(f"times sequence has {t.size} entries, need {n}")
         t = t[:n]
     if t.size and np.any(np.diff(t) < 0.0):
         raise ValueError("arrival times must be nondecreasing")
     return t
-
-
-def _positive_index(n) -> int:
-    """``n`` as an int >= 1; any integer type is accepted except bool."""
-    if not isinstance(n, bool):
-        try:
-            n = operator.index(n)
-        except TypeError:
-            pass
-        else:
-            if n >= 1:
-                return n
-    raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
 def _condition_sums(lam: float, times: TimesSource, ns) -> np.ndarray:
@@ -160,11 +141,11 @@ def _condition_sums(lam: float, times: TimesSource, ns) -> np.ndarray:
 def condition_sum(lam: float, times: TimesSource, n: int) -> float:
     """S(lambda, n) = sum_{k<=n} (1/k) exp(-lambda (t_n - t_k)).
 
-    ``times`` may be a growth schedule, an AsymptoticTimes scale, a plain
-    sequence of times, or a callable k -> t_k. Only time differences enter,
+    ``times`` may be a growth schedule, an AsymptoticTimes scale, or a plain
+    sequence of the times t_1..t_n. Only time differences enter,
     so the value is invariant under shifting all times by a constant.
     """
-    return float(_condition_sums(lam, times, (_positive_index(n),))[0])
+    return float(_condition_sums(lam, times, (_integer(n, "n", 1),))[0])
 
 
 def dawson_f(p: float, rate: float, x: float) -> float:
@@ -178,6 +159,8 @@ def dawson_f(p: float, rate: float, x: float) -> float:
     F(1, x) = (1 - e^(-rate*x)) / rate exactly; F vanishes as x -> inf
     precisely when p > 1, with F ~ 1/(rate * p * x^(p-1)).
     """
+    from scipy.integrate import quad  # here, so that importing growpop skips scipy
+
     p, rate, x = float(p), float(rate), float(x)
     if not (p > 0.0) or not math.isfinite(p):
         raise ValueError(f"p must be > 0, got {p}")
@@ -236,8 +219,7 @@ def classify_schedule(alpha: float, psi_star: float, psi_max: float,
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not (0.0 < psi_star <= psi_max) or not math.isfinite(psi_max):
         raise ValueError(f"need 0 < psi_star <= psi_max, got ({psi_star}, {psi_max})")
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 10_000:
-        raise ValueError(f"n_max must be an integer >= 10000, got {n_max!r}")
+    n_max = _integer(n_max, "n_max", 10_000)
 
     times = asymptotic_injection_times(alpha)
     grid = _sum_grid(n_max)
@@ -327,7 +309,7 @@ class ExplicitJumps:
         return np.asarray(self.values[:n], dtype=float)
 
 
-JumpBound = Union[HarmonicScaled, ExplicitJumps, Callable[[int], float]]
+JumpBound = Union[HarmonicScaled, ExplicitJumps]
 
 
 @dataclass(frozen=True)
@@ -351,8 +333,6 @@ def _jump_values(bound: JumpBound, n: int) -> np.ndarray:
         return bound.values(n)
     if isinstance(bound, ExplicitJumps):
         return bound.values_array(n)
-    if callable(bound):
-        return np.array([float(bound(k)) for k in range(1, n + 1)])
     raise ValueError(f"unsupported jump bound {bound!r}")
 
 
@@ -369,7 +349,7 @@ def envelope_bound(spec: EnvelopeSpec, times: TimesSource, n: int) -> float:
     lam = spec.decay_rate
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"decay rate must be > 0, got {lam}")
-    n = _positive_index(n)
+    n = _integer(n, "n", 1)
     t = _times_array(times, n)
     g = _jump_values(spec.jump_bound, n)
     if not spec.reverse and np.any(g < 0.0):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -60,8 +59,6 @@ from .sources import (
 __all__ = ["ConfigError", "ExperimentConfig", "load_config",
            "emit_series_csv", "cmd_dispatch", "main"]
 
-_WORKERS_ENV = "GROWPOP_WORKERS"
-
 
 class ConfigError(ValueError):
     """A config file failed to parse or validate; message names the field."""
@@ -91,7 +88,7 @@ class ExperimentConfig:
     runs: int = 100
     master_seed: int = 0
     output_path: str | None = None
-    workers: int | None = None
+    workers: int = 1
     conditions: ConditionsBlock | None = None
     envelope: EnvelopeBlock | None = None
 
@@ -263,7 +260,7 @@ def load_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig(sim=sim, runs=top.get("runs", "integer", 100),
                            master_seed=top.get("master_seed", "integer", 0),
                            output_path=top.get("output_path", "string", None),
-                           workers=top.get("workers", "integer", None),
+                           workers=top.get("workers", "integer", 1),
                            conditions=conditions, envelope=envelope)
     top.close()
     return cfg
@@ -342,7 +339,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_series(series: MomentSeries, fh) -> None:
-    d = series.dim
+    d = series.m1.shape[1]
     cols = ["t", "n"] + [f"m1_{i}" for i in range(d)] + ["m2", "v", "w", "dissipation", "event"]
     fh.write(f"# seed={series.seed}\n")
     fh.write(",".join(cols) + "\n")
@@ -415,23 +412,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_workers(flag: int | None, from_file: int | None) -> int:
-    if flag is not None:
-        return flag
-    if from_file is not None:
-        return from_file
-    env = os.environ.get(_WORKERS_ENV)
-    if env:
-        try:
-            val = int(env)
-        except ValueError:
-            raise ConfigError(f"{_WORKERS_ENV}: expected an integer, got {env!r}") from None
-        if val < 1:
-            raise ConfigError(f"{_WORKERS_ENV}: must be >= 1, got {val}")
-        return val
-    return 1
-
-
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.master_seed
@@ -448,7 +428,7 @@ def _cmd_ensemble(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.master_seed
     runs = args.runs if args.runs is not None else cfg.runs
-    workers = _resolve_workers(args.workers, cfg.workers)
+    workers = args.workers if args.workers is not None else cfg.workers
     stats = run_ensemble(cfg.sim, runs, seed, workers=workers)
     out = args.out or cfg.output_path
     if out is None:
@@ -570,7 +550,7 @@ def _check_jump_identities() -> str | None:
     series = _rational_run()
     worst = 0.0
     for pair in series.injection_pairs:
-        pred = predict_jumps(pair.pre, pair.x_new, pair.k, series.n0)
+        pred = predict_jumps(pair.pre, pair.x_new, pair.k, int(series.n[0]))
         scale = max(1.0, abs(pair.pre.m2), float(pair.x_new @ pair.x_new))
         worst = max(
             worst,

@@ -89,7 +89,7 @@ import numpy as np
 
 from .kernels import Kernel, _pair_tiles
 from .observables import MomentSeries, compute_moments
-from .schedules import GrowthSchedule, final_injection_count, injection_time
+from .schedules import GrowthSchedule, _integer, final_injection_count, injection_time
 from .sources import OpinionSource, _draw_incoming
 
 __all__ = [
@@ -260,21 +260,19 @@ def inject_agent(state: SimState, x_new, t_k: float) -> SimState:
 
 
 def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
-    """Record times dt, 2*dt, ... capped at and including t_end."""
+    """Record times dt, 2*dt, ... below t_end, then t_end itself."""
     if not (dt > 0.0) or not (t_end > 0.0):
         raise ValueError(f"dt must be > 0 with t_end > 0, got dt = {dt}, t_end = {t_end}")
-    pts = [i * dt for i in range(1, int(math.floor(t_end / dt)) + 1)]
-    if not pts or pts[-1] < t_end:
-        pts.append(t_end)
-    return tuple(pts)
+    # i*dt rounds, so a multiple of dt meant to land on t_end can overshoot it
+    pts = [i * dt for i in range(1, int(math.floor(t_end / dt)) + 1) if i * dt < t_end]
+    return (*pts, t_end)
 
 
 def geometric_record_grid(t_first: float, t_end: float, points: int) -> tuple[float, ...]:
     """Geometrically spaced record times from t_first to t_end inclusive."""
     if not (0.0 < t_first <= t_end):
         raise ValueError(f"t_first must lie in (0, t_end = {t_end}], got {t_first}")
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
+    points = _integer(points, "points", 2)
     return tuple(float(g) for g in np.geomspace(t_first, t_end, points))
 
 
@@ -311,8 +309,8 @@ class SimConfig:
 
 
 def validate_sim_config(config: SimConfig) -> None:
-    if not isinstance(config.dim, int) or config.dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {config.dim!r}")
+    """Checks every field of ``config``, storing ``dim`` and ``max_agents`` as ints."""
+    config.dim = _integer(config.dim, "dim", 1)
     n0 = config.schedule.n0
     if config.initial_opinions.shape != (n0, config.dim):
         raise ValueError(
@@ -328,6 +326,8 @@ def validate_sim_config(config: SimConfig) -> None:
     if not (config.step_max > 0.0) or not math.isfinite(config.step_max):
         raise ValueError(f"step_max must be positive and finite, got {config.step_max}")
     _end_time(config.schedule, config.horizon, config.max_agents)
+    if config.max_agents is not None:
+        config.max_agents = int(config.max_agents)
     for g in config.record_grid:
         if not math.isfinite(g) or g < 0.0:
             raise ValueError(f"record_grid times must be finite and >= 0, got {g}")
@@ -345,10 +345,8 @@ def _end_time(schedule: GrowthSchedule, horizon: float | None,
             raise ValueError(f"horizon must be positive and finite, got {horizon}")
         ends.append(float(horizon))
     if max_agents is not None:
-        n0 = schedule.n0
-        if not isinstance(max_agents, int) or max_agents < n0:
-            raise ValueError(f"max_agents must be an integer >= n0 = {n0}, got {max_agents!r}")
-        k_needed = max_agents - n0
+        max_agents = _integer(max_agents, "max_agents", schedule.n0)
+        k_needed = max_agents - schedule.n0
         limit = final_injection_count(schedule)
         if limit is not None and k_needed > limit:
             raise ValueError(
@@ -439,11 +437,8 @@ def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
     ensemble is run_simulation(config, derive_run_seed(master, i)), bit for bit.
     """
     tl, cols = _run_block(config, [seed])
-    return MomentSeries(
-        t=tl.t, event=tl.event, k=tl.k, n=tl.n, **{name: col[0] for name, col in cols.items()},
-        target_mean=config.source.mean_vector, seed=int(seed), n0=config.schedule.n0,
-        dim=config.dim,
-    )
+    return MomentSeries(t=tl.t, event=tl.event, k=tl.k, n=tl.n, seed=int(seed),
+                        **{name: col[0] for name, col in cols.items()})
 
 
 def _run_block(config: SimConfig, seeds) -> tuple[_Timeline, dict[str, np.ndarray]]:

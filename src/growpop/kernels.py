@@ -1,10 +1,10 @@
 """Interaction weights with certified global bounds.
 
 A kernel maps the distance r = |x_j - x_i| between two opinions to a positive
-coupling weight psi(r). Every instance carries its own infimum, supremum and a
-Lipschitz constant as certified metadata, so downstream bounds (condition
-sums, envelopes) never have to re-derive them: a future kernel family only
-needs to ship correct numbers here.
+coupling weight psi(r). Every instance carries its own infimum and supremum
+as certified metadata, so downstream bounds (condition sums, envelopes) never
+have to re-derive them: a future kernel family only needs to ship correct
+numbers here.
 
 Two families are built in:
 
@@ -25,9 +25,6 @@ __all__ = [
     "rational_kernel",
 ]
 
-# max_r |d/dr b/(1+r^2)| = b * 3*sqrt(3)/8, attained at r = 1/sqrt(3)
-_RATIONAL_SLOPE = 3.0 * math.sqrt(3.0) / 8.0
-
 # Rows per tile of the pair sums; a tile's temporaries are (rows, N). Of 8 to
 # 128 rows, 32 ran the pairwise workload (N to 502, d = 2) fastest.
 _TILE_ROWS = 32
@@ -43,14 +40,12 @@ class Kernel:
     coef : family coefficients, (c,) or (a, b)
     psi_star : certified global infimum of psi on [0, inf)
     psi_max : certified global supremum
-    lipschitz : certified Lipschitz constant of psi on [0, inf)
     """
 
     kind: str
     coef: tuple[float, ...]
     psi_star: float
     psi_max: float
-    lipschitz: float
 
     def __call__(self, r):
         """psi at distance(s) r >= 0: scalars map to floats, arrays to arrays.
@@ -116,7 +111,7 @@ def constant_kernel(c: float) -> Kernel:
     c = float(c)
     if not (c > 0.0) or not math.isfinite(c):
         raise ValueError(f"c must be finite and > 0, got {c}")
-    return Kernel(kind="constant", coef=(c,), psi_star=c, psi_max=c, lipschitz=0.0)
+    return Kernel(kind="constant", coef=(c,), psi_star=c, psi_max=c)
 
 
 def rational_kernel(a: float, b: float) -> Kernel:
@@ -126,10 +121,4 @@ def rational_kernel(a: float, b: float) -> Kernel:
         raise ValueError(f"a must be finite and > 0, got {a}")
     if not (b >= 0.0) or not math.isfinite(b):
         raise ValueError(f"b must be finite and >= 0, got {b}")
-    return Kernel(
-        kind="rational",
-        coef=(a, b),
-        psi_star=a,
-        psi_max=a + b,
-        lipschitz=b * _RATIONAL_SLOPE,
-    )
+    return Kernel(kind="rational", coef=(a, b), psi_star=a, psi_max=a + b)

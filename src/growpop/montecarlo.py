@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimConfig, _ReplicaError, _run_block
+from .schedules import _integer
 
 __all__ = [
     "derive_run_seed",
@@ -53,10 +54,8 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
     increment composed with a bijective mixer); for a fixed index, distinct
     64-bit master seeds give distinct seeds.
     """
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool):
-        raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
-    if not isinstance(run_index, int) or isinstance(run_index, bool) or run_index < 0:
-        raise ValueError(f"run_index must be an integer >= 0, got {run_index!r}")
+    master_seed = _integer(master_seed, "master_seed")
+    run_index = _integer(run_index, "run_index", 0)
     base = _mix64(master_seed & _MASK64)
     return _mix64((base + ((run_index + 1) * _WEYL)) & _MASK64)
 
@@ -146,10 +145,8 @@ def run_ensemble(config: SimConfig, runs: int, master_seed: int,
     and a replica's result does not depend on its block, so the statistics do
     not depend on the worker count.
     """
-    if not isinstance(runs, int) or runs < 2:
-        raise ValueError(f"runs must be an integer >= 2, got {runs!r}")
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    runs = _integer(runs, "runs", 2)
+    workers = _integer(workers, "workers", 1)
 
     seeds = [derive_run_seed(master_seed, i) for i in range(runs)]
     # the constant kernel's engine does O(d) work per replica and event, less
@@ -194,8 +191,7 @@ def ensemble_statistic(stats: EnsembleStats, which: str, at_k: int) -> tuple[flo
     """
     if which not in _STATS:
         raise ValueError(f"unknown statistic {which!r}; choose from {sorted(_STATS)}")
-    if not isinstance(at_k, int) or isinstance(at_k, bool) or at_k < 0:
-        raise ValueError(f"at_k must be an integer >= 0, got {at_k!r}")
+    at_k = _integer(at_k, "at_k", 0)
     if at_k == 0:
         idx = 0
         if stats.event[0] != "record" or stats.k[0] != 0:

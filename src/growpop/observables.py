@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import Kernel, _pair_tiles
+from .schedules import _integer
 
 __all__ = [
     "MomentRecord",
@@ -84,9 +85,9 @@ class MomentSeries:
     to the row's t) have shape (rows,) and ``m1`` (rows, d); ``event`` is the
     tuple of row kinds; ``x_new`` (arrivals, d) holds the arrivals in order.
 
-    ``rows``, ``records``, ``injection_pairs`` and ``final_record()`` give the
-    same stream as objects, built from the columns when first read. ``rows``
-    and ``injection_pairs`` are then kept; editing them does not edit the columns.
+    ``rows`` and ``injection_pairs`` give the same stream as objects, built
+    from the columns when first read and then kept; editing them does not
+    edit the columns.
     """
 
     t: np.ndarray
@@ -100,10 +101,7 @@ class MomentSeries:
     dissipation: np.ndarray
     d_integral: np.ndarray
     x_new: np.ndarray
-    target_mean: np.ndarray
     seed: int
-    n0: int
-    dim: int
 
     def _record(self, i: int) -> MomentRecord:
         return MomentRecord(t=float(self.t[i]), n=int(self.n[i]), m1=self.m1[i].copy(),
@@ -115,18 +113,11 @@ class MomentSeries:
         return [SeriesRow(ev, int(kk), self._record(i))
                 for i, (ev, kk) in enumerate(zip(self.event, self.k))]
 
-    @property
-    def records(self) -> list[MomentRecord]:
-        return [row.record for row in self.rows if row.event == "record"]
-
     @cached_property
     def injection_pairs(self) -> list[InjectionJump]:
         pre = [i for i, ev in enumerate(self.event) if ev == "pre_jump"]
         return [InjectionJump(k=int(self.k[i]), x_new=x.copy(), pre=self._record(i),
                               post=self._record(i + 1)) for i, x in zip(pre, self.x_new)]
-
-    def final_record(self) -> MomentRecord:
-        return self._record(-1)
 
 
 def compute_moments(state, kernel: Kernel, m) -> MomentRecord:
@@ -207,10 +198,8 @@ def predict_jumps(record_minus: MomentRecord, x_new, k: int, n0: int) -> JumpPre
     ``record_minus`` holds the moments just before the k-th arrival (so its
     population is n0 + k - 1); ``x_new`` is the arriving opinion.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"arrival index k must be an integer >= 1, got {k!r}")
-    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 1:
-        raise ValueError(f"n0 must be an integer >= 1, got {n0!r}")
+    k = _integer(k, "arrival index k", 1)
+    n0 = _integer(n0, "n0", 1)
     if record_minus.n != n0 + k - 1:
         raise ValueError(
             f"record population {record_minus.n} does not match n0 + k - 1 = {n0 + k - 1}"
@@ -264,10 +253,8 @@ def expected_m1_deviation(n0: int, k: int, x0, m, sigma2: float) -> MeanDeviatio
     Arrivals are i.i.d. with mean m and E|X - m|^2 = sigma2; the initial
     opinions x0 are deterministic. Valid for every k >= 0.
     """
-    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 1:
-        raise ValueError(f"n0 must be an integer >= 1, got {n0!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"arrival count k must be an integer >= 0, got {k!r}")
+    n0 = _integer(n0, "n0", 1)
+    k = _integer(k, "arrival count k", 0)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[0] != n0:
         raise ValueError(f"x0 has {x0.shape[0]} rows, expected n0 = {n0}")
@@ -294,8 +281,6 @@ def variance_jump_coefficient(k: int, n0: int) -> float:
     E[V jump at arrival k] = (c_k sigma2 - E V-) / (n0 + k) + O(1/(n0+k)^2);
     c_1 = 0 and c_k increases to 1.
     """
-    if k < 1:
-        raise ValueError(f"arrival index k must be >= 1, got {k}")
-    if n0 < 1:
-        raise ValueError(f"n0 must be >= 1, got {n0}")
+    k = _integer(k, "arrival index k", 1)
+    n0 = _integer(n0, "n0", 1)
     return (k + 2.0 * n0) * (k - 1.0) / float(n0 + k) ** 2

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,6 +28,20 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int of at least ``minimum``: any integer type but bool."""
+    if not isinstance(value, bool):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if minimum is None or value >= minimum:
+                return value
+    at_least = "" if minimum is None else f" >= {minimum}"
+    raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PowerExponentialSchedule:
     """t_j = (ln(n0 + j))**(1/alpha); unbounded, strictly increasing."""
@@ -37,8 +52,7 @@ class PowerExponentialSchedule:
     def __post_init__(self):
         if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not isinstance(self.n0, int) or self.n0 < 1:
-            raise ValueError(f"n0 must be an integer >= 1, got {self.n0!r}")
+        object.__setattr__(self, "n0", _integer(self.n0, "n0", 1))
 
 
 @dataclass(frozen=True)
@@ -49,8 +63,7 @@ class ExplicitSchedule:
     times: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n0, int) or self.n0 < 1:
-            raise ValueError(f"n0 must be an integer >= 1, got {self.n0!r}")
+        object.__setattr__(self, "n0", _integer(self.n0, "n0", 1))
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         prev = 0.0
         for i, t in enumerate(self.times):
@@ -66,12 +79,9 @@ GrowthSchedule = Union[PowerExponentialSchedule, ExplicitSchedule]
 
 def injection_time(schedule: GrowthSchedule, j: int) -> float:
     """Arrival time t_j of the j-th newcomer, j >= 1. t_0 = 0 by convention."""
-    if not isinstance(j, int) or isinstance(j, bool):
-        raise ValueError(f"injection index must be an integer, got {j!r}")
+    j = _integer(j, "injection index", 0)
     if j == 0:
         return 0.0
-    if j < 0:
-        raise ValueError(f"injection index must be >= 0, got {j}")
     if isinstance(schedule, PowerExponentialSchedule):
         return math.log(schedule.n0 + j) ** (1.0 / schedule.alpha)
     if j > len(schedule.times):

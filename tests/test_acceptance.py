@@ -148,14 +148,13 @@ def _grid_series(stats: gp.EnsembleStats):
 def test_constant_kernel_exponential_decay(decay_run):
     series, elapsed = decay_run
     assert not series.injection_pairs  # population really was fixed
-    v0 = series.rows[0].record.v
-    recs = series.records
-    t = np.array([r.t for r in recs])
-    v = np.array([r.v for r in recs])
+    v0 = series.v[0]
+    is_record = np.array(series.event) == "record"
+    t, v = series.t[is_record], series.v[is_record]
     rel = np.abs(v - v0 * np.exp(-2.0 * t)) / (v0 * np.exp(-2.0 * t))
     ok = float(rel.max()) <= 1e-6 and elapsed < DECAY_BUDGET_S
     _line("constant-kernel decay", ok,
-          f"max rel err {rel.max():.2e} over {len(recs)} records, {elapsed:.2f}s")
+          f"max rel err {rel.max():.2e} over {t.size} records, {elapsed:.2f}s")
     assert rel.max() <= 1e-6
     assert elapsed < DECAY_BUDGET_S
 

@@ -8,6 +8,9 @@ against its p = 1 closed form and an independent high-precision quadrature
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -74,10 +77,14 @@ class TestConditionSum:
     def test_accepts_every_times_source(self):
         n, alpha, n0 = 50, 0.5, 3
         sched = PowerExponentialSchedule(alpha=alpha, n0=n0)
-        as_callable = lambda k: math.log(n0 + k) ** (1.0 / alpha)
         as_seq = [math.log(n0 + k) ** (1.0 / alpha) for k in range(1, n + 1)]
-        vals = [condition_sum(1.0, src, n) for src in (sched, as_callable, as_seq)]
+        vals = [condition_sum(1.0, src, n) for src in (sched, as_seq, np.array(as_seq))]
         np.testing.assert_allclose(vals, vals[0], rtol=1e-14)
+
+    @pytest.mark.parametrize("times", [lambda k: math.log(k), "abc", object()])
+    def test_rejects_other_times_sources(self, times):
+        with pytest.raises(ValueError, match="growth schedule, an AsymptoticTimes scale"):
+            condition_sum(1.0, times, 5)
 
     def test_explicit_schedule_source(self):
         sched = ExplicitSchedule(n0=1, times=(1.0, 2.0, 3.0, 4.0))
@@ -221,6 +228,18 @@ class TestDawsonTransform:
         with pytest.raises(ValueError):
             dawson_f(1.0, 1.0, -1.0)
 
+    def test_package_import_loads_no_scipy(self):
+        # scipy.integrate takes most of the package's import time; only
+        # dawson_f needs it, and imports it when called
+        import growpop
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(growpop.__file__)))
+        code = ("import sys, growpop, growpop.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestClassification:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
@@ -310,13 +329,19 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="nonnegative"):
             envelope_bound(spec, [1.0, 2.0], 2)
 
-    def test_callable_jump_bound(self):
-        spec = EnvelopeSpec(decay_rate=1.0, y0=0.0, jump_bound=lambda k: 1.0 / k**2)
+    def test_explicit_jump_bound_on_boundary_scale(self):
+        values = tuple(1.0 / k**2 for k in range(1, 101))
+        spec = EnvelopeSpec(decay_rate=1.0, y0=0.0, jump_bound=ExplicitJumps(values=values))
         times = AsymptoticTimes(alpha=1.0)
         val = envelope_bound(spec, times, 100)
         # on the boundary scale: sum (1/k^2) (k/n) = H-ish / n
         expect = sum((1.0 / k**2) * (k / 100.0) for k in range(1, 101))
         np.testing.assert_allclose(val, expect, rtol=1e-12)
+
+    def test_rejects_other_jump_bounds(self):
+        spec = EnvelopeSpec(decay_rate=1.0, y0=0.0, jump_bound=lambda k: 1.0 / k**2)
+        with pytest.raises(ValueError, match="unsupported jump bound"):
+            envelope_bound(spec, [1.0, 2.0], 2)
 
     def test_numpy_integer_n(self):
         spec = EnvelopeSpec(decay_rate=1.0, y0=1.5, jump_bound=HarmonicScaled(c=0.5))

@@ -414,27 +414,16 @@ class TestDispatch:
         assert lines[0] == "# seed=17"
         assert lines[1] == "t,mean_w,stderr_w,mean_v,stderr_v,mean_m1_dev,stderr_m1_dev"
 
-    def test_ensemble_worker_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GROWPOP_WORKERS", "not-a-number")
-        path = write_config(tmp_path)
+    def test_ensemble_worker_flag_beats_config(self, tmp_path, capsys):
+        path = write_config(tmp_path, workers=0)
         out = tmp_path / "stats.csv"
-        # flag overrides the (bad) environment value, so this succeeds
+        # without the flag the config's bad value reaches run_ensemble's check
+        assert cmd_dispatch(["ensemble", "--config", path, "--runs", "2",
+                             "--out", str(out)]) == 2
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
+        # the flag overrides it, so this succeeds
         assert cmd_dispatch(["ensemble", "--config", path, "--runs", "2",
                              "--workers", "1", "--out", str(out)]) == 0
-
-    def test_ensemble_env_workers_used_without_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GROWPOP_WORKERS", "2")
-        path = write_config(tmp_path)
-        out = tmp_path / "stats.csv"
-        assert cmd_dispatch(["ensemble", "--config", path, "--runs", "4",
-                             "--out", str(out)]) == 0
-
-    def test_ensemble_bad_env_workers_is_runtime_error(self, tmp_path,
-                                                       monkeypatch, capsys):
-        monkeypatch.setenv("GROWPOP_WORKERS", "zero")
-        path = write_config(tmp_path)
-        assert cmd_dispatch(["ensemble", "--config", path, "--runs", "2"]) == 2
-        assert "GROWPOP_WORKERS" in capsys.readouterr().err
 
     def test_conditions_table_boundary_rate(self, capsys):
         assert cmd_dispatch(["conditions", "--alpha", "1.0",

@@ -318,8 +318,8 @@ class TestRunSimulation:
     def test_grid_row_at_each_grid_time(self):
         grid = (0.25, 0.6, 1.1)
         series = run_simulation(small_config(record_grid=grid), seed=2)
-        rec_times = [r.t for r in series.records]
-        assert rec_times == [0.0, 0.25, 0.6, 1.1]
+        rec_times = series.t[np.array(series.event) == "record"]
+        assert rec_times.tolist() == [0.0, 0.25, 0.6, 1.1]
 
     def test_grid_time_on_arrival_collapses_to_jump_pair(self):
         config = small_config(
@@ -342,7 +342,7 @@ class TestRunSimulation:
         )
         series = run_simulation(config, seed=4)
         assert series.injection_pairs == []
-        assert series.final_record().t == 1.0
+        assert series.t[-1] == 1.0
 
     def test_zero_variance_consensus_is_absorbing(self):
         # start on consensus at the target mean; every arrival lands exactly
@@ -365,7 +365,7 @@ class TestRunSimulation:
         series = run_simulation(config, seed=6)
         xs = np.array([p.x_new for p in series.injection_pairs])
         expected = m1_closed_form(config.initial_opinions, xs)
-        np.testing.assert_allclose(series.final_record().m1, expected,
+        np.testing.assert_allclose(series.m1[-1], expected,
                                    rtol=0, atol=1e-13)
 
     def test_m2_nonincreasing_between_arrivals(self):
@@ -377,7 +377,7 @@ class TestRunSimulation:
             record_grid=uniform_record_grid(2.0, 0.1),
         )
         series = run_simulation(config, seed=9)
-        m2 = [r.m2 for r in series.records]
+        m2 = series.m2[np.array(series.event) == "record"].tolist()
         assert all(b <= a + 1e-15 for a, b in zip(m2, m2[1:]))
 
     def test_dissipation_integral_reconstructs_m2(self):
@@ -408,7 +408,7 @@ class TestRunSimulation:
                       record_grid=geometric_record_grid(0.5, 30.0, 16))
         fine = run_simulation(small_config(step_max=0.01, **config), seed=12)
         coarse = run_simulation(small_config(step_max=3.0, **config), seed=12)
-        v_fine, v_coarse = fine.final_record().v, coarse.final_record().v
+        v_fine, v_coarse = fine.v[-1], coarse.v[-1]
         assert abs(v_coarse - v_fine) <= 1e-12 * v_fine
 
 
@@ -428,11 +428,11 @@ def assert_m2_reconstructed(kernel, rtol):
             q[t] = integral
     m2_0 = series.rows[0].record.m2
     jumps = [(p.pre.t, p.post.m2 - p.pre.m2) for p in series.injection_pairs]
-    for rec in series.records:
-        if rec.t == 0.0:
+    for t, m2, event in zip(series.t[1:], series.m2[1:], series.event[1:]):
+        if event != "record":
             continue
-        expected = m2_0 + q[rec.t] + sum(dj for tj, dj in jumps if tj <= rec.t)
-        np.testing.assert_allclose(rec.m2, expected, rtol=rtol)
+        expected = m2_0 + q[t] + sum(dj for tj, dj in jumps if tj <= t)
+        np.testing.assert_allclose(m2, expected, rtol=rtol)
 
 
 def particle_reference(config, series):
@@ -601,6 +601,18 @@ class TestRecordGrids:
         assert uniform_record_grid(1.0, 0.25) == (0.25, 0.5, 0.75, 1.0)
         grid = uniform_record_grid(1.0, 0.3)
         assert grid[-1] == 1.0
+
+    @pytest.mark.parametrize("t_end, dt", [(29.2, 0.2), (3.8999999999999995, 0.03),
+                                           (1.0, 0.25), (1.0, 0.3), (0.05, 0.2)])
+    def test_uniform_ends_exactly_at_t_end(self, t_end, dt):
+        # i*dt can round past t_end (29.2 / 0.2 gives 29.200000000000003)
+        grid = uniform_record_grid(t_end, dt)
+        assert grid[-1] == t_end
+        assert max(grid) == t_end and grid == tuple(sorted(set(grid)))
+        config = small_config(schedule=ExplicitSchedule(n0=3, times=(2 * t_end,)),
+                              max_agents=None, horizon=t_end, record_grid=grid)
+        series = run_simulation(config, seed=1)
+        assert series.t[-1] == t_end and series.event[-1] == "record"
 
     def test_geometric_endpoints(self):
         grid = geometric_record_grid(0.1, 10.0, 7)

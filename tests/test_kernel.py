@@ -1,4 +1,4 @@
-"""Kernel families: values, certified bounds, Lipschitz constants, config."""
+"""Kernel families: values, certified bounds, config."""
 
 import json
 import math
@@ -18,10 +18,9 @@ class TestConstantKernel:
         for r in [0.0, 1e-9, 1.0, 37.5, 1e8]:
             assert k(r) == 0.7
 
-    def test_bounds_and_lipschitz(self):
+    def test_bounds(self):
         k = constant_kernel(2.5)
         assert (k.psi_star, k.psi_max) == (2.5, 2.5)
-        assert k.lipschitz == 0.0
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_coefficient(self, c):
@@ -49,16 +48,6 @@ class TestRationalKernel:
         vals = k(r)
         assert np.all(vals > lo)
         assert np.all(vals <= hi)
-
-    def test_lipschitz_constant_matches_steepest_slope(self):
-        # |psi'(r)| = 2 b r / (1 + r^2)^2 peaks at r = 1/sqrt(3)
-        b = 1.7
-        k = rational_kernel(1.0, b)
-        r = np.linspace(1e-4, 5.0, 200_001)
-        slope = np.abs(np.diff(k(r)) / np.diff(r))
-        assert slope.max() <= k.lipschitz * (1.0 + 1e-6)
-        np.testing.assert_allclose(slope.max(), k.lipschitz, rtol=1e-6)
-        assert k.lipschitz == b * (3.0 * math.sqrt(3.0) / 8.0)
 
     def test_zero_b_degenerates_to_constant_values(self):
         k = rational_kernel(0.8, 0.0)

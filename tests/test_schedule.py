@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import growpop as gp
 from growpop import (
     ExplicitSchedule,
     PowerExponentialSchedule,
@@ -156,3 +157,55 @@ class TestConfig:
     def test_unknown_type(self, tmp_path):
         with pytest.raises(ConfigError, match=r"schedule\.type"):
             load_schedule(tmp_path, {"type": "linear"})
+
+
+def _sim_config(dim, max_agents):
+    cfg = gp.SimConfig(dim=dim, kernel=gp.constant_kernel(1.0),
+                       schedule=PowerExponentialSchedule(alpha=0.5, n0=2),
+                       source=gp.gaussian_source(0.0, 1.0), initial_opinions=np.zeros((2, 1)),
+                       max_agents=max_agents)
+    return cfg.dim, cfg.max_agents
+
+
+def _ensemble_statistic(runs, master_seed, workers, at_k):
+    config = gp.SimConfig(dim=1, kernel=gp.constant_kernel(1.0),
+                          schedule=PowerExponentialSchedule(alpha=0.5, n0=2),
+                          source=gp.gaussian_source(0.0, 1.0),
+                          initial_opinions=np.array([[0.5], [-0.5]]), max_agents=6)
+    stats = gp.run_ensemble(config, runs, master_seed, workers=workers)
+    return gp.ensemble_statistic(stats, "v", at_k)
+
+
+_PRE_JUMP = gp.MomentRecord(t=0.0, n=4, m1=np.array([0.25]), m2=1.0, v=0.9375, w=1.0,
+                            dissipation=0.0)
+
+# each entry point as a function of its integer arguments, and their values
+INTEGER_ARGUMENTS = [
+    pytest.param(lambda j: injection_time(PowerExponentialSchedule(alpha=0.5, n0=2), j),
+                 (3,), id="injection_time"),
+    pytest.param(lambda n0: PowerExponentialSchedule(alpha=0.5, n0=n0), (2,),
+                 id="PowerExponentialSchedule"),
+    pytest.param(lambda n0: ExplicitSchedule(n0=n0, times=(1.0,)), (2,), id="ExplicitSchedule"),
+    pytest.param(lambda k, n0: gp.predict_jumps(_PRE_JUMP, [1.5], k, n0), (2, 3),
+                 id="predict_jumps"),
+    pytest.param(lambda n0, k: gp.expected_m1_deviation(n0, k, [[0.5], [-0.5]], [0.0], 1.0),
+                 (2, 5), id="expected_m1_deviation"),
+    pytest.param(gp.variance_jump_coefficient, (3, 2), id="variance_jump_coefficient"),
+    pytest.param(gp.derive_run_seed, (7, 3), id="derive_run_seed"),
+    pytest.param(_sim_config, (1, 5), id="SimConfig"),
+    pytest.param(lambda points: gp.geometric_record_grid(0.5, 30.0, points), (16,),
+                 id="geometric_record_grid"),
+    pytest.param(_ensemble_statistic, (3, 4, 1, 2), id="run_ensemble"),
+    pytest.param(lambda n: gp.condition_sum(1.0, gp.asymptotic_injection_times(0.5), n),
+                 (50,), id="condition_sum"),
+]
+
+
+@pytest.mark.parametrize("call, ints", INTEGER_ARGUMENTS)
+def test_integer_arguments_take_numpy_integers_and_reject_bools(call, ints):
+    want = call(*ints)
+    # equal reprs: same values, and a stored integer is an int, not an np.int64
+    assert repr(call(*map(np.int64, ints))) == repr(want)
+    for i in range(len(ints)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(*ints[:i], True, *ints[i + 1:])
