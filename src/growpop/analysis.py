@@ -75,6 +75,7 @@ class AsymptoticTimes:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
     def array(self, n: int) -> np.ndarray:
+        n = _integer(n, "n", 0)
         return np.log(np.arange(1, n + 1, dtype=float)) ** (1.0 / self.alpha)
 
 

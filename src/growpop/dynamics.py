@@ -17,48 +17,43 @@ result does not depend on the block around it, and ``run_simulation`` is a
 block of one. There is one engine per kernel family.
 
 The constant kernel's force collapses to c*(m1 - x_i), so its flow is exact,
-x_i(t) = m1 + (x_i(s) - m1) e^{-c(t-s)}, and every opinion stays an affine
-image x_i = a + g*z_i of a stored z_i: a (one per replica) and g (one per
-block, as it depends only on the timeline) are common to the population. The
-engine keeps a, g, the z's and their sums S1 = sum_i z_i and S2 = sum_i |z_i|^2,
-so each event costs O(d) per replica, not O(N):
+x_i(t) = m1 + (x_i(s) - m1) e^{-c(t-s)}, and the engine carries each replica's
+m1 and nV = n V, the sum of squared deviations, from event to event: O(d) work
+per replica and event.
 
-* a flow span tau, with e = e^{-c tau}: a += (1 - e) g S1/n and g *= e;
-* an arrival x: z_{n+1} = (x - a)/g joins S1 and S2, no other opinion moves;
-* a row's moments: m1 = a + g S1/n, V = g^2 (S2/n - |S1/n|^2),
-  m2 = V + |m1|^2, W = V + |m1 - m|^2 and D = -2cV, computed for all rows
-  after the event loop.
+* a flow span tau: nV <- e^{-2c tau} nV, and m1 stays put;
+* an arrival x to a population of n: with delta = x - m1,
+  m1 <- m1 + delta/(n+1) and nV <- nV + n |delta|^2/(n+1);
+* a row's moments: V = nV/n, m2 = V + |m1|^2, W = V + |m1 - m|^2 and
+  D = -2cV, computed for all rows after the event loop.
 
-The z's start pivoted about the first founder (a = x_1, g = 1), so a
-population in exact consensus has z = 0 and V == 0.0 exactly. g decays like
-e^{-ct}; once it is below 1e-100 the engine renormalises, z <- g z and
-g <- 1, an O(N) step that the regime runs (g above about 1e-25) never take.
+The arrival step is the jump law ``predict_jumps`` states, in Welford's
+updating form (Welford, Technometrics 4, 1962; analysed by Chan, Golub &
+LeVeque, "Algorithms for computing the sample variance", Am. Stat. 37, 1983).
+Every term of the nV update is nonnegative, so no step cancels, wherever the
+population sits. The founders' nV is summed from their offsets from their
+mean, pivoted about the first founder, so a population in exact consensus has
+V == 0.0 exactly. The tests hold V to 1e-13 relative of the particle engine's,
+founders 1000 away from the source included.
 
-V from S1 and S2 is the textbook one-pass variance of the z's, scaled by
-g^2. Chan, Golub & LeVeque, "Algorithms for computing the sample variance",
-Am. Stat. 37 (1983), bound its relative error by about n*eps*kappa^2, where
-kappa^2 = 1 + |S1/n|^2 / var z, here 1 + |m1 - a|^2 / V: the pivot a must
-stay near m1. A flow span leaves kappa as it is, since it moves a the share
-1 - e of the way to m1, so |m1 - a| shrinks by e just as sqrt(V) does. An
-arrival can raise it, and arrivals that keep landing on one side of a (a
-founder far from the source under weak coupling, say) raise it without
-bound, but slowly: one arrival to a population of n multiplies kappa^2 by at
-most (n + 1)/n (the worst arrival lands beyond m1, away from a, at
-distance V/|m1 - a| from it), so kappa^2 at most doubles while the
-population doubles. So for the founders, and each time the population has
-doubled since, the engine re-centres each replica with |S1/n|^2 > 2 var z:
-a <- a + g S1/n and z <- z - S1/n, its sums recomputed, an O(n) step. That
-holds kappa^2 <= 6 at every row, for O(N) work over a run. The regime runs never re-centre;
-one founder 1000 away from the source at c = 0.01 re-centres twice in 2000
-arrivals. The tests hold V to 1e-13 relative of the particle engine's.
+The engine checks itself against real opinions. At every grid record it
+rebuilds one replica's opinions, taking the block's replicas in turn, and at
+the last row every replica's, and runs ``compute_moments`` on them, whose own
+self-checks then run too. The exact flow gives the opinions from the
+replica's arrivals and its m1: with r_l = e^{-c(t - t_l)} and s_l the jump of
+m1 at arrival l, the agent that arrived at l as x_l sits at
 
-The engine checks itself against the opinions: at every grid record it
-materialises x = a + g z for one replica, taking the block's replicas in
-turn, and at the last row for every replica, and runs ``compute_moments``
-on them, whose own self-checks then run on real opinions. A V that differs
-from the affine one by more than 1e-12 relative, with a floor of
-1e-15 max(1, m2), raises, as does a non-finite moment; either error names
-the replica.
+    m1(t) + r_l (x_l - m1(t_l-)) - T_l,    T_l = sum over l' >= l of r_l' s_l',
+
+and a founder at m1(t) + e^{-ct} (its offset from the founders' mean) - T_1.
+-T_l is how far the mean of the agents present before arrival l now sits from
+m1, so |T_l|^2 <= (N/n0) V by Cauchy-Schwarz, and each rebuilt offset is a
+difference of terms no larger than |x_i - m1| + sqrt(N V/n0). Rebuilding
+therefore costs about eps*sqrt(N/n0) of relative V, plus one rounding of a
+partial sum of T per arrival. An m1 that differs from the recursion's by more
+than 1e-12 max(1, max |x|), or a V by more than 1e-12 relative with a floor of
+1e-15 max(1, m2), raises, as does a non-finite moment; either error names the
+replica.
 
 Any other kernel runs on the opinions themselves, replica after replica,
 integrated with classical Runge-Kutta 4 at a fixed step, the last one
@@ -76,7 +71,7 @@ closed form, from the V column.
 ``integrate_interval`` takes one span on given opinions: the exact flow, in
 one O(N) update, for the constant kernel, and the RK4 steps otherwise. Its
 constant branch is not a second engine for runs: it is the particle reference
-that the tests replay a run through and compare the affine engine against.
+that the tests replay a run through and compare the recursion against.
 """
 
 from __future__ import annotations
@@ -116,15 +111,9 @@ _RK4_REAL_STABILITY = 2.785
 # Slack when matching the integrator's landing time against an arrival time.
 _TIME_TOL = 1e-12
 
-# The affine engine renormalises (z <- g z, g <- 1) once g falls below this.
-_G_FLOOR = 1e-100
-
-# It re-centres a replica (a <- m1) if |S1/n|^2 exceeds this multiple of var z
-# when it checks, each time the population has doubled.
-_RECENTRE = 2.0
-
-# Its audit: V of the materialised opinions against the affine V, relative,
-# with an absolute floor relative to max(1, m2).
+# The constant kernel's audit: V of the rebuilt opinions against the
+# recursion's, relative, with an absolute floor relative to max(1, m2); m1
+# against the recursion's, relative to max(1, max |x|).
 _AUDIT_RTOL = 1e-12
 _AUDIT_ATOL = 1e-15
 
@@ -453,7 +442,7 @@ def _run_block(config: SimConfig, seeds) -> tuple[_Timeline, dict[str, np.ndarra
     arrivals = tl.event.count("post_jump")
     x_new = np.stack([_draw_incoming(config.source, np.random.default_rng(s), arrivals)
                       for s in seeds])
-    engine = _affine_block if config.kernel.kind == "constant" else _particle_block
+    engine = _constant_block if config.kernel.kind == "constant" else _particle_block
     cols = engine(config, tl, x_new)
     cols["x_new"] = x_new
     return tl, cols
@@ -493,67 +482,50 @@ def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict
     return cols
 
 
-def _affine_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict:
-    """The constant kernel's replicas at once, as x_i = a + g z_i (see the module
-    docstring): O(d) work per replica and event."""
+def _constant_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict:
+    """The constant kernel's replicas at once, by the (m1, V) recursion (see the
+    module docstring): O(d) work per replica and event."""
     c = config.kernel.coef[0]
     m = config.source.mean_vector
-    replicas, _, d = x_new.shape
+    replicas, arrivals, d = x_new.shape
     x0 = config.initial_opinions
     n = x0.shape[0]
     rows = tl.t.size
 
-    # pivot about x0[0], so a population in exact consensus has z = 0
+    # m1 after each arrival, as the flow leaves it alone, and nv = n V at each
+    # row; pivoted about x0[0], so a population in exact consensus has V == 0.0
     dev = x0 - x0[0]
-    z = np.empty((replicas, n + x_new.shape[1], d))
-    z[:, :n] = dev
-    a = np.tile(x0[0], (replicas, 1))
-    s1 = np.tile(dev.sum(axis=0), (replicas, 1))
-    s2 = np.full(replicas, float((dev * dev).sum()))
-    _recentre(z, n, a, 1.0, s1, s2)
-    g, t, audits, n_check = 1.0, 0.0, 0, 2 * n
-    # the state at each row; the moments are computed from it after the loop
-    a_row, s1_row = np.empty((replicas, rows, d)), np.empty((replicas, rows, d))
-    s2_row, g_row = np.empty((replicas, rows)), np.empty(rows)
+    mean_dev = dev.sum(axis=0) / n
+    offsets = dev - mean_dev
+    m1_at = np.empty((replicas, arrivals + 1, d))
+    m1 = m1_at[:, 0] = x0[0] + mean_dev
+    nv = np.full(replicas, float((offsets * offsets).sum()))
+    v = np.empty((replicas, rows))
+    t = 0.0
     times, event, k = tl.t.tolist(), tl.event, tl.k.tolist()
-
     for i in range(rows):
         if event[i] == "post_jump":
-            zn = (x_new[:, k[i] - 1] - a) / g
-            z[:, n] = zn
-            s1 += zn
-            s2 += _sq(zn)
+            delta = x_new[:, k[i] - 1] - m1
+            m1 = m1_at[:, k[i]] = m1 + delta / (n + 1)
+            nv += (n / (n + 1)) * _sq(delta)
             n += 1
-            if n >= n_check:
-                _recentre(z, n, a, g, s1, s2)
-                n_check = 2 * n
         elif times[i] > t:
-            a += (-math.expm1(-c * (times[i] - t)) * g / n) * s1
-            g *= math.exp(-c * (times[i] - t))
-            if g < _G_FLOOR:
-                g = _renormalise(z[:, :n], g, s1, s2)
+            nv *= math.exp(-2.0 * c * (times[i] - t))
             t = times[i]
-        a_row[:, i], s1_row[:, i], s2_row[:, i], g_row[i] = a, s1, s2, g
-        # every replica at the last row, one in turn at each grid record
-        if i == rows - 1:
-            for r in range(replicas):
-                _audit(config, t, r, a, g, z[:, :n], s1, s2)
-        elif i and event[i] == "record":
-            _audit(config, t, audits % replicas, a, g, z[:, :n], s1, s2)
-            audits += 1
-
-    # in place, to hold few (replicas, rows) arrays at once: s1_row becomes
-    # S1/n, s2_row V = g^2 (S2/n - |S1/n|^2) and a_row m1 = a + g S1/n, the
-    # operations of the audit's V, in its order
-    s1_row /= tl.n[:, None]
-    v = s2_row
+        v[:, i] = nv
     v /= tl.n
-    v -= _sq(s1_row)
-    v *= g_row * g_row
-    s1_row *= g_row[:, None]
-    m1 = a_row
-    m1 += s1_row
-    del s1_row
+    applied = tl.n - tl.n[0]
+    m1 = m1_at[:, applied]
+
+    # every replica at the last row, one in turn at each grid record
+    grid = [i for i in range(1, rows - 1) if event[i] == "record"]
+    audits = [(turn % replicas, i) for turn, i in enumerate(grid)]
+    t_arrival = tl.t[np.flatnonzero(np.diff(tl.n)) + 1]
+    for r, i in audits + [(r, rows - 1) for r in range(replicas)]:
+        j = applied[i]
+        x = _opinions(c, times[i], offsets, m1_at[r, :j + 1], x_new[r, :j], t_arrival[:j])
+        _audit(config, times[i], r, x, m1[r, i], v[r, i])
+
     m2, w = v + _sq(m1), v + _sq(m1 - m)
     finite = np.isfinite(m1).all(axis=2) & np.isfinite(m2) & np.isfinite(w)
     if not finite.all():
@@ -576,47 +548,34 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _audit(config: SimConfig, t: float, r: int, a: np.ndarray, g: float, z: np.ndarray,
-           s1: np.ndarray, s2: np.ndarray) -> None:
-    """Materialises replica r's opinions a + g z and checks its affine V against
-    ``compute_moments`` (with its own self-checks) on them; a mismatch beyond
-    1e-12 relative, with a floor of 1e-15 max(1, m2), raises ``_ReplicaError``."""
-    state = SimState(t=float(t), k=0, opinions=a[r] + g * z[r], dim=config.dim)
+def _opinions(c: float, t: float, offsets: np.ndarray, m1_at: np.ndarray,
+              x_new: np.ndarray, t_arrival: np.ndarray) -> np.ndarray:
+    """One replica's opinions at time t, rebuilt by the exact flow from its
+    founders' offsets from their mean, its j arrivals x_new (j, d) at times
+    t_arrival and its m1 before and after each, m1_at (j + 1, d)."""
+    before, after = m1_at[:-1], m1_at[1:]
+    decay = np.exp(-c * (t - t_arrival))[:, None]
+    # tail[l] = sum of decay * (m1 jump) over arrivals l.., and 0 past the last
+    tail = np.zeros_like(m1_at)
+    tail[:-1] = np.cumsum(((after - before) * decay)[::-1], axis=0)[::-1]
+    return m1_at[-1] + np.vstack([math.exp(-c * t) * offsets - tail[0],
+                                  (x_new - before) * decay - tail[:-1]])
+
+
+def _audit(config: SimConfig, t: float, r: int, x: np.ndarray, m1: np.ndarray,
+           v: float) -> None:
+    """Checks replica r's m1 and V at time t against ``compute_moments`` (with
+    its own self-checks) on its rebuilt opinions x: an m1 off by more than
+    1e-12 max(1, max |x|), or a V by more than 1e-12 relative with a floor of
+    1e-15 max(1, m2), raises ``_ReplicaError``."""
+    state = SimState(t=float(t), k=0, opinions=x, dim=config.dim)
     try:
         rec = compute_moments(state, config.kernel, config.source.mean_vector)
     except RuntimeError as err:
         raise _ReplicaError(r, str(err)) from err
-    n = z.shape[1]
-    v = float((s2[r] / n - _sq(s1[r] / n)) * (g * g))
+    if not np.abs(rec.m1 - m1).max() <= _AUDIT_RTOL * max(1.0, float(np.abs(x).max())):
+        raise _ReplicaError(r, f"audit at t={state.t!r}: recursion m1={m1!r}, "
+                               f"rebuilt m1={rec.m1!r}")
     if not abs(rec.v - v) <= max(_AUDIT_RTOL * abs(v), _AUDIT_ATOL * max(1.0, rec.m2)):
-        raise _ReplicaError(r, f"audit at t={state.t!r}: affine V={v!r}, "
-                               f"materialised V={rec.v!r}")
-
-
-def _recentre(z: np.ndarray, n: int, a: np.ndarray, g: float, s1: np.ndarray,
-              s2: np.ndarray) -> None:
-    """Moves the pivot of each replica whose first n z's have drifted off centre,
-    |S1/n|^2 > _RECENTRE var z, to its m1: a <- a + g S1/n and z <- z - S1/n in
-    place, leaving every opinion a + g z as it is, and the sums recomputed."""
-    # |S1/n|^2 > K (S2/n - |S1/n|^2), multiplied through by n^2
-    far = _sq(s1) * (1.0 + _RECENTRE) > (_RECENTRE * n) * s2
-    for r in np.flatnonzero(far):
-        shift = s1[r] / n
-        a[r] += g * shift
-        z[r, :n] -= shift
-        _resum(z[:, :n], s1, s2, r)
-
-
-def _renormalise(z: np.ndarray, g: float, s1: np.ndarray, s2: np.ndarray) -> float:
-    """z <- g z in place, leaving every opinion a + g z as it is; returns the new
-    g, 1.0, with each replica's sums recomputed."""
-    z *= g
-    for r in range(z.shape[0]):
-        _resum(z, s1, s2, r)
-    return 1.0
-
-
-def _resum(z: np.ndarray, s1: np.ndarray, s2: np.ndarray, r: int) -> None:
-    """Replica r's S1 and S2 from its z's, by the same reductions whatever the block."""
-    s1[r] = z[r].sum(axis=0)
-    s2[r] = (z[r] * z[r]).sum()
+        raise _ReplicaError(r, f"audit at t={state.t!r}: recursion V={float(v)!r}, "
+                               f"rebuilt V={rec.v!r}")

@@ -300,7 +300,10 @@ class TestBlockInvariance:
 
 
 class TestReplicaFailures:
-    def test_audit_mismatch_names_the_replica(self, monkeypatch):
+    @pytest.mark.parametrize("perturb", [
+        lambda rec: dataclasses.replace(rec, v=rec.v * (1.0 + 1e-9)),
+        lambda rec: dataclasses.replace(rec, m1=rec.m1 + 1e-9)], ids=["v", "m1"])
+    def test_audit_mismatch_names_the_replica(self, monkeypatch, perturb):
         # one block holds the 5 runs and its audits take them in turn, so the
         # third audit is on run 2
         audits = []
@@ -309,7 +312,7 @@ class TestReplicaFailures:
         def perturbed(state, kernel, m):
             rec = compute_moments(state, kernel, m)
             audits.append(state.t)
-            return dataclasses.replace(rec, v=rec.v * (1.0 + 1e-9)) if len(audits) == 3 else rec
+            return perturb(rec) if len(audits) == 3 else rec
 
         monkeypatch.setattr(dynamics, "compute_moments", perturbed)
         config = ensemble_config(record_grid=(0.5, 1.0, 1.5, 2.0))

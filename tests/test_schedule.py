@@ -198,6 +198,7 @@ INTEGER_ARGUMENTS = [
     pytest.param(_ensemble_statistic, (3, 4, 1, 2), id="run_ensemble"),
     pytest.param(lambda n: gp.condition_sum(1.0, gp.asymptotic_injection_times(0.5), n),
                  (50,), id="condition_sum"),
+    pytest.param(lambda n: gp.AsymptoticTimes(1.0).array(n), (3,), id="AsymptoticTimes.array"),
 ]
 
 
@@ -207,5 +208,6 @@ def test_integer_arguments_take_numpy_integers_and_reject_bools(call, ints):
     # equal reprs: same values, and a stored integer is an int, not an np.int64
     assert repr(call(*map(np.int64, ints))) == repr(want)
     for i in range(len(ints)):
-        with pytest.raises(ValueError, match="must be an integer"):
-            call(*ints[:i], True, *ints[i + 1:])
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call(*ints[:i], bad, *ints[i + 1:])
