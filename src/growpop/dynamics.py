@@ -55,10 +55,12 @@ than 1e-12 max(1, max |x|), or a V by more than 1e-12 relative with a floor of
 1e-15 max(1, m2), raises, as does a non-finite moment; either error names the
 replica.
 
-Any other kernel runs on the opinions themselves, replica after replica,
-integrated with classical Runge-Kutta 4 at a fixed step, the last one
-shortened to land exactly on the endpoint. The step is step_max, capped at
-RK4's real-axis stability limit for the kernel's certified psi_max. Its force
+Any other kernel runs on the opinions themselves, replica after replica, in
+one buffer of the final population: each arrival is written into the next
+free row, and the rows present are advanced in place between events by
+classical Runge-Kutta 4 at a fixed step, the last one shortened to land
+exactly on the endpoint. The step is step_max, capped at RK4's real-axis
+stability limit for the kernel's certified psi_max. Its force
 goes through the pair weights W_ij = psi(|x_j - x_i|), built a tile of rows at
 a time: with y = x - x[0], row i of the force is ((W y)_i - (sum_j W_ij) y_i)
 / N, one matrix product per tile, so a force evaluation holds O(N * tile)
@@ -84,7 +86,8 @@ import numpy as np
 
 from .kernels import Kernel, _pair_tiles
 from .observables import MomentSeries, compute_moments
-from .schedules import GrowthSchedule, _integer, final_injection_count, injection_time
+from .schedules import (GrowthSchedule, _integer, final_injection_count, injection_time,
+                        population_at)
 from .sources import OpinionSource, _draw_incoming
 
 __all__ = [
@@ -98,9 +101,6 @@ __all__ = [
     "uniform_record_grid",
     "geometric_record_grid",
 ]
-
-# Intervals below this length are traversed with one step of that exact size.
-_MIN_SPLIT = 1e-14
 
 # Classical RK4 is stable for h * lambda on the real interval [-2.785, 0]
 # (Hairer & Wanner, Solving ODEs II, Sec. IV.2). The force's Jacobian is
@@ -176,61 +176,52 @@ def _rk4_step(x: np.ndarray, kernel: Kernel, h: float) -> float:
     return (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
 
 
-def _integrate(state: SimState, kernel: Kernel, t_end: float,
-               step_max: float) -> tuple[SimState, float]:
-    """State at t_end, and the RK4 steps' integral of D over the span; 0.0 for
-    the constant kernel, whose exact flow takes no steps."""
-    span = t_end - state.t
-    if span < 0.0:
-        raise ContractViolationError(f"t_end={t_end} precedes state.t={state.t}")
-    x = state.opinions.copy()
+def _advance(x: np.ndarray, kernel: Kernel, span: float, step_max: float) -> float:
+    """Advances opinions x (N, d) in place by the flow over span >= 0; returns
+    the RK4 steps' integral of D over it, 0.0 for the constant kernel, whose
+    exact flow takes no steps."""
+    if not span > 0.0:
+        return 0.0
+    if kernel.kind == "constant":
+        # exact flow, pivoted about x[0] as in _force so consensus stays put
+        dev = x - x[0]
+        x += (-math.expm1(-kernel.coef[0] * span)) * (dev.sum(axis=0) / x.shape[0] - dev)
+        return 0.0
+    # a span below h is one step of that span: n_full = 0 and rem = span
+    h = min(step_max, _RK4_REAL_STABILITY / (2.0 * kernel.psi_max))
+    n_full = int(math.floor(span / h))
+    rem = span - n_full * h
+    if rem > h:  # floor slipped by one ulp
+        n_full += 1
+        rem = span - n_full * h
     q = 0.0
-    if span > 0.0:
-        if kernel.kind == "constant":
-            # exact flow, pivoted about x[0] as in _force so consensus stays put
-            dev = x - x[0]
-            x += (-math.expm1(-kernel.coef[0] * span)) * (dev.sum(axis=0) / x.shape[0] - dev)
-        elif span <= _MIN_SPLIT:
-            q += _rk4_step(x, kernel, span)
-        else:
-            h = min(step_max, _RK4_REAL_STABILITY / (2.0 * kernel.psi_max))
-            n_full = int(math.floor(span / h))
-            rem = span - n_full * h
-            if rem > h:  # floor slipped by one ulp
-                n_full += 1
-                rem = span - n_full * h
-            for _ in range(n_full):
-                q += _rk4_step(x, kernel, h)
-            if rem > 0.0:
-                q += _rk4_step(x, kernel, rem)
-    return SimState(t=t_end, k=state.k, opinions=x, dim=state.dim), q
+    for _ in range(n_full):
+        q += _rk4_step(x, kernel, h)
+    if rem > 0.0:
+        q += _rk4_step(x, kernel, rem)
+    return q
 
 
 def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
-                       step_max: float = 1e-2,
-                       schedule: GrowthSchedule | None = None) -> SimState:
-    """Integrate the flow from state.t to t_end with no arrivals inside.
+                       step_max: float = 1e-2) -> SimState:
+    """The state at t_end, reached by the flow from state.t with no arrivals
+    inside; ``state`` is not changed.
 
     A constant kernel takes its exact flow in one update, and step_max does
     not enter. Any other kernel takes RK4 steps of step_max, capped at RK4's
     real-axis stability limit 2.785 / (2 psi_max), with the final one
-    shortened to land exactly on t_end. When a schedule is supplied, an
-    arrival time strictly inside the open interval is a contract violation.
+    shortened to land exactly on t_end. A t_end before state.t is a contract
+    violation.
     """
     if not (step_max > 0.0) or not math.isfinite(step_max):
         raise ValueError(f"step_max must be positive and finite, got {step_max}")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
-    if schedule is not None:
-        limit = final_injection_count(schedule)
-        j_next = state.k + 1
-        if limit is None or j_next <= limit:
-            t_next = injection_time(schedule, j_next)
-            if state.t < t_next < t_end:
-                raise ContractViolationError(
-                    f"arrival {j_next} at t={t_next} lies inside ({state.t}, {t_end})"
-                )
-    return _integrate(state, kernel, t_end, step_max)[0]
+    if t_end < state.t:
+        raise ContractViolationError(f"t_end={t_end} precedes state.t={state.t}")
+    x = np.array(state.opinions, dtype=float, order="C")
+    _advance(x, kernel, t_end - state.t, step_max)
+    return SimState(t=t_end, k=state.k, opinions=x, dim=state.dim)
 
 
 def inject_agent(state: SimState, x_new, t_k: float) -> SimState:
@@ -238,20 +229,17 @@ def inject_agent(state: SimState, x_new, t_k: float) -> SimState:
     x_new = np.asarray(x_new, dtype=float).reshape(-1)
     if x_new.shape != (state.dim,):
         raise ContractViolationError(
-            f"arrival has dimension {x_new.shape[0]}, state has {state.dim}"
-        )
+            f"arrival has dimension {x_new.shape[0]}, state has {state.dim}")
     if abs(state.t - t_k) > _TIME_TOL:
-        raise ContractViolationError(
-            f"state is at t={state.t}, arrival scheduled at t={t_k}"
-        )
+        raise ContractViolationError(f"state is at t={state.t}, arrival scheduled at t={t_k}")
     opinions = np.vstack([state.opinions, x_new[None, :]])
     return SimState(t=state.t, k=state.k + 1, opinions=opinions, dim=state.dim)
 
 
 def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
     """Record times dt, 2*dt, ... below t_end, then t_end itself."""
-    if not (dt > 0.0) or not (t_end > 0.0):
-        raise ValueError(f"dt must be > 0 with t_end > 0, got dt = {dt}, t_end = {t_end}")
+    if not (dt > 0.0) or not (0.0 < t_end < math.inf):
+        raise ValueError(f"need dt > 0 and 0 < t_end < inf, got dt = {dt}, t_end = {t_end}")
     # i*dt rounds, so a multiple of dt meant to land on t_end can overshoot it
     pts = [i * dt for i in range(1, int(math.floor(t_end / dt)) + 1) if i * dt < t_end]
     return (*pts, t_end)
@@ -259,19 +247,23 @@ def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
 
 def geometric_record_grid(t_first: float, t_end: float, points: int) -> tuple[float, ...]:
     """Geometrically spaced record times from t_first to t_end inclusive."""
-    if not (0.0 < t_first <= t_end):
-        raise ValueError(f"t_first must lie in (0, t_end = {t_end}], got {t_first}")
+    if not (0.0 < t_first <= t_end < math.inf):
+        raise ValueError(f"need 0 < t_first <= t_end < inf, got {t_first}, t_end = {t_end}")
     points = _integer(points, "points", 2)
     return tuple(float(g) for g in np.geomspace(t_first, t_end, points))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Everything one run needs besides the seed.
+    """Everything one run needs besides the seed; frozen, and checked once,
+    when it is built.
 
     Exactly one of horizon / max_agents may be omitted; when both are present
     the run stops at whichever comes first. max_agents counts the total
     population, so max_agents = n0 + k stops right after the k-th arrival.
+    ``dim`` and ``max_agents`` are stored as ints, and ``initial_opinions`` as
+    a read-only float copy (n0, dim): editing the array passed in later does
+    not edit the config.
 
     step_max is an upper bound on the RK4 step of a non-constant kernel: the
     step taken is min(step_max, 2.785 / (2 psi_max)), RK4's real-axis
@@ -291,35 +283,26 @@ class SimConfig:
     record_grid: tuple[float, ...] = ()
 
     def __post_init__(self):
-        self.initial_opinions = np.atleast_2d(
-            np.asarray(self.initial_opinions, dtype=float)
-        )
-        validate_sim_config(self)
-
-
-def validate_sim_config(config: SimConfig) -> None:
-    """Checks every field of ``config``, storing ``dim`` and ``max_agents`` as ints."""
-    config.dim = _integer(config.dim, "dim", 1)
-    n0 = config.schedule.n0
-    if config.initial_opinions.shape != (n0, config.dim):
-        raise ValueError(
-            f"initial_opinions shape {config.initial_opinions.shape} does not match "
-            f"(n0, dim) = ({n0}, {config.dim})"
-        )
-    if not np.all(np.isfinite(config.initial_opinions)):
-        raise ValueError("initial_opinions must be finite")
-    if config.source.dim != config.dim:
-        raise ValueError(
-            f"source.mean has dimension {config.source.dim}, config dim is {config.dim}"
-        )
-    if not (config.step_max > 0.0) or not math.isfinite(config.step_max):
-        raise ValueError(f"step_max must be positive and finite, got {config.step_max}")
-    _end_time(config.schedule, config.horizon, config.max_agents)
-    if config.max_agents is not None:
-        config.max_agents = int(config.max_agents)
-    for g in config.record_grid:
-        if not math.isfinite(g) or g < 0.0:
-            raise ValueError(f"record_grid times must be finite and >= 0, got {g}")
+        dim, n0 = _integer(self.dim, "dim", 1), self.schedule.n0
+        x0 = np.array(self.initial_opinions, dtype=float, ndmin=2)
+        x0.flags.writeable = False
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "initial_opinions", x0)
+        if x0.shape != (n0, dim):
+            raise ValueError(f"initial_opinions shape {x0.shape} does not match "
+                             f"(n0, dim) = ({n0}, {dim})")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("initial_opinions must be finite")
+        if self.source.dim != dim:
+            raise ValueError(f"source.mean has dimension {self.source.dim}, config dim is {dim}")
+        if not (self.step_max > 0.0) or not math.isfinite(self.step_max):
+            raise ValueError(f"step_max must be positive and finite, got {self.step_max}")
+        _end_time(self.schedule, self.horizon, self.max_agents)
+        if self.max_agents is not None:
+            object.__setattr__(self, "max_agents", int(self.max_agents))
+        for g in self.record_grid:
+            if not math.isfinite(g) or g < 0.0:
+                raise ValueError(f"record_grid times must be finite and >= 0, got {g}")
 
 
 def _end_time(schedule: GrowthSchedule, horizon: float | None,
@@ -338,28 +321,25 @@ def _end_time(schedule: GrowthSchedule, horizon: float | None,
         k_needed = max_agents - schedule.n0
         limit = final_injection_count(schedule)
         if limit is not None and k_needed > limit:
-            raise ValueError(
-                f"max_agents = {max_agents} needs {k_needed} arrivals "
-                f"but the schedule defines only {limit}"
-            )
+            raise ValueError(f"max_agents = {max_agents} needs {k_needed} arrivals "
+                             f"but the schedule defines only {limit}")
         ends.append(injection_time(schedule, k_needed) if k_needed > 0 else 0.0)
     return min(ends)
 
 
-def _arrival_times(config: SimConfig, t_end: float) -> list[float]:
-    limit = final_injection_count(config.schedule)
+def _arrival_times(config: SimConfig, t_end: float) -> np.ndarray:
+    """t_1..t_K, every arrival at or before t_end that max_agents allows. K is
+    counted first, so a K beyond memory raises at once, naming K and t_end."""
+    n0 = config.schedule.n0
+    count = population_at(config.schedule, t_end) - n0
     if config.max_agents is not None:
-        cap = config.max_agents - config.schedule.n0
-        limit = cap if limit is None else min(limit, cap)
-    out = []
-    j = 1
-    while limit is None or j <= limit:
-        t_j = injection_time(config.schedule, j)
-        if t_j > t_end:
-            break
-        out.append(t_j)
-        j += 1
-    return out
+        count = min(count, config.max_agents - n0)
+    try:
+        return np.fromiter((injection_time(config.schedule, j) for j in range(1, count + 1)),
+                           dtype=float, count=count)
+    except (MemoryError, OverflowError, ValueError) as err:
+        raise ValueError(f"{count} arrivals up to t_end = {t_end} do not fit in memory: "
+                         f"{err}") from err
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,7 +355,7 @@ class _Timeline:
 
 def _timeline(config: SimConfig) -> _Timeline:
     t_end = _end_time(config.schedule, config.horizon, config.max_agents)
-    arrivals = _arrival_times(config, t_end)
+    arrivals = _arrival_times(config, t_end).tolist()
 
     # Grid times coinciding with an arrival are dropped: the pre/post pair
     # already records that instant (post = right-continuous value).
@@ -437,7 +417,6 @@ def _run_block(config: SimConfig, seeds) -> tuple[_Timeline, dict[str, np.ndarra
     depend on the others or on their number. A failure that belongs to one
     replica raises ``_ReplicaError`` with its place in ``seeds``.
     """
-    validate_sim_config(config)
     tl = _timeline(config)
     arrivals = tl.event.count("post_jump")
     x_new = np.stack([_draw_incoming(config.source, np.random.default_rng(s), arrivals)
@@ -449,34 +428,36 @@ def _run_block(config: SimConfig, seeds) -> tuple[_Timeline, dict[str, np.ndarra
 
 
 def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict:
-    """Each replica on the opinions themselves, one after the other: RK4 between
-    events, an appended row at each arrival, every row from ``compute_moments``."""
+    """Each replica on the opinions themselves, one after the other, in one
+    buffer of the final population: RK4 in place on the rows present between
+    events, arrival j written into the next free row, every row's moments from
+    ``compute_moments``."""
     kernel, m = config.kernel, config.source.mean_vector
     replicas, rows = x_new.shape[0], tl.t.size
     cols = {"m1": np.empty((replicas, rows, config.dim))}
     cols.update((name, np.empty((replicas, rows)))
                 for name in ("m2", "v", "w", "dissipation", "d_integral"))
 
-    def write_row(i: int, state: SimState, q: float) -> None:
-        rec = compute_moments(state, kernel, m)
-        cols["m1"][r, i], cols["m2"][r, i], cols["v"][r, i] = rec.m1, rec.m2, rec.v
-        cols["w"][r, i], cols["dissipation"][r, i], cols["d_integral"][r, i] = (
-            rec.w, rec.dissipation, q)
-
     times = tl.t.tolist()
+    n0 = config.schedule.n0
+    x = np.empty((int(tl.n[-1]), config.dim))
     for r in range(replicas):
         try:
-            state = SimState(t=0.0, k=0, opinions=config.initial_opinions.copy(),
-                             dim=config.dim)
+            x[:n0] = config.initial_opinions
+            state = SimState(t=0.0, k=0, opinions=x[:n0], dim=config.dim)
             q = 0.0
-            write_row(0, state, q)
-            for i in range(1, rows):
+            for i in range(rows):
                 if tl.event[i] == "post_jump":
-                    state = inject_agent(state, x_new[r, tl.k[i] - 1], times[i])
+                    x[n0 + state.k] = x_new[r, state.k]
+                    state.k += 1
+                    state.opinions = x[:n0 + state.k]
                 else:
-                    state, dq = _integrate(state, kernel, times[i], config.step_max)
-                    q += dq
-                write_row(i, state, q)
+                    q += _advance(state.opinions, kernel, times[i] - state.t, config.step_max)
+                    state.t = times[i]
+                rec = compute_moments(state, kernel, m)
+                cols["m1"][r, i], cols["m2"][r, i], cols["v"][r, i] = rec.m1, rec.m2, rec.v
+                cols["w"][r, i], cols["dissipation"][r, i], cols["d_integral"][r, i] = (
+                    rec.w, rec.dissipation, q)
         except RuntimeError as err:
             raise _ReplicaError(r, str(err)) from err
     return cols

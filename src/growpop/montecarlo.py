@@ -98,23 +98,23 @@ def _run_task(task):
                            f"failed: {err}") from err
     except Exception as err:
         raise RuntimeError(f"ensemble {_runs(start, seeds)} failed: {err}") from err
-    return tl.t, tl.event, tl.k, cols["w"], cols["v"], cols["m1"]
+    return tl, cols["w"], cols["v"], cols["m1"]
 
 
 def _stack(results, runs: int):
-    """The timeline t, event, k every block must share, then w and v as (runs,
-    rows) arrays and m1 as (runs, rows, d), filled in run-index order."""
+    """The blocks' timeline, then w and v as (runs, rows) arrays and m1 as (runs,
+    rows, d), C-ordered and filled in run-index order. Every block runs the same
+    config, and the timeline is a function of the config alone."""
     start = 0
-    for t_b, event_b, k_b, *cols in results:
+    for tl, *cols in results:
         if start == 0:
-            t, event, k = t_b, event_b, k_b
+            # C order whatever the blocks' layout: the reductions over runs
+            # then sum in one order for any block size
             w, v, m1 = (np.empty((runs,) + col.shape[1:]) for col in cols)
-        elif event_b != event or not np.array_equal(t_b, t) or not np.array_equal(k_b, k):
-            raise RuntimeError(f"run {start} produced a different record timeline than run 0")
         stop = start + cols[0].shape[0]
         w[start:stop], v[start:stop], m1[start:stop] = cols
         start = stop
-    return t, event, k, w, v, m1
+    return tl, w, v, m1
 
 
 def _pooled(tasks, workers: int):
@@ -154,7 +154,7 @@ def run_ensemble(config: SimConfig, runs: int, master_seed: int,
     size = runs if config.kernel.kind == "constant" else math.ceil(runs / workers)
     tasks = [(config, i, seeds[i:i + size]) for i in range(0, runs, size)]
     results = map(_run_task, tasks) if len(tasks) == 1 else _pooled(tasks, workers)
-    t, event, k, w, v, m1 = _stack(results, runs)
+    tl, w, v, m1 = _stack(results, runs)
 
     diff = m1 - config.source.mean_vector
     # |m1 - m|^2 row by row as a (1, d) @ (d, 1) product: the rounding of diff @ diff
@@ -162,9 +162,7 @@ def run_ensemble(config: SimConfig, runs: int, master_seed: int,
     scale = 1.0 / math.sqrt(runs)
 
     return EnsembleStats(
-        grid=t,
-        event=event,
-        k=k,
+        grid=tl.t, event=tl.event, k=tl.k,
         mean_w=w.mean(axis=0),
         stderr_w=w.std(axis=0, ddof=1) * scale,
         mean_v=v.mean(axis=0),

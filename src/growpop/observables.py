@@ -150,19 +150,16 @@ def compute_moments(state, kernel: Kernel, m) -> MomentRecord:
     # written as not (<=) so that a nan residual fails the check
     if not abs(v - (m2 - float(m1 @ m1))) <= _SELF_CHECK_TOL * scale:
         raise RuntimeError(
-            f"moment self-check failed: V={v!r} vs m2-|m1|^2={m2 - float(m1 @ m1)!r}"
-        )
+            f"moment self-check failed: V={v!r} vs m2-|m1|^2={m2 - float(m1 @ m1)!r}")
     if not abs(w - (v + float((m1 - m) @ (m1 - m)))) <= _SELF_CHECK_TOL * scale:
-        raise RuntimeError(
-            f"moment self-check failed: W={w!r} vs V+|m1-m|^2="
-            f"{v + float((m1 - m) @ (m1 - m))!r}"
-        )
+        raise RuntimeError(f"moment self-check failed: W={w!r} vs V+|m1-m|^2="
+                           f"{v + float((m1 - m) @ (m1 - m))!r}")
 
-    d = dissipation_of(x, kernel, v=v)
+    d = dissipation_of(x, kernel)
     return MomentRecord(t=float(state.t), n=n, m1=m1, m2=m2, v=v, w=w, dissipation=d)
 
 
-def dissipation_of(x: np.ndarray, kernel: Kernel, v: float | None = None) -> float:
+def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
     """D = -(1/N^2) sum_ij psi(|x_j - x_i|) |x_j - x_i|^2.
 
     For a constant kernel this collapses to -2cV (sum_ij |x_i - x_j|^2 equals
@@ -174,12 +171,10 @@ def dissipation_of(x: np.ndarray, kernel: Kernel, v: float | None = None) -> flo
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if kernel.kind == "constant":
-        if v is None:
-            dev = x - x[0]
-            m1 = x[0] + dev.sum(axis=0) / n
-            cen = x - m1
-            v = float(np.einsum("ij,ij->", cen, cen)) / n
-        return -2.0 * kernel.coef[0] * v
+        # V as compute_moments sums it, pivoted about x[0]
+        m1 = x[0] + (x - x[0]).sum(axis=0) / n
+        cen = x - m1
+        return -2.0 * kernel.coef[0] * (float(np.einsum("ij,ij->", cen, cen)) / n)
     total = 0.0
     for _, w, d2 in _pair_tiles(x - x[0], kernel):
         total += float(np.einsum("ij,ij->", w, d2))

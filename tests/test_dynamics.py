@@ -5,6 +5,7 @@ obviously right — against which both vectorized paths (generic pairwise and
 the constant-kernel shortcut) are checked on random states.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -26,6 +27,7 @@ from growpop import (
     inject_agent,
     injection_time,
     integrate_interval,
+    population_at,
     rational_kernel,
     rhs,
     run_simulation,
@@ -230,15 +232,6 @@ class TestIntegrator:
         with pytest.raises(ContractViolationError):
             integrate_interval(state, constant_kernel(1.0), 0.5)
 
-    def test_interior_arrival_rejected(self):
-        schedule = ExplicitSchedule(n0=3, times=(0.5,))
-        state = state_of(RNG.normal(size=(3, 1)))
-        with pytest.raises(ContractViolationError, match="arrival"):
-            integrate_interval(state, constant_kernel(1.0), 1.0, schedule=schedule)
-        # integrating exactly up to the arrival is allowed
-        out = integrate_interval(state, constant_kernel(1.0), 0.5, schedule=schedule)
-        assert out.t == 0.5
-
 
 class TestInjection:
     def test_appends_row_and_bumps_count(self):
@@ -389,18 +382,36 @@ class TestRunSimulation:
         assert_m2_reconstructed(constant_kernel(1.3), rtol=1e-12)
 
     def test_integrates_up_to_the_last_row_only(self, monkeypatch):
-        # one interval per row after the first, none past the last row to the horizon
-        calls = []
-        integrate = dynamics._integrate
-        monkeypatch.setattr(dynamics, "_integrate",
-                            lambda *args: calls.append(args[2]) or integrate(*args))
+        # one span per row, the first of length 0, and none past the last row
+        # to the horizon
+        spans = []
+        advance = dynamics._advance
+        monkeypatch.setattr(dynamics, "_advance",
+                            lambda *args: spans.append(args[2]) or advance(*args))
         config = small_config(kernel=rational_kernel(0.5, 0.5),
                               schedule=ExplicitSchedule(n0=3, times=(50.0,)),
                               max_agents=None, horizon=10.0,
                               record_grid=(0.25, 0.5, 0.6, 0.75))
         series = run_simulation(config, seed=13)
-        assert len(calls) == len(series.rows) - 1 == 4
-        assert calls[-1] == 0.75
+        assert len(spans) == len(series.rows) == 5
+        assert spans[0] == 0.0 and sum(spans) == 0.75
+
+    def test_horizon_only_arrivals_are_the_pinned_times(self):
+        schedule = PowerExponentialSchedule(alpha=1.5, n0=3)
+        config = small_config(schedule=schedule, max_agents=None, horizon=2.5)
+        series = run_simulation(config, seed=14)
+        arrivals = population_at(schedule, 2.5) - 3
+        assert arrivals > 40
+        post = series.t[np.array(series.event) == "post_jump"]
+        assert post.tolist() == [injection_time(schedule, j) for j in range(1, arrivals + 1)]
+        assert injection_time(schedule, arrivals + 1) > 2.5
+
+    def test_arrivals_beyond_memory_rejected_at_once(self):
+        # alpha 1, horizon 44: about 1.3e19 arrivals, more than any address space
+        config = small_config(schedule=PowerExponentialSchedule(alpha=1.0, n0=3),
+                              max_agents=None, horizon=44.0)
+        with pytest.raises(ValueError, match=r"\d{20} arrivals up to t_end = 44\.0"):
+            run_simulation(config, seed=0)
 
     def test_constant_kernel_run_ignores_step_max(self):
         # c h = 3 is past RK4's stability limit; the exact flow does not care
@@ -436,9 +447,10 @@ def assert_m2_reconstructed(kernel, rtol):
 
 
 def particle_reference(config, series):
-    """V and m1 at every row of ``series``, replayed on the opinions themselves
-    through the public integrate_interval, inject_agent and compute_moments,
-    with the arrivals drawn one at a time by sample_incoming."""
+    """The columns m1, m2, v, w and dissipation at every row of ``series``,
+    replayed on the opinions themselves through the public integrate_interval,
+    inject_agent and compute_moments, with the arrivals drawn one at a time by
+    sample_incoming."""
     rng = np.random.default_rng(series.seed)
     state = state_of(config.initial_opinions)
     recs = [compute_moments(state, config.kernel, config.source.mean_vector)]
@@ -451,7 +463,8 @@ def particle_reference(config, series):
         else:
             state = integrate_interval(state, config.kernel, t, step_max=config.step_max)
         recs.append(compute_moments(state, config.kernel, config.source.mean_vector))
-    return np.array([r.v for r in recs]), np.array([r.m1 for r in recs])
+    return {name: np.array([getattr(r, name) for r in recs])
+            for name in ("m1", "m2", "v", "w", "dissipation")}
 
 
 def regime_config(alpha):
@@ -500,7 +513,8 @@ class TestAffineEngine:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_particle_reference(self, config, seed):
         series = run_simulation(config, seed)
-        v, m1 = particle_reference(config, series)
+        ref = particle_reference(config, series)
+        v, m1 = ref["v"], ref["m1"]
         # rows that are exactly 0 (the regime's founders all sit at 0) stay so
         assert np.array_equal(series.v == 0.0, v == 0.0)
         np.testing.assert_allclose(series.v, v, rtol=self.V_RTOL, atol=0.0)
@@ -510,7 +524,7 @@ class TestAffineEngine:
     def test_far_founders_hold_accuracy(self, dim):
         config = far_founders_config(dim)
         series = run_simulation(config, seed=5)
-        v, _ = particle_reference(config, series)
+        v = particle_reference(config, series)["v"]
         np.testing.assert_allclose(series.v, v, rtol=self.V_RTOL, atol=0.0)
         # The reference's m1 carries about 1e-15 of the founders' 1000 per
         # coordinate from its flow updates, so m1 is held to the exact mean,
@@ -531,7 +545,8 @@ class TestAffineEngine:
             step_max=1e-2, max_agents=27, record_grid=tuple(j + 0.5 for j in range(25)))
         series = run_simulation(config, seed=4)
         assert len(series.injection_pairs) == 24
-        v, m1 = particle_reference(config, series)
+        ref = particle_reference(config, series)
+        v, m1 = ref["v"], ref["m1"]
         assert np.abs(series.m1 - m1).max() <= self.M1_TOL * self.m1_scale(config, series)
         # A decayed V (about 1e-22 and 1e-44 of m2 here) is below what the
         # particle reference resolves: its opinions carry roundoff of about
@@ -544,6 +559,24 @@ class TestAffineEngine:
         exact = series.v[:-1] * np.exp(-2.0 * c * np.diff(series.t))
         np.testing.assert_allclose(series.v[1:][decayed], exact[decayed], rtol=self.V_RTOL,
                                    atol=0.0)
+
+
+class TestParticleEngine:
+    """The particle engine, which advances one buffer in place, against the
+    replay of its run through the public step API."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_run_is_its_public_replay(self, dim):
+        schedule = PowerExponentialSchedule(alpha=1.5, n0=3)
+        config = SimConfig(
+            dim=dim, kernel=rational_kernel(0.5, 0.8), schedule=schedule,
+            source=gaussian_source(np.linspace(0.2, -0.4, dim), 1.0),
+            initial_opinions=np.linspace(-1.0, 1.0, 3 * dim).reshape(3, dim), step_max=0.05,
+            max_agents=40,
+            record_grid=geometric_record_grid(0.1, injection_time(schedule, 37), 12))
+        series = run_simulation(config, seed=8)
+        for name, col in particle_reference(config, series).items():
+            assert getattr(series, name).tobytes() == col.tobytes(), name
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -620,6 +653,10 @@ class TestRecordGrids:
             geometric_record_grid(0.0, 1.0, 5)
         with pytest.raises(ValueError):
             geometric_record_grid(0.1, 1.0, 1)
+        with pytest.raises(ValueError, match="t_end"):
+            uniform_record_grid(math.inf, 0.1)
+        with pytest.raises(ValueError, match="t_end"):
+            geometric_record_grid(0.1, math.inf, 5)
 
 
 class TestConfigValidation:
@@ -642,3 +679,20 @@ class TestConfigValidation:
     def test_bad_step(self):
         with pytest.raises(ValueError, match="step_max"):
             small_config(step_max=0.0)
+
+    def test_frozen(self):
+        config = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.step_max = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.initial_opinions = np.zeros((3, 1))
+
+    def test_owns_a_read_only_copy_of_the_opinions(self):
+        x0 = np.array([[-1.0], [0.5], [1.5]])
+        config = small_config(initial_opinions=x0)
+        assert x0.flags.writeable
+        assert not config.initial_opinions.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            config.initial_opinions[0, 0] = 2.0
+        x0[0, 0] = 7.0
+        assert config.initial_opinions.tolist() == [[-1.0], [0.5], [1.5]]

@@ -264,7 +264,7 @@ def replicas_of(config, runs, master, workers):
         stats = run_ensemble(config, runs=runs, master_seed=master, workers=workers)
     text = io.StringIO()
     _write_ensemble(stats, text)
-    _, _, _, w, v, m1 = stacked[0]
+    _, w, v, m1 = stacked[0]
     return stats, text.getvalue(), w, v, m1
 
 
@@ -291,12 +291,23 @@ class TestBlockInvariance:
         serial = replicas_of(config, runs, master, workers=1)
         pooled = replicas_of(config, runs, master, workers=workers)
         assert serial[1] == pooled[1]  # CSV text, so bytes too
-        for i in range(runs):
-            single = run_simulation(config, derive_run_seed(master, i))
+        singles = [run_simulation(config, derive_run_seed(master, i)) for i in range(runs)]
+        for i, single in enumerate(singles):
             for _, _, w, v, m1 in (serial, pooled):
                 assert w[i].tobytes() == single.w.tobytes()
                 assert v[i].tobytes() == single.v.tobytes()
                 assert m1[i].tobytes() == single.m1.tobytes()
+        # each statistic is that of the single runs' columns stacked in C
+        # order, whatever the layout a block returns them in
+        diff = np.stack([s.m1 for s in singles]) - config.source.mean_vector
+        scale = 1.0 / math.sqrt(runs)
+        for values, name in ((np.stack([s.w for s in singles]), "w"),
+                             (np.stack([s.v for s in singles]), "v"),
+                             ((diff[..., None, :] @ diff[..., :, None])[..., 0, 0], "m1_dev")):
+            for stats in (serial[0], pooled[0]):
+                assert getattr(stats, f"mean_{name}").tobytes() == values.mean(axis=0).tobytes()
+                assert getattr(stats, f"stderr_{name}").tobytes() == (
+                    values.std(axis=0, ddof=1) * scale).tobytes()
 
 
 class TestReplicaFailures:
