@@ -621,7 +621,8 @@ def cmd_dispatch(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 1
     except Exception as err:  # runtime/config errors: contractually exit 2
-        print(f"error: {err}", file=sys.stderr)
+        # an error with no message (a bare MemoryError) is named by its type
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
 
 

@@ -64,11 +64,23 @@ stability limit for the kernel's certified psi_max. Its force
 goes through the pair weights W_ij = psi(|x_j - x_i|), built a tile of rows at
 a time: with y = x - x[0], row i of the force is ((W y)_i - (sum_j W_ij) y_i)
 / N, one matrix product per tile, so a force evaluation holds O(N * tile)
-memory whatever the dimension d. The same tiles give the dissipation D at
-each RK4 stage, and Simpson's rule over the stages gives each step's integral
-of D, which every run records (``d_integral``): the witness of the energy
-balance d(m2)/dt = D between arrivals. The constant kernel's integral is
-closed form, from the V column.
+memory whatever the dimension d. The tiles share three buffers per force
+pass. The same tiles give the dissipation D at each RK4 stage, and Simpson's
+rule over the stages gives each step's integral of D, which every run records
+(``d_integral``): the witness of the energy balance d(m2)/dt = D between
+arrivals. The constant kernel's integral is closed form, from the V column.
+
+A row's own D needs no pass of its own either. The first stage, k1, of the
+next span's first step starts at the row's opinions, so a record row, or the
+one at t = 0, takes D from it. A pre/post pair takes both values from that
+pass at the post-jump opinions: D_post is its total, and D_pre sums the old
+population's block of each tile directly. D_pre is not recovered from D_post
+by subtracting the newcomer's row and column, which would cancel as the
+population tightens. Every D is summed by one ``np.vdot`` per tile, as
+``dissipation_of`` sums it, so each row's D equals ``dissipation_of`` of the
+row's opinions bit for bit. Only a row that no span starts from, the last
+one or one followed by a span of 0, gets a ``dissipation_of`` pass of its
+own.
 
 ``integrate_interval`` takes one span on given opinions: the exact flow, in
 one O(N) update, for the constant kernel, and the RK4 steps otherwise. Its
@@ -85,7 +97,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import Kernel, _pair_tiles
-from .observables import MomentSeries, compute_moments
+from .observables import MomentSeries, _moments, compute_moments, dissipation_of
 from .schedules import (GrowthSchedule, _integer, final_injection_count, injection_time,
                         population_at)
 from .sources import OpinionSource, _draw_incoming
@@ -146,47 +158,63 @@ def rhs(state: SimState, kernel: Kernel) -> np.ndarray:
     return _force(x, kernel)[0]
 
 
-def _force(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, float]:
-    """Velocities (N, d) at x, and the dissipation D there."""
+def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
+           ) -> tuple[np.ndarray, float, float | None]:
+    """Velocities (N, d) at x, and the dissipation D there. With ``old``, the
+    pair tiles also give the D of the first ``old`` agents alone, summed over
+    their own block of each tile (else None); that D equals ``dissipation_of``
+    of x[:old] bit for bit, as D does of x."""
     n = x.shape[0]
     if kernel.kind == "constant":
         # c * (m1 - x_i), pivoted about x[0] so exact consensus is a fixed point
         dev = x - x[0]
         towards_mean = dev.sum(axis=0) / n - dev
         c = kernel.coef[0]
-        return c * towards_mean, -2.0 * c * float(np.vdot(towards_mean, towards_mean)) / n
+        return c * towards_mean, -2.0 * c * float(np.vdot(towards_mean, towards_mean)) / n, None
     # sum_j w_ij (y_j - y_i) = (W y)_i - (sum_j w_ij) y_i
     y = x - x[0]
     out = np.empty_like(y)
-    total = 0.0
+    total = pre = 0.0
     for rows, w, d2 in _pair_tiles(y, kernel):
         out[rows] = w @ y - w.sum(axis=1)[:, None] * y[rows]
         total += float(np.vdot(w, d2))
-    return out / n, -total / (n * n)
+        if old is not None and rows.start < old:
+            nr = min(rows.stop, old) - rows.start
+            pre += float(np.vdot(w[:nr, :old], d2[:nr, :old]))
+    return out / n, -total / (n * n), None if old is None else -pre / (old * old)
 
 
-def _rk4_step(x: np.ndarray, kernel: Kernel, h: float) -> float:
-    """Advance opinions in place by one RK4 step; returns the step's integral of
-    D, its four stage values weighted by Simpson's rule."""
-    k1, d1 = _force(x, kernel)
-    k2, d2 = _force(x + (0.5 * h) * k1, kernel)
-    k3, d3 = _force(x + (0.5 * h) * k2, kernel)
-    k4, d4 = _force(x + h * k3, kernel)
+def _rk4_step(x: np.ndarray, kernel: Kernel, h: float, old: int | None = None
+              ) -> tuple[float, float, float | None]:
+    """Advance opinions in place by one RK4 step. Returns the step's integral
+    of D, its four stage values weighted by Simpson's rule, then the D of the
+    first stage, k1, at the starting opinions, with that of their first
+    ``old`` agents (see ``_force``)."""
+    k1, d1, d1_old = _force(x, kernel, old)
+    k2, d2, _ = _force(x + (0.5 * h) * k1, kernel)
+    k3, d3, _ = _force(x + (0.5 * h) * k2, kernel)
+    k4, d4, _ = _force(x + h * k3, kernel)
     x += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
+    return (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4), d1, d1_old
 
 
-def _advance(x: np.ndarray, kernel: Kernel, span: float, step_max: float) -> float:
-    """Advances opinions x (N, d) in place by the flow over span >= 0; returns
-    the RK4 steps' integral of D over it, 0.0 for the constant kernel, whose
-    exact flow takes no steps."""
+def _advance(x: np.ndarray, kernel: Kernel, span: float, step_max: float,
+             old: int | None = None) -> tuple[float, float | None, float | None]:
+    """Advances opinions x (N, d) in place by the flow over span >= 0.
+
+    Returns the RK4 steps' integral of D over the span, then the D of the
+    starting opinions and that of their first ``old`` agents, both from the
+    first step's k1 stage (see ``_force``). Both are None when no step is
+    taken: for a span of 0, and for the constant kernel, whose exact flow
+    takes no steps and whose integral is returned as 0.0.
+    """
     if not span > 0.0:
-        return 0.0
+        return 0.0, None, None
     if kernel.kind == "constant":
         # exact flow, pivoted about x[0] as in _force so consensus stays put
         dev = x - x[0]
         x += (-math.expm1(-kernel.coef[0] * span)) * (dev.sum(axis=0) / x.shape[0] - dev)
-        return 0.0
+        return 0.0, None, None
     # a span below h is one step of that span: n_full = 0 and rem = span
     h = min(step_max, _RK4_REAL_STABILITY / (2.0 * kernel.psi_max))
     n_full = int(math.floor(span / h))
@@ -194,12 +222,11 @@ def _advance(x: np.ndarray, kernel: Kernel, span: float, step_max: float) -> flo
     if rem > h:  # floor slipped by one ulp
         n_full += 1
         rem = span - n_full * h
-    q = 0.0
-    for _ in range(n_full):
-        q += _rk4_step(x, kernel, h)
-    if rem > 0.0:
-        q += _rk4_step(x, kernel, rem)
-    return q
+    steps = [h] * n_full + ([rem] if rem > 0.0 else [])
+    q, d_start, d_start_old = _rk4_step(x, kernel, steps[0], old)
+    for step in steps[1:]:
+        q += _rk4_step(x, kernel, step)[0]
+    return q, d_start, d_start_old
 
 
 def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
@@ -354,13 +381,22 @@ class _Timeline:
 
 
 def _timeline(config: SimConfig) -> _Timeline:
+    """The rows of every run of ``config``. K arrivals whose rows do not fit in
+    memory raise a ValueError naming K and t_end, as ``_arrival_times`` does."""
     t_end = _end_time(config.schedule, config.horizon, config.max_agents)
-    arrivals = _arrival_times(config, t_end).tolist()
+    arrivals = _arrival_times(config, t_end)
+    try:
+        return _timeline_rows(arrivals.tolist(), config.record_grid, t_end, config.schedule.n0)
+    except MemoryError as err:
+        raise ValueError(f"the rows of {arrivals.size} arrivals up to t_end = {t_end} do not "
+                         "fit in memory") from err
 
+
+def _timeline_rows(arrivals: list[float], record_grid, t_end: float, n0: int) -> _Timeline:
     # Grid times coinciding with an arrival are dropped: the pre/post pair
     # already records that instant (post = right-continuous value).
     grid = []
-    for g in sorted(set(float(g) for g in config.record_grid)):
+    for g in sorted(set(float(g) for g in record_grid)):
         if not 0.0 < g <= t_end:
             continue
         # arrivals are increasing, so the nearest one on each side decides
@@ -385,7 +421,7 @@ def _timeline(config: SimConfig) -> _Timeline:
     k = np.array(k, dtype=np.int64)
     # a pre_jump row holds the index of the arrival about to join
     applied = k - np.array([ev == "pre_jump" for ev in event])
-    return _Timeline(tuple(event), np.array(t), k, config.schedule.n0 + applied)
+    return _Timeline(tuple(event), np.array(t), k, n0 + applied)
 
 
 class _ReplicaError(RuntimeError):
@@ -430,34 +466,49 @@ def _run_block(config: SimConfig, seeds) -> tuple[_Timeline, dict[str, np.ndarra
 def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict:
     """Each replica on the opinions themselves, one after the other, in one
     buffer of the final population: RK4 in place on the rows present between
-    events, arrival j written into the next free row, every row's moments from
-    ``compute_moments``."""
+    events, arrival j written into the next free row.
+
+    A row's m1, m2, V and W come from its opinions, with the self-checks of
+    ``compute_moments``. Its D comes from the first stage, k1, of the next
+    span's first RK4 step, which starts at the row's opinions: a pre/post pair
+    takes both of its values from that pass at the post-jump opinions, the
+    pre-jump D summed over the old agents' own block of each tile. A row that
+    no span starts from, the last one or one followed by a span of 0, gets D
+    from its own ``dissipation_of`` pass. Either way D equals
+    ``dissipation_of`` of the row's opinions bit for bit.
+    """
     kernel, m = config.kernel, config.source.mean_vector
     replicas, rows = x_new.shape[0], tl.t.size
     cols = {"m1": np.empty((replicas, rows, config.dim))}
     cols.update((name, np.empty((replicas, rows)))
                 for name in ("m2", "v", "w", "dissipation", "d_integral"))
 
-    times = tl.t.tolist()
-    n0 = config.schedule.n0
-    x = np.empty((int(tl.n[-1]), config.dim))
+    times, agents, k = tl.t.tolist(), tl.n.tolist(), tl.k.tolist()
+    x = np.empty((agents[-1], config.dim))
     for r in range(replicas):
+        dis = cols["dissipation"][r]
         try:
-            x[:n0] = config.initial_opinions
-            state = SimState(t=0.0, k=0, opinions=x[:n0], dim=config.dim)
-            q = 0.0
+            x[:agents[0]] = config.initial_opinions
+            t, q, pending = 0.0, 0.0, []  # pending: rows whose D is not yet known
             for i in range(rows):
+                n = agents[i]
                 if tl.event[i] == "post_jump":
-                    x[n0 + state.k] = x_new[r, state.k]
-                    state.k += 1
-                    state.opinions = x[:n0 + state.k]
+                    x[n - 1] = x_new[r, k[i] - 1]
                 else:
-                    q += _advance(state.opinions, kernel, times[i] - state.t, config.step_max)
-                    state.t = times[i]
-                rec = compute_moments(state, kernel, m)
-                cols["m1"][r, i], cols["m2"][r, i], cols["v"][r, i] = rec.m1, rec.m2, rec.v
-                cols["w"][r, i], cols["dissipation"][r, i], cols["d_integral"][r, i] = (
-                    rec.w, rec.dissipation, q)
+                    old = agents[pending[0]] if pending and agents[pending[0]] < n else None
+                    dq, d_all, d_old = _advance(x[:n], kernel, times[i] - t, config.step_max,
+                                                old)
+                    q, t = q + dq, times[i]
+                    for p in pending:
+                        dis[p] = (dissipation_of(x[:agents[p]], kernel) if d_all is None
+                                  else d_all if agents[p] == n else d_old)
+                    pending = []
+                cols["m1"][r, i], cols["m2"][r, i], cols["v"][r, i], cols["w"][r, i] = (
+                    _moments(x[:n], m))
+                cols["d_integral"][r, i] = q
+                pending.append(i)
+            for p in pending:
+                dis[p] = dissipation_of(x[:agents[p]], kernel)
         except RuntimeError as err:
             raise _ReplicaError(r, str(err)) from err
     return cols

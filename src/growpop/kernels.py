@@ -66,19 +66,29 @@ class Kernel:
             return float(out)
         return out
 
-    def eval_squared(self, r2):
+    def eval_squared(self, r2, out=None):
         """psi evaluated at distance sqrt(r2); skips the square root.
 
         Both built-in families depend on the distance only through its
         square, so pairwise force loops can feed squared distances directly.
+        With ``out``, an array of r2's shape, the weights are written into it
+        and it is returned; the rational family's operations run in the same
+        order, a + b / (1 + r2), so either way gives the same bits.
         """
         if self.kind == "constant":
             c = self.coef[0]
+            if out is not None:
+                out.fill(c)
+                return out
             if np.isscalar(r2):
                 return c
             return np.full_like(np.asarray(r2, dtype=float), c)
         a, b = self.coef
-        return a + b / (1.0 + r2)
+        if out is None:
+            return a + b / (1.0 + r2)
+        np.add(1.0, r2, out=out)
+        np.divide(b, out, out=out)
+        return np.add(a, out, out=out)
 
 
 def _pair_tiles(y: np.ndarray, kernel: Kernel):
@@ -89,21 +99,25 @@ def _pair_tiles(y: np.ndarray, kernel: Kernel):
     ``w = kernel.eval_squared(d2)``, both (rows, N). Each squared distance is
     summed one coordinate at a time in the same order, and fl(a - b)^2 equals
     fl(b - a)^2, so the weight matrix the tiles make up is symmetric bit for
-    bit. Memory is O(rows * N) per call, whatever d.
+    bit. The tiles share three buffers allocated once per call, so a yielded
+    ``w`` or ``d2`` is valid only until the next tile is asked for: copy it to
+    keep it. Memory is O(rows * N) per call, whatever d.
     """
     n = y.shape[0]
     coords = y.T.copy()  # one contiguous row per coordinate
+    rows_max = min(_TILE_ROWS, n)
+    d2_buf, diff_buf, w_buf = (np.empty((rows_max, n)) for _ in range(3))
     for lo in range(0, n, _TILE_ROWS):
         rows = slice(lo, min(lo + _TILE_ROWS, n))
-        d2 = None
-        for col in coords:
-            diff = col - col[rows, None]
-            diff *= diff
-            if d2 is None:
-                d2 = diff
-            else:
-                d2 += diff
-        yield rows, kernel.eval_squared(d2), d2
+        nr = rows.stop - lo
+        d2, diff, w = d2_buf[:nr], diff_buf[:nr], w_buf[:nr]
+        np.subtract(coords[0], coords[0][rows, None], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for col in coords[1:]:
+            np.subtract(col, col[rows, None], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(d2, diff, out=d2)
+        yield rows, kernel.eval_squared(d2, out=w), d2
 
 
 def constant_kernel(c: float) -> Kernel:

@@ -135,9 +135,15 @@ def compute_moments(state, kernel: Kernel, m) -> MomentRecord:
     x = np.asarray(state.opinions, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("state.opinions must be a nonempty (N, d) array")
-    m = np.asarray(m, dtype=float)
-    n = x.shape[0]
+    m1, m2, v, w = _moments(x, np.asarray(m, dtype=float))
+    return MomentRecord(t=float(state.t), n=x.shape[0], m1=m1, m2=m2, v=v, w=w,
+                        dissipation=dissipation_of(x, kernel))
 
+
+def _moments(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """m1, m2, V and W of the opinions x (N, d) about the target m, with the
+    self-checks of ``compute_moments``."""
+    n = x.shape[0]
     dev = x - x[0]
     m1 = x[0] + dev.sum(axis=0) / n
     m2 = float(np.einsum("ij,ij->", x, x)) / n
@@ -154,9 +160,7 @@ def compute_moments(state, kernel: Kernel, m) -> MomentRecord:
     if not abs(w - (v + float((m1 - m) @ (m1 - m)))) <= _SELF_CHECK_TOL * scale:
         raise RuntimeError(f"moment self-check failed: W={w!r} vs V+|m1-m|^2="
                            f"{v + float((m1 - m) @ (m1 - m))!r}")
-
-    d = dissipation_of(x, kernel)
-    return MomentRecord(t=float(state.t), n=n, m1=m1, m2=m2, v=v, w=w, dissipation=d)
+    return m1, m2, v, w
 
 
 def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
@@ -165,8 +169,11 @@ def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
     For a constant kernel this collapses to -2cV (sum_ij |x_i - x_j|^2 equals
     2 N^2 V), an O(N) identity. Any other kernel sums the pair weights times
     the squared distances over tiles of rows: O(N^2) time, O(N * tile)
-    memory, never an (N, N, d) array. It runs once per recorded row; the RK4
-    stages take D from the force's own tile pass instead.
+    memory, never an (N, N, d) array. The sum runs as the force pass runs
+    it, one ``np.vdot`` per tile on x - x[0], so a run's D, which comes from
+    its force passes, equals this of the same opinions bit for bit. A run
+    calls it only for a row that no later force pass starts from, such as its
+    last; it is the reference the tests hold runs to.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -177,7 +184,7 @@ def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
         return -2.0 * kernel.coef[0] * (float(np.einsum("ij,ij->", cen, cen)) / n)
     total = 0.0
     for _, w, d2 in _pair_tiles(x - x[0], kernel):
-        total += float(np.einsum("ij,ij->", w, d2))
+        total += float(np.vdot(w, d2))
     return -total / (n * n)
 
 

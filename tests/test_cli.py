@@ -379,6 +379,27 @@ class TestDispatch:
         assert cmd_dispatch(["simulate", "--config", path]) == 2
         assert "schedule.alpha" in capsys.readouterr().err
 
+    def test_error_without_a_message_is_named_by_its_type(self, tmp_path, monkeypatch,
+                                                           capsys):
+        def no_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(growpop.cli, "run_simulation", no_memory)
+        assert cmd_dispatch(["simulate", "--config", write_config(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+    def test_timeline_beyond_memory_names_its_size(self, tmp_path, monkeypatch, capsys):
+        # a horizon-only run whose timeline rows do not fit in memory
+        def no_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(growpop.dynamics, "_timeline_rows", no_memory)
+        path = write_config(tmp_path, max_agents=None, horizon=3.0)
+        assert cmd_dispatch(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: the rows of \d+ arrivals up to t_end = 3\.0 do not fit in "
+                            r"memory\n", err), err
+
     def test_missing_config_file_is_runtime_error(self, capsys):
         assert cmd_dispatch(["simulate", "--config", "/nonexistent.json"]) == 2
 

@@ -36,7 +36,7 @@ from growpop import (
     uniform_record_grid,
     uniform_source,
 )
-from growpop import dynamics
+from growpop import dynamics, observables
 from growpop.kernels import _TILE_ROWS, _pair_tiles
 from growpop.observables import compute_moments, dissipation_of
 
@@ -95,10 +95,11 @@ class TestForceField:
     def test_pairwise_terms_exactly_antisymmetric(self):
         # the tiles' squared distances are summed coordinate by coordinate and
         # fl(a-b) == -fl(b-a), so the weights they make up are symmetric and
-        # the weighted displacements antisymmetric bit for bit, across tiles
+        # the weighted displacements antisymmetric bit for bit, across tiles;
+        # the tiles reuse their buffers, so each is copied as it comes
         kernel = rational_kernel(0.5, 0.5)
         x = RNG.normal(0.0, 1.0, size=(2 * _TILE_ROWS + 3, 2))
-        wts = np.vstack([w for _, w, _ in _pair_tiles(x, kernel)])
+        wts = np.vstack([w.copy() for _, w, _ in _pair_tiles(x, kernel)])
         assert np.array_equal(wts, wts.T)
         terms = wts[:, :, None] * (x[None, :, :] - x[:, None, :])
         assert np.array_equal(terms, -np.transpose(terms, (1, 0, 2)))
@@ -110,8 +111,19 @@ class TestForceField:
         # the D the RK4 stages integrate comes from the force's own tiles
         kernel = maker()
         x = RNG.normal(0.0, 2.0, size=(n, d))
-        _, d_force = dynamics._force(x, kernel)
+        _, d_force, _ = dynamics._force(x, kernel)
         np.testing.assert_allclose(d_force, dissipation_of(x, kernel), rtol=1e-13)
+
+    @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
+    def test_force_pass_dissipation_is_dissipation_of_bit_for_bit(self, n, d):
+        # D, and the D of the first `old` agents summed over their own block of
+        # each tile, are the sums dissipation_of makes, in its order
+        kernel = rational_kernel(0.5, 0.5)
+        x = RNG.normal(0.0, 2.0, size=(n, d))
+        for old in sorted({1, n // 2, n - 1, _TILE_ROWS} & set(range(1, n))):
+            _, d_all, d_old = dynamics._force(x, kernel, old)
+            assert d_all == dissipation_of(x, kernel)
+            assert d_old == dissipation_of(x[:old], kernel)
 
     def test_velocity_sum_near_zero(self):
         kernel = rational_kernel(0.5, 0.5)
@@ -413,6 +425,19 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match=r"\d{20} arrivals up to t_end = 44\.0"):
             run_simulation(config, seed=0)
 
+    def test_timeline_beyond_memory_names_its_size(self, monkeypatch):
+        # K fits the t_j array but not the rows built from it
+        def no_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(dynamics, "_timeline_rows", no_memory)
+        config = small_config(schedule=PowerExponentialSchedule(alpha=1.0, n0=3),
+                              max_agents=None, horizon=3.0)
+        arrivals = population_at(config.schedule, 3.0) - 3
+        with pytest.raises(ValueError, match=rf"the rows of {arrivals} arrivals up to "
+                                             r"t_end = 3\.0 do not fit in memory$"):
+            run_simulation(config, seed=0)
+
     def test_constant_kernel_run_ignores_step_max(self):
         # c h = 3 is past RK4's stability limit; the exact flow does not care
         config = dict(kernel=constant_kernel(1.0), max_agents=40,
@@ -577,6 +602,86 @@ class TestParticleEngine:
         series = run_simulation(config, seed=8)
         for name, col in particle_reference(config, series).items():
             assert getattr(series, name).tobytes() == col.tobytes(), name
+
+    @staticmethod
+    def pairwise_config(arrivals):
+        # the jump-audit config: rational kernel in d = 2, two founders
+        return SimConfig(
+            dim=2, kernel=rational_kernel(0.5, 0.5),
+            schedule=PowerExponentialSchedule(alpha=0.5, n0=2),
+            source=gaussian_source((0.25, -0.5), 1.0),
+            initial_opinions=np.array([[0.5, 0.0], [-0.5, 0.3]]), step_max=0.05,
+            max_agents=2 + arrivals)
+
+    def test_pairwise_run_takes_d_from_its_force_passes(self, monkeypatch):
+        # every row's D, pre rows included, is dissipation_of of the replayed
+        # opinions bit for bit, and only the last pair gets its own passes
+        calls = []
+        reference = dissipation_of
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return reference(*args)
+
+        config = self.pairwise_config(500)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "dissipation_of", counted)
+            patch.setattr(observables, "dissipation_of", counted)
+            series = run_simulation(config, seed=1)
+        assert len(series.injection_pairs) == 500
+        assert calls == [501, 502]
+        for name, col in particle_reference(config, series).items():
+            assert getattr(series, name).tobytes() == col.tobytes(), name
+
+    @pytest.mark.parametrize("n", [_TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1,
+                                   2 * _TILE_ROWS + 3])
+    def test_dissipation_at_tile_edges(self, n):
+        # the run ends with n agents; its pre/post pairs straddle every tile
+        # edge below n, where the newcomer opens a tile of its own
+        config = self.pairwise_config(n - 2)
+        series = run_simulation(config, seed=n)
+        ref = particle_reference(config, series)
+        assert series.dissipation.tobytes() == ref["dissipation"].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_grid_records_up_to_a_horizon(self, dim):
+        # grid records between arrivals and a horizon that is the last row, a
+        # record, so a record's D comes from the span after it, and the last
+        # row's from a pass of its own
+        schedule = PowerExponentialSchedule(alpha=1.0, n0=4)
+        horizon = 0.5 * (injection_time(schedule, 30) + injection_time(schedule, 31))
+        config = SimConfig(
+            dim=dim, kernel=rational_kernel(0.3, 1.2), schedule=schedule,
+            source=gaussian_source(np.linspace(0.5, -0.5, dim), 2.0),
+            initial_opinions=np.linspace(-1.0, 2.0, 4 * dim).reshape(4, dim), step_max=0.05,
+            horizon=horizon, record_grid=uniform_record_grid(horizon, 0.1))
+        series = run_simulation(config, seed=3)
+        assert len(series.injection_pairs) == 30
+        assert series.event[-1] == "record" and series.t[-1] == horizon
+        assert series.event.count("record") > 31
+        for name, col in particle_reference(config, series).items():
+            assert getattr(series, name).tobytes() == col.tobytes(), name
+
+    def test_zero_length_span_gets_its_own_pass(self):
+        # no config makes a span of 0 after a row, so the timeline is built by
+        # hand: the record at 0.3 is followed by one at 0.3, and the arrival
+        # pair at 0.6 by a record at 0.6
+        config = self.pairwise_config(1)
+        tl = dynamics._Timeline(
+            event=("record", "record", "record", "pre_jump", "post_jump", "record", "record"),
+            t=np.array([0.0, 0.3, 0.3, 0.6, 0.6, 0.6, 0.9]),
+            k=np.array([0, 0, 0, 1, 1, 1, 1]), n=np.array([2, 2, 2, 2, 3, 3, 3]))
+        x_new = np.array([[[1.0, -1.0]]])
+        dis = dynamics._particle_block(config, tl, x_new)["dissipation"][0]
+        state = state_of(config.initial_opinions)
+        want = []
+        for ev, t in zip(tl.event, tl.t):
+            if ev == "post_jump":
+                state = inject_agent(state, x_new[0, 0], t)
+            else:
+                state = integrate_interval(state, config.kernel, t, step_max=config.step_max)
+            want.append(dissipation_of(state.opinions, config.kernel))
+        assert dis.tobytes() == np.array(want).tobytes()
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)

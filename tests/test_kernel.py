@@ -89,6 +89,16 @@ class TestEvaluation:
         np.testing.assert_allclose(k.eval_squared(r * r), k(r),
                                    rtol=1e-15)
 
+    @pytest.mark.parametrize("maker", [lambda: constant_kernel(1.3),
+                                       lambda: rational_kernel(0.4, 1.1)])
+    def test_eval_squared_into_a_buffer_gives_the_same_bits(self, maker):
+        k = maker()
+        r2 = RNG.uniform(0.0, 100.0, size=(7, 33))
+        buf = np.full_like(r2, np.nan)
+        out = k.eval_squared(r2, out=buf)
+        assert out is buf
+        assert buf.tobytes() == k.eval_squared(r2).tobytes()
+
 
 def load_kernel(tmp_path, spec):
     """The kernel that load_config builds from the block ``spec``."""
