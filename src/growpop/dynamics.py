@@ -60,27 +60,20 @@ one buffer of the final population: each arrival is written into the next
 free row, and the rows present are advanced in place between events by
 classical Runge-Kutta 4 at a fixed step, the last one shortened to land
 exactly on the endpoint. The step is step_max, capped at RK4's real-axis
-stability limit for the kernel's certified psi_max. Its force
-goes through the pair weights W_ij = psi(|x_j - x_i|), built a tile of rows at
-a time: with y = x - x[0], row i of the force is ((W y)_i - (sum_j W_ij) y_i)
-/ N, one matrix product per tile, so a force evaluation holds O(N * tile)
-memory whatever the dimension d. The tiles share three buffers per force
-pass. The same tiles give the dissipation D at each RK4 stage, and Simpson's
-rule over the stages gives each step's integral of D, which every run records
+stability limit for the kernel's certified psi_max. Every RK4 stage is one
+pass of ``kernels._force`` over the pair weights, a tile of rows at a time,
+which gives the velocities and the dissipation D together. Simpson's rule over
+the stages gives each step's integral of D, which every run records
 (``d_integral``): the witness of the energy balance d(m2)/dt = D between
 arrivals. The constant kernel's integral is closed form, from the V column.
 
-A row's own D needs no pass of its own either. The first stage, k1, of the
-next span's first step starts at the row's opinions, so a record row, or the
-one at t = 0, takes D from it. A pre/post pair takes both values from that
-pass at the post-jump opinions: D_post is its total, and D_pre sums the old
-population's block of each tile directly. D_pre is not recovered from D_post
-by subtracting the newcomer's row and column, which would cancel as the
-population tightens. Every D is summed by one ``np.vdot`` per tile, as
-``dissipation_of`` sums it, so each row's D equals ``dissipation_of`` of the
-row's opinions bit for bit. Only a row that no span starts from, the last
-one or one followed by a span of 0, gets a ``dissipation_of`` pass of its
-own.
+Each row's D comes from one pass at its opinions, which the next span then
+takes as its first stage, k1, so the pass costs nothing extra. A pre/post pair
+takes both values from the pass at the post-jump opinions: D_post is its
+total, and D_pre sums the old population's block of each tile directly, not
+D_post less the newcomer's row and column, which would cancel as the
+population tightens. ``dissipation_of`` is the D of the same pass, so each
+row's D equals ``dissipation_of`` of the row's opinions bit for bit.
 
 ``integrate_interval`` takes one span on given opinions: the exact flow, in
 one O(N) update, for the constant kernel, and the RK4 steps otherwise. Its
@@ -96,8 +89,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, _pair_tiles
-from .observables import MomentSeries, _moments, compute_moments, dissipation_of
+from .kernels import Kernel, _force
+from .observables import MomentSeries, _moments, compute_moments
 from .schedules import (GrowthSchedule, _integer, final_injection_count, injection_time,
                         population_at)
 from .sources import OpinionSource, _draw_incoming
@@ -158,63 +151,32 @@ def rhs(state: SimState, kernel: Kernel) -> np.ndarray:
     return _force(x, kernel)[0]
 
 
-def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
-           ) -> tuple[np.ndarray, float, float | None]:
-    """Velocities (N, d) at x, and the dissipation D there. With ``old``, the
-    pair tiles also give the D of the first ``old`` agents alone, summed over
-    their own block of each tile (else None); that D equals ``dissipation_of``
-    of x[:old] bit for bit, as D does of x."""
-    n = x.shape[0]
-    if kernel.kind == "constant":
-        # c * (m1 - x_i), pivoted about x[0] so exact consensus is a fixed point
-        dev = x - x[0]
-        towards_mean = dev.sum(axis=0) / n - dev
-        c = kernel.coef[0]
-        return c * towards_mean, -2.0 * c * float(np.vdot(towards_mean, towards_mean)) / n, None
-    # sum_j w_ij (y_j - y_i) = (W y)_i - (sum_j w_ij) y_i
-    y = x - x[0]
-    out = np.empty_like(y)
-    total = pre = 0.0
-    for rows, w, d2 in _pair_tiles(y, kernel):
-        out[rows] = w @ y - w.sum(axis=1)[:, None] * y[rows]
-        total += float(np.vdot(w, d2))
-        if old is not None and rows.start < old:
-            nr = min(rows.stop, old) - rows.start
-            pre += float(np.vdot(w[:nr, :old], d2[:nr, :old]))
-    return out / n, -total / (n * n), None if old is None else -pre / (old * old)
-
-
-def _rk4_step(x: np.ndarray, kernel: Kernel, h: float, old: int | None = None
-              ) -> tuple[float, float, float | None]:
-    """Advance opinions in place by one RK4 step. Returns the step's integral
-    of D, its four stage values weighted by Simpson's rule, then the D of the
-    first stage, k1, at the starting opinions, with that of their first
-    ``old`` agents (see ``_force``)."""
-    k1, d1, d1_old = _force(x, kernel, old)
+def _rk4_step(x: np.ndarray, kernel: Kernel, h: float, first=None) -> float:
+    """Advance opinions in place by one RK4 step; returns the step's integral of
+    D, its four stage values weighted by Simpson's rule. ``first``, the
+    ``_force`` pass at x if the caller has made it, is the k1 stage."""
+    k1, d1, _ = _force(x, kernel) if first is None else first
     k2, d2, _ = _force(x + (0.5 * h) * k1, kernel)
     k3, d3, _ = _force(x + (0.5 * h) * k2, kernel)
     k4, d4, _ = _force(x + h * k3, kernel)
     x += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4), d1, d1_old
+    return (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
 
 
 def _advance(x: np.ndarray, kernel: Kernel, span: float, step_max: float,
-             old: int | None = None) -> tuple[float, float | None, float | None]:
-    """Advances opinions x (N, d) in place by the flow over span >= 0.
-
-    Returns the RK4 steps' integral of D over the span, then the D of the
-    starting opinions and that of their first ``old`` agents, both from the
-    first step's k1 stage (see ``_force``). Both are None when no step is
-    taken: for a span of 0, and for the constant kernel, whose exact flow
-    takes no steps and whose integral is returned as 0.0.
+             first=None) -> float:
+    """Advances opinions x (N, d) in place by the flow over span >= 0, and
+    returns the RK4 steps' integral of D over it. ``first``, the ``_force``
+    pass at x if the caller has made it, is the first step's k1 stage. The
+    constant kernel's exact flow takes no steps and returns 0.0.
     """
     if not span > 0.0:
-        return 0.0, None, None
+        return 0.0
     if kernel.kind == "constant":
         # exact flow, pivoted about x[0] as in _force so consensus stays put
         dev = x - x[0]
         x += (-math.expm1(-kernel.coef[0] * span)) * (dev.sum(axis=0) / x.shape[0] - dev)
-        return 0.0, None, None
+        return 0.0
     # a span below h is one step of that span: n_full = 0 and rem = span
     h = min(step_max, _RK4_REAL_STABILITY / (2.0 * kernel.psi_max))
     n_full = int(math.floor(span / h))
@@ -223,10 +185,10 @@ def _advance(x: np.ndarray, kernel: Kernel, span: float, step_max: float,
         n_full += 1
         rem = span - n_full * h
     steps = [h] * n_full + ([rem] if rem > 0.0 else [])
-    q, d_start, d_start_old = _rk4_step(x, kernel, steps[0], old)
+    q = _rk4_step(x, kernel, steps[0], first)
     for step in steps[1:]:
-        q += _rk4_step(x, kernel, step)[0]
-    return q, d_start, d_start_old
+        q += _rk4_step(x, kernel, step)
+    return q
 
 
 def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
@@ -267,9 +229,14 @@ def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
     """Record times dt, 2*dt, ... below t_end, then t_end itself."""
     if not (dt > 0.0) or not (0.0 < t_end < math.inf):
         raise ValueError(f"need dt > 0 and 0 < t_end < inf, got dt = {dt}, t_end = {t_end}")
+    # the count is known first, so a count beyond memory raises at once
+    try:
+        pts = np.arange(1, math.floor(t_end / dt) + 1) * dt  # i * dt, bit for bit
+    except (MemoryError, OverflowError, ValueError) as err:
+        raise ValueError(f"record times every dt = {dt} up to t_end = {t_end} do not fit in "
+                         f"memory: {err}") from err
     # i*dt rounds, so a multiple of dt meant to land on t_end can overshoot it
-    pts = [i * dt for i in range(1, int(math.floor(t_end / dt)) + 1) if i * dt < t_end]
-    return (*pts, t_end)
+    return (*pts[pts < t_end].tolist(), t_end)
 
 
 def geometric_record_grid(t_first: float, t_end: float, points: int) -> tuple[float, ...]:
@@ -288,9 +255,9 @@ class SimConfig:
     Exactly one of horizon / max_agents may be omitted; when both are present
     the run stops at whichever comes first. max_agents counts the total
     population, so max_agents = n0 + k stops right after the k-th arrival.
-    ``dim`` and ``max_agents`` are stored as ints, and ``initial_opinions`` as
-    a read-only float copy (n0, dim): editing the array passed in later does
-    not edit the config.
+    ``dim`` and ``max_agents`` are stored as ints, ``initial_opinions`` as a
+    read-only float copy (n0, dim) and ``record_grid`` as a tuple of floats:
+    editing the array or list passed in later does not edit the config.
 
     step_max is an upper bound on the RK4 step of a non-constant kernel: the
     step taken is min(step_max, 2.785 / (2 psi_max)), RK4's real-axis
@@ -327,6 +294,7 @@ class SimConfig:
         _end_time(self.schedule, self.horizon, self.max_agents)
         if self.max_agents is not None:
             object.__setattr__(self, "max_agents", int(self.max_agents))
+        object.__setattr__(self, "record_grid", tuple(float(g) for g in self.record_grid))
         for g in self.record_grid:
             if not math.isfinite(g) or g < 0.0:
                 raise ValueError(f"record_grid times must be finite and >= 0, got {g}")
@@ -396,7 +364,7 @@ def _timeline_rows(arrivals: list[float], record_grid, t_end: float, n0: int) ->
     # Grid times coinciding with an arrival are dropped: the pre/post pair
     # already records that instant (post = right-continuous value).
     grid = []
-    for g in sorted(set(float(g) for g in record_grid)):
+    for g in sorted(set(record_grid)):
         if not 0.0 < g <= t_end:
             continue
         # arrivals are increasing, so the nearest one on each side decides
@@ -469,13 +437,10 @@ def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict
     events, arrival j written into the next free row.
 
     A row's m1, m2, V and W come from its opinions, with the self-checks of
-    ``compute_moments``. Its D comes from the first stage, k1, of the next
-    span's first RK4 step, which starts at the row's opinions: a pre/post pair
-    takes both of its values from that pass at the post-jump opinions, the
-    pre-jump D summed over the old agents' own block of each tile. A row that
-    no span starts from, the last one or one followed by a span of 0, gets D
-    from its own ``dissipation_of`` pass. Either way D equals
-    ``dissipation_of`` of the row's opinions bit for bit.
+    ``compute_moments``. Its D comes from one ``_force`` pass at its
+    opinions, which the next span takes as its first RK4 stage, k1. A pre/post
+    pair takes both values from the pass at the post-jump opinions, the
+    pre-jump D summed over the old agents' own block of each tile.
     """
     kernel, m = config.kernel, config.source.mean_vector
     replicas, rows = x_new.shape[0], tl.t.size
@@ -489,26 +454,23 @@ def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict
         dis = cols["dissipation"][r]
         try:
             x[:agents[0]] = config.initial_opinions
-            t, q, pending = 0.0, 0.0, []  # pending: rows whose D is not yet known
+            t, q, first = 0.0, 0.0, None  # first: the pass at the last row's opinions
             for i in range(rows):
                 n = agents[i]
                 if tl.event[i] == "post_jump":
                     x[n - 1] = x_new[r, k[i] - 1]
-                else:
-                    old = agents[pending[0]] if pending and agents[pending[0]] < n else None
-                    dq, d_all, d_old = _advance(x[:n], kernel, times[i] - t, config.step_max,
-                                                old)
-                    q, t = q + dq, times[i]
-                    for p in pending:
-                        dis[p] = (dissipation_of(x[:agents[p]], kernel) if d_all is None
-                                  else d_all if agents[p] == n else d_old)
-                    pending = []
+                elif i:  # no span leads into the first row, at t = 0
+                    q, t = q + _advance(x[:n], kernel, times[i] - t, config.step_max,
+                                        first), times[i]
                 cols["m1"][r, i], cols["m2"][r, i], cols["v"][r, i], cols["w"][r, i] = (
                     _moments(x[:n], m))
                 cols["d_integral"][r, i] = q
-                pending.append(i)
-            for p in pending:
-                dis[p] = dissipation_of(x[:agents[p]], kernel)
+                if tl.event[i] == "post_jump":
+                    first = _force(x[:n], kernel, agents[i - 1])
+                    dis[i - 1], dis[i] = first[2], first[1]
+                elif tl.event[i] == "record":
+                    first = _force(x[:n], kernel)
+                    dis[i] = first[1]
         except RuntimeError as err:
             raise _ReplicaError(r, str(err)) from err
     return cols

@@ -91,8 +91,45 @@ class Kernel:
         return np.add(a, out, out=out)
 
 
+def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
+           ) -> tuple[np.ndarray, float, float | None]:
+    """The one pass over the pairs of opinions x (N, d): their velocities
+    (N, d) under the flow, dx_i/dt = (1/N) sum_j psi(|x_j - x_i|) (x_j - x_i),
+    and the dissipation D = -(1/N^2) sum_ij psi(|x_j - x_i|) |x_j - x_i|^2.
+    With ``old``, also the D of the first ``old`` agents alone, summed over
+    their own block of each tile, so it equals this pass's D of x[:old] bit for
+    bit (else None).
+
+    Both work on y = x - x[0], so exact consensus (y = 0) is a fixed point with
+    D = 0. The constant kernel's velocities are c (m1 - x_i) and its D is -2cV,
+    O(N). Any other kernel takes row i of the velocities as ((W y)_i - (sum_j
+    W_ij) y_i) / N, one matrix product per tile of ``_pair_tiles``, and D as
+    one ``np.vdot`` of the tile's weights and squared distances: O(N^2) time,
+    O(N * tile) memory, whatever d.
+    """
+    n = x.shape[0]
+    if kernel.kind == "constant":
+        dev = x - x[0]
+        towards_mean = dev.sum(axis=0) / n - dev
+        c = kernel.coef[0]
+        d_old = None if old is None else _force(x[:old], kernel)[1]
+        return c * towards_mean, -2.0 * c * float(np.vdot(towards_mean, towards_mean)) / n, d_old
+    # sum_j w_ij (y_j - y_i) = (W y)_i - (sum_j w_ij) y_i
+    y = x - x[0]
+    out = np.empty_like(y)
+    total = pre = 0.0
+    for rows, w, d2 in _pair_tiles(y, kernel):
+        out[rows] = w @ y - w.sum(axis=1)[:, None] * y[rows]
+        total += float(np.vdot(w, d2))
+        if old is not None and rows.start < old:
+            nr = min(rows.stop, old) - rows.start
+            pre += float(np.vdot(w[:nr, :old], d2[:nr, :old]))
+    return out / n, -total / (n * n), None if old is None else -pre / (old * old)
+
+
 def _pair_tiles(y: np.ndarray, kernel: Kernel):
-    """Pair weights of ``kernel`` over the points ``y`` (N, d), by row tiles.
+    """Pair weights of ``kernel`` over the points ``y`` (N, d), by row tiles,
+    for ``_force``, the one pass that sums them.
 
     Yields ``(rows, w, d2)`` for consecutive slices of at most ``_TILE_ROWS``
     rows: ``d2[i, j] = |y_j - y_i|^2`` for i in the tile and every j, and

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import Kernel, _pair_tiles
+from .kernels import Kernel, _force
 from .schedules import _integer
 
 __all__ = [
@@ -164,28 +164,14 @@ def _moments(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float, float, fl
 
 
 def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
-    """D = -(1/N^2) sum_ij psi(|x_j - x_i|) |x_j - x_i|^2.
+    """D = -(1/N^2) sum_ij psi(|x_j - x_i|) |x_j - x_i|^2 of the opinions x (N, d).
 
-    For a constant kernel this collapses to -2cV (sum_ij |x_i - x_j|^2 equals
-    2 N^2 V), an O(N) identity. Any other kernel sums the pair weights times
-    the squared distances over tiles of rows: O(N^2) time, O(N * tile)
-    memory, never an (N, N, d) array. The sum runs as the force pass runs
-    it, one ``np.vdot`` per tile on x - x[0], so a run's D, which comes from
-    its force passes, equals this of the same opinions bit for bit. A run
-    calls it only for a row that no later force pass starts from, such as its
-    last; it is the reference the tests hold runs to.
+    It is the D of the force pass, ``kernels._force``, which a run of a
+    non-constant kernel makes at every row and RK4 stage, so such a run's D
+    equals this of the same opinions bit for bit. A constant kernel's D is -2cV, O(N); any other kernel's is summed
+    over tiles of pair weights, O(N^2) time and O(N * tile) memory.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if kernel.kind == "constant":
-        # V as compute_moments sums it, pivoted about x[0]
-        m1 = x[0] + (x - x[0]).sum(axis=0) / n
-        cen = x - m1
-        return -2.0 * kernel.coef[0] * (float(np.einsum("ij,ij->", cen, cen)) / n)
-    total = 0.0
-    for _, w, d2 in _pair_tiles(x - x[0], kernel):
-        total += float(np.vdot(w, d2))
-    return -total / (n * n)
+    return _force(np.asarray(x, dtype=float), kernel)[1]
 
 
 class JumpPrediction(NamedTuple):

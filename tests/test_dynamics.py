@@ -37,7 +37,7 @@ from growpop import (
     uniform_source,
 )
 from growpop import dynamics, observables
-from growpop.kernels import _TILE_ROWS, _pair_tiles
+from growpop.kernels import _TILE_ROWS, _force, _pair_tiles
 from growpop.observables import compute_moments, dissipation_of
 
 RNG = np.random.default_rng(424242)
@@ -62,6 +62,16 @@ def brute_force_rhs(x, kernel):
             for c in range(d):
                 out[i, c] += w * (x[j, c] - x[i, c])
     return out / n
+
+
+def brute_force_dissipation(x, kernel):
+    n, d = x.shape
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            r2 = sum((x[j, c] - x[i, c]) ** 2 for c in range(d))
+            total += kernel(math.sqrt(r2)) * r2
+    return -total / (n * n)
 
 
 def state_of(x):
@@ -107,21 +117,27 @@ class TestForceField:
     @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
     @pytest.mark.parametrize("maker", [lambda: constant_kernel(0.8),
                                        lambda: rational_kernel(0.5, 0.5)])
-    def test_force_pass_dissipation_matches_dissipation_of(self, n, d, maker):
-        # the D the RK4 stages integrate comes from the force's own tiles
+    def test_force_pass_dissipation_matches_brute_force(self, n, d, maker):
+        # the D the RK4 stages integrate and the rows record, and the D of the
+        # first `old` agents that a pre_jump row records, come from the force's
+        # own pass
         kernel = maker()
         x = RNG.normal(0.0, 2.0, size=(n, d))
-        _, d_force, _ = dynamics._force(x, kernel)
-        np.testing.assert_allclose(d_force, dissipation_of(x, kernel), rtol=1e-13)
+        want = brute_force_dissipation(x, kernel)
+        for old in sorted({1, n // 2, n - 1, _TILE_ROWS} & set(range(1, n))):
+            _, d_all, d_old = _force(x, kernel, old)
+            np.testing.assert_allclose(d_all, want, rtol=1e-13)
+            np.testing.assert_allclose(d_old, brute_force_dissipation(x[:old], kernel),
+                                       rtol=1e-13)
 
     @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
     def test_force_pass_dissipation_is_dissipation_of_bit_for_bit(self, n, d):
-        # D, and the D of the first `old` agents summed over their own block of
-        # each tile, are the sums dissipation_of makes, in its order
+        # the D of the first `old` agents, summed over their own block of each
+        # tile, is the sum their own pass makes, in its order
         kernel = rational_kernel(0.5, 0.5)
         x = RNG.normal(0.0, 2.0, size=(n, d))
         for old in sorted({1, n // 2, n - 1, _TILE_ROWS} & set(range(1, n))):
-            _, d_all, d_old = dynamics._force(x, kernel, old)
+            _, d_all, d_old = _force(x, kernel, old)
             assert d_all == dissipation_of(x, kernel)
             assert d_old == dissipation_of(x[:old], kernel)
 
@@ -394,7 +410,7 @@ class TestRunSimulation:
         assert_m2_reconstructed(constant_kernel(1.3), rtol=1e-12)
 
     def test_integrates_up_to_the_last_row_only(self, monkeypatch):
-        # one span per row, the first of length 0, and none past the last row
+        # one span into each row after the first, and none past the last row
         # to the horizon
         spans = []
         advance = dynamics._advance
@@ -405,8 +421,8 @@ class TestRunSimulation:
                               max_agents=None, horizon=10.0,
                               record_grid=(0.25, 0.5, 0.6, 0.75))
         series = run_simulation(config, seed=13)
-        assert len(spans) == len(series.rows) == 5
-        assert spans[0] == 0.0 and sum(spans) == 0.75
+        assert len(series.rows) == 5 and len(spans) == 4
+        assert spans[0] == 0.25 and sum(spans) == 0.75
 
     def test_horizon_only_arrivals_are_the_pinned_times(self):
         schedule = PowerExponentialSchedule(alpha=1.5, n0=3)
@@ -615,7 +631,8 @@ class TestParticleEngine:
 
     def test_pairwise_run_takes_d_from_its_force_passes(self, monkeypatch):
         # every row's D, pre rows included, is dissipation_of of the replayed
-        # opinions bit for bit, and only the last pair gets its own passes
+        # opinions bit for bit, and the run itself makes no dissipation_of call
+        assert not hasattr(dynamics, "dissipation_of")
         calls = []
         reference = dissipation_of
 
@@ -625,11 +642,10 @@ class TestParticleEngine:
 
         config = self.pairwise_config(500)
         with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "dissipation_of", counted)
             patch.setattr(observables, "dissipation_of", counted)
             series = run_simulation(config, seed=1)
         assert len(series.injection_pairs) == 500
-        assert calls == [501, 502]
+        assert calls == []
         for name, col in particle_reference(config, series).items():
             assert getattr(series, name).tobytes() == col.tobytes(), name
 
@@ -662,10 +678,11 @@ class TestParticleEngine:
         for name, col in particle_reference(config, series).items():
             assert getattr(series, name).tobytes() == col.tobytes(), name
 
-    def test_zero_length_span_gets_its_own_pass(self):
+    def test_rows_after_a_zero_length_span_take_their_own_passes(self):
         # no config makes a span of 0 after a row, so the timeline is built by
         # hand: the record at 0.3 is followed by one at 0.3, and the arrival
-        # pair at 0.6 by a record at 0.6
+        # pair at 0.6 by a record at 0.6; the span of 0 takes no step, and each
+        # row's D still comes from the pass at its own opinions
         config = self.pairwise_config(1)
         tl = dynamics._Timeline(
             event=("record", "record", "record", "pre_jump", "post_jump", "record", "record"),
@@ -746,6 +763,10 @@ class TestRecordGrids:
         series = run_simulation(config, seed=1)
         assert series.t[-1] == t_end and series.event[-1] == "record"
 
+    def test_uniform_count_beyond_memory_raises_at_once(self):
+        with pytest.raises(ValueError, match=r"dt = 1e-300 up to t_end = 1.0"):
+            uniform_record_grid(1.0, 1e-300)
+
     def test_geometric_endpoints(self):
         grid = geometric_record_grid(0.1, 10.0, 7)
         assert math.isclose(grid[0], 0.1) and math.isclose(grid[-1], 10.0)
@@ -801,3 +822,12 @@ class TestConfigValidation:
             config.initial_opinions[0, 0] = 2.0
         x0[0, 0] = 7.0
         assert config.initial_opinions.tolist() == [[-1.0], [0.5], [1.5]]
+
+    def test_owns_a_tuple_copy_of_the_record_grid(self):
+        # times appended to the list passed in later never reach the config,
+        # which checked its grid once, when it was built
+        grid = [0.25, np.float64(0.5)]
+        config = small_config(record_grid=grid)
+        grid += [math.nan, -3.0]
+        assert config.record_grid == (0.25, 0.5)
+        assert all(type(g) is float for g in config.record_grid)
