@@ -4,9 +4,13 @@ Every arrival moves the moments by an amount that is pure bookkeeping --
 no integration involved.  This script runs 200 arrivals in d = 3,
 compares each observed jump of (m1, m2, V) against predict_jumps, and
 prints the worst discrepancy (machine epsilon if the integrator lands on
-arrival times exactly).  It then tabulates the variance-jump damping
-coefficient c_k = (k + 2 n0)(k - 1)/(n0 + k)^2 that governs how much of
-the pre-arrival deviation survives an arrival.
+arrival times exactly).  It then tabulates c_k = (k + 2 n0)(k - 1)/(n0 + k)^2,
+the weight of the source variance sigma2 in the expected jump of V at
+arrival k:
+
+    E[V jump at arrival k] = (c_k sigma2 - E V-)/(n0 + k) + O(1/(n0 + k)^2),
+
+where V- is the variance just before the arrival.
 
 Run:  python3 demos/jump_formulas.py
 """
@@ -43,12 +47,12 @@ def main() -> None:
     print(f"{len(series.injection_pairs)} arrivals, "
           f"worst |observed - predicted| jump component: {worst:.2e}")
 
-    print("\ndamping of |m1 - m|^2 across one arrival (n0 = 4):")
+    print("\nweight c_k of sigma2 in the expected V jump at arrival k (n0 = 4):")
     print(f"{'k':>6} {'c_k':>10}")
     for k in (1, 2, 5, 10, 50, 200, 1000):
         print(f"{k:6d} {gp.variance_jump_coefficient(k, N0):10.6f}")
-    print("c_k < 1 for every k: arrivals always contract the expected"
-          "\nsquared mean deviation, and c_k -> 1 as the population grows.")
+    print("E[V jump at arrival k] = (c_k sigma2 - E V-)/(n0 + k) + O(1/(n0 + k)^2);"
+          "\nc_1 = 0, and c_k rises to 1 as the population grows.")
 
 
 if __name__ == "__main__":

@@ -38,7 +38,8 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .schedules import ExplicitSchedule, GrowthSchedule, PowerExponentialSchedule, _integer
+from .schedules import (ExplicitSchedule, GrowthSchedule, PowerExponentialSchedule, _integer,
+                        _number)
 
 __all__ = [
     "condition_sum",
@@ -71,8 +72,7 @@ class AsymptoticTimes:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha", "> 0"))
 
     def array(self, n: int) -> np.ndarray:
         n = _integer(n, "n", 0)
@@ -80,7 +80,7 @@ class AsymptoticTimes:
 
 
 def asymptotic_injection_times(alpha: float) -> AsymptoticTimes:
-    return AsymptoticTimes(alpha=float(alpha))
+    return AsymptoticTimes(alpha=alpha)
 
 
 TimesSource = Union[GrowthSchedule, AsymptoticTimes, Sequence[float]]
@@ -117,8 +117,7 @@ def _condition_sums(lam: float, times: TimesSource, ns) -> np.ndarray:
     pairwise and added to the previous sum carried forward by its decay
     factor (see the module docstring). Temporaries are one segment long.
     """
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    lam = _number(lam, "lambda", "> 0")
     grid = np.asarray(ns)
     if (grid.ndim != 1 or grid.size == 0 or not np.issubdtype(grid.dtype, np.integer)
             or grid[0] < 1 or np.any(np.diff(grid) <= 0)):
@@ -162,13 +161,7 @@ def dawson_f(p: float, rate: float, x: float) -> float:
     """
     from scipy.integrate import quad  # here, so that importing growpop skips scipy
 
-    p, rate, x = float(p), float(rate), float(x)
-    if not (p > 0.0) or not math.isfinite(p):
-        raise ValueError(f"p must be > 0, got {p}")
-    if not (rate > 0.0) or not math.isfinite(rate):
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if not (x >= 0.0) or not math.isfinite(x):
-        raise ValueError(f"x must be >= 0, got {x}")
+    p, rate, x = _number(p, "p", "> 0"), _number(rate, "rate", "> 0"), _number(x, "x", ">= 0")
     if x == 0.0:
         return 0.0
 
@@ -216,10 +209,10 @@ def classify_schedule(alpha: float, psi_star: float, psi_max: float,
     up to n_max are evaluated at the kernel's certified rates and a trend
     inconsistent with the rule raises ClassificationError.
     """
-    if not (alpha > 0.0) or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if not (0.0 < psi_star <= psi_max) or not math.isfinite(psi_max):
-        raise ValueError(f"need 0 < psi_star <= psi_max, got ({psi_star}, {psi_max})")
+    alpha = _number(alpha, "alpha", "> 0")
+    psi_star, psi_max = _number(psi_star, "psi_star", "> 0"), _number(psi_max, "psi_max", "> 0")
+    if psi_star > psi_max:
+        raise ValueError(f"psi_star must be <= psi_max, got ({psi_star}, {psi_max})")
     n_max = _integer(n_max, "n_max", 10_000)
 
     times = asymptotic_injection_times(alpha)
@@ -347,9 +340,7 @@ def envelope_bound(spec: EnvelopeSpec, times: TimesSource, n: int) -> float:
     the terms' absolute values (Higham, section 4.2), and cancellation can
     make it large relative to the sum itself.
     """
-    lam = spec.decay_rate
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise ValueError(f"decay rate must be > 0, got {lam}")
+    lam = _number(spec.decay_rate, "decay_rate", "> 0")
     n = _integer(n, "n", 1)
     t = _times_array(times, n)
     g = _jump_values(spec.jump_bound, n)
@@ -414,7 +405,6 @@ def consensus_rate_bounds(alpha: float) -> RateBounds:
     equivalently t^(-beta) for any beta < 1 - alpha (t-scale, via
     ln n = t^alpha). Both suprema are positive exactly when alpha < 1.
     """
-    if not (alpha > 0.0) or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    alpha = _number(alpha, "alpha", "> 0")
     p = 1.0 / alpha
     return RateBounds(p=p, beta_star_sup=p - 1.0, beta_sup=1.0 - alpha)

@@ -91,8 +91,8 @@ import numpy as np
 
 from .kernels import Kernel, _force
 from .observables import MomentSeries, _moments, compute_moments
-from .schedules import (GrowthSchedule, _integer, final_injection_count, injection_time,
-                        population_at)
+from .schedules import (GrowthSchedule, _integer, _number, final_injection_count,
+                        injection_time, population_at)
 from .sources import OpinionSource, _draw_incoming
 
 __all__ = [
@@ -202,10 +202,7 @@ def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
     shortened to land exactly on t_end. A t_end before state.t is a contract
     violation.
     """
-    if not (step_max > 0.0) or not math.isfinite(step_max):
-        raise ValueError(f"step_max must be positive and finite, got {step_max}")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
+    step_max, t_end = _number(step_max, "step_max", "> 0"), _number(t_end, "t_end")
     if t_end < state.t:
         raise ContractViolationError(f"t_end={t_end} precedes state.t={state.t}")
     x = np.array(state.opinions, dtype=float, order="C")
@@ -227,8 +224,7 @@ def inject_agent(state: SimState, x_new, t_k: float) -> SimState:
 
 def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
     """Record times dt, 2*dt, ... below t_end, then t_end itself."""
-    if not (dt > 0.0) or not (0.0 < t_end < math.inf):
-        raise ValueError(f"need dt > 0 and 0 < t_end < inf, got dt = {dt}, t_end = {t_end}")
+    t_end, dt = _number(t_end, "t_end", "> 0"), _number(dt, "dt", "> 0")
     # the count is known first, so a count beyond memory raises at once
     try:
         pts = np.arange(1, math.floor(t_end / dt) + 1) * dt  # i * dt, bit for bit
@@ -241,8 +237,9 @@ def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
 
 def geometric_record_grid(t_first: float, t_end: float, points: int) -> tuple[float, ...]:
     """Geometrically spaced record times from t_first to t_end inclusive."""
-    if not (0.0 < t_first <= t_end < math.inf):
-        raise ValueError(f"need 0 < t_first <= t_end < inf, got {t_first}, t_end = {t_end}")
+    t_first, t_end = _number(t_first, "t_first", "> 0"), _number(t_end, "t_end", "> 0")
+    if t_first > t_end:
+        raise ValueError(f"t_first must be <= t_end, got {t_first}, t_end = {t_end}")
     points = _integer(points, "points", 2)
     return tuple(float(g) for g in np.geomspace(t_first, t_end, points))
 
@@ -255,9 +252,10 @@ class SimConfig:
     Exactly one of horizon / max_agents may be omitted; when both are present
     the run stops at whichever comes first. max_agents counts the total
     population, so max_agents = n0 + k stops right after the k-th arrival.
-    ``dim`` and ``max_agents`` are stored as ints, ``initial_opinions`` as a
-    read-only float copy (n0, dim) and ``record_grid`` as a tuple of floats:
-    editing the array or list passed in later does not edit the config.
+    ``dim`` and ``max_agents`` are stored as ints, ``step_max`` and ``horizon``
+    as floats, ``initial_opinions`` as a read-only float copy (n0, dim) and
+    ``record_grid`` as a tuple of floats: editing the array or list passed in
+    later does not edit the config.
 
     step_max is an upper bound on the RK4 step of a non-constant kernel: the
     step taken is min(step_max, 2.785 / (2 psi_max)), RK4's real-axis
@@ -289,15 +287,14 @@ class SimConfig:
             raise ValueError("initial_opinions must be finite")
         if self.source.dim != dim:
             raise ValueError(f"source.mean has dimension {self.source.dim}, config dim is {dim}")
-        if not (self.step_max > 0.0) or not math.isfinite(self.step_max):
-            raise ValueError(f"step_max must be positive and finite, got {self.step_max}")
+        object.__setattr__(self, "step_max", _number(self.step_max, "step_max", "> 0"))
         _end_time(self.schedule, self.horizon, self.max_agents)
+        if self.horizon is not None:
+            object.__setattr__(self, "horizon", float(self.horizon))
         if self.max_agents is not None:
             object.__setattr__(self, "max_agents", int(self.max_agents))
-        object.__setattr__(self, "record_grid", tuple(float(g) for g in self.record_grid))
-        for g in self.record_grid:
-            if not math.isfinite(g) or g < 0.0:
-                raise ValueError(f"record_grid times must be finite and >= 0, got {g}")
+        object.__setattr__(self, "record_grid", tuple(_number(g, "record_grid times", ">= 0")
+                                                      for g in self.record_grid))
 
 
 def _end_time(schedule: GrowthSchedule, horizon: float | None,
@@ -308,9 +305,7 @@ def _end_time(schedule: GrowthSchedule, horizon: float | None,
         raise ValueError("horizon or max_agents must be set")
     ends = []
     if horizon is not None:
-        if not (horizon > 0.0) or not math.isfinite(horizon):
-            raise ValueError(f"horizon must be positive and finite, got {horizon}")
-        ends.append(float(horizon))
+        ends.append(_number(horizon, "horizon", "> 0"))
     if max_agents is not None:
         max_agents = _integer(max_agents, "max_agents", schedule.n0)
         k_needed = max_agents - schedule.n0

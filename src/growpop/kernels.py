@@ -14,10 +14,11 @@ Two families are built in:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .schedules import _number
 
 __all__ = [
     "Kernel",
@@ -159,17 +160,11 @@ def _pair_tiles(y: np.ndarray, kernel: Kernel):
 
 def constant_kernel(c: float) -> Kernel:
     """Distance-independent coupling psi(r) = c, c > 0."""
-    c = float(c)
-    if not (c > 0.0) or not math.isfinite(c):
-        raise ValueError(f"c must be finite and > 0, got {c}")
+    c = _number(c, "c", "> 0")
     return Kernel(kind="constant", coef=(c,), psi_star=c, psi_max=c)
 
 
 def rational_kernel(a: float, b: float) -> Kernel:
     """Decaying coupling psi(r) = a + b/(1 + r^2) with floor a > 0, b >= 0."""
-    a, b = float(a), float(b)
-    if not (a > 0.0) or not math.isfinite(a):
-        raise ValueError(f"a must be finite and > 0, got {a}")
-    if not (b >= 0.0) or not math.isfinite(b):
-        raise ValueError(f"b must be finite and >= 0, got {b}")
+    a, b = _number(a, "a", "> 0"), _number(b, "b", ">= 0")
     return Kernel(kind="rational", coef=(a, b), psi_star=a, psi_max=a + b)

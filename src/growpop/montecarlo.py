@@ -101,28 +101,15 @@ def _run_task(task):
     return tl, cols["w"], cols["v"], cols["m1"]
 
 
-def _stack(results, runs: int):
-    """The blocks' timeline, then w and v as (runs, rows) arrays and m1 as (runs,
-    rows, d), C-ordered and filled in run-index order. Every block runs the same
-    config, and the timeline is a function of the config alone."""
-    start = 0
-    for tl, *cols in results:
-        if start == 0:
-            # C order whatever the blocks' layout: the reductions over runs
-            # then sum in one order for any block size
-            w, v, m1 = (np.empty((runs,) + col.shape[1:]) for col in cols)
-        stop = start + cols[0].shape[0]
-        w[start:stop], v[start:stop], m1[start:stop] = cols
-        start = stop
-    return tl, w, v, m1
-
-
-def _pooled(tasks, workers: int):
-    """Block results in task order from a process pool. A dead worker fails
-    every block not yet done; the first of them is reported with its runs and
-    seeds."""
+def _blocks(tasks, workers: int):
+    """Block results in task order: one block runs in this process, more in a
+    process pool. A dead worker fails every block not yet done; the first of
+    them is reported with its runs and seeds."""
     from concurrent.futures.process import BrokenProcessPool
 
+    if len(tasks) == 1:
+        yield _run_task(tasks[0])
+        return
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = [pool.submit(_run_task, task) for task in tasks]
         for (_, start, seeds), future in zip(tasks, futures):
@@ -153,8 +140,12 @@ def run_ensemble(config: SimConfig, runs: int, master_seed: int,
     # than a worker process costs to start, so its runs stay in one block here
     size = runs if config.kernel.kind == "constant" else math.ceil(runs / workers)
     tasks = [(config, i, seeds[i:i + size]) for i in range(0, runs, size)]
-    results = map(_run_task, tasks) if len(tasks) == 1 else _pooled(tasks, workers)
-    tl, w, v, m1 = _stack(results, runs)
+    timelines, *blocks = zip(*_blocks(tasks, workers))
+    # every block runs the same config, and the timeline is a function of it
+    tl = timelines[0]
+    # C order whatever the blocks' layout: the reductions over runs then sum in
+    # one order for any block size
+    w, v, m1 = (np.ascontiguousarray(np.concatenate(cols)) for cols in blocks)
 
     diff = m1 - config.source.mean_vector
     # |m1 - m|^2 row by row as a (1, d) @ (d, 1) product: the rounding of diff @ diff

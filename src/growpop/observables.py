@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import Kernel, _force
-from .schedules import _integer
+from .schedules import _integer, _number
 
 __all__ = [
     "MomentRecord",
@@ -249,9 +249,7 @@ def expected_m1_deviation(n0: int, k: int, x0, m, sigma2: float) -> MeanDeviatio
     m = np.atleast_1d(np.asarray(m, dtype=float))
     if m.shape != (x0.shape[1],):
         raise ValueError(f"m shape {m.shape} does not match opinion dimension {x0.shape[1]}")
-    sigma2 = float(sigma2)
-    if sigma2 < 0.0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+    sigma2 = _number(sigma2, "sigma2", ">= 0")
 
     s0 = x0.sum(axis=0)
     a_const = float((s0 - n0 * m) @ (s0 - n0 * m))

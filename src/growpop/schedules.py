@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Union
@@ -25,6 +26,7 @@ __all__ = [
     "GrowthSchedule",
     "injection_time",
     "population_at",
+    "final_injection_count",
 ]
 
 
@@ -42,6 +44,17 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
 
 
+def _number(value, name: str, bound: str | None = None) -> float:
+    """``value`` as a finite float, also "> 0" or ">= 0" if ``bound`` says so:
+    any real type but bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    out = float(value)
+    if not (math.isfinite(out) and {None: True, "> 0": out > 0.0, ">= 0": out >= 0.0}[bound]):
+        raise ValueError(f"{name} must be {bound + ' and ' if bound else ''}finite, got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class PowerExponentialSchedule:
     """t_j = (ln(n0 + j))**(1/alpha); unbounded, strictly increasing."""
@@ -50,8 +63,7 @@ class PowerExponentialSchedule:
     n0: int
 
     def __post_init__(self):
-        if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha", "> 0"))
         object.__setattr__(self, "n0", _integer(self.n0, "n0", 1))
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedules import _number
+
 __all__ = ["OpinionSource", "gaussian_source", "uniform_source",
            "two_point_source", "sample_incoming"]
 
@@ -46,10 +48,7 @@ def _make(kind: str, mean, sigma2: float) -> OpinionSource:
         raise ValueError("mean must have at least one coordinate")
     if not all(math.isfinite(c) for c in mean):
         raise ValueError(f"mean must be finite, got {mean}")
-    sigma2 = float(sigma2)
-    if not (sigma2 >= 0.0) or not math.isfinite(sigma2):
-        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
-    return OpinionSource(kind=kind, mean=mean, sigma2=sigma2)
+    return OpinionSource(kind=kind, mean=mean, sigma2=_number(sigma2, "sigma2", ">= 0"))
 
 
 def gaussian_source(mean, sigma2: float) -> OpinionSource:

@@ -298,6 +298,29 @@ class TestRoundTrip:
         assert cfg.sim.step_max == step_max
 
 
+# Every public name of the package, grouped by the module that defines it.
+PUBLIC_NAMES = {
+    "Kernel", "constant_kernel", "rational_kernel",
+    "PowerExponentialSchedule", "ExplicitSchedule", "GrowthSchedule",
+    "injection_time", "population_at", "final_injection_count",
+    "OpinionSource", "gaussian_source", "uniform_source", "two_point_source",
+    "sample_incoming",
+    "MomentRecord", "MomentSeries", "SeriesRow", "InjectionJump",
+    "JumpPrediction", "MeanDeviationExpectation", "compute_moments",
+    "dissipation_of", "predict_jumps", "m1_closed_form",
+    "expected_m1_deviation", "variance_jump_coefficient",
+    "SimConfig", "SimState", "ContractViolationError", "rhs",
+    "integrate_interval", "inject_agent", "run_simulation",
+    "uniform_record_grid", "geometric_record_grid",
+    "AsymptoticTimes", "asymptotic_injection_times", "condition_sum",
+    "dawson_f", "ScheduleClass", "ClassificationError", "classify_schedule",
+    "HarmonicScaled", "ExplicitJumps", "EnvelopeSpec", "envelope_bound",
+    "DecayFit", "fit_decay_exponent", "RateBounds", "consensus_rate_bounds",
+    "EnsembleStats", "derive_run_seed", "run_ensemble", "ensemble_statistic",
+    "estimated_jump_means",
+}
+
+
 class TestPackageSurface:
     @pytest.mark.parametrize("module", ["growpop"] + [
         f"growpop.{name}" for name in ("kernels", "schedules", "sources", "observables",
@@ -305,6 +328,13 @@ class TestPackageSurface:
     def test_every_public_name_resolves(self, module):
         mod = importlib.import_module(module)
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+    def test_final_injection_count_is_public_in_schedules(self):
+        assert "final_injection_count" in growpop.schedules.__all__
+
+    def test_package_publishes_the_same_names(self):
+        assert len(growpop.__all__) == len(PUBLIC_NAMES)
+        assert set(growpop.__all__) == PUBLIC_NAMES
 
     def test_cli_runs_as_module_without_warnings(self):
         src = os.path.dirname(os.path.dirname(growpop.__file__))

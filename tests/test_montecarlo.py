@@ -255,16 +255,23 @@ class TestRunEnsemble:
 
 def replicas_of(config, runs, master, workers):
     """The ensemble's statistics, its CSV text, and the (runs, rows) columns w, v
-    and m1 its reduction read, captured from ``montecarlo._stack``."""
-    stacked = []
-    stack = montecarlo._stack
+    and m1 of its blocks, captured from ``montecarlo._blocks`` and joined in
+    run-index order."""
+    results = []
+    blocks = montecarlo._blocks
+
+    def recorded(tasks, workers):
+        for result in blocks(tasks, workers):
+            results.append(result)
+            yield result
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_stack",
-                   lambda results, n: stacked.append(stack(results, n)) or stacked[-1])
+        mp.setattr(montecarlo, "_blocks", recorded)
         stats = run_ensemble(config, runs=runs, master_seed=master, workers=workers)
     text = io.StringIO()
     _write_ensemble(stats, text)
-    _, w, v, m1 = stacked[0]
+    _, *columns = zip(*results)
+    w, v, m1 = (np.concatenate(blocks) for blocks in columns)
     return stats, text.getvalue(), w, v, m1
 
 

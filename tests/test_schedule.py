@@ -7,6 +7,7 @@ population_at(s, t_j) == n0 + j and one ulp earlier it is n0 + j - 1.
 
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -102,6 +103,7 @@ class TestExplicitSchedule:
         assert population_at(s, np.nextafter(1.0, 0.0)) == 3
         assert population_at(s, 2.6) == 5
         assert population_at(s, 100.0) == 6
+        assert population_at(s, math.inf) == 6
 
     def test_injection_time_lookup(self):
         s = ExplicitSchedule(n0=1, times=(0.5, 1.25))
@@ -211,3 +213,62 @@ def test_integer_arguments_take_numpy_integers_and_reject_bools(call, ints):
         for bad in (True, 2.5):
             with pytest.raises(ValueError, match="must be an integer"):
                 call(*ints[:i], bad, *ints[i + 1:])
+
+
+_STATE = gp.SimState(t=0.0, k=0, opinions=np.array([[0.0], [1.0]]), dim=1)
+
+
+def _sim_config_floats(step_max, horizon, record_time):
+    cfg = gp.SimConfig(dim=1, kernel=gp.constant_kernel(1.0),
+                       schedule=PowerExponentialSchedule(alpha=0.5, n0=2),
+                       source=gp.gaussian_source(0.0, 1.0), initial_opinions=np.zeros((2, 1)),
+                       step_max=step_max, horizon=horizon, record_grid=(record_time,))
+    return cfg.step_max, cfg.horizon, cfg.record_grid
+
+
+# each entry point as a function of its real arguments, their values, and the
+# parameter names its errors give
+FLOAT_ARGUMENTS = [
+    pytest.param(gp.constant_kernel, (1.3,), ("c",), id="constant_kernel"),
+    pytest.param(gp.rational_kernel, (0.5, 1.5), ("a", "b"), id="rational_kernel"),
+    pytest.param(lambda alpha: PowerExponentialSchedule(alpha=alpha, n0=2), (0.5,), ("alpha",),
+                 id="PowerExponentialSchedule"),
+    pytest.param(lambda sigma2: gp.gaussian_source(0.0, sigma2), (0.75,), ("sigma2",),
+                 id="gaussian_source"),
+    pytest.param(lambda sigma2: gp.expected_m1_deviation(2, 5, [[0.5], [-0.5]], [0.0], sigma2),
+                 (0.75,), ("sigma2",), id="expected_m1_deviation"),
+    pytest.param(lambda step_max, t_end: gp.integrate_interval(
+        _STATE, gp.rational_kernel(0.5, 0.5), t_end, step_max), (0.1, 0.55),
+                 ("step_max", "t_end"), id="integrate_interval"),
+    pytest.param(_sim_config_floats, (0.1, 2.0, 0.5), ("step_max", "horizon", "record_grid"),
+                 id="SimConfig"),
+    pytest.param(gp.uniform_record_grid, (1.0, 0.25), ("t_end", "dt"),
+                 id="uniform_record_grid"),
+    pytest.param(lambda t_first, t_end: gp.geometric_record_grid(t_first, t_end, 16),
+                 (0.5, 30.0), ("t_first", "t_end"), id="geometric_record_grid"),
+    pytest.param(gp.AsymptoticTimes, (0.5,), ("alpha",), id="AsymptoticTimes"),
+    pytest.param(gp.asymptotic_injection_times, (0.5,), ("alpha",),
+                 id="asymptotic_injection_times"),
+    pytest.param(lambda lam: gp.condition_sum(lam, gp.asymptotic_injection_times(0.5), 50),
+                 (1.0,), ("lambda",), id="condition_sum"),
+    pytest.param(gp.dawson_f, (2.0, 1.0, 3.0), ("p", "rate", "x"), id="dawson_f"),
+    pytest.param(lambda alpha, psi_star, psi_max: gp.classify_schedule(
+        alpha, psi_star, psi_max, n_max=10_000), (0.5, 0.4, 1.6),
+                 ("alpha", "psi_star", "psi_max"), id="classify_schedule"),
+    pytest.param(lambda rate: gp.envelope_bound(
+        gp.EnvelopeSpec(decay_rate=rate, y0=1.0, jump_bound=gp.HarmonicScaled(c=1.0)),
+        gp.asymptotic_injection_times(1.0), 20), (0.5,), ("decay_rate",), id="envelope_bound"),
+    pytest.param(gp.consensus_rate_bounds, (0.5,), ("alpha",), id="consensus_rate_bounds"),
+]
+
+
+@pytest.mark.parametrize("call, floats, names", FLOAT_ARGUMENTS)
+def test_float_arguments_take_numpy_floats_and_reject_other_types(call, floats, names):
+    want = call(*floats)
+    # equal reprs: same values, and a stored number is a float, not an np.float64
+    assert repr(call(*map(np.float64, floats))) == repr(want)
+    for i, name in enumerate(names):
+        # real scalars only: a 0-d array or a Decimal is refused, not converted
+        for bad in (True, np.True_, "0.5", np.asarray(0.5), Decimal("0.5")):
+            with pytest.raises(ValueError, match=rf"^{name}\b[\w ]* must be a real number"):
+                call(*floats[:i], bad, *floats[i + 1:])
