@@ -400,7 +400,7 @@ def _build_parser() -> _Parser:
     cond = sub.add_parser("conditions", help="condition-sum table and classification")
     cond.add_argument("--config", default=None)
     cond.add_argument("--alpha", type=float, default=None)
-    cond.add_argument("--lambda", dest="lam", type=float, default=None)
+    cond.add_argument("--lambda", dest="lam", type=float, action="append", default=None)
     cond.add_argument("--n-max", dest="n_max", type=int, default=None)
     cond.add_argument("--out", default=None)
 
@@ -440,7 +440,7 @@ def _cmd_ensemble(args) -> int:
 
 def _cmd_conditions(args) -> int:
     alpha = args.alpha
-    lambdas = (args.lam,) if args.lam is not None else None
+    lambdas = tuple(args.lam) if args.lam is not None else None
     block = ConditionsBlock()
     if args.config is not None:
         cfg = load_config(args.config)

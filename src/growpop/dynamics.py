@@ -61,11 +61,14 @@ free row, and the rows present are advanced in place between events by
 classical Runge-Kutta 4 at a fixed step, the last one shortened to land
 exactly on the endpoint. The step is step_max, capped at RK4's real-axis
 stability limit for the kernel's certified psi_max. Every RK4 stage is one
-pass of ``kernels._force`` over the pair weights, a tile of rows at a time,
-which gives the velocities and the dissipation D together. Simpson's rule over
-the stages gives each step's integral of D, which every run records
-(``d_integral``): the witness of the energy balance d(m2)/dt = D between
-arrivals. The constant kernel's integral is closed form, from the V column.
+pass of ``kernels._force`` over the pair weights, which gives the velocities
+and the dissipation D together. The pass computes each pair's weight once, in
+row tiles of the upper triangle, and uses it in both directions: about N^2 / 2
+weights and d + 2 matrix products per tile, in O(N * tile) memory.
+Simpson's rule over the stages gives each step's integral of D, which every
+run records (``d_integral``): the witness of the energy balance d(m2)/dt = D
+between arrivals. The constant kernel's integral is closed form, from the V
+column.
 
 Each row's D comes from one pass at its opinions, which the next span then
 takes as its first stage, k1, so the pass costs nothing extra. A pre/post pair
@@ -140,10 +143,11 @@ class SimState:
 def rhs(state: SimState, kernel: Kernel) -> np.ndarray:
     """Instantaneous opinion velocities, shape (N, d).
 
-    The pair weight matrix W is symmetric bit for bit, so the velocities
-    (W y - r * y) / N, with r the row sums of W, sum to zero in exact
-    arithmetic: the mean is conserved along the flow up to roundoff. The
-    pivot y = x - x[0] makes exact consensus (y = 0) give exactly zero.
+    Each pair's weight is computed once and used in both directions, so the
+    pair weight matrix W is symmetric and the velocities (W y - r * y) / N,
+    with r the row sums of W, sum to zero in exact arithmetic: the mean is
+    conserved along the flow up to roundoff. The pivot y = x - x[0] makes
+    exact consensus (y = 0) give exactly zero.
     """
     x = np.asarray(state.opinions, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:

@@ -10,6 +10,13 @@ Two families are built in:
 
 * ``constant``: psi(r) = c,
 * ``rational``: psi(r) = a + b / (1 + r^2), decaying from a+b toward a.
+
+The module also holds the one pass over the pairs of opinions, ``_force``,
+which gives the velocities and the dissipation together. The constant kernel's
+pass is O(N). For any other kernel the pass weighs each unordered pair once, in
+row tiles of the upper triangle (``_pair_tiles``), and uses each weight in both
+directions, so the pair terms are antisymmetric by construction; each
+coordinate's differences come from one exact matrix product with k = 2.
 """
 
 from __future__ import annotations
@@ -26,9 +33,11 @@ __all__ = [
     "rational_kernel",
 ]
 
-# Rows per tile of the pair sums; a tile's temporaries are (rows, N). Of 8 to
-# 128 rows, 32 ran the pairwise workload (N to 502, d = 2) fastest.
-_TILE_ROWS = 32
+# Rows per tile of the pair sums; a tile's two buffers are (rows, N - lo). Of
+# 32 to 128 rows, 64 ran the pairwise workload (N to 502, d = 2, one core)
+# fastest: 48 and 80 rows took 1.14x and 1.06x its time, 32 and 128 rows 1.33x
+# and 1.54x.
+_TILE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -104,9 +113,14 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
     Both work on y = x - x[0], so exact consensus (y = 0) is a fixed point with
     D = 0. The constant kernel's velocities are c (m1 - x_i) and its D is -2cV,
     O(N). Any other kernel takes row i of the velocities as ((W y)_i - (sum_j
-    W_ij) y_i) / N, one matrix product per tile of ``_pair_tiles``, and D as
-    one ``np.vdot`` of the tile's weights and squared distances: O(N^2) time,
-    O(N * tile) memory, whatever d.
+    W_ij) y_i) / N. A tile of ``_pair_tiles`` holds its nr rows [lo, hi)
+    against the columns [lo, N), so each weight is computed once and used in
+    both directions. With y1 = [y | 1], ``w @ y1[lo:]`` gives W y and the row
+    sums for the tile's rows, and ``w[:, nr:].T @ y1[lo:hi]`` the mirrored
+    terms for rows hi..N. D sums each tile both ways: twice its ``np.vdot``
+    of weights and squared distances, less its own (nr, nr) block, which the
+    tile already holds both ways. That is N^2 / 2 weights, in O(N * tile)
+    memory, whatever d.
     """
     n = x.shape[0]
     if kernel.kind == "constant":
@@ -116,45 +130,72 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
         d_old = None if old is None else _force(x[:old], kernel)[1]
         return c * towards_mean, -2.0 * c * float(np.vdot(towards_mean, towards_mean)) / n, d_old
     # sum_j w_ij (y_j - y_i) = (W y)_i - (sum_j w_ij) y_i
-    y = x - x[0]
-    out = np.empty_like(y)
+    d = x.shape[1]
+    y1 = np.empty((n, d + 1))
+    y = np.subtract(x, x[0], out=y1[:, :d])
+    y1[:, d] = 1.0
+    acc = np.zeros((n, d + 1))  # [W y | row sums of W]
     total = pre = 0.0
     for rows, w, d2 in _pair_tiles(y, kernel):
-        out[rows] = w @ y - w.sum(axis=1)[:, None] * y[rows]
-        total += float(np.vdot(w, d2))
-        if old is not None and rows.start < old:
-            nr = min(rows.stop, old) - rows.start
-            pre += float(np.vdot(w[:nr, :old], d2[:nr, :old]))
-    return out / n, -total / (n * n), None if old is None else -pre / (old * old)
+        lo, hi = rows.start, rows.stop
+        nr = hi - lo
+        acc[rows] += w @ y1[lo:]
+        if hi < n:
+            acc[hi:] += w[:, nr:].T @ y1[rows]
+        total += _both_ways(w, d2, nr)
+        if old is not None and lo < old:
+            # the old agents' part of the tile is the tile their own pass
+            # makes, and takes the same sum in the same order
+            m = min(hi, old) - lo
+            pre += _both_ways(w[:m, :old - lo], d2[:m, :old - lo], m)
+    velocities = (acc[:, :d] - acc[:, d:] * y) / n
+    return velocities, -total / (n * n), None if old is None else -pre / (old * old)
+
+
+def _both_ways(w: np.ndarray, d2: np.ndarray, nr: int) -> float:
+    """sum w_ij d2_ij over a tile's pairs both ways: twice the tile, less its
+    own (nr, nr) block, which the tile holds both ways already."""
+    return 2.0 * float(np.vdot(w, d2)) - float(np.vdot(w[:, :nr], d2[:, :nr]))
 
 
 def _pair_tiles(y: np.ndarray, kernel: Kernel):
-    """Pair weights of ``kernel`` over the points ``y`` (N, d), by row tiles,
-    for ``_force``, the one pass that sums them.
+    """Pair weights of ``kernel`` over the points ``y`` (N, d), by row tiles
+    of the upper triangle, for ``_force``, the one pass that sums them.
 
-    Yields ``(rows, w, d2)`` for consecutive slices of at most ``_TILE_ROWS``
-    rows: ``d2[i, j] = |y_j - y_i|^2`` for i in the tile and every j, and
-    ``w = kernel.eval_squared(d2)``, both (rows, N). Each squared distance is
-    summed one coordinate at a time in the same order, and fl(a - b)^2 equals
-    fl(b - a)^2, so the weight matrix the tiles make up is symmetric bit for
-    bit. The tiles share three buffers allocated once per call, so a yielded
-    ``w`` or ``d2`` is valid only until the next tile is asked for: copy it to
-    keep it. Memory is O(rows * N) per call, whatever d.
+    Yields ``(rows, w, d2)`` for consecutive slices [lo, hi) of at most
+    ``_TILE_ROWS`` rows: ``d2[i - lo, j - lo] = |y_j - y_i|^2`` for i in the
+    tile and j in [lo, N), and ``w = kernel.eval_squared(d2)``, both (hi - lo,
+    N - lo). A pair of agents in different tiles is in the earlier tile only,
+    so each weight is computed once. A tile's own (nr, nr) block holds its
+    pairs both ways and is symmetric bit for bit: fl(a - b)^2 equals
+    fl(b - a)^2, and each squared distance is summed one coordinate at a time
+    in the same order.
+
+    Each coordinate's differences come from one k = 2 matrix product, [1, -y_i]
+    @ [y_j; 1]. Both products are by 1.0, so exact, and one rounded add gives
+    fl(y_j - y_i): the bits of a plain subtraction, at BLAS speed. The tiles
+    are contiguous views of two flat buffers allocated once per call, so a
+    yielded ``w`` or ``d2`` is valid only until the next tile is asked for:
+    copy it to keep it. Memory is O(rows * N) per call, whatever d.
     """
-    n = y.shape[0]
-    coords = y.T.copy()  # one contiguous row per coordinate
+    n, d = y.shape
+    lefts, rights = np.empty((d, n, 2)), np.empty((d, 2, n))
+    lefts[:, :, 0] = rights[:, 1] = 1.0
+    np.negative(y.T, out=lefts[:, :, 1])
+    rights[:, 0] = y.T
     rows_max = min(_TILE_ROWS, n)
-    d2_buf, diff_buf, w_buf = (np.empty((rows_max, n)) for _ in range(3))
+    d2_flat, w_flat = np.empty(rows_max * n), np.empty(rows_max * n)
     for lo in range(0, n, _TILE_ROWS):
         rows = slice(lo, min(lo + _TILE_ROWS, n))
-        nr = rows.stop - lo
-        d2, diff, w = d2_buf[:nr], diff_buf[:nr], w_buf[:nr]
-        np.subtract(coords[0], coords[0][rows, None], out=d2)
+        shape = (rows.stop - lo, n - lo)
+        size = shape[0] * shape[1]
+        d2, w = d2_flat[:size].reshape(shape), w_flat[:size].reshape(shape)
+        np.matmul(lefts[0][rows], rights[0][:, lo:], out=d2)
         np.multiply(d2, d2, out=d2)
-        for col in coords[1:]:
-            np.subtract(col, col[rows, None], out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.add(d2, diff, out=d2)
+        for left, right in zip(lefts[1:], rights[1:]):  # w holds the differences
+            np.matmul(left[rows], right[:, lo:], out=w)
+            np.multiply(w, w, out=w)
+            np.add(d2, w, out=d2)
         yield rows, kernel.eval_squared(d2, out=w), d2
 
 

@@ -26,6 +26,7 @@ from growpop import (
     rational_kernel,
     run_simulation,
 )
+from growpop import analysis
 from growpop.cli import ConfigError, cmd_dispatch, emit_series_csv, load_config
 from growpop.dynamics import _end_time
 
@@ -514,6 +515,32 @@ class TestDispatch:
             for lam, cell in zip(lambdas, cells, strict=True):
                 want = growpop.condition_sum(lam, times, int(n))
                 assert abs(float(cell) - want) <= 1e-15 * want, (n, lam, cell, want)
+
+    def test_conditions_lambda_repeats(self, tmp_path, capsys, monkeypatch):
+        # one column per --lambda, in the order given; the verdict is checked
+        # on the smallest and the largest rate
+        bounds = []
+        classify = analysis._classify
+
+        def recorded(alpha, psi_star, psi_max, *rest):
+            bounds.append((psi_star, psi_max))
+            return classify(alpha, psi_star, psi_max, *rest)
+
+        monkeypatch.setattr(analysis, "_classify", recorded)
+        out = tmp_path / "cond.csv"
+        assert cmd_dispatch(["conditions", "--alpha", "1.5", "--lambda", "1.6",
+                             "--lambda", "0.4", "--lambda", "1.0", "--n-max", "10000",
+                             "--out", str(out)]) == 0
+        head = capsys.readouterr().out.splitlines()[0].split()
+        assert head == ["n", "S(lambda=1.6)", "S(lambda=0.4)", "S(lambda=1)"]
+        assert bounds == [(0.4, 1.6)]
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["# classification=fails_c2", "n,s_lambda_0,s_lambda_1,s_lambda_2"]
+        times = growpop.asymptotic_injection_times(1.5)
+        n, *cells = lines[-1].split(",")
+        for lam, cell in zip((1.6, 0.4, 1.0), cells, strict=True):
+            want = growpop.condition_sum(lam, times, int(n))
+            assert abs(float(cell) - want) <= 1e-15 * want, (lam, cell, want)
 
     def test_conditions_without_alpha_is_usage_error(self, capsys):
         assert cmd_dispatch(["conditions", "--lambda", "1.0"]) == 1

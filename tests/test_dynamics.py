@@ -37,7 +37,7 @@ from growpop import (
     uniform_source,
 )
 from growpop import dynamics, observables
-from growpop.kernels import _TILE_ROWS, _force, _pair_tiles
+from growpop.kernels import _TILE_ROWS, Kernel, _force, _pair_tiles
 from growpop.observables import compute_moments, dissipation_of
 
 RNG = np.random.default_rng(424242)
@@ -47,9 +47,11 @@ RHS_ATOL = 1e-15
 MEAN_DRIFT_TOL = 1e-12
 EQUIVARIANCE_TOL = 1e-12
 
+# populations that fill about half a tile, or one tile and three rows, and
 # populations on both sides of one and of two tile edges of the pair sums
-TILE_EDGE_SHAPES = [(n, d) for n in (_TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1,
-                                     2 * _TILE_ROWS + 3) for d in (1, 2, 3)]
+TILE_EDGE_SIZES = (_TILE_ROWS // 2 - 1, _TILE_ROWS // 2, _TILE_ROWS // 2 + 1, _TILE_ROWS + 3,
+                   _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1, 2 * _TILE_ROWS + 3)
+TILE_EDGE_SHAPES = [(n, d) for n in TILE_EDGE_SIZES for d in (1, 2, 3)]
 
 
 def brute_force_rhs(x, kernel):
@@ -103,16 +105,43 @@ class TestForceField:
         assert np.all(rhs(state_of(x), maker()) == 0.0)
 
     def test_pairwise_terms_exactly_antisymmetric(self):
-        # the tiles' squared distances are summed coordinate by coordinate and
-        # fl(a-b) == -fl(b-a), so the weights they make up are symmetric and
-        # the weighted displacements antisymmetric bit for bit, across tiles;
-        # the tiles reuse their buffers, so each is copied as it comes
+        # each weight is computed once, in the upper tile of its pair, and used
+        # both ways. The tiles' differences come from matrix products, which
+        # must give fl(x_j - x_i) exactly: the weights are those of squared
+        # differences summed one coordinate at a time by plain subtraction, bit
+        # for bit, and a tile's own block, which holds both ways, is symmetric.
+        # The tiles are views of reused buffers, so each is copied as it comes.
         kernel = rational_kernel(0.5, 0.5)
-        x = RNG.normal(0.0, 1.0, size=(2 * _TILE_ROWS + 3, 2))
-        wts = np.vstack([w.copy() for _, w, _ in _pair_tiles(x, kernel)])
-        assert np.array_equal(wts, wts.T)
-        terms = wts[:, :, None] * (x[None, :, :] - x[:, None, :])
-        assert np.array_equal(terms, -np.transpose(terms, (1, 0, 2)))
+        n = 2 * _TILE_ROWS + 3
+        for d in (1, 2, 3):
+            x = RNG.normal(0.0, 1.0, size=(n, d))
+            wts = np.full((n, n), np.nan)
+            for rows, w, _ in _pair_tiles(x, kernel):
+                block = w[:, :rows.stop - rows.start]
+                assert np.array_equal(block, block.T)
+                wts[rows, rows.start:] = w
+                wts[rows.start:, rows] = w.T
+            d2 = sum((x[None, :, c] - x[:, None, c]) ** 2 for c in range(d))
+            assert np.array_equal(wts, kernel.eval_squared(d2)), d
+            terms = wts[:, :, None] * (x[None, :, :] - x[:, None, :])
+            assert np.array_equal(terms, -np.transpose(terms, (1, 0, 2))), d
+
+    def test_force_pass_evaluates_each_pair_once(self, monkeypatch):
+        # a tile's rows meet only the columns from its own first row on, so a
+        # pass weighs sum over tiles of rows * (N - lo) pairs, about N^2 / 2
+        n = 2 * _TILE_ROWS + 3
+        sizes = []
+        evaluate = Kernel.eval_squared
+
+        def counted(self, r2, out=None):
+            sizes.append(np.size(r2))
+            return evaluate(self, r2, out)
+
+        monkeypatch.setattr(Kernel, "eval_squared", counted)
+        _force(RNG.normal(size=(n, 2)), rational_kernel(0.5, 0.5))
+        want = sum(min(_TILE_ROWS, n - lo) * (n - lo) for lo in range(0, n, _TILE_ROWS))
+        assert sizes and sum(sizes) == want
+        assert want < 0.5 * n * (n + _TILE_ROWS)
 
     @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
     @pytest.mark.parametrize("maker", [lambda: constant_kernel(0.8),
@@ -141,9 +170,10 @@ class TestForceField:
             assert d_all == dissipation_of(x, kernel)
             assert d_old == dissipation_of(x[:old], kernel)
 
-    def test_velocity_sum_near_zero(self):
+    @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
+    def test_velocity_sum_near_zero(self, n, d):
         kernel = rational_kernel(0.5, 0.5)
-        x = RNG.normal(0.0, 3.0, size=(40, 2))
+        x = RNG.normal(0.0, 3.0, size=(n, d))
         total = rhs(state_of(x), kernel).sum(axis=0)
         assert np.all(np.abs(total) < 1e-13 * np.abs(x).max() * x.shape[0])
 
@@ -187,8 +217,9 @@ class TestIntegrator:
         out = integrate_interval(state, kernel, 0.7330000000000001, step_max=0.1)
         assert out.t == 0.7330000000000001
 
-    def test_mean_conserved_along_flow(self):
-        x = RNG.normal(0.0, 2.0, size=(50, 2))
+    @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
+    def test_mean_conserved_along_flow(self, n, d):
+        x = RNG.normal(0.0, 2.0, size=(n, d))
         m1_0 = x.mean(axis=0)
         for kernel in (constant_kernel(1.0), rational_kernel(0.5, 0.5)):
             out = integrate_interval(state_of(x), kernel, 10.0, step_max=0.05)
@@ -649,8 +680,7 @@ class TestParticleEngine:
         for name, col in particle_reference(config, series).items():
             assert getattr(series, name).tobytes() == col.tobytes(), name
 
-    @pytest.mark.parametrize("n", [_TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1,
-                                   2 * _TILE_ROWS + 3])
+    @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
     def test_dissipation_at_tile_edges(self, n):
         # the run ends with n agents; its pre/post pairs straddle every tile
         # edge below n, where the newcomer opens a tile of its own

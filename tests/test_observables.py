@@ -94,9 +94,12 @@ class TestComputeMoments:
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="self-check"):
             record_of(x, maker(), np.zeros(1))
 
-    # the last twelve sit on both sides of one and of two tile edges of the pair sums
+    # the last 24 fill about half a tile, or one tile and three rows, or sit on
+    # both sides of one and of two tile edges of the pair sums
     @pytest.mark.parametrize("n,d", [(2, 1), (7, 2), (12, 3)] + [
-        (n, d) for n in (_TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1, 2 * _TILE_ROWS + 3)
+        (n, d) for n in (_TILE_ROWS // 2 - 1, _TILE_ROWS // 2, _TILE_ROWS // 2 + 1,
+                         _TILE_ROWS + 3, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1,
+                         2 * _TILE_ROWS + 3)
         for d in (1, 2, 3)])
     @pytest.mark.parametrize("maker", [lambda: constant_kernel(0.9),
                                        lambda: rational_kernel(0.4, 1.1)])
