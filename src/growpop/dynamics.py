@@ -63,8 +63,10 @@ exactly on the endpoint. The step is step_max, capped at RK4's real-axis
 stability limit for the kernel's certified psi_max. Every RK4 stage is one
 pass of ``kernels._force`` over the pair weights, which gives the velocities
 and the dissipation D together. The pass computes each pair's weight once, in
-row tiles of the upper triangle, and uses it in both directions: about N^2 / 2
-weights and d + 2 matrix products per tile, in O(N * tile) memory.
+tiles of the upper triangle that hold their rows of the pair matrix as
+columns, and uses it in both directions: about N^2 / 2 weights and three
+matrix products per tile, one batched over the d coordinates' differences and
+two for the velocities, in O(d * N * tile) memory.
 Simpson's rule over the stages gives each step's integral of D, which every
 run records (``d_integral``): the witness of the energy balance d(m2)/dt = D
 between arrivals. The constant kernel's integral is closed form, from the V

@@ -14,9 +14,11 @@ Two families are built in:
 The module also holds the one pass over the pairs of opinions, ``_force``,
 which gives the velocities and the dissipation together. The constant kernel's
 pass is O(N). For any other kernel the pass weighs each unordered pair once, in
-row tiles of the upper triangle (``_pair_tiles``), and uses each weight in both
-directions, so the pair terms are antisymmetric by construction; each
-coordinate's differences come from one exact matrix product with k = 2.
+tiles of the upper triangle (``_pair_tiles``), and uses each weight in both
+directions, so the pair terms are antisymmetric by construction. A tile holds
+its rows of the pair matrix as columns, so every sum of D the pass takes reads
+a contiguous row prefix of it, and the differences of all coordinates come from
+one exact batched matrix product with k = 2.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ __all__ = [
     "rational_kernel",
 ]
 
-# Rows per tile of the pair sums; a tile's two buffers are (rows, N - lo). Of
-# 32 to 128 rows, 64 ran the pairwise workload (N to 502, d = 2, one core)
-# fastest: 48 and 80 rows took 1.14x and 1.06x its time, 32 and 128 rows 1.33x
-# and 1.54x.
+# Pair-matrix rows per tile, each held as a column: a tile's buffers are (d,
+# N - lo, rows) and (N - lo, rows). On the pairwise workload (N to 502, d = 2,
+# one core), 32 and 48 rows took 1.21-1.29x and 1.02-1.11x the time of 64, and
+# 80, 96 and 128 rows 0.93-1.00x, 0.96-1.02x and 0.99-1.04x: 64 is the smallest
+# size on that plateau, and a larger one only widens the strided old-agent view
+# of the tile ``old`` cuts.
 _TILE_ROWS = 64
 
 
@@ -60,13 +64,13 @@ class Kernel:
     def __call__(self, r):
         """psi at distance(s) r >= 0: scalars map to floats, arrays to arrays.
 
-        Negative distances are a domain error. The formula is written out
-        here, apart from ``eval_squared``, so tests can use one to check the
-        other.
+        Negative and NaN distances are a domain error. The formula is
+        written out here, apart from ``eval_squared``, so tests can use one to
+        check the other.
         """
         arr = np.asarray(r, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("kernel distance must be nonnegative")
+        if not (arr >= 0.0).all():  # written as not (>=) so NaN fails too
+            raise ValueError("kernel distance must be a number >= 0")
         if self.kind == "constant":
             out = np.full_like(arr, self.coef[0])
         else:
@@ -113,14 +117,16 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
     Both work on y = x - x[0], so exact consensus (y = 0) is a fixed point with
     D = 0. The constant kernel's velocities are c (m1 - x_i) and its D is -2cV,
     O(N). Any other kernel takes row i of the velocities as ((W y)_i - (sum_j
-    W_ij) y_i) / N. A tile of ``_pair_tiles`` holds its nr rows [lo, hi)
-    against the columns [lo, N), so each weight is computed once and used in
-    both directions. With y1 = [y | 1], ``w @ y1[lo:]`` gives W y and the row
-    sums for the tile's rows, and ``w[:, nr:].T @ y1[lo:hi]`` the mirrored
-    terms for rows hi..N. D sums each tile both ways: twice its ``np.vdot``
-    of weights and squared distances, less its own (nr, nr) block, which the
-    tile already holds both ways. That is N^2 / 2 weights, in O(N * tile)
-    memory, whatever d.
+    W_ij) y_i) / N. A tile of ``_pair_tiles`` holds the pair-matrix rows [lo,
+    hi) as its nr columns, against the rows [lo, N), so each weight is
+    computed once and used in both directions. With y1 = [y | 1], ``w.T @
+    y1[lo:]`` gives W y and the row sums for the tile's rows, and ``w[nr:] @
+    y1[lo:hi]`` the mirrored terms for rows hi..N. D sums each tile both ways:
+    twice its ``np.vdot`` of weights and squared distances, less its own (nr,
+    nr) block ``w[:nr]``, which the tile already holds both ways. Every such
+    sum reads a contiguous row prefix of the tile, as does the old agents'
+    part, ``w[:old - lo]``, in every tile but the one ``old`` cuts. That is
+    N^2 / 2 weights, in O(d * N * tile) memory.
     """
     n = x.shape[0]
     if kernel.kind == "constant":
@@ -139,64 +145,66 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
     for rows, w, d2 in _pair_tiles(y, kernel):
         lo, hi = rows.start, rows.stop
         nr = hi - lo
-        acc[rows] += w @ y1[lo:]
+        acc[rows] += w.T @ y1[lo:]
         if hi < n:
-            acc[hi:] += w[:, nr:].T @ y1[rows]
+            acc[hi:] += w[nr:] @ y1[rows]
         total += _both_ways(w, d2, nr)
         if old is not None and lo < old:
             # the old agents' part of the tile is the tile their own pass
             # makes, and takes the same sum in the same order
             m = min(hi, old) - lo
-            pre += _both_ways(w[:m, :old - lo], d2[:m, :old - lo], m)
+            pre += _both_ways(w[:old - lo, :m], d2[:old - lo, :m], m)
     velocities = (acc[:, :d] - acc[:, d:] * y) / n
     return velocities, -total / (n * n), None if old is None else -pre / (old * old)
 
 
 def _both_ways(w: np.ndarray, d2: np.ndarray, nr: int) -> float:
     """sum w_ij d2_ij over a tile's pairs both ways: twice the tile, less its
-    own (nr, nr) block, which the tile holds both ways already."""
-    return 2.0 * float(np.vdot(w, d2)) - float(np.vdot(w[:, :nr], d2[:, :nr]))
+    own (nr, nr) block, its first nr rows, which it holds both ways already."""
+    return 2.0 * float(np.vdot(w, d2)) - float(np.vdot(w[:nr], d2[:nr]))
 
 
 def _pair_tiles(y: np.ndarray, kernel: Kernel):
-    """Pair weights of ``kernel`` over the points ``y`` (N, d), by row tiles
-    of the upper triangle, for ``_force``, the one pass that sums them.
+    """Pair weights of ``kernel`` over the points ``y`` (N, d), by tiles of
+    the upper triangle stored column-major, for ``_force``, the one pass that
+    sums them.
 
     Yields ``(rows, w, d2)`` for consecutive slices [lo, hi) of at most
-    ``_TILE_ROWS`` rows: ``d2[i - lo, j - lo] = |y_j - y_i|^2`` for i in the
-    tile and j in [lo, N), and ``w = kernel.eval_squared(d2)``, both (hi - lo,
-    N - lo). A pair of agents in different tiles is in the earlier tile only,
-    so each weight is computed once. A tile's own (nr, nr) block holds its
-    pairs both ways and is symmetric bit for bit: fl(a - b)^2 equals
-    fl(b - a)^2, and each squared distance is summed one coordinate at a time
-    in the same order.
+    ``_TILE_ROWS`` pair-matrix rows, each held as a column: ``d2[j - lo, i -
+    lo] = |y_j - y_i|^2`` for i in the tile and j in [lo, N), and ``w =
+    kernel.eval_squared(d2)``, both (N - lo, hi - lo). A pair of agents in
+    different tiles is in the earlier tile only, so each weight is computed
+    once. A tile's own (nr, nr) block, its first nr rows, holds its pairs both
+    ways and is symmetric bit for bit: fl(a - b)^2 equals fl(b - a)^2, and each
+    squared distance is summed one coordinate at a time in the same order.
 
-    Each coordinate's differences come from one k = 2 matrix product, [1, -y_i]
-    @ [y_j; 1]. Both products are by 1.0, so exact, and one rounded add gives
-    fl(y_j - y_i): the bits of a plain subtraction, at BLAS speed. The tiles
-    are contiguous views of two flat buffers allocated once per call, so a
-    yielded ``w`` or ``d2`` is valid only until the next tile is asked for:
-    copy it to keep it. Memory is O(rows * N) per call, whatever d.
+    The differences of all d coordinates come from one batched k = 2 matrix
+    product, [y_j, 1] @ [1; -y_i]. Both products are by 1.0, so exact, and one
+    rounded add gives fl(y_j - y_i): the bits of a plain subtraction, at BLAS
+    speed. The squares are summed into the first coordinate's slab, which is
+    ``d2``. The tiles are contiguous views of two flat buffers allocated once
+    per call, one of d tiles of differences and one of weights, so a yielded
+    ``w`` or ``d2`` is valid only until the next tile is asked for: copy it to
+    keep it. Memory is O(d * rows * N) per call.
     """
     n, d = y.shape
     lefts, rights = np.empty((d, n, 2)), np.empty((d, 2, n))
-    lefts[:, :, 0] = rights[:, 1] = 1.0
-    np.negative(y.T, out=lefts[:, :, 1])
-    rights[:, 0] = y.T
+    lefts[:, :, 0] = y.T
+    lefts[:, :, 1] = rights[:, 0] = 1.0
+    np.negative(y.T, out=rights[:, 1])
     rows_max = min(_TILE_ROWS, n)
-    d2_flat, w_flat = np.empty(rows_max * n), np.empty(rows_max * n)
+    diff_flat, w_flat = np.empty(d * rows_max * n), np.empty(rows_max * n)
     for lo in range(0, n, _TILE_ROWS):
         rows = slice(lo, min(lo + _TILE_ROWS, n))
-        shape = (rows.stop - lo, n - lo)
+        shape = (n - lo, rows.stop - lo)
         size = shape[0] * shape[1]
-        d2, w = d2_flat[:size].reshape(shape), w_flat[:size].reshape(shape)
-        np.matmul(lefts[0][rows], rights[0][:, lo:], out=d2)
-        np.multiply(d2, d2, out=d2)
-        for left, right in zip(lefts[1:], rights[1:]):  # w holds the differences
-            np.matmul(left[rows], right[:, lo:], out=w)
-            np.multiply(w, w, out=w)
-            np.add(d2, w, out=d2)
-        yield rows, kernel.eval_squared(d2, out=w), d2
+        diff = diff_flat[:d * size].reshape((d,) + shape)
+        np.matmul(lefts[:, lo:], rights[:, :, rows], out=diff)
+        np.multiply(diff, diff, out=diff)
+        d2 = diff[0]
+        for sq in diff[1:]:
+            np.add(d2, sq, out=d2)
+        yield rows, kernel.eval_squared(d2, out=w_flat[:size].reshape(shape)), d2
 
 
 def constant_kernel(c: float) -> Kernel:

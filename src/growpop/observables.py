@@ -170,7 +170,7 @@ def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
     non-constant kernel makes at every row and RK4 stage, so such a run's D
     equals this of the same opinions bit for bit. A constant kernel's D is
     -2cV, O(N); any other kernel's is summed over tiles of pair weights, each
-    pair's weight computed once: N^2 / 2 weights, O(N * tile) memory.
+    pair's weight computed once: N^2 / 2 weights, O(d * N * tile) memory.
     """
     return _force(np.asarray(x, dtype=float), kernel)[1]
 

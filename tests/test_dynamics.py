@@ -111,16 +111,17 @@ class TestForceField:
         # differences summed one coordinate at a time by plain subtraction, bit
         # for bit, and a tile's own block, which holds both ways, is symmetric.
         # The tiles are views of reused buffers, so each is copied as it comes.
+        # A tile holds its rows of the pair matrix as columns, (N - lo, nr).
         kernel = rational_kernel(0.5, 0.5)
         n = 2 * _TILE_ROWS + 3
         for d in (1, 2, 3):
             x = RNG.normal(0.0, 1.0, size=(n, d))
             wts = np.full((n, n), np.nan)
             for rows, w, _ in _pair_tiles(x, kernel):
-                block = w[:, :rows.stop - rows.start]
+                block = w[:rows.stop - rows.start]
                 assert np.array_equal(block, block.T)
-                wts[rows, rows.start:] = w
-                wts[rows.start:, rows] = w.T
+                wts[rows, rows.start:] = w.T
+                wts[rows.start:, rows] = w
             d2 = sum((x[None, :, c] - x[:, None, c]) ** 2 for c in range(d))
             assert np.array_equal(wts, kernel.eval_squared(d2)), d
             terms = wts[:, :, None] * (x[None, :, :] - x[:, None, :])
@@ -244,6 +245,30 @@ class TestIntegrator:
             err.append(np.abs(sol - ref).max())
         ratio = err[0] / err[1]
         assert 12.0 < ratio < 20.0
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.4, 1.2)])
+    def test_energy_balance_is_fourth_order(self, a, b):
+        # RK4's m2 and the Simpson integral of its stages' D agree to O(h^4):
+        # m2 misses m2(0) + d_integral + the m2 jumps by about 16 times less
+        # each time the step halves, over a run that crosses a tile edge
+        errs = []
+        for h in (0.04, 0.02, 0.01):
+            config = SimConfig(
+                dim=2,
+                kernel=rational_kernel(a, b),
+                schedule=PowerExponentialSchedule(alpha=0.5, n0=2),
+                source=gaussian_source((0.25, -0.5), 1.0),
+                initial_opinions=np.array([[0.5, 0.0], [-0.5, 0.3]]),
+                step_max=h,
+                max_agents=_TILE_ROWS + 3,
+            )
+            series = run_simulation(config, seed=7)
+            is_post = np.array(series.event) == "post_jump"
+            jumps = np.where(is_post, np.diff(series.m2, prepend=series.m2[0]), 0.0)
+            expected = series.m2[0] + series.d_integral + np.cumsum(jumps)
+            errs.append(float(np.max(np.abs(series.m2 - expected) / np.abs(expected))))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 14.0 <= coarse / fine <= 18.0, errs
 
     def test_constant_kernel_flow_is_exact(self):
         # x(t) = m1 + (x - m1) e^{-ct}; RK4 at h = 1e-2 is off by about 1e-10

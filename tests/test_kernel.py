@@ -81,6 +81,14 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             k(np.array([0.5, -1e-12]))
 
+    def test_nan_distance_rejected(self):
+        # NaN is outside [0, inf) too, though no comparison with 0 holds for it
+        k = rational_kernel(0.5, 0.5)
+        with pytest.raises(ValueError):
+            k(math.nan)
+        with pytest.raises(ValueError):
+            k(np.array([0.5, math.nan]))
+
     @pytest.mark.parametrize("maker", [lambda: constant_kernel(1.3),
                                        lambda: rational_kernel(0.4, 1.1)])
     def test_eval_squared_agrees_with_direct(self, maker):
