@@ -5,22 +5,22 @@ The central object is the weighted sum
     S(lambda, n) = sum_{k=1}^{n} (1/k) * exp(-lambda * (t_n - t_k)),
 
 which controls whether the variance contributions of early arrivals are
-forgotten (S -> 0, consensus) or pile up (S bounded away from zero). Every
-term is evaluated in the shifted form exp(-lambda*(t_n - t_k) - ln k), whose
-exponent is never positive, so nothing overflows regardless of how fast the
-times grow.
+forgotten (S -> 0, consensus) or pile up (S bounded away from zero). It is the
+envelope y0 e^(-lambda t_n) + sum_k g(k) e^(-lambda (t_n - t_k)) of a quantity
+decaying at rate lambda with jumps g(k), at y0 = 0 and g(k) = 1/k. No term's
+exponent is positive, so none overflows regardless of how fast the times grow.
 
-A table of S at increasing n_1 < n_2 < ... costs one O(n_max) pass per rate:
+A table of envelopes at increasing n_1 < n_2 < ... costs one O(n_max) pass:
 segment j, the terms n_{j-1} < k <= n_j, is summed by numpy's pairwise
-``np.sum``, and the running total is carried by
+``np.sum``, and the running total, y0 at t_0 = 0, is carried by
 
     S(lambda, n_j) = exp(-lambda (t_{n_j} - t_{n_{j-1}})) S(lambda, n_{j-1}) + segment_j.
 
 The factor is at most 1, so the recurrence is a contraction and carried
-errors do not grow. The terms are positive, so pairwise summation has a
-relative error of O(eps log n) (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2nd ed., section 4.2); that matches the 1-ulp rounding of each
-``exp`` in the terms, which no exact summation of the rounded terms removes.
+errors do not grow. With g >= 0 the terms are positive, so pairwise summation
+has a relative error of O(eps log n) (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., section 4.2); that matches the 1-ulp rounding
+of each ``exp`` and g(k), which no exact summation of the rounded terms removes.
 
 For arrival times on the scale t_k = (ln k)^p the sum is asymptotically the
 generalized Dawson integral F(p, x) = exp(-lambda x^p) * int_0^x
@@ -87,7 +87,7 @@ TimesSource = Union[GrowthSchedule, AsymptoticTimes, Sequence[float]]
 
 
 def _times_array(times: TimesSource, n: int) -> np.ndarray:
-    """Arrival times t_1..t_n as a float array, validated nondecreasing."""
+    """Arrival times t_1..t_n as a float array, validated finite and nondecreasing."""
     if isinstance(times, PowerExponentialSchedule):
         t = np.log(times.n0 + np.arange(1, n + 1, dtype=float)) ** (1.0 / times.alpha)
     elif isinstance(times, ExplicitSchedule):
@@ -97,25 +97,28 @@ def _times_array(times: TimesSource, n: int) -> np.ndarray:
     elif isinstance(times, AsymptoticTimes):
         t = times.array(n)
     else:
-        try:
-            t = np.asarray(times, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
+        t = np.asarray(times)
+        if t.dtype.kind not in "iuf":  # real numbers only: no bools, strings or objects
             raise ValueError("times must be a growth schedule, an AsymptoticTimes scale or a "
-                             f"sequence of times t_1..t_n, got {times!r}") from None
+                             f"sequence of times t_1..t_n, got {times!r}")
+        t = t.astype(float, copy=False).reshape(-1)
         if t.size < n:
             raise ValueError(f"times sequence has {t.size} entries, need {n}")
         t = t[:n]
-    if t.size and np.any(np.diff(t) < 0.0):
-        raise ValueError("arrival times must be nondecreasing")
+    # nondecreasing with finite ends: every time is finite
+    if t.size and not (np.all(np.diff(t) >= 0.0) and math.isfinite(t[0]) and math.isfinite(t[-1])):
+        raise ValueError("arrival times must be finite and nondecreasing")
     return t
 
 
-def _condition_sums(lam: float, times: TimesSource, ns) -> np.ndarray:
-    """S(lambda, n) at every n of the strictly increasing integers ``ns``.
+def _condition_sums(lam: float, times: TimesSource, ns, bound: JumpBound, y0: float = 0.0,
+                    reverse: bool = False) -> np.ndarray:
+    """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)) at each n of ``ns``.
 
-    One pass over k <= ns[-1]: each segment ns[j-1] < k <= ns[j] is summed
-    pairwise and added to the previous sum carried forward by its decay
-    factor (see the module docstring). Temporaries are one segment long.
+    g is the jump ``bound``, nonnegative unless ``reverse``. One pass over
+    k <= ns[-1] sums each segment ns[j-1] < k <= ns[j] pairwise and adds the
+    previous total carried forward by its decay factor (see the module
+    docstring). Temporaries are one segment long.
     """
     lam = _number(lam, "lambda", "> 0")
     grid = np.asarray(ns)
@@ -124,17 +127,20 @@ def _condition_sums(lam: float, times: TimesSource, ns) -> np.ndarray:
         raise ValueError(f"ns must be strictly increasing integers >= 1, got {ns!r}")
     t = _times_array(times, int(grid[-1]))
     sums = np.empty(grid.size)
-    total, lo = 0.0, 0
+    total, lo, t_lo = y0, 0, 0.0
     for j, hi in enumerate(grid.tolist()):
-        # exp(-lam (t_n - t_k) - ln k) for lo < k <= hi, built in place
+        # g(k) exp(-lam (t_n - t_k)) for lo < k <= hi, built in place
         terms = t[lo:hi] - t[hi - 1]
         terms *= lam
-        log_k = np.arange(lo + 1, hi + 1, dtype=float)
-        terms -= np.log(log_k, out=log_k)
-        segment = float(np.sum(np.exp(terms, out=terms)))
-        total = segment + (math.exp(-lam * (t[hi - 1] - t[lo - 1])) * total if lo else 0.0)
+        np.exp(terms, out=terms)
+        g = _jump_values(bound, lo, hi)
+        if not reverse and g.min() < 0.0:
+            raise ValueError("upper envelopes need nonnegative jump bounds")
+        terms *= g
+        total = float(np.sum(terms)) + (math.exp(-lam * (t[hi - 1] - t_lo)) * total
+                                        if total else 0.0)  # t < 0 may overflow the factor
         sums[j] = total
-        lo = hi
+        lo, t_lo = hi, t[hi - 1]
     return sums
 
 
@@ -145,7 +151,7 @@ def condition_sum(lam: float, times: TimesSource, n: int) -> float:
     sequence of the times t_1..t_n. Only time differences enter,
     so the value is invariant under shifting all times by a constant.
     """
-    return float(_condition_sums(lam, times, (_integer(n, "n", 1),))[0])
+    return float(_condition_sums(lam, times, (_integer(n, "n", 1),), HarmonicScaled(1.0))[0])
 
 
 def dawson_f(p: float, rate: float, x: float) -> float:
@@ -239,7 +245,7 @@ def _conditions_table(alpha: float, lambdas: Sequence[float], n_max: int):
     """
     grid = _sum_grid(n_max)
     times = asymptotic_injection_times(alpha).array(int(grid[-1]))  # built once for all rates
-    columns = {lam: _condition_sums(lam, times, grid) for lam in lambdas}
+    columns = {lam: _condition_sums(lam, times, grid, HarmonicScaled(1.0)) for lam in lambdas}
     psi_star, psi_max = min(lambdas), max(lambdas)
     if n_max >= 10_000:
         verdict = _classify(alpha, psi_star, psi_max, grid, columns.__getitem__)
@@ -259,7 +265,7 @@ def _classify(alpha: float, psi_star: float, psi_max: float, grid: np.ndarray,
         s = sums_at(psi_star).tolist()
         tail = s[len(s) // 2:]
         decreasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(tail, tail[1:]))
-        if not decreasing or not s[-1] < s[0]:
+        if not decreasing or not s[-1] < tail[0]:
             raise ClassificationError(
                 f"alpha={alpha} < 1 predicts decaying sums, observed {s}"
             )
@@ -287,8 +293,8 @@ class HarmonicScaled:
 
     c: float
 
-    def values(self, n: int) -> np.ndarray:
-        return self.c / np.arange(1, n + 1, dtype=float)
+    def __post_init__(self):
+        object.__setattr__(self, "c", _number(self.c, "c"))
 
 
 @dataclass(frozen=True)
@@ -297,10 +303,8 @@ class ExplicitJumps:
 
     values: tuple[float, ...]
 
-    def values_array(self, n: int) -> np.ndarray:
-        if len(self.values) < n:
-            raise ValueError(f"jump bound defines {len(self.values)} values, need {n}")
-        return np.asarray(self.values[:n], dtype=float)
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(_number(v, "values") for v in self.values))
 
 
 JumpBound = Union[HarmonicScaled, ExplicitJumps]
@@ -321,36 +325,34 @@ class EnvelopeSpec:
     jump_bound: JumpBound
     reverse: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "decay_rate", _number(self.decay_rate, "decay_rate", "> 0"))
+        object.__setattr__(self, "y0", _number(self.y0, "y0"))
 
-def _jump_values(bound: JumpBound, n: int) -> np.ndarray:
+
+def _jump_values(bound: JumpBound, lo: int, hi: int) -> np.ndarray:
+    """The weights g(k) for lo < k <= hi, as a new array."""
     if isinstance(bound, HarmonicScaled):
-        return bound.values(n)
+        g = np.arange(lo + 1, hi + 1, dtype=float)
+        return np.divide(bound.c, g, out=g)
     if isinstance(bound, ExplicitJumps):
-        return bound.values_array(n)
+        if len(bound.values) < hi:
+            raise ValueError(f"jump bound defines {len(bound.values)} values, need {hi}")
+        return np.array(bound.values[lo:hi], dtype=float)
     raise ValueError(f"unsupported jump bound {bound!r}")
 
 
 def envelope_bound(spec: EnvelopeSpec, times: TimesSource, n: int) -> float:
     """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)), t_0 = 0.
 
-    All exponents are nonpositive, so the evaluation cannot overflow however
-    large the times are. The terms are summed pairwise: with nonnegative jump
-    bounds the error is O(eps log n) relative to the sum; with a reverse
-    envelope's bounds of mixed sign it is O(eps log n) relative to the sum of
-    the terms' absolute values (Higham, section 4.2), and cancellation can
-    make it large relative to the sum itself.
+    The terms are summed pairwise: with nonnegative jump bounds the error is
+    O(eps log n) relative to the sum; with a reverse envelope's bounds of
+    mixed sign it is O(eps log n) relative to the sum of the terms' absolute
+    values (Higham, section 4.2), and cancellation can make it large relative
+    to the sum itself.
     """
-    lam = _number(spec.decay_rate, "decay_rate", "> 0")
-    n = _integer(n, "n", 1)
-    t = _times_array(times, n)
-    g = _jump_values(spec.jump_bound, n)
-    if not spec.reverse and np.any(g < 0.0):
-        raise ValueError("upper envelopes need nonnegative jump bounds")
-    terms = t - t[-1]  # built in place: one (n,) temporary beside t and g
-    terms *= lam
-    np.exp(terms, out=terms)
-    terms *= g
-    return spec.y0 * math.exp(-lam * t[-1]) + float(np.sum(terms))
+    return float(_condition_sums(spec.decay_rate, times, (_integer(n, "n", 1),), spec.jump_bound,
+                                 spec.y0, spec.reverse)[0])
 
 
 class DecayFit(NamedTuple):
@@ -367,9 +369,11 @@ def fit_decay_exponent(series, window: float) -> DecayFit:
     decay) and the r^2 of the log-log fit; a constant series fits exactly
     with beta_hat = 0.
     """
-    pts = np.asarray(list(series), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("series must be a sequence of (t, value) pairs")
+    pts = np.asarray(list(series))
+    if (pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 2
+            or not np.all(np.isfinite(pts))):
+        raise ValueError("series must be a sequence of finite (t, value) pairs")
+    window = _number(window, "window")
     if not (0.0 < window <= 1.0):
         raise ValueError(f"window must be a fraction in (0, 1], got {window}")
     count = int(math.ceil(window * pts.shape[0]))

@@ -76,10 +76,10 @@ class ExplicitSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "n0", _integer(self.n0, "n0", 1))
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        object.__setattr__(self, "times", tuple(_number(t, "times") for t in self.times))
         prev = 0.0
         for i, t in enumerate(self.times):
-            if not math.isfinite(t) or t <= prev:
+            if t <= prev:
                 raise ValueError(
                     f"times must be strictly increasing and > 0; offending entry {i}: {t}"
                 )
@@ -118,9 +118,7 @@ def population_at(schedule: GrowthSchedule, t: float) -> int:
     direct comparison), so ``population_at(s, injection_time(s, j)) == n0 + j``
     holds exactly.
     """
-    t = float(t)
-    if not (t >= 0.0):
-        raise ValueError(f"time must be >= 0, got {t}")
+    t = math.inf if t == math.inf else _number(t, "t", ">= 0")  # inf: every arrival is in
     if isinstance(schedule, ExplicitSchedule):
         return schedule.n0 + bisect.bisect_right(schedule.times, t)
 

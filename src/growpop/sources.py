@@ -43,11 +43,9 @@ class OpinionSource:
 
 
 def _make(kind: str, mean, sigma2: float) -> OpinionSource:
-    mean = tuple(float(c) for c in np.atleast_1d(mean))
+    mean = tuple(_number(c, "mean") for c in ((mean,) if np.ndim(mean) == 0 else mean))
     if len(mean) < 1:
         raise ValueError("mean must have at least one coordinate")
-    if not all(math.isfinite(c) for c in mean):
-        raise ValueError(f"mean must be finite, got {mean}")
     return OpinionSource(kind=kind, mean=mean, sigma2=_number(sigma2, "sigma2", ">= 0"))
 
 

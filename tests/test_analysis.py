@@ -35,6 +35,7 @@ from growpop import (
     fit_decay_exponent,
     consensus_rate_bounds,
 )
+from growpop import analysis
 from growpop.analysis import _condition_sums
 
 RNG = np.random.default_rng(3141592)
@@ -98,6 +99,10 @@ class TestConditionSum:
         s = condition_sum(2.0, times, 100)
         assert 0.0 < s < 1.0 / 100.0 + 1e-12
 
+    def test_no_overflow_for_negative_times(self):
+        # only differences enter; the zero y0 is carried by no factor e^(-lam t_n)
+        assert condition_sum(1.0, [-1000.0, -999.0], 2) == condition_sum(1.0, [0.0, 1.0], 2)
+
     def test_boundary_limit_helper(self):
         # the sums approach 1/lambda on the boundary scale
         times = asymptotic_injection_times(1.0)
@@ -159,7 +164,7 @@ class TestOnePassTable:
     @given(sum_tables())
     def test_matches_per_n_exact_sums(self, case):
         times, lam, ns = case
-        table = _condition_sums(lam, times, ns)
+        table = _condition_sums(lam, times, ns, HarmonicScaled(1.0))
         assert table.shape == (len(ns),)
         for n, got in zip(ns, table):
             want = self.reference(lam, times, n)
@@ -171,15 +176,42 @@ class TestOnePassTable:
                                     [1.0, 2.0], [[1, 2]]])
     def test_rejects_bad_grids(self, ns):
         with pytest.raises(ValueError):
-            _condition_sums(1.0, [0.0, 0.5, 1.0, 2.0], ns)
+            _condition_sums(1.0, [0.0, 0.5, 1.0, 2.0], ns, HarmonicScaled(1.0))
+
+    @pytest.mark.parametrize("times", [
+        pytest.param(asymptotic_injection_times(0.5), id="alpha-0.5"),
+        pytest.param(asymptotic_injection_times(1.0), id="alpha-1"),
+        pytest.param(asymptotic_injection_times(1.5), id="alpha-1.5"),
+        pytest.param(PowerExponentialSchedule(alpha=0.7, n0=3), id="schedule"),
+        pytest.param(np.cumsum(np.random.default_rng(11).uniform(0.0, 1e-3, size=100_000))
+                     .tolist(), id="sequence"),
+    ])
+    @pytest.mark.parametrize("lam", [0.4, 1.0, 1.6])
+    def test_condition_sum_is_the_harmonic_envelope(self, times, lam):
+        spec = EnvelopeSpec(decay_rate=lam, y0=0.0, jump_bound=HarmonicScaled(c=1.0))
+        for n in (1, 2, 10, 1000, 100_000):
+            assert condition_sum(lam, times, n) == envelope_bound(spec, times, n), n
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_envelope_table_matches_each_envelope(self, reverse):
+        # a carried table with y0 and explicit jumps against one pass per n
+        n, rng = 400, np.random.default_rng(12)
+        times = np.sort(rng.uniform(0.0, 30.0, size=n))
+        g = rng.uniform(-0.5 if reverse else 0.0, 1.0, size=n)
+        spec = EnvelopeSpec(decay_rate=0.8, y0=1.5, jump_bound=ExplicitJumps(values=tuple(g)),
+                            reverse=reverse)
+        ns = [1, 7, 50, 51, 399, 400]
+        table = _condition_sums(0.8, times, ns, spec.jump_bound, 1.5, reverse)
+        want = [envelope_bound(spec, times, k) for k in ns]
+        np.testing.assert_allclose(table, want, rtol=1e-13, atol=1e-13 * np.abs(g).sum())
 
     def test_closed_forms_on_a_grid(self):
         times = asymptotic_injection_times(1.0)
         ns = np.unique(np.geomspace(10, 10**6, 12).astype(int))
-        np.testing.assert_allclose(_condition_sums(1.0, times, ns), 1.0,
+        np.testing.assert_allclose(_condition_sums(1.0, times, ns, HarmonicScaled(1.0)), 1.0,
                                    rtol=0, atol=CLOSED_FORM_TOL)
-        np.testing.assert_allclose(_condition_sums(2.0, times, ns), (ns + 1) / (2.0 * ns),
-                                   rtol=0, atol=CLOSED_FORM_TOL)
+        np.testing.assert_allclose(_condition_sums(2.0, times, ns, HarmonicScaled(1.0)),
+                                   (ns + 1) / (2.0 * ns), rtol=0, atol=CLOSED_FORM_TOL)
 
 
 class TestDawsonTransform:
@@ -276,6 +308,19 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_schedule(0.5, 2.0, 1.0)  # star above max
 
+    @pytest.mark.parametrize("n_max", [10_000, 100_000, 1_000_000])
+    def test_alpha_just_below_one_converges(self, n_max):
+        # S(0.4, n) rises from 1.664 at n = 10 to a peak near n = 230 before it
+        # decays; the check compares the tail, not the transient
+        assert classify_schedule(0.9, 0.4, 1.6, n_max=n_max) is ScheduleClass.CONVERGES_C1
+
+    @pytest.mark.parametrize("step", [1e-10, 1e-3])  # within / beyond the tail's tolerance
+    def test_rising_tail_below_one_raises(self, monkeypatch, step):
+        monkeypatch.setattr(analysis, "condition_sum",
+                            lambda lam, times, n: 1.0 + step * math.log(n))
+        with pytest.raises(ClassificationError, match="predicts decaying sums"):
+            classify_schedule(0.5, 0.4, 1.6, n_max=100_000)
+
     def test_classification_error_exists(self):
         assert issubclass(ClassificationError, RuntimeError)
 
@@ -294,7 +339,7 @@ class TestEnvelope:
         lam, n = 0.9, 60
         times = np.sort(RNG.uniform(0.1, 20.0, size=n))
         bound_fn = HarmonicScaled(c=0.7)
-        g = bound_fn.values(n)
+        g = 0.7 / np.arange(1, n + 1, dtype=float)
         y = self.recursion(lam, times, 2.0, g)
         spec = EnvelopeSpec(decay_rate=lam, y0=2.0, jump_bound=bound_fn)
         np.testing.assert_allclose(envelope_bound(spec, times, n), y[-1], rtol=1e-12)
@@ -302,7 +347,7 @@ class TestEnvelope:
     def test_dominates_any_compliant_sequence(self):
         lam, n = 1.2, 80
         times = np.sort(RNG.uniform(0.1, 15.0, size=n))
-        g = HarmonicScaled(c=1.0).values(n)
+        g = 1.0 / np.arange(1, n + 1, dtype=float)
         jumps = g * RNG.uniform(0.0, 1.0, size=n)  # |jumps| <= g
         y = self.recursion(lam, times, 0.5, jumps)
         spec = EnvelopeSpec(decay_rate=lam, y0=0.5, jump_bound=HarmonicScaled(c=1.0))

@@ -553,6 +553,13 @@ class TestDispatch:
         assert lines[0] == "# classification=converges_c1"
         assert lines[1] == "n,s_lambda_0"
 
+    def test_conditions_classify_alpha_just_below_one(self, capsys):
+        # S(0.4, n) at alpha 0.9 rises until n ~ 230 and then decays; the
+        # cross-check reads the decaying tail, so the analytic verdict stands
+        assert cmd_dispatch(["conditions", "--alpha", "0.9", "--lambda", "0.4",
+                             "--lambda", "1.6", "--n-max", "10000"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "classification: converges_c1"
+
     def test_envelope_requires_block(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert cmd_dispatch(["envelope", "--config", path]) == 2

@@ -226,6 +226,8 @@ def _sim_config_floats(step_max, horizon, record_time):
     return cfg.step_max, cfg.horizon, cfg.record_grid
 
 
+_POWER_LAW = [(t, t**-1.5) for t in np.geomspace(1.0, 100.0, 40).tolist()]
+
 # each entry point as a function of its real arguments, their values, and the
 # parameter names its errors give
 FLOAT_ARGUMENTS = [
@@ -235,6 +237,14 @@ FLOAT_ARGUMENTS = [
                  id="PowerExponentialSchedule"),
     pytest.param(lambda sigma2: gp.gaussian_source(0.0, sigma2), (0.75,), ("sigma2",),
                  id="gaussian_source"),
+    pytest.param(lambda mean: gp.gaussian_source(mean, 1.0), (0.25,), ("mean",),
+                 id="gaussian_source mean"),
+    pytest.param(lambda mean: gp.uniform_source([0.5, mean], 1.0), (0.25,), ("mean",),
+                 id="uniform_source mean vector"),
+    pytest.param(lambda t: ExplicitSchedule(n0=1, times=(0.5, t)), (2.0,), ("times",),
+                 id="ExplicitSchedule times"),
+    pytest.param(lambda t: population_at(PowerExponentialSchedule(alpha=0.5, n0=2), t), (3.0,),
+                 ("t",), id="population_at"),
     pytest.param(lambda sigma2: gp.expected_m1_deviation(2, 5, [[0.5], [-0.5]], [0.0], sigma2),
                  (0.75,), ("sigma2",), id="expected_m1_deviation"),
     pytest.param(lambda step_max, t_end: gp.integrate_interval(
@@ -255,9 +265,15 @@ FLOAT_ARGUMENTS = [
     pytest.param(lambda alpha, psi_star, psi_max: gp.classify_schedule(
         alpha, psi_star, psi_max, n_max=10_000), (0.5, 0.4, 1.6),
                  ("alpha", "psi_star", "psi_max"), id="classify_schedule"),
-    pytest.param(lambda rate: gp.envelope_bound(
-        gp.EnvelopeSpec(decay_rate=rate, y0=1.0, jump_bound=gp.HarmonicScaled(c=1.0)),
-        gp.asymptotic_injection_times(1.0), 20), (0.5,), ("decay_rate",), id="envelope_bound"),
+    pytest.param(lambda rate, y0: gp.envelope_bound(
+        gp.EnvelopeSpec(decay_rate=rate, y0=y0, jump_bound=gp.HarmonicScaled(c=1.0)),
+        gp.asymptotic_injection_times(1.0), 20), (0.5, 1.0), ("decay_rate", "y0"),
+                 id="envelope_bound"),
+    pytest.param(gp.HarmonicScaled, (1.0,), ("c",), id="HarmonicScaled"),
+    pytest.param(lambda value: gp.ExplicitJumps(values=(0.5, value)), (0.25,), ("values",),
+                 id="ExplicitJumps"),
+    pytest.param(lambda window: gp.fit_decay_exponent(_POWER_LAW, window), (0.5,), ("window",),
+                 id="fit_decay_exponent"),
     pytest.param(gp.consensus_rate_bounds, (0.5,), ("alpha",), id="consensus_rate_bounds"),
 ]
 
@@ -272,3 +288,28 @@ def test_float_arguments_take_numpy_floats_and_reject_other_types(call, floats, 
         for bad in (True, np.True_, "0.5", np.asarray(0.5), Decimal("0.5")):
             with pytest.raises(ValueError, match=rf"^{name}\b[\w ]* must be a real number"):
                 call(*floats[:i], bad, *floats[i + 1:])
+
+
+@pytest.mark.parametrize("call, floats, names", FLOAT_ARGUMENTS)
+def test_float_arguments_reject_nan(call, floats, names):
+    for i, name in enumerate(names):
+        with pytest.raises(ValueError, match=rf"^{name}\b[\w ]* must be (?:>=? 0 and )?finite"):
+            call(*floats[:i], math.nan, *floats[i + 1:])
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [math.nan], [0.0, 1.0, math.inf],
+                                   [-math.inf, 0.0, 1.0], [True, True, True],
+                                   np.ones(3, dtype=bool), ["0", "1", "2"]])
+def test_times_sequences_hold_finite_numbers(times):
+    spec = gp.EnvelopeSpec(decay_rate=1.0, y0=0.0, jump_bound=gp.HarmonicScaled(c=1.0))
+    for call in (lambda: gp.condition_sum(1.0, times, len(times)),
+                 lambda: gp.envelope_bound(spec, times, len(times))):
+        with pytest.raises(ValueError, match="times"):
+            call()
+
+
+@pytest.mark.parametrize("pair", [(2.0, math.nan), (math.inf, 1.0), ("2.0", "1.0")])
+def test_decay_fit_series_hold_finite_numbers(pair):
+    series = [(t, t**-1.0) for t in np.geomspace(1.0, 100.0, 20).tolist()]
+    with pytest.raises(ValueError, match="series must be a sequence of finite"):
+        gp.fit_decay_exponent(series[:5] + [pair] + series[6:], 1.0)
