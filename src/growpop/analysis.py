@@ -10,17 +10,22 @@ envelope y0 e^(-lambda t_n) + sum_k g(k) e^(-lambda (t_n - t_k)) of a quantity
 decaying at rate lambda with jumps g(k), at y0 = 0 and g(k) = 1/k. No term's
 exponent is positive, so none overflows regardless of how fast the times grow.
 
-A table of envelopes at increasing n_1 < n_2 < ... costs one O(n_max) pass:
-segment j, the terms n_{j-1} < k <= n_j, is summed by numpy's pairwise
-``np.sum``, and the running total, y0 at t_0 = 0, is carried by
+A table of envelopes at increasing n_1 < n_2 < ..., for any number of rates,
+costs one O(n_max) pass in O(chunk x rates) memory: k runs in fixed chunks
+of a few thousand terms, whose times and weights are made once for all
+rates. Within a chunk each piece of segment j, the terms n_{j-1} < k <= n_j,
+is summed by numpy's pairwise ``np.sum``; the chunk sums of a segment are
+grouped exactly (Shewchuk's algorithm, as in ``math.fsum``), and the running
+total, y0 at t_0 = 0, is carried by
 
     S(lambda, n_j) = exp(-lambda (t_{n_j} - t_{n_{j-1}})) S(lambda, n_{j-1}) + segment_j.
 
 The factor is at most 1, so the recurrence is a contraction and carried
 errors do not grow. With g >= 0 the terms are positive, so pairwise summation
-has a relative error of O(eps log n) (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2nd ed., section 4.2); that matches the 1-ulp rounding
-of each ``exp`` and g(k), which no exact summation of the rounded terms removes.
+has a relative error of O(eps log chunk), within O(eps log n) (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 4.2); that
+matches the 1-ulp rounding of each ``exp`` and g(k), which no exact summation
+of the rounded terms removes.
 
 For arrival times on the scale t_k = (ln k)^p the sum is asymptotically the
 generalized Dawson integral F(p, x) = exp(-lambda x^p) * int_0^x
@@ -75,8 +80,7 @@ class AsymptoticTimes:
         object.__setattr__(self, "alpha", _number(self.alpha, "alpha", "> 0"))
 
     def array(self, n: int) -> np.ndarray:
-        n = _integer(n, "n", 0)
-        return np.log(np.arange(1, n + 1, dtype=float)) ** (1.0 / self.alpha)
+        return _log_power(0, _integer(n, "n", 0), self.alpha)
 
 
 def asymptotic_injection_times(alpha: float) -> AsymptoticTimes:
@@ -85,62 +89,190 @@ def asymptotic_injection_times(alpha: float) -> AsymptoticTimes:
 
 TimesSource = Union[GrowthSchedule, AsymptoticTimes, Sequence[float]]
 
+# Terms per chunk of the condition-sum pass. Each chunk's times and weights
+# are fresh arrays, and below malloc's mmap threshold (128 KiB) the heap
+# reuses their memory. A sweep on one core of a 2-core Xeon, two runs of 15
+# calls per size, for a two-rate table to n = 1e6 (minimum ms per call, minor
+# page faults per call): 2^11, 18-27 ms, 0 faults; 2^12, 12-20 ms, 0;
+# 2^13, 12-15 ms, 0; 2^14, 10-13 ms, 128; 2^15, 8-13 ms, 224; 2^16, 9-14 ms,
+# 480. Full-length arrays: 20-24 ms, 2,600-4,700 faults. Above 2^13 the
+# times are within this machine's noise, so the size is the largest that
+# faults no page.
+_CHUNK = 1 << 13
 
-def _times_array(times: TimesSource, n: int) -> np.ndarray:
-    """Arrival times t_1..t_n as a float array, validated finite and nondecreasing."""
-    if isinstance(times, PowerExponentialSchedule):
-        t = np.log(times.n0 + np.arange(1, n + 1, dtype=float)) ** (1.0 / times.alpha)
-    elif isinstance(times, ExplicitSchedule):
-        if len(times.times) < n:
-            raise ValueError(f"schedule defines {len(times.times)} times, need {n}")
-        t = np.asarray(times.times[:n], dtype=float)
-    elif isinstance(times, AsymptoticTimes):
-        t = times.array(n)
-    else:
-        t = np.asarray(times)
-        if t.dtype.kind not in "iuf":  # real numbers only: no bools, strings or objects
-            raise ValueError("times must be a growth schedule, an AsymptoticTimes scale or a "
-                             f"sequence of times t_1..t_n, got {times!r}")
-        t = t.astype(float, copy=False).reshape(-1)
-        if t.size < n:
-            raise ValueError(f"times sequence has {t.size} entries, need {n}")
-        t = t[:n]
-    # nondecreasing with finite ends: every time is finite
-    if t.size and not (np.all(np.diff(t) >= 0.0) and math.isfinite(t[0]) and math.isfinite(t[-1])):
-        raise ValueError("arrival times must be finite and nondecreasing")
+
+def _log_power(lo: int, hi: int, alpha: float) -> np.ndarray:
+    """(ln j)^(1/alpha) for lo < j <= hi, as a new array.
+
+    The one formula of the power-exponential family. A value depends on j
+    alone, not on where the slice starts, so chunks agree with a full array.
+    """
+    t = np.arange(lo + 1, hi + 1, dtype=float)
+    np.log(t, out=t)
+    t **= 1.0 / alpha
     return t
 
 
-def _condition_sums(lam: float, times: TimesSource, ns, bound: JumpBound, y0: float = 0.0,
-                    reverse: bool = False) -> np.ndarray:
-    """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)) at each n of ``ns``.
+def _real_array(values) -> np.ndarray | None:
+    """``values`` as one numeric array, or None if any entry is not a real
+    number: a bool, a string or an object, also one among numbers."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or _holds_bool(values):
+        return None
+    return arr
 
-    g is the jump ``bound``, nonnegative unless ``reverse``. One pass over
-    k <= ns[-1] sums each segment ns[j-1] < k <= ns[j] pairwise and adds the
-    previous total carried forward by its decay factor (see the module
-    docstring). Temporaries are one segment long.
+
+def _holds_bool(values) -> bool:
+    """Whether a (nested) list or tuple has a bool entry, which numpy would
+    silently turn into a number."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind == "b"
+    if not isinstance(values, (list, tuple)):
+        return False
+    kinds = set(map(type, values))
+    return bool(kinds & {bool, np.bool_}) or (
+        bool(kinds & {list, tuple, np.ndarray}) and any(map(_holds_bool, values)))
+
+
+def _time_chunks(times: TimesSource, n: int) -> Callable[[int, int], np.ndarray]:
+    """A reader of the arrival times: (lo, hi) -> t_{lo+1..hi} as floats, hi <= n."""
+    if isinstance(times, (AsymptoticTimes, PowerExponentialSchedule)):
+        n0 = getattr(times, "n0", 0)  # AsymptoticTimes: t_k = (ln k)^(1/alpha)
+        return lambda lo, hi: _log_power(n0 + lo, n0 + hi, times.alpha)
+    if isinstance(times, ExplicitSchedule):
+        if len(times.times) < n:
+            raise ValueError(f"schedule defines {len(times.times)} times, need {n}")
+        return lambda lo, hi: np.array(times.times[lo:hi], dtype=float)
+    t = _real_array(times)
+    if t is None:
+        raise ValueError("times must be a growth schedule, an AsymptoticTimes scale or a "
+                         f"sequence of times t_1..t_n, got {times!r}")
+    t = t.reshape(-1)  # the caller's memory, streamed as views
+    if t.size < n:
+        raise ValueError(f"times sequence has {t.size} entries, need {n}")
+    return lambda lo, hi: t[lo:hi].astype(float, copy=False)
+
+
+def _weight_chunks(bound: JumpBound, n: int, reverse: bool) -> Callable[[int, int], np.ndarray]:
+    """A reader of the jump weights: (lo, hi) -> g(lo+1..hi) as a new array, hi <= n.
+
+    Unless ``reverse``, a negative weight raises.
     """
-    lam = _number(lam, "lambda", "> 0")
+    negative = "upper envelopes need nonnegative jump bounds"
+    if isinstance(bound, HarmonicScaled):
+        if not reverse and bound.c < 0.0:
+            raise ValueError(negative)
+
+        def harmonic(lo, hi):
+            g = np.arange(lo + 1, hi + 1, dtype=float)
+            return np.divide(bound.c, g, out=g)
+        return harmonic
+    if isinstance(bound, ExplicitJumps):
+        if len(bound.values) < n:
+            raise ValueError(f"jump bound defines {len(bound.values)} values, need {n}")
+
+        def explicit(lo, hi):
+            g = np.array(bound.values[lo:hi], dtype=float)
+            if not reverse and g.min() < 0.0:
+                raise ValueError(negative)
+            return g
+        return explicit
+    raise ValueError(f"unsupported jump bound {bound!r}")
+
+
+_UNSORTED = "arrival times must be finite and nondecreasing"
+
+
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add x to the sum held exactly by the nonoverlapping ``partials``.
+
+    Shewchuk's algorithm, the one inside ``math.fsum``: math.fsum(partials)
+    is then the correctly rounded total, and the list stays a few entries
+    long however many numbers are added.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def _condition_sums(lams: Sequence[float], times: TimesSource, ns, bound: JumpBound,
+                    y0: float = 0.0, reverse: bool = False) -> np.ndarray:
+    """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)) at each n of ``ns``,
+    one row per rate of ``lams``.
+
+    g is the jump ``bound``, nonnegative unless ``reverse``. One pass walks
+    k <= ns[-1] in chunks of _CHUNK terms, aligned at multiples of _CHUNK. A
+    chunk's times are read, checked finite and nondecreasing (also across
+    the boundary from the previous chunk) and its weights built once for all
+    rates; each piece of a segment ns[j-1] < k <= ns[j] inside the chunk is
+    summed pairwise, and the pieces of a segment are added exactly. A
+    segment's total adds the previous total carried forward by its decay
+    factor (see the module docstring). t_n is the value that the chunk
+    holding k = n computes; when a segment runs past the current chunk, that
+    chunk is read ahead and kept until the walk reaches it. Memory is
+    O(_CHUNK x rates): the buffers are allocated once per call.
+    """
+    lams = [_number(lam, "lambda", "> 0") for lam in lams]
     grid = np.asarray(ns)
     if (grid.ndim != 1 or grid.size == 0 or not np.issubdtype(grid.dtype, np.integer)
             or grid[0] < 1 or np.any(np.diff(grid) <= 0)):
         raise ValueError(f"ns must be strictly increasing integers >= 1, got {ns!r}")
-    t = _times_array(times, int(grid[-1]))
-    sums = np.empty(grid.size)
-    total, lo, t_lo = y0, 0, 0.0
-    for j, hi in enumerate(grid.tolist()):
-        # g(k) exp(-lam (t_n - t_k)) for lo < k <= hi, built in place
-        terms = t[lo:hi] - t[hi - 1]
-        terms *= lam
-        np.exp(terms, out=terms)
-        g = _jump_values(bound, lo, hi)
-        if not reverse and g.min() < 0.0:
-            raise ValueError("upper envelopes need nonnegative jump bounds")
-        terms *= g
-        total = float(np.sum(terms)) + (math.exp(-lam * (t[hi - 1] - t_lo)) * total
-                                        if total else 0.0)  # t < 0 may overflow the factor
-        sums[j] = total
-        lo, t_lo = hi, t[hi - 1]
+    ends = grid.tolist()
+    n_max = ends[-1]
+    time_chunk = _time_chunks(times, n_max)
+    weight_chunk = _weight_chunks(bound, n_max, reverse)
+
+    width = min(_CHUNK, n_max)
+    diffs, terms = np.empty(width), np.empty((len(lams), width))
+    sums = np.empty((len(lams), len(ends)))
+    totals, pieces = [y0] * len(lams), [[] for _ in lams]
+    j, t_last, t_end = 0, 0.0, -math.inf  # t at the previous grid point and chunk end
+    ahead, t_ahead = -1, None  # start and times of the chunk holding the segment's end
+    for start in range(0, n_max, _CHUNK):
+        stop = min(start + _CHUNK, n_max)
+        t = t_ahead if ahead == start else time_chunk(start, stop)
+        # nondecreasing from the previous chunk on, with finite ends: every time is finite
+        if not (t_end <= t[0] and math.isfinite(t[0]) and math.isfinite(t[-1])
+                and np.all(t[1:] >= t[:-1])):
+            raise ValueError(_UNSORTED)
+        g = weight_chunk(start, stop)
+        lo = start
+        while lo < stop:
+            end = ends[j]
+            if end <= stop:
+                t_n = t[end - 1 - start]
+            else:
+                if ahead != (end - 1) // _CHUNK * _CHUNK:
+                    ahead = (end - 1) // _CHUNK * _CHUNK
+                    t_ahead = time_chunk(ahead, min(ahead + _CHUNK, n_max))
+                t_n = t_ahead[end - 1 - ahead]
+            hi = min(end, stop)
+            d = np.subtract(t[lo - start:hi - start], t_n, out=diffs[:hi - lo])
+            if not d[-1] <= 0.0:  # t_n, read ahead, is not past this chunk's times
+                raise ValueError(_UNSORTED)
+            for r, lam in enumerate(lams):
+                # g(k) exp(-lam (t_n - t_k)) for lo < k <= hi, into the rate's buffer
+                buf = np.multiply(d, lam, out=terms[r, :hi - lo])
+                np.exp(buf, out=buf)
+                buf *= g[lo - start:hi - start]
+                _add_exact(pieces[r], float(np.sum(buf)))
+            if hi == end:
+                for r, lam in enumerate(lams):
+                    # skipped at a zero total: t < 0 may overflow the factor
+                    carried = math.exp(-lam * (t_n - t_last)) * totals[r] if totals[r] else 0.0
+                    totals[r] = sums[r, j] = math.fsum(pieces[r]) + carried
+                    pieces[r].clear()
+                j, t_last = j + 1, t_n
+            lo = hi
+        t_end = t[-1]
     return sums
 
 
@@ -151,7 +283,7 @@ def condition_sum(lam: float, times: TimesSource, n: int) -> float:
     sequence of the times t_1..t_n. Only time differences enter,
     so the value is invariant under shifting all times by a constant.
     """
-    return float(_condition_sums(lam, times, (_integer(n, "n", 1),), HarmonicScaled(1.0))[0])
+    return float(_condition_sums((lam,), times, (_integer(n, "n", 1),), HarmonicScaled(1.0))[0, 0])
 
 
 def dawson_f(p: float, rate: float, x: float) -> float:
@@ -237,15 +369,15 @@ def _sum_grid(n_max: int) -> np.ndarray:
 def _conditions_table(alpha: float, lambdas: Sequence[float], n_max: int):
     """(grid, {lam: S(lam, grid)}, verdict) for ``growpop conditions``.
 
-    Each rate's column is one pass on the geometric grid up to n_max, on the
-    scale t_k = (ln k)^(1/alpha). From n_max >= 10000 on this grid is the
+    All the rates' columns come from one pass on the geometric grid up to
+    n_max, on the scale t_k = (ln k)^(1/alpha). From n_max >= 10000 on this grid is the
     classifier's and its rates, the smallest and largest lambda, are columns,
     so the verdict is checked on the table; below that ``classify_schedule``
     evaluates its own grid up to 10000.
     """
     grid = _sum_grid(n_max)
-    times = asymptotic_injection_times(alpha).array(int(grid[-1]))  # built once for all rates
-    columns = {lam: _condition_sums(lam, times, grid, HarmonicScaled(1.0)) for lam in lambdas}
+    rows = _condition_sums(lambdas, asymptotic_injection_times(alpha), grid, HarmonicScaled(1.0))
+    columns = dict(zip(lambdas, rows))
     psi_star, psi_max = min(lambdas), max(lambdas)
     if n_max >= 10_000:
         verdict = _classify(alpha, psi_star, psi_max, grid, columns.__getitem__)
@@ -330,18 +462,6 @@ class EnvelopeSpec:
         object.__setattr__(self, "y0", _number(self.y0, "y0"))
 
 
-def _jump_values(bound: JumpBound, lo: int, hi: int) -> np.ndarray:
-    """The weights g(k) for lo < k <= hi, as a new array."""
-    if isinstance(bound, HarmonicScaled):
-        g = np.arange(lo + 1, hi + 1, dtype=float)
-        return np.divide(bound.c, g, out=g)
-    if isinstance(bound, ExplicitJumps):
-        if len(bound.values) < hi:
-            raise ValueError(f"jump bound defines {len(bound.values)} values, need {hi}")
-        return np.array(bound.values[lo:hi], dtype=float)
-    raise ValueError(f"unsupported jump bound {bound!r}")
-
-
 def envelope_bound(spec: EnvelopeSpec, times: TimesSource, n: int) -> float:
     """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)), t_0 = 0.
 
@@ -351,8 +471,8 @@ def envelope_bound(spec: EnvelopeSpec, times: TimesSource, n: int) -> float:
     values (Higham, section 4.2), and cancellation can make it large relative
     to the sum itself.
     """
-    return float(_condition_sums(spec.decay_rate, times, (_integer(n, "n", 1),), spec.jump_bound,
-                                 spec.y0, spec.reverse)[0])
+    return float(_condition_sums((spec.decay_rate,), times, (_integer(n, "n", 1),),
+                                 spec.jump_bound, spec.y0, spec.reverse)[0, 0])
 
 
 class DecayFit(NamedTuple):
@@ -369,8 +489,8 @@ def fit_decay_exponent(series, window: float) -> DecayFit:
     decay) and the r^2 of the log-log fit; a constant series fits exactly
     with beta_hat = 0.
     """
-    pts = np.asarray(list(series))
-    if (pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 2
+    pts = _real_array(series if isinstance(series, np.ndarray) else list(series))
+    if (pts is None or pts.ndim != 2 or pts.shape[1] != 2
             or not np.all(np.isfinite(pts))):
         raise ValueError("series must be a sequence of finite (t, value) pairs")
     window = _number(window, "window")

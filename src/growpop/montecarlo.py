@@ -19,7 +19,6 @@ parallelism.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +104,9 @@ def _blocks(tasks, workers: int):
     """Block results in task order: one block runs in this process, more in a
     process pool. A dead worker fails every block not yet done; the first of
     them is reported with its runs and seeds."""
-    from concurrent.futures.process import BrokenProcessPool
+    # here, not at the top: the pool pulls in multiprocessing, which only a
+    # many-block ensemble needs
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     if len(tasks) == 1:
         yield _run_task(tasks[0])

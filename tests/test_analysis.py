@@ -87,6 +87,14 @@ class TestConditionSum:
         with pytest.raises(ValueError, match="growth schedule, an AsymptoticTimes scale"):
             condition_sum(1.0, times, 5)
 
+    @pytest.mark.parametrize("times", [[True, 2.0], [0.0, np.bool_(True)], (0.0, False, 2.0),
+                                       [[0.0], [True]], [np.array([0.0]), np.array([True])],
+                                       np.array([False, True])])
+    def test_rejects_bool_entries(self, times):
+        # numpy would turn a bool among numbers into 1.0 or 0.0
+        with pytest.raises(ValueError, match="growth schedule, an AsymptoticTimes scale"):
+            condition_sum(1.0, times, 2)
+
     def test_explicit_schedule_source(self):
         sched = ExplicitSchedule(n0=1, times=(1.0, 2.0, 3.0, 4.0))
         s = condition_sum(1.0, sched, 3)
@@ -164,7 +172,7 @@ class TestOnePassTable:
     @given(sum_tables())
     def test_matches_per_n_exact_sums(self, case):
         times, lam, ns = case
-        table = _condition_sums(lam, times, ns, HarmonicScaled(1.0))
+        (table,) = _condition_sums((lam,), times, ns, HarmonicScaled(1.0))
         assert table.shape == (len(ns),)
         for n, got in zip(ns, table):
             want = self.reference(lam, times, n)
@@ -176,7 +184,7 @@ class TestOnePassTable:
                                     [1.0, 2.0], [[1, 2]]])
     def test_rejects_bad_grids(self, ns):
         with pytest.raises(ValueError):
-            _condition_sums(1.0, [0.0, 0.5, 1.0, 2.0], ns, HarmonicScaled(1.0))
+            _condition_sums((1.0,), [0.0, 0.5, 1.0, 2.0], ns, HarmonicScaled(1.0))
 
     @pytest.mark.parametrize("times", [
         pytest.param(asymptotic_injection_times(0.5), id="alpha-0.5"),
@@ -201,17 +209,118 @@ class TestOnePassTable:
         spec = EnvelopeSpec(decay_rate=0.8, y0=1.5, jump_bound=ExplicitJumps(values=tuple(g)),
                             reverse=reverse)
         ns = [1, 7, 50, 51, 399, 400]
-        table = _condition_sums(0.8, times, ns, spec.jump_bound, 1.5, reverse)
+        (table,) = _condition_sums((0.8,), times, ns, spec.jump_bound, 1.5, reverse)
         want = [envelope_bound(spec, times, k) for k in ns]
         np.testing.assert_allclose(table, want, rtol=1e-13, atol=1e-13 * np.abs(g).sum())
 
     def test_closed_forms_on_a_grid(self):
         times = asymptotic_injection_times(1.0)
         ns = np.unique(np.geomspace(10, 10**6, 12).astype(int))
-        np.testing.assert_allclose(_condition_sums(1.0, times, ns, HarmonicScaled(1.0)), 1.0,
-                                   rtol=0, atol=CLOSED_FORM_TOL)
-        np.testing.assert_allclose(_condition_sums(2.0, times, ns, HarmonicScaled(1.0)),
-                                   (ns + 1) / (2.0 * ns), rtol=0, atol=CLOSED_FORM_TOL)
+        one, two = _condition_sums((1.0, 2.0), times, ns, HarmonicScaled(1.0))
+        np.testing.assert_allclose(one, 1.0, rtol=0, atol=CLOSED_FORM_TOL)
+        np.testing.assert_allclose(two, (ns + 1) / (2.0 * ns), rtol=0, atol=CLOSED_FORM_TOL)
+
+
+C = analysis._CHUNK
+CHUNK_EDGES = [C - 1, C, C + 1, 2 * C + 3]  # about the first chunk boundary, and in the third
+
+
+def _chunk_sources():
+    """Every kind of times source, at least 2C + 3 times long."""
+    size = CHUNK_EDGES[-1]
+    seq = 0.1 + np.cumsum(np.random.default_rng(21).uniform(1e-4, 1e-3, size=size))
+    return [
+        pytest.param(AsymptoticTimes(0.7), np.log(np.arange(1.0, size + 1)) ** (1 / 0.7),
+                     id="AsymptoticTimes"),
+        pytest.param(PowerExponentialSchedule(alpha=1.5, n0=3),
+                     np.log(np.arange(4.0, size + 4)) ** (1 / 1.5), id="schedule"),
+        pytest.param(ExplicitSchedule(n0=1, times=tuple(seq.tolist())), seq, id="explicit"),
+        pytest.param(seq.tolist(), seq, id="list"),
+        pytest.param(seq, seq, id="array"),
+    ]
+
+
+def _chunk_bounds():
+    """(bound, y0, reverse): both jump bounds, and a reverse envelope of mixed sign."""
+    values = np.random.default_rng(22).uniform(0.0, 1.0, size=CHUNK_EDGES[-1])
+    return [
+        pytest.param(HarmonicScaled(1.3), 0.0, False, id="harmonic"),
+        pytest.param(ExplicitJumps(values=tuple(values.tolist())), 0.7, False, id="explicit"),
+        pytest.param(ExplicitJumps(values=tuple((values - 0.4).tolist())), 1.5, True,
+                     id="reverse"),
+    ]
+
+
+class TestChunkedPass:
+    """The pass walks k in chunks of _CHUNK terms; every edge must be invisible."""
+
+    @staticmethod
+    def reference(lam, t, g, y0, n):
+        """(exact sum of the rounded terms, sum of their absolute values) at n."""
+        terms = g[:n] * np.exp(-lam * (t[n - 1] - t[:n]))
+        head = y0 * math.exp(-lam * t[n - 1])
+        return math.fsum([head, *terms.tolist()]), abs(head) + float(np.abs(terms).sum())
+
+    @pytest.mark.parametrize("bound, y0, reverse", _chunk_bounds())
+    @pytest.mark.parametrize("times, t", _chunk_sources())
+    def test_streamed_table_matches_fsum_at_chunk_edges(self, times, t, bound, y0, reverse):
+        lams = (0.4, 1.6)
+        g = (1.3 / np.arange(1.0, t.size + 1) if isinstance(bound, HarmonicScaled)
+             else np.array(bound.values))
+        table = _condition_sums(lams, times, CHUNK_EDGES, bound, y0, reverse)
+        for lam, row in zip(lams, table):
+            spec = EnvelopeSpec(decay_rate=lam, y0=y0, jump_bound=bound, reverse=reverse)
+            for n, got in zip(CHUNK_EDGES, row):
+                want, scale = self.reference(lam, t, g, y0, n)
+                single = envelope_bound(spec, times, n)
+                assert abs(got - want) <= 1e-13 * scale, (lam, n, got, want)
+                assert abs(single - want) <= 1e-13 * scale, (lam, n, single, want)
+
+    @pytest.mark.parametrize("at", [C - 1, C, C + 100], ids=["chunk-end", "chunk-start",
+                                                            "later-chunk"])
+    @pytest.mark.parametrize("fault", ["dip", "drop", "nan"])
+    @pytest.mark.parametrize("kind", ["list", "array"])
+    def test_bad_times_raise_wherever_they_sit(self, at, fault, kind):
+        t = np.linspace(0.0, 10.0, CHUNK_EDGES[-1])
+        if fault == "dip":  # one time below its predecessor
+            t[at] = t[at - 1] - 0.5
+        elif fault == "drop":  # every later time far below the earlier ones
+            t[at:] -= 1000.0
+        else:
+            t[at] = math.nan
+        times = t.tolist() if kind == "list" else t
+        n = CHUNK_EDGES[-1]
+        spec = EnvelopeSpec(decay_rate=1.0, y0=0.5, jump_bound=HarmonicScaled(1.0))
+        with pytest.raises(ValueError, match="finite and nondecreasing"):
+            condition_sum(1.0, times, n)
+        with pytest.raises(ValueError, match="finite and nondecreasing"):
+            envelope_bound(spec, times, n)
+        with pytest.raises(ValueError, match="finite and nondecreasing"):
+            _condition_sums((0.4, 1.6), times, [5, C + 1, n], HarmonicScaled(1.0))
+
+    def test_memory_is_bounded_in_n(self):
+        import tracemalloc
+
+        def peak(fn):
+            fn()  # first call outside the trace: imports and caches
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def one_sum(n):
+            return lambda: condition_sum(1.0, asymptotic_injection_times(1.0), n)
+
+        def table(n):
+            return lambda: analysis._conditions_table(0.5, (0.4, 1.6), n)
+
+        for make in (one_sum, table):
+            small, large = peak(make(10**6)), peak(make(4 * 10**6))
+            assert small < 2 * 2**20 and large < 2 * 2**20, (make.__name__, small, large)
+            # the chunk read ahead for t_n may be partial; it is at most _CHUNK long
+            assert large <= small + 8 * C, (make.__name__, small, large)
 
 
 class TestDawsonTransform:
@@ -430,6 +539,14 @@ class TestDecayFit:
         series = np.column_stack([t, t**-1.0])
         with pytest.raises(ValueError, match="10"):
             fit_decay_exponent(series, window=0.5)
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False)])
+    def test_rejects_bool_entries(self, bad):
+        t = np.geomspace(1.0, 10.0, 20)
+        series = [(float(a), float(b)) for a, b in zip(t, t**-1.0)]
+        series[3] = (series[3][0], bad)
+        with pytest.raises(ValueError, match="finite \\(t, value\\) pairs"):
+            fit_decay_exponent(series, window=1.0)
 
     def test_rejects_nonpositive_values(self):
         t = np.geomspace(1.0, 10.0, 20)

@@ -5,6 +5,8 @@ import io
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -241,6 +243,18 @@ class TestRunEnsemble:
     def test_single_run_rejected(self):
         with pytest.raises(ValueError, match="runs"):
             run_ensemble(ensemble_config(), runs=1, master_seed=0)
+
+    def test_package_import_loads_no_process_pool(self):
+        # the pool's modules (multiprocessing, socket, logging) cost about 15 ms
+        # per interpreter; only an ensemble of more than one block needs them
+        import growpop
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(growpop.__file__)))
+        code = ("import sys, growpop, growpop.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_mean_deviation_matches_exact_expectation(self):
         # E |m1 - m|^2 after arrival k has a closed form; 5-sigma band
