@@ -2,7 +2,7 @@
 
 Each test exercises one headline guarantee of the toolkit against an
 independent yardstick -- closed forms, conserved quantities, jump laws,
-boundary sums, quadrature values, ensemble statistics, regime contrast,
+boundary sums, comparison-integral values, ensemble statistics, regime contrast,
 envelope domination, arrival identities, and bit-for-bit reproducibility --
 and prints a single PASS/FAIL line (visible with ``pytest -s``).
 """

@@ -3,14 +3,15 @@
 Closed forms on the boundary scale t_k = ln k anchor everything: lambda = 1
 gives S = 1 exactly and lambda = 2 gives (n+1)/(2n), both provable by
 telescoping the exponentials into ratios k/n. The Dawson transform is checked
-against its p = 1 closed form and an independent high-precision quadrature
-(mpmath).
+against its p = 1 closed form, an independent high-precision quadrature and
+the confluent hypergeometric function it equals (both mpmath).
 """
 
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -323,17 +324,64 @@ class TestChunkedPass:
             assert large <= small + 8 * C, (make.__name__, small, large)
 
 
+_P_ONE_XS = [0.1, 0.5, 1.0, 5.0, 20.0, 50.0]
+_P_ONE_RATES = [0.5, 1.0, 3.0]
+_QUADRATURE_POINTS = [
+    (2.0, 1.0, 0.5), (2.0, 1.0, 2.0), (2.0, 1.0, 10.0), (2.0, 1.0, 30.0),
+    (1.5, 0.7, 5.0), (3.0, 2.0, 4.0), (0.5, 1.0, 9.0),
+]
+
+
+def _dawson_probes():
+    """(p, rate, x) points on which dawson_f must round like the exact value.
+
+    The points of the tests below; 200 seeded draws over p in [0.3, 4], rate in
+    [0.1, 10] and x in [0.01, 316]; points with z = rate*x^p > 1e6; points at
+    z = 39.9, 40 and 40.1, either side of the seam between the small- and
+    large-z series; points with p < 1/40, where z can lie in (40, 1/p]; and
+    one with p = 1e18, whose early terms are below rounding but whose later
+    ones are not.
+    """
+    rng = np.random.default_rng(20_241_019)
+    draws = zip(rng.uniform(0.3, 4.0, 200), rng.uniform(0.1, 10.0, 200),
+                10.0 ** rng.uniform(-2.0, 2.5, 200))
+    probes = [(1.0, rate, x) for rate in _P_ONE_RATES for x in _P_ONE_XS]
+    probes += _QUADRATURE_POINTS
+    probes += [(float(p), float(rate), float(x)) for p, rate, x in draws]
+    probes += [(3.9, 6.24, 210.4), (2.0, 1.0, 1e4), (4.0, 0.5, 100.0), (0.3, 10.0, 1e22)]
+    probes += [(p, rate, (z / rate) ** (1.0 / p)) for p in (0.3, 0.5, 1.0, 2.0, 4.0, 50.0)
+               for rate in (0.1, 1.0) for z in (39.9, 40.0, 40.1)]
+    probes += [(0.01, 50.0, 10.0), (0.01, 95.0, 100.0), (0.02, 45.0, 1e6), (1e18, 39.0, 1.0)]
+    return probes
+
+
+def _hyp1f1_reference(p, rate, x):
+    """x M(1; 1 + 1/p; -rate x^p) at 50 digits, from the exact float inputs."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(rate) * mpmath.mpf(x) ** p
+        return float(x * mpmath.hyp1f1(1, 1 + 1 / mpmath.mpf(p), -z))
+
+
+def _scipy_modules_after(statement):
+    """The scipy modules loaded in a fresh interpreter after ``statement``."""
+    import growpop
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(growpop.__file__)))
+    code = (f"import sys, growpop, growpop.cli; {statement}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    return out.stdout.strip()
+
+
 class TestDawsonTransform:
-    @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 5.0, 20.0, 50.0])
-    @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("x", _P_ONE_XS)
+    @pytest.mark.parametrize("rate", _P_ONE_RATES)
     def test_p_one_closed_form(self, x, rate):
         expect = (1.0 - math.exp(-rate * x)) / rate
         np.testing.assert_allclose(dawson_f(1.0, rate, x), expect, rtol=1e-10)
 
-    @pytest.mark.parametrize("p,rate,x", [
-        (2.0, 1.0, 0.5), (2.0, 1.0, 2.0), (2.0, 1.0, 10.0), (2.0, 1.0, 30.0),
-        (1.5, 0.7, 5.0), (3.0, 2.0, 4.0), (0.5, 1.0, 9.0),
-    ])
+    @pytest.mark.parametrize("p,rate,x", _QUADRATURE_POINTS)
     def test_against_high_precision_quadrature(self, p, rate, x):
         with mpmath.workdps(40):
             xp = mpmath.mpf(x) ** p
@@ -369,17 +417,37 @@ class TestDawsonTransform:
         with pytest.raises(ValueError):
             dawson_f(1.0, 1.0, -1.0)
 
-    def test_package_import_loads_no_scipy(self):
-        # scipy.integrate takes most of the package's import time; only
-        # dawson_f needs it, and imports it when called
-        import growpop
+    def test_against_hyp1f1(self):
+        worst = max((abs(dawson_f(*probe) / _hyp1f1_reference(*probe) - 1.0), probe)
+                    for probe in _dawson_probes())
+        assert worst[0] <= 1e-14, worst
 
-        src = os.path.dirname(os.path.dirname(os.path.abspath(growpop.__file__)))
-        code = ("import sys, growpop, growpop.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert out.stdout.strip() == "[]"
+    @pytest.mark.parametrize("p,rate,x", [
+        (1.0, 1.0, 1e308),  # exactly 1 to rounding
+        (0.5, 1.0, 1e300),  # about 2e150
+        (2.0, 1.0, 1e200),  # x^p overflows a float; about 5e-201
+        (2.0, 1.0, 1e7),    # 5e-8 to 1e-14
+    ])
+    def test_large_arguments(self, p, rate, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dawson_f(p, rate, x)
+        np.testing.assert_allclose(got, _hyp1f1_reference(p, rate, x), rtol=1e-14)
+
+    @pytest.mark.parametrize("rate", [0.1, 1.0, 7.0])
+    def test_p_one_identity_to_rounding(self, rate):
+        for x in np.geomspace(1e-6, 1e4, 41):
+            expect = -math.expm1(-rate * x) / rate
+            np.testing.assert_allclose(dawson_f(1.0, rate, float(x)), expect, rtol=1e-14)
+
+    def test_package_import_loads_no_scipy(self):
+        # the package needs numpy alone; importing it must not pull in scipy
+        assert _scipy_modules_after("pass") == "[]"
+
+    def test_dawson_f_loads_no_scipy(self):
+        # z <= 1 takes the small-z series and z >= 44 the large-z expansion
+        sweep = "[growpop.dawson_f(p, 1.0, x) for p in (0.5, 1.0, 2.0) for x in (1.0, 2000.0)]"
+        assert _scipy_modules_after(sweep) == "[]"
 
 
 class TestClassification:
