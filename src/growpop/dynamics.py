@@ -65,8 +65,9 @@ pass of ``kernels._force`` over the pair weights, which gives the velocities
 and the dissipation D together. The pass computes each pair's weight once, in
 tiles of the upper triangle that hold their rows of the pair matrix as
 columns, and uses it in both directions: about N^2 / 2 weights and three
-matrix products per tile, one batched over the d coordinates' differences and
-two for the velocities, in O(d * N * tile) memory.
+matrix products per tile, one Gram product with k = d + 2 for the squared
+distances and two for the velocities, in O(N * tile) memory. A run, like every
+other entry point that makes passes, runs them on one BLAS thread.
 Simpson's rule over the stages gives each step's integral of D, which every
 run records (``d_integral``): the witness of the energy balance d(m2)/dt = D
 between arrivals. The constant kernel's integral is closed form, from the V
@@ -94,7 +95,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, _force
+from .kernels import Kernel, _force, _one_blas_thread
 from .observables import MomentSeries, _moments, compute_moments
 from .schedules import (GrowthSchedule, _integer, _number, final_injection_count,
                         injection_time, population_at)
@@ -154,7 +155,8 @@ def rhs(state: SimState, kernel: Kernel) -> np.ndarray:
     x = np.asarray(state.opinions, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("state.opinions must be a nonempty (N, d) array")
-    return _force(x, kernel)[0]
+    with _one_blas_thread():
+        return _force(x, kernel)[0]
 
 
 def _rk4_step(x: np.ndarray, kernel: Kernel, h: float, first=None) -> float:
@@ -212,7 +214,8 @@ def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
     if t_end < state.t:
         raise ContractViolationError(f"t_end={t_end} precedes state.t={state.t}")
     x = np.array(state.opinions, dtype=float, order="C")
-    _advance(x, kernel, t_end - state.t, step_max)
+    with _one_blas_thread():
+        _advance(x, kernel, t_end - state.t, step_max)
     return SimState(t=t_end, k=state.k, opinions=x, dim=state.dim)
 
 
@@ -420,14 +423,16 @@ def _run_block(config: SimConfig, seeds) -> tuple[_Timeline, dict[str, np.ndarra
     ``m1``, ``m2``, ``v``, ``w``, ``dissipation``, ``d_integral`` and ``x_new``
     of ``MomentSeries`` with a leading replica axis. A replica's result does not
     depend on the others or on their number. A failure that belongs to one
-    replica raises ``_ReplicaError`` with its place in ``seeds``.
+    replica raises ``_ReplicaError`` with its place in ``seeds``. The block
+    runs on one BLAS thread (``kernels._one_blas_thread``).
     """
     tl = _timeline(config)
     arrivals = tl.event.count("post_jump")
     x_new = np.stack([_draw_incoming(config.source, np.random.default_rng(s), arrivals)
                       for s in seeds])
     engine = _constant_block if config.kernel.kind == "constant" else _particle_block
-    cols = engine(config, tl, x_new)
+    with _one_blas_thread():
+        cols = engine(config, tl, x_new)
     cols["x_new"] = x_new
     return tl, cols
 

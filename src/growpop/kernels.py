@@ -17,12 +17,17 @@ pass is O(N). For any other kernel the pass weighs each unordered pair once, in
 tiles of the upper triangle (``_pair_tiles``), and uses each weight in both
 directions, so the pair terms are antisymmetric by construction. A tile holds
 its rows of the pair matrix as columns, so every sum of D the pass takes reads
-a contiguous row prefix of it, and the differences of all coordinates come from
-one exact batched matrix product with k = 2.
+a contiguous row prefix of it, and its squared distances come from one Gram
+matrix product with k = d + 2.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +40,13 @@ __all__ = [
     "rational_kernel",
 ]
 
-# Pair-matrix rows per tile, each held as a column: a tile's buffers are (d,
-# N - lo, rows) and (N - lo, rows). On the pairwise workload (N to 502, d = 2,
-# one core), 32 and 48 rows took 1.21-1.29x and 1.02-1.11x the time of 64, and
-# 80, 96 and 128 rows 0.93-1.00x, 0.96-1.02x and 0.99-1.04x: 64 is the smallest
-# size on that plateau, and a larger one only widens the strided old-agent view
-# of the tile ``old`` cuts.
+# Pair-matrix rows per tile, each held as a column: a tile's two buffers are
+# (N - lo, rows). On the pairwise workload (N to 502, d = 2, one core), 32 and
+# 48 rows took 1.21-1.29x and 1.02-1.11x the time of 64. With Gram tiles, one
+# pass at N = 150 to 502 took 0.89-1.06x the time of 64 at 80 rows, 0.89-1.01x
+# at 96 and 0.97-0.98x at 128, best of interleaved timings on one core that no
+# end-to-end run has resolved. A larger size also widens the strided old-agent
+# view of the tile ``old`` cuts.
 _TILE_ROWS = 64
 
 
@@ -119,14 +125,15 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
     O(N). Any other kernel takes row i of the velocities as ((W y)_i - (sum_j
     W_ij) y_i) / N. A tile of ``_pair_tiles`` holds the pair-matrix rows [lo,
     hi) as its nr columns, against the rows [lo, N), so each weight is
-    computed once and used in both directions. With y1 = [y | 1], ``w.T @
-    y1[lo:]`` gives W y and the row sums for the tile's rows, and ``w[nr:] @
-    y1[lo:hi]`` the mirrored terms for rows hi..N. D sums each tile both ways:
-    twice its ``np.vdot`` of weights and squared distances, less its own (nr,
-    nr) block ``w[:nr]``, which the tile already holds both ways. Every such
-    sum reads a contiguous row prefix of the tile, as does the old agents'
-    part, ``w[:old - lo]``, in every tile but the one ``old`` cuts. That is
-    N^2 / 2 weights, in O(d * N * tile) memory.
+    computed once and used in both directions. The Gram operand left = [|y|^2,
+    1, y] holds [1 | y] as its last d + 1 columns: ``w.T @ left[lo:, 1:]``
+    gives the row sums and W y for the tile's rows, and ``w[nr:] @ left[lo:hi,
+    1:]`` the mirrored terms for rows hi..N. D sums each tile both ways: twice
+    its ``np.vdot`` of weights and squared distances, less its own (nr, nr)
+    block ``w[:nr]``, which the tile already holds both ways. Every such sum
+    reads a contiguous row prefix of the tile, as does the old agents' part,
+    ``w[:old - lo]``, in every tile but the one ``old`` cuts. That is N^2 / 2
+    weights, in O(N * tile) memory.
     """
     n = x.shape[0]
     if kernel.kind == "constant":
@@ -136,25 +143,23 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
         d_old = None if old is None else _force(x[:old], kernel)[1]
         return c * towards_mean, -2.0 * c * float(np.vdot(towards_mean, towards_mean)) / n, d_old
     # sum_j w_ij (y_j - y_i) = (W y)_i - (sum_j w_ij) y_i
-    d = x.shape[1]
-    y1 = np.empty((n, d + 1))
-    y = np.subtract(x, x[0], out=y1[:, :d])
-    y1[:, d] = 1.0
-    acc = np.zeros((n, d + 1))  # [W y | row sums of W]
+    left, right = _gram_operands(x)
+    one_y, y = left[:, 1:], left[:, 2:]
+    acc = np.zeros(one_y.shape)  # [row sums of W | W y]
     total = pre = 0.0
-    for rows, w, d2 in _pair_tiles(y, kernel):
+    for rows, w, d2 in _pair_tiles(left, right, kernel):
         lo, hi = rows.start, rows.stop
         nr = hi - lo
-        acc[rows] += w.T @ y1[lo:]
+        acc[rows] += w.T @ one_y[lo:]
         if hi < n:
-            acc[hi:] += w[nr:] @ y1[rows]
+            acc[hi:] += w[nr:] @ one_y[rows]
         total += _both_ways(w, d2, nr)
         if old is not None and lo < old:
             # the old agents' part of the tile is the tile their own pass
             # makes, and takes the same sum in the same order
             m = min(hi, old) - lo
             pre += _both_ways(w[:old - lo, :m], d2[:old - lo, :m], m)
-    velocities = (acc[:, :d] - acc[:, d:] * y) / n
+    velocities = (acc[:, 1:] - acc[:, :1] * y) / n
     return velocities, -total / (n * n), None if old is None else -pre / (old * old)
 
 
@@ -164,47 +169,99 @@ def _both_ways(w: np.ndarray, d2: np.ndarray, nr: int) -> float:
     return 2.0 * float(np.vdot(w, d2)) - float(np.vdot(w[:nr], d2[:nr]))
 
 
-def _pair_tiles(y: np.ndarray, kernel: Kernel):
-    """Pair weights of ``kernel`` over the points ``y`` (N, d), by tiles of
-    the upper triangle stored column-major, for ``_force``, the one pass that
-    sums them.
+def _gram_operands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram operands of the opinions x (N, d), pivoted to y = x - x[0]:
+    left = [|y|^2, 1, y] (N, d + 2) and right = [1; |y|^2; -2 y^T] (d + 2, N),
+    so that left[j] @ right[:, i] is |y_j - y_i|^2."""
+    n, d = x.shape
+    left, right = np.empty((n, d + 2)), np.empty((d + 2, n))
+    y = np.subtract(x, x[0], out=left[:, 2:])
+    left[:, 1] = right[0] = 1.0
+    # right[2:] holds the squares until -2 y^T replaces them
+    np.add.reduce(np.square(y.T, out=right[2:]), axis=0, out=right[1])
+    left[:, 0] = right[1]
+    np.multiply(y.T, -2.0, out=right[2:])
+    return left, right
+
+
+def _pair_tiles(left: np.ndarray, right: np.ndarray, kernel: Kernel):
+    """Pair weights of ``kernel`` over the points y of the Gram operands of
+    ``_gram_operands``, by tiles of the upper triangle stored column-major, for
+    ``_force``, the one pass that sums them.
 
     Yields ``(rows, w, d2)`` for consecutive slices [lo, hi) of at most
     ``_TILE_ROWS`` pair-matrix rows, each held as a column: ``d2[j - lo, i -
     lo] = |y_j - y_i|^2`` for i in the tile and j in [lo, N), and ``w =
     kernel.eval_squared(d2)``, both (N - lo, hi - lo). A pair of agents in
     different tiles is in the earlier tile only, so each weight is computed
-    once. A tile's own (nr, nr) block, its first nr rows, holds its pairs both
-    ways and is symmetric bit for bit: fl(a - b)^2 equals fl(b - a)^2, and each
-    squared distance is summed one coordinate at a time in the same order.
+    once.
 
-    The differences of all d coordinates come from one batched k = 2 matrix
-    product, [y_j, 1] @ [1; -y_i]. Both products are by 1.0, so exact, and one
-    rounded add gives fl(y_j - y_i): the bits of a plain subtraction, at BLAS
-    speed. The squares are summed into the first coordinate's slab, which is
-    ``d2``. The tiles are contiguous views of two flat buffers allocated once
-    per call, one of d tiles of differences and one of weights, so a yielded
-    ``w`` or ``d2`` is valid only until the next tile is asked for: copy it to
-    keep it. Memory is O(d * rows * N) per call.
+    A tile's ``d2`` is one matrix product with k = d + 2, ``left[lo:] @
+    right[:, rows]``: the Gram identity |y_j - y_i|^2 = |y_j|^2 + |y_i|^2 - 2
+    y_j . y_i, within a few eps (|y_i|^2 + |y_j|^2) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1). So a tiny distance may round below
+    zero, and exact consensus gives d2 = 0. A tile's own (nr, nr) block, its
+    first nr rows, holds its pairs both ways and is symmetric bit for bit:
+    either way a pair adds |y_i|^2 + |y_j|^2, then the same products -2 y_i[c]
+    y_j[c], one coordinate at a time in the same order. The tiles are views of
+    one flat buffer allocated once per call, so a yielded ``w`` or ``d2`` is
+    valid only until the next tile is asked for: copy it to keep it.
     """
-    n, d = y.shape
-    lefts, rights = np.empty((d, n, 2)), np.empty((d, 2, n))
-    lefts[:, :, 0] = y.T
-    lefts[:, :, 1] = rights[:, 0] = 1.0
-    np.negative(y.T, out=rights[:, 1])
-    rows_max = min(_TILE_ROWS, n)
-    diff_flat, w_flat = np.empty(d * rows_max * n), np.empty(rows_max * n)
+    n = left.shape[0]
+    flat = np.empty(2 * min(_TILE_ROWS, n) * n)
     for lo in range(0, n, _TILE_ROWS):
         rows = slice(lo, min(lo + _TILE_ROWS, n))
         shape = (n - lo, rows.stop - lo)
         size = shape[0] * shape[1]
-        diff = diff_flat[:d * size].reshape((d,) + shape)
-        np.matmul(lefts[:, lo:], rights[:, :, rows], out=diff)
-        np.multiply(diff, diff, out=diff)
-        d2 = diff[0]
-        for sq in diff[1:]:
-            np.add(d2, sq, out=d2)
-        yield rows, kernel.eval_squared(d2, out=w_flat[:size].reshape(shape)), d2
+        d2 = np.matmul(left[lo:], right[:, rows], out=flat[:size].reshape(shape))
+        yield rows, kernel.eval_squared(d2, out=flat[size:2 * size].reshape(shape)), d2
+
+
+@functools.cache
+def _openblas():
+    """The thread-count (get, set) pair of the OpenBLAS bundled in numpy's
+    wheel, which opening the library numpy loaded reaches, or None where numpy
+    bundles no library with those symbols (another BLAS, or a system one)."""
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+    for path in sorted(paths + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            try:
+                get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run on one OpenBLAS thread, and restore the count after, also on an
+    error; a no-op where ``_openblas`` finds no library. Every entry point that
+    makes force passes runs under it: a block of runs, ``rhs``,
+    ``integrate_interval`` and ``dissipation_of``. The passes make many small
+    products, which a second thread only slows, and their bits then do not
+    depend on the caller's thread count, so a run's D is ``dissipation_of`` of
+    its opinions bit for bit wherever it runs. The count is the process's:
+    calls from concurrent Python threads would restore it under each other."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def constant_kernel(c: float) -> Kernel:

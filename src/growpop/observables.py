@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import Kernel, _force
+from .kernels import Kernel, _force, _one_blas_thread
 from .schedules import _integer, _number
 
 __all__ = [
@@ -170,9 +170,10 @@ def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
     non-constant kernel makes at every row and RK4 stage, so such a run's D
     equals this of the same opinions bit for bit. A constant kernel's D is
     -2cV, O(N); any other kernel's is summed over tiles of pair weights, each
-    pair's weight computed once: N^2 / 2 weights, O(d * N * tile) memory.
+    pair's weight computed once: N^2 / 2 weights, O(N * tile) memory.
     """
-    return _force(np.asarray(x, dtype=float), kernel)[1]
+    with _one_blas_thread():
+        return _force(np.asarray(x, dtype=float), kernel)[1]
 
 
 class JumpPrediction(NamedTuple):

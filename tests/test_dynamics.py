@@ -36,8 +36,8 @@ from growpop import (
     uniform_record_grid,
     uniform_source,
 )
-from growpop import dynamics, observables
-from growpop.kernels import _TILE_ROWS, Kernel, _force, _pair_tiles
+from growpop import dynamics, kernels, observables
+from growpop.kernels import _TILE_ROWS, Kernel, _force, _gram_operands, _pair_tiles
 from growpop.observables import compute_moments, dissipation_of
 
 RNG = np.random.default_rng(424242)
@@ -106,26 +106,36 @@ class TestForceField:
 
     def test_pairwise_terms_exactly_antisymmetric(self):
         # each weight is computed once, in the upper tile of its pair, and used
-        # both ways. The tiles' differences come from matrix products, which
-        # must give fl(x_j - x_i) exactly: the weights are those of squared
-        # differences summed one coordinate at a time by plain subtraction, bit
-        # for bit, and a tile's own block, which holds both ways, is symmetric.
+        # both ways. A tile's squared distances come from one Gram product: its
+        # weights are eval_squared of them, bit for bit, its own block, which
+        # holds both ways, is symmetric, and each distance is within (d + 3)
+        # eps (|y_i|^2 + |y_j|^2) of the exact one of the pivoted points y.
         # The tiles are views of reused buffers, so each is copied as it comes.
         # A tile holds its rows of the pair matrix as columns, (N - lo, nr).
         kernel = rational_kernel(0.5, 0.5)
         n = 2 * _TILE_ROWS + 3
+        eps = np.finfo(float).eps
         for d in (1, 2, 3):
             x = RNG.normal(0.0, 1.0, size=(n, d))
-            wts = np.full((n, n), np.nan)
-            for rows, w, _ in _pair_tiles(x, kernel):
-                block = w[:rows.stop - rows.start]
-                assert np.array_equal(block, block.T)
-                wts[rows, rows.start:] = w.T
-                wts[rows.start:, rows] = w
-            d2 = sum((x[None, :, c] - x[:, None, c]) ** 2 for c in range(d))
-            assert np.array_equal(wts, kernel.eval_squared(d2)), d
+            left, right = _gram_operands(x)
+            wts, d2s = np.full((n, n), np.nan), np.full((n, n), np.nan)
+            for rows, w, d2 in _pair_tiles(left, right, kernel):
+                assert np.array_equal(w, kernel.eval_squared(d2.copy())), d
+                nr = rows.stop - rows.start
+                for tile in (w, d2):
+                    assert np.array_equal(tile[:nr], tile[:nr].T), d
+                wts[rows, rows.start:], d2s[rows, rows.start:] = w.T, d2.T
+                wts[rows.start:, rows], d2s[rows.start:, rows] = w, d2
+            y = left[:, 2:].astype(np.longdouble)
+            exact = ((y[None, :, :] - y[:, None, :]) ** 2).sum(axis=2)
+            norms = (y * y).sum(axis=1)
+            err = np.abs(d2s.astype(np.longdouble) - exact)
+            assert (err <= (d + 3) * eps * (norms[:, None] + norms[None, :])).all(), d
             terms = wts[:, :, None] * (x[None, :, :] - x[:, None, :])
             assert np.array_equal(terms, -np.transpose(terms, (1, 0, 2))), d
+            consensus = np.tile(x[1], (n, 1))
+            for _, _, d2 in _pair_tiles(*_gram_operands(consensus), kernel):
+                assert (d2 == 0.0).all(), d
 
     def test_force_pass_evaluates_each_pair_once(self, monkeypatch):
         # a tile's rows meet only the columns from its own first row on, so a
@@ -170,6 +180,36 @@ class TestForceField:
             _, d_all, d_old = _force(x, kernel, old)
             assert d_all == dissipation_of(x, kernel)
             assert d_old == dissipation_of(x[:old], kernel)
+
+    @pytest.mark.parametrize("spread", [1.0, 1e-3])
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 1e3])
+    def test_force_pass_precise_with_a_far_pivot(self, offset, spread):
+        # the pass pivots about x[0], here `offset` away from a cluster of
+        # `spread`, and takes the squared distances from a Gram product: its
+        # velocities stay within 1e-11 of max |v|, and its D within 1e-14
+        # relative, of a long-double brute force
+        kernel = rational_kernel(0.5, 0.5)
+        n = 2 * _TILE_ROWS + 3
+        rng = np.random.default_rng(17)
+        x = rng.normal(0.0, spread, size=(n, 2))
+        x[0] = (offset, 0.0)
+        xl = x.astype(np.longdouble)
+        a, b = kernel.coef
+
+        def exact(m):
+            diff = xl[None, :m, :] - xl[:m, None, :]
+            r2 = (diff * diff).sum(axis=2)
+            w = a + b / (1 + r2)
+            return (w[:, :, None] * diff).sum(axis=1) / m, -(w * r2).sum() / (m * m)
+
+        v_want, d_want = exact(n)
+        for old in (None, n // 2, _TILE_ROWS + 1):
+            v, d_all, d_old = _force(x, kernel, old)
+            assert np.abs(v - v_want).max() <= 1e-11 * np.abs(v_want).max()
+            assert abs(d_all - d_want) <= 1e-14 * abs(d_want)
+            if old is not None:
+                d_old_want = exact(old)[1]
+                assert abs(d_old - d_old_want) <= 1e-14 * abs(d_old_want)
 
     @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
     def test_velocity_sum_near_zero(self, n, d):
@@ -704,6 +744,45 @@ class TestParticleEngine:
         assert calls == []
         for name, col in particle_reference(config, series).items():
             assert getattr(series, name).tobytes() == col.tobytes(), name
+
+    @pytest.mark.parametrize("entry", ["run", "rhs", "interval", "dissipation"])
+    def test_passes_run_on_one_blas_thread_and_restore_the_count(self, entry, monkeypatch):
+        # every pass uses one OpenBLAS thread, whichever entry point makes it,
+        # and the caller's count is back after the call, and after one that
+        # raises
+        blas = kernels._openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS with thread-count symbols")
+        get, set_ = blas
+        config = self.pairwise_config(3)
+        state = state_of(config.initial_opinions)
+        call = {"run": lambda: run_simulation(config, seed=1),
+                "rhs": lambda: rhs(state, config.kernel),
+                "interval": lambda: integrate_interval(state, config.kernel, 0.2, 0.05),
+                "dissipation": lambda: dissipation_of(state.opinions, config.kernel)}[entry]
+        before, seen = get(), []
+        evaluate = Kernel.eval_squared
+
+        def counted(self, r2, out=None):
+            seen.append(get())
+            return evaluate(self, r2, out)
+
+        def failing(self, r2, out=None):
+            raise RuntimeError("pass failed")
+
+        try:
+            set_(2)
+            caller = get()
+            monkeypatch.setattr(Kernel, "eval_squared", counted)
+            call()
+            assert seen and set(seen) == {1}
+            assert get() == caller
+            monkeypatch.setattr(Kernel, "eval_squared", failing)
+            with pytest.raises(RuntimeError, match="pass failed"):
+                call()
+            assert get() == caller
+        finally:
+            set_(before)
 
     @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
     def test_dissipation_at_tile_edges(self, n):
