@@ -1,16 +1,17 @@
-"""Arrival jumps: simulation vs closed forms.
+"""Arrival jumps: simulation vs closed forms, and the exact expected jump.
 
 Every arrival moves the moments by an amount that is pure bookkeeping --
-no integration involved.  This script runs 200 arrivals in d = 3,
+no integration involved.  This script runs 1000 arrivals in d = 3,
 compares each observed jump of (m1, m2, V) against predict_jumps, and
 prints the worst discrepancy (machine epsilon if the integrator lands on
-arrival times exactly).  It then tabulates c_k = (k + 2 n0)(k - 1)/(n0 + k)^2,
-the weight of the source variance sigma2 in the expected jump of V at
-arrival k:
+arrival times exactly).  It then tabulates, from expected_moments, the
+exact E V just before and just after arrival k, and their difference, the
+exact expected jump:
 
-    E[V jump at arrival k] = (c_k sigma2 - E V-)/(n0 + k) + O(1/(n0 + k)^2),
+    E[V jump at arrival k] = (n (sigma2 + e_{k-1}) / (n + 1) - E V-) / (n + 1),
 
-where V- is the variance just before the arrival.
+where n = n0 + k - 1 agents are present before the arrival, V- is the
+variance just before it and e_{k-1} = E|m1 - m|^2 after k - 1 arrivals.
 
 Run:  python3 demos/jump_formulas.py
 """
@@ -20,6 +21,7 @@ import numpy as np
 import growpop as gp
 
 N0 = 4
+ARRIVALS = 1000
 
 
 def main() -> None:
@@ -31,7 +33,7 @@ def main() -> None:
         source=gp.uniform_source((0.2, -0.1, 0.0), 0.75),
         initial_opinions=rng.normal(0.0, 1.0, size=(N0, 3)),
         step_max=0.02,
-        max_agents=N0 + 200,
+        max_agents=N0 + ARRIVALS,
     )
     series = gp.run_simulation(config, seed=5)
 
@@ -47,12 +49,14 @@ def main() -> None:
     print(f"{len(series.injection_pairs)} arrivals, "
           f"worst |observed - predicted| jump component: {worst:.2e}")
 
-    print("\nweight c_k of sigma2 in the expected V jump at arrival k (n0 = 4):")
-    print(f"{'k':>6} {'c_k':>10}")
+    # the exact expectations sit on the rows of the run, so its tags index them
+    ev, _ = gp.expected_moments(config)
+    event = np.array(series.event)
+    print(f"\nexact E V around arrival k (n0 = {N0}, sigma2 = {config.source.sigma2}):")
+    print(f"{'k':>6} {'E V before':>12} {'E V after':>12} {'E jump':>12}")
     for k in (1, 2, 5, 10, 50, 200, 1000):
-        print(f"{k:6d} {gp.variance_jump_coefficient(k, N0):10.6f}")
-    print("E[V jump at arrival k] = (c_k sigma2 - E V-)/(n0 + k) + O(1/(n0 + k)^2);"
-          "\nc_1 = 0, and c_k rises to 1 as the population grows.")
+        pre = np.flatnonzero((event == "pre_jump") & (series.k == k))[0]
+        print(f"{k:6d} {ev[pre]:12.6f} {ev[pre + 1]:12.6f} {ev[pre + 1] - ev[pre]:12.3e}")
 
 
 if __name__ == "__main__":

@@ -58,8 +58,6 @@ __all__ = [
     "HarmonicScaled",
     "ExplicitJumps",
     "envelope_bound",
-    "fit_decay_exponent",
-    "DecayFit",
     "consensus_rate_bounds",
     "RateBounds",
 ]
@@ -113,25 +111,16 @@ def _log_power(lo: int, hi: int, alpha: float) -> np.ndarray:
     return t
 
 
-def _real_array(values) -> np.ndarray | None:
-    """``values`` as one numeric array, or None if any entry is not a real
-    number: a bool, a string or an object, also one among numbers."""
+def _time_array(values) -> np.ndarray | None:
+    """``values`` as a one-dimensional numeric array, or None if it is not one or
+    if an entry is not a real number: a bool, a string or an object, also one
+    among numbers (numpy would silently turn a bool into 1.0 or 0.0)."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf" or _holds_bool(values):
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        return None
+    if isinstance(values, (list, tuple)) and set(map(type, values)) & {bool, np.bool_}:
         return None
     return arr
-
-
-def _holds_bool(values) -> bool:
-    """Whether a (nested) list or tuple has a bool entry, which numpy would
-    silently turn into a number."""
-    if isinstance(values, np.ndarray):
-        return values.dtype.kind == "b"
-    if not isinstance(values, (list, tuple)):
-        return False
-    kinds = set(map(type, values))
-    return bool(kinds & {bool, np.bool_}) or (
-        bool(kinds & {list, tuple, np.ndarray}) and any(map(_holds_bool, values)))
 
 
 def _time_chunks(times: TimesSource, n: int) -> Callable[[int, int], np.ndarray]:
@@ -143,11 +132,10 @@ def _time_chunks(times: TimesSource, n: int) -> Callable[[int, int], np.ndarray]
         if len(times.times) < n:
             raise ValueError(f"schedule defines {len(times.times)} times, need {n}")
         return lambda lo, hi: np.array(times.times[lo:hi], dtype=float)
-    t = _real_array(times)
+    t = _time_array(times)  # the caller's memory, streamed as views
     if t is None:
         raise ValueError("times must be a growth schedule, an AsymptoticTimes scale or a "
-                         f"sequence of times t_1..t_n, got {times!r}")
-    t = t.reshape(-1)  # the caller's memory, streamed as views
+                         f"one-dimensional sequence of times t_1..t_n, got {times!r}")
     if t.size < n:
         raise ValueError(f"times sequence has {t.size} entries, need {n}")
     return lambda lo, hi: t[lo:hi].astype(float, copy=False)
@@ -504,47 +492,6 @@ def envelope_bound(spec: EnvelopeSpec, times: TimesSource, n: int) -> float:
     """
     return float(_condition_sums((spec.decay_rate,), times, (_integer(n, "n", 1),),
                                  spec.jump_bound, spec.y0, spec.reverse)[0, 0])
-
-
-class DecayFit(NamedTuple):
-    beta_hat: float
-    r2: float
-
-
-def fit_decay_exponent(series, window: float) -> DecayFit:
-    """Least-squares exponent of algebraic decay v ~ t^(-beta) on the tail.
-
-    ``series`` is a sequence of (t, value) pairs; ``window`` the fraction of
-    points (from the end) to fit. Requires at least 10 positive points at
-    positive times in the window. Returns the fitted beta (positive means
-    decay) and the r^2 of the log-log fit; a constant series fits exactly
-    with beta_hat = 0.
-    """
-    pts = _real_array(series if isinstance(series, np.ndarray) else list(series))
-    if (pts is None or pts.ndim != 2 or pts.shape[1] != 2
-            or not np.all(np.isfinite(pts))):
-        raise ValueError("series must be a sequence of finite (t, value) pairs")
-    window = _number(window, "window")
-    if not (0.0 < window <= 1.0):
-        raise ValueError(f"window must be a fraction in (0, 1], got {window}")
-    count = int(math.ceil(window * pts.shape[0]))
-    if count < 10:
-        raise ValueError(f"window holds {count} points; at least 10 are required")
-    tail = pts[-count:]
-    t, v = tail[:, 0], tail[:, 1]
-    if np.any(t <= 0.0):
-        raise ValueError("fit window contains nonpositive times")
-    if np.any(v <= 0.0):
-        raise ValueError("fit window contains nonpositive values; no algebraic decay regime")
-    lt, lv = np.log(t), np.log(v)
-    if np.ptp(lv) == 0.0:  # exactly constant: slope 0 by definition, not by fit
-        return DecayFit(beta_hat=0.0, r2=1.0)
-    slope, intercept = np.polyfit(lt, lv, 1)
-    pred = slope * lt + intercept
-    ss_res = float(np.sum((lv - pred) ** 2))
-    ss_tot = float(np.sum((lv - lv.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayFit(beta_hat=float(-slope), r2=float(r2))
 
 
 class RateBounds(NamedTuple):

@@ -14,6 +14,10 @@ record grid are deterministic), so per-row sample means and standard errors
 are well defined. Aggregation order is by run index regardless of worker
 count, which makes ensemble output bit-identical for any level of
 parallelism.
+
+For a constant kernel, ``expected_moments`` gives the exact expectations that
+an ensemble's ``mean_v`` and ``mean_w`` estimate, row by row, with no
+sampling.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimConfig, _ReplicaError, _run_block
+from .dynamics import SimConfig, _ReplicaError, _run_block, _timeline
+from .observables import _mean_deviation, expected_m1_deviation
 from .schedules import _integer
 
 __all__ = [
@@ -31,7 +36,7 @@ __all__ = [
     "EnsembleStats",
     "run_ensemble",
     "ensemble_statistic",
-    "estimated_jump_means",
+    "expected_moments",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -196,15 +201,47 @@ def ensemble_statistic(stats: EnsembleStats, which: str, at_k: int) -> tuple[flo
     return float(getattr(stats, mean_name)[idx]), float(getattr(stats, err_name)[idx])
 
 
-def estimated_jump_means(stats: EnsembleStats) -> np.ndarray:
-    """Ensemble mean V-jump per arrival: E[V(t_k+) - V(t_k-)], k = 1..K.
+def expected_moments(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Exact E V and E W over the arrival draws, on the rows that
+    ``run_simulation(config, seed)`` writes, for a constant kernel c.
 
-    Suitable (via absolute values) as an ExplicitJumps envelope bound built
-    from measured jump expectations.
+    S = nV, the sum of squared deviations, follows the engine's recursion
+    (``dynamics``), and each step is linear in S with a new opinion x drawn
+    independently of the past, so E S follows the recursion's expectation:
+
+    * it starts at the founders' S, and a flow span tau scales it by
+      e^{-2c tau};
+    * arrival k to n agents adds n E|x - m1|^2 / (n + 1) = n (sigma2 +
+      e_{k-1}) / (n + 1), with e_j = E|m1 - m|^2 after j arrivals, the
+      ``expected_m1_deviation`` of the founders;
+    * at every row E V = E S / n and E W = E V + e.
+
+    sigma2 = E|x - m|^2 is the source's covariance trace for every family.
+    Any other kernel raises ValueError.
     """
-    event = np.array(stats.event)
-    pre, post = np.flatnonzero(event == "pre_jump"), np.flatnonzero(event == "post_jump")
-    if not (np.array_equal(post, pre + 1)
-            and np.array_equal(stats.k[pre], np.arange(1, pre.size + 1))):
-        raise RuntimeError("ensemble timeline is missing arrival rows")
-    return stats.mean_v[post] - stats.mean_v[pre]
+    if config.kernel.kind != "constant":
+        raise ValueError(f"exact expectations need a constant kernel, got {config.kernel.kind!r}")
+    c = config.kernel.coef[0]
+    sigma2 = config.source.sigma2
+    x0 = config.initial_opinions
+    n0 = x0.shape[0]
+    tl = _timeline(config)
+
+    # the founders' S, pivoted about x0[0] as the engine's is
+    dev = x0 - x0[0]
+    offsets = dev - dev.sum(axis=0) / n0
+    a_const = expected_m1_deviation(n0, 0, x0, config.source.mean_vector, sigma2).a_const
+    e = _mean_deviation(a_const, n0, tl.n - n0, sigma2)
+    s = np.empty(tl.t.size)
+    es, t = float((offsets * offsets).sum()), 0.0
+    times, pop, e_row = tl.t.tolist(), tl.n.tolist(), e.tolist()
+    for i, event in enumerate(tl.event):
+        if event == "post_jump":  # row i - 1 is its pre_jump row, with e_{k-1}
+            n = pop[i - 1]
+            es += n / (n + 1) * (sigma2 + e_row[i - 1])
+        elif times[i] > t:
+            es *= math.exp(-2.0 * c * (times[i] - t))
+            t = times[i]
+        s[i] = es
+    v = s / tl.n
+    return v, v + e

@@ -37,7 +37,6 @@ __all__ = [
     "m1_closed_form",
     "expected_m1_deviation",
     "MeanDeviationExpectation",
-    "variance_jump_coefficient",
 ]
 
 # Tolerance for the standing decomposition self-checks, relative to the
@@ -258,17 +257,12 @@ def expected_m1_deviation(n0: int, k: int, x0, m, sigma2: float) -> MeanDeviatio
     b_const = float(s0 @ s0)
     c_const = float(s0 @ m)
     denom = float(n0 + k) ** 2
-    e_dev = (a_const + k * sigma2) / denom
     e_norm2 = (b_const + k * sigma2 + 2.0 * k * c_const + k * k * float(m @ m)) / denom
-    return MeanDeviationExpectation(e_dev, e_norm2, a_const, b_const, c_const)
+    return MeanDeviationExpectation(_mean_deviation(a_const, n0, k, sigma2), e_norm2,
+                                    a_const, b_const, c_const)
 
 
-def variance_jump_coefficient(k: int, n0: int) -> float:
-    """c_k = (k + 2 n0)(k - 1) / (n0 + k)^2, the variance-jump weight.
-
-    E[V jump at arrival k] = (c_k sigma2 - E V-) / (n0 + k) + O(1/(n0+k)^2);
-    c_1 = 0 and c_k increases to 1.
-    """
-    k = _integer(k, "arrival index k", 1)
-    n0 = _integer(n0, "n0", 1)
-    return (k + 2.0 * n0) * (k - 1.0) / float(n0 + k) ** 2
+def _mean_deviation(a_const: float, n0: int, k, sigma2: float):
+    """E |m1 - m|^2 after k arrivals, (a_const + k sigma2) / (n0 + k)^2, for an
+    int k or an integer array of them."""
+    return (a_const + k * sigma2) / (n0 + k) ** 2.0

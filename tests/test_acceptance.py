@@ -2,12 +2,18 @@
 
 Each test exercises one headline guarantee of the toolkit against an
 independent yardstick -- closed forms, conserved quantities, jump laws,
-boundary sums, comparison-integral values, ensemble statistics, regime contrast,
-envelope domination, arrival identities, and bit-for-bit reproducibility --
-and prints a single PASS/FAIL line (visible with ``pytest -s``).
+boundary sums, comparison-integral values, ensemble statistics, regime contrast
+against exact expectations, envelope domination, arrival identities,
+bit-for-bit reproducibility, and the paper's algebraic rate -- and prints a
+single PASS/FAIL line (visible with ``pytest -s``).
+
+An ensemble is held to an exact expectation row by row: |mean - exact| <=
+z* stderr, with z* the two-sided normal quantile for a false-alarm rate of
+1e-6 split over every row checked.
 """
 
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -25,6 +31,9 @@ REGIME_BUDGET_S = 1800.0
 IDENTITY_BUDGET_S = 10.0
 
 WORKERS = 4
+
+# False-alarm rate of one ensemble-against-exact check, over all its rows.
+FALSE_ALARM = 1e-6
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -133,6 +142,16 @@ def regime_ensembles():
                                     master_seed=REGIME_SEED, workers=WORKERS)
              for alpha in (0.5, 1.5)}
     return stats, time.perf_counter() - t0
+
+
+def _z_star(checks: int) -> float:
+    """Two-sided normal quantile for FALSE_ALARM split over ``checks`` rows."""
+    return -NormalDist().inv_cdf(FALSE_ALARM / (2 * checks))
+
+
+def _post_jump_row(stats: gp.EnsembleStats, k: int) -> int:
+    return next(i for i, (ev, kk) in enumerate(zip(stats.event, stats.k))
+                if ev == "post_jump" and kk == k)
 
 
 def _grid_series(stats: gp.EnsembleStats):
@@ -273,7 +292,8 @@ def test_mean_deviation_closed_form(mean_dev_ensemble):
 
 
 # ---------------------------------------------------------------------------
-# 7. slow vs fast growth: W decays under slow growth and not under fast
+# 7. slow vs fast growth: W decays under slow growth and not under fast, and
+#    both ensembles match the exact constant-kernel expectations row by row
 # ---------------------------------------------------------------------------
 
 def test_growth_regime_contrast(regime_ensembles):
@@ -296,52 +316,64 @@ def test_growth_regime_contrast(regime_ensembles):
     combined = float(np.hypot(e5[-1], e15[-1]))
     sep_ok = gap >= 3 * combined
 
-    # (c) algebraic decay fit on the slow-growth tail, from the smoothed peak
-    i_peak = int(np.argmax(smooth))
-    sel = t5 >= t_smooth[i_peak]
-    fit = gp.fit_decay_exponent(np.column_stack([t5[sel], w5[sel]]), window=1.0)
-    fit_ok = fit.beta_hat > 0 and fit.r2 > 0.8
+    # (c) mean V and W against expected_moments at every row; a row with zero
+    # stderr (before the first arrival, all founders at the mean) exactly
+    z_star = _z_star(sum(2 * st.grid.size for st in stats.values()))
+    worst, exact_ok = {}, True
+    for alpha, st in stats.items():
+        v, w = gp.expected_moments(_regime_config(alpha))
+        worst[alpha] = 0.0
+        for mean, err, exact in ((st.mean_v, st.stderr_v, v), (st.mean_w, st.stderr_w, w)):
+            spread = err > 0
+            exact_ok = exact_ok and np.array_equal(mean[~spread], exact[~spread])
+            z = np.abs(mean[spread] - exact[spread]) / err[spread]
+            worst[alpha] = max(worst[alpha], float(z.max()))
+    z_ok = max(worst.values()) <= z_star
 
-    ok = trend_ok and sep_ok and fit_ok and elapsed < REGIME_BUDGET_S
+    ok = trend_ok and sep_ok and exact_ok and z_ok and elapsed < REGIME_BUDGET_S
     _line("growth regime contrast", ok,
-          f"tau={tau:.2f} (p={p_one:.1e}), gap={gap / combined:.0f} stderr, "
-          f"beta={fit.beta_hat:.2f} r2={fit.r2:.3f}, {elapsed:.0f}s")
+          f"tau={tau:.2f} (p={p_one:.1e}), gap={gap / combined:.0f} stderr, max |z| "
+          f"{worst[0.5]:.2f} (alpha 0.5), {worst[1.5]:.2f} (alpha 1.5) <= {z_star:.2f}, "
+          f"{elapsed:.0f}s")
     assert trend_ok
     assert sep_ok
-    assert fit_ok
+    assert exact_ok
+    assert z_ok
     assert elapsed < REGIME_BUDGET_S
 
 
 # ---------------------------------------------------------------------------
-# 8. ensemble E[V(t_n)] is dominated by the decay-plus-jumps envelope
+# 8. exact E[V(t_n)] is dominated by the decay-plus-jumps envelope, and so,
+#    within its z* band, is the ensemble's
 # ---------------------------------------------------------------------------
 
 def test_variance_envelope_domination(regime_ensembles):
     stats, _ = regime_ensembles
     slow = stats[0.5]
     config = _regime_config(0.5)
-    sigma2 = 1.0
+    sigma2 = config.source.sigma2
+    v, w = gp.expected_moments(config)
 
-    # Fit the jump-bound constant once, from the measured mean V-jump at
-    # arrival 50: the excess of 50 * jump over sigma^2, clamped at zero.
-    jump_50 = float(gp.estimated_jump_means(slow)[49])
-    c_hat = REGIME_N0**2 * max(0.0, 50.0 * jump_50 - sigma2)
+    # V decays at 2c between arrivals, and the expected V jump at arrival k is
+    # at most (sigma2 + e_{k-1}) / (n0 + k), below (sigma2 + max e) / k, with
+    # e = E|m1 - m|^2 = E W - E V
     spec = gp.EnvelopeSpec(
-        decay_rate=config.kernel.psi_star,
-        y0=slow.mean_v[0],
-        jump_bound=gp.HarmonicScaled(c=sigma2 + c_hat / REGIME_N0**2),
+        decay_rate=2.0 * config.kernel.coef[0],
+        y0=v[0],
+        jump_bound=gp.HarmonicScaled(c=sigma2 + float(np.max(w - v))),
     )
-    details = []
-    ok = True
-    for n in (50, 200, 1000):
-        mean_v, err = gp.ensemble_statistic(slow, "v", at_k=n)
+    ns = (50, 200, 1000)
+    z_star = _z_star(len(ns))
+    details, exact_ok, band_ok = [], True, True
+    for n in ns:
+        i = _post_jump_row(slow, n)
         bound = gp.envelope_bound(spec, config.schedule, n)
-        details.append(f"n={n}: {mean_v:.4f} <= {bound:.4f}")
-        ok = ok and mean_v <= bound + 3 * err
-    _line("variance envelope", ok, f"C_hat={c_hat:.3f}, " + ", ".join(details))
-    for n in (50, 200, 1000):
-        mean_v, err = gp.ensemble_statistic(slow, "v", at_k=n)
-        assert mean_v <= gp.envelope_bound(spec, config.schedule, n) + 3 * err
+        details.append(f"n={n}: {v[i]:.4f} <= {bound:.4f}")
+        exact_ok = exact_ok and v[i] <= bound
+        band_ok = band_ok and slow.mean_v[i] <= bound + z_star * slow.stderr_v[i]
+    _line("variance envelope", exact_ok and band_ok, ", ".join(details))
+    assert exact_ok
+    assert band_ok
 
 
 # ---------------------------------------------------------------------------
@@ -408,3 +440,75 @@ def test_bytewise_reproducibility(tmp_path, decay_run, jump_audit_run, mean_dev_
           ", ".join(f"{label}: {'=' if flag else '!='}" for label, flag in same))
     for label, flag in same:
         assert flag, f"{label} output differs"
+
+
+# ---------------------------------------------------------------------------
+# 11. founders off the source mean: the founders' S(0) and the offset A of
+#     their sum enter the exact expectations, and the ensemble follows them
+# ---------------------------------------------------------------------------
+
+OFF_MEAN_RUNS = 2000
+OFF_MEAN_SEED = 77
+
+
+def _off_mean_config() -> gp.SimConfig:
+    sched = gp.PowerExponentialSchedule(alpha=0.5, n0=4)
+    return gp.SimConfig(
+        dim=2,
+        kernel=gp.constant_kernel(0.3),
+        schedule=sched,
+        source=gp.uniform_source((0.5, -0.25), 1.0),
+        initial_opinions=np.array([[3.0, 1.0], [2.0, -1.5], [4.0, 0.5], [1.0, 2.0]]),
+        max_agents=54,
+        record_grid=gp.geometric_record_grid(0.1, gp.injection_time(sched, 50), 24),
+    )
+
+
+def test_off_mean_founders_match_exact_expectations():
+    config = _off_mean_config()
+    stats = gp.run_ensemble(config, runs=OFF_MEAN_RUNS, master_seed=OFF_MEAN_SEED)
+    x0, source = config.initial_opinions, config.source
+    # the founders are spread (S(0) > 0), and their sum is off n0 m (A > 0)
+    assert np.ptp(x0, axis=0).min() > 0.0
+    assert gp.expected_m1_deviation(4, 0, x0, source.mean_vector, source.sigma2).a_const > 0.0
+    v, w = gp.expected_moments(config)
+    # before the first arrival every replica holds the same opinions
+    before = np.arange(stats.grid.size) < stats.event.index("post_jump")
+    z_star = _z_star(2 * int((~before).sum()))
+    worst_rel, worst_z = 0.0, 0.0
+    for mean, err, exact in ((stats.mean_v, stats.stderr_v, v), (stats.mean_w, stats.stderr_w, w)):
+        worst_rel = max(worst_rel, float(np.max(np.abs(exact[before] / mean[before] - 1.0))))
+        worst_z = max(worst_z, float(np.max(np.abs(mean[~before] - exact[~before])
+                                            / err[~before])))
+    ok = worst_rel <= 1e-12 and worst_z <= z_star
+    _line("off-mean founders", ok, f"before arrivals: max rel err {worst_rel:.1e}; after: "
+          f"max |z| {worst_z:.2f} <= {z_star:.2f} over {int((~before).sum())} rows")
+    assert worst_rel <= 1e-12
+    assert worst_z <= z_star
+
+
+# ---------------------------------------------------------------------------
+# 12. the paper's algebraic rate, exactly: E V tracks the quasi-static
+#     rho sigma^2 / (2c + rho), rho = d(ln N)/dt = alpha t^(-beta)
+# ---------------------------------------------------------------------------
+
+def _rate_ratio(alpha: float, n: int) -> float:
+    """r(n) = E V (2c + rho) / (rho sigma^2) right after the n-th agent joins:
+    n0 = 10 founders at the mean, c = 1, sigma^2 = 1, rho = alpha t^(-beta) with
+    beta = consensus_rate_bounds(alpha).beta_sup."""
+    sched = gp.PowerExponentialSchedule(alpha=alpha, n0=10)
+    config = gp.SimConfig(dim=1, kernel=gp.constant_kernel(1.0), schedule=sched,
+                          source=gp.gaussian_source(0.0, 1.0),
+                          initial_opinions=np.zeros((10, 1)), max_agents=n)
+    v, _ = gp.expected_moments(config)
+    rho = alpha * gp.injection_time(sched, n - 10) ** -gp.consensus_rate_bounds(alpha).beta_sup
+    return float(v[-1]) * (2.0 + rho) / rho
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5])
+def test_exact_consensus_rate(alpha):
+    r3, r4 = _rate_ratio(alpha, 10**3), _rate_ratio(alpha, 10**4)
+    ok = abs(r4 - 1.0) <= 1e-2 and abs(r4 - 1.0) < abs(r3 - 1.0)
+    _line(f"exact consensus rate (alpha {alpha})", ok, f"r(1e3)={r3:.5f}, r(1e4)={r4:.5f}")
+    assert abs(r4 - 1.0) <= 1e-2
+    assert abs(r4 - 1.0) < abs(r3 - 1.0)

@@ -33,7 +33,6 @@ from growpop import (
     condition_sum,
     dawson_f,
     envelope_bound,
-    fit_decay_exponent,
     consensus_rate_bounds,
 )
 from growpop import analysis
@@ -95,6 +94,15 @@ class TestConditionSum:
         # numpy would turn a bool among numbers into 1.0 or 0.0
         with pytest.raises(ValueError, match="growth schedule, an AsymptoticTimes scale"):
             condition_sum(1.0, times, 2)
+
+    @pytest.mark.parametrize("times", [[[0.0, 1.0], [2.0, 3.0]], np.arange(4.0).reshape(2, 2),
+                                       np.arange(4.0).reshape(4, 1), np.float64(1.0)])
+    def test_rejects_times_that_are_not_one_dimensional(self, times):
+        # flattened, a (2, 2) table would read as the four times t_1..t_4
+        spec = EnvelopeSpec(decay_rate=1.0, y0=0.0, jump_bound=HarmonicScaled(c=1.0))
+        for call in (lambda: condition_sum(1.0, times, 4), lambda: envelope_bound(spec, times, 4)):
+            with pytest.raises(ValueError, match="times must be .* one-dimensional sequence"):
+                call()
 
     def test_explicit_schedule_source(self):
         sched = ExplicitSchedule(n0=1, times=(1.0, 2.0, 3.0, 4.0))
@@ -579,49 +587,6 @@ class TestEnvelope:
         spec = EnvelopeSpec(decay_rate=0.5, y0=1.0, jump_bound=HarmonicScaled(c=1.0))
         val = envelope_bound(spec, sched, 40)
         assert 0.0 < val < 1.0 + sum(1.0 / k for k in range(1, 41))
-
-
-class TestDecayFit:
-    def test_recovers_exact_power_law(self):
-        t = np.geomspace(1.0, 100.0, 60)
-        series = np.column_stack([t, 3.0 * t**-1.5])
-        fit = fit_decay_exponent(series, window=0.5)
-        np.testing.assert_allclose(fit.beta_hat, 1.5, rtol=1e-10)
-        assert fit.r2 > 1.0 - 1e-12
-
-    def test_constant_series_fits_zero(self):
-        t = np.geomspace(1.0, 100.0, 30)
-        fit = fit_decay_exponent(np.column_stack([t, np.full(30, 2.0)]), window=1.0)
-        assert abs(fit.beta_hat) < 1e-12
-        assert fit.r2 == 1.0
-
-    def test_noisy_series_reports_imperfect_fit(self):
-        t = np.geomspace(1.0, 1000.0, 200)
-        v = t**-0.8 * np.exp(RNG.normal(0.0, 0.05, size=200))
-        fit = fit_decay_exponent(np.column_stack([t, v]), window=0.8)
-        assert abs(fit.beta_hat - 0.8) < 0.1
-        assert fit.r2 < 1.0
-
-    def test_window_needs_ten_points(self):
-        t = np.geomspace(1.0, 10.0, 12)
-        series = np.column_stack([t, t**-1.0])
-        with pytest.raises(ValueError, match="10"):
-            fit_decay_exponent(series, window=0.5)
-
-    @pytest.mark.parametrize("bad", [True, np.bool_(False)])
-    def test_rejects_bool_entries(self, bad):
-        t = np.geomspace(1.0, 10.0, 20)
-        series = [(float(a), float(b)) for a, b in zip(t, t**-1.0)]
-        series[3] = (series[3][0], bad)
-        with pytest.raises(ValueError, match="finite \\(t, value\\) pairs"):
-            fit_decay_exponent(series, window=1.0)
-
-    def test_rejects_nonpositive_values(self):
-        t = np.geomspace(1.0, 10.0, 20)
-        v = t**-1.0
-        v[-1] = 0.0
-        with pytest.raises(ValueError, match="nonpositive"):
-            fit_decay_exponent(np.column_stack([t, v]), window=1.0)
 
 
 class TestRateBounds:

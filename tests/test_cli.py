@@ -309,16 +309,16 @@ PUBLIC_NAMES = {
     "MomentRecord", "MomentSeries", "SeriesRow", "InjectionJump",
     "JumpPrediction", "MeanDeviationExpectation", "compute_moments",
     "dissipation_of", "predict_jumps", "m1_closed_form",
-    "expected_m1_deviation", "variance_jump_coefficient",
+    "expected_m1_deviation",
     "SimConfig", "SimState", "ContractViolationError", "rhs",
     "integrate_interval", "inject_agent", "run_simulation",
     "uniform_record_grid", "geometric_record_grid",
     "AsymptoticTimes", "asymptotic_injection_times", "condition_sum",
     "dawson_f", "ScheduleClass", "ClassificationError", "classify_schedule",
     "HarmonicScaled", "ExplicitJumps", "EnvelopeSpec", "envelope_bound",
-    "DecayFit", "fit_decay_exponent", "RateBounds", "consensus_rate_bounds",
+    "RateBounds", "consensus_rate_bounds",
     "EnsembleStats", "derive_run_seed", "run_ensemble", "ensemble_statistic",
-    "estimated_jump_means",
+    "expected_moments",
 }
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import math
 import multiprocessing
 import os
@@ -15,14 +16,19 @@ from hypothesis import strategies as st
 
 from growpop import (
     EnsembleStats,
+    ExplicitSchedule,
     PowerExponentialSchedule,
     SimConfig,
+    SimState,
+    compute_moments,
     constant_kernel,
     derive_run_seed,
     ensemble_statistic,
-    estimated_jump_means,
     expected_m1_deviation,
+    expected_moments,
     gaussian_source,
+    inject_agent,
+    integrate_interval,
     rational_kernel,
     run_ensemble,
     run_simulation,
@@ -429,13 +435,48 @@ class TestEnsembleStatistic:
         with pytest.raises(ValueError, match="no arrival"):
             ensemble_statistic(stats, "v", at_k=999)
 
-    def test_estimated_jump_means(self, stats):
-        jumps = estimated_jump_means(stats)
-        assert jumps.shape == (10,)
-        pre = {kk: i for i, (ev, kk) in enumerate(zip(stats.event, stats.k))
-               if ev == "pre_jump"}
-        post = {kk: i for i, (ev, kk) in enumerate(zip(stats.event, stats.k))
-                if ev == "post_jump"}
-        np.testing.assert_array_equal(
-            jumps, [stats.mean_v[post[k]] - stats.mean_v[pre[k]]
-                    for k in range(1, 11)])
+
+class TestExpectedMoments:
+    def test_is_the_average_over_every_two_point_draw(self):
+        # d = 2 two-point arrivals m +/- u: the 2^5 equally likely sequences of
+        # five arrivals, each replayed through the exact particle flow from
+        # founders off the source mean, average to the exact E V and E W
+        mean, sigma2 = np.array([0.3, -0.2]), 0.5
+        config = ensemble_config(
+            dim=2, kernel=constant_kernel(0.7), schedule=ExplicitSchedule(
+                n0=3, times=(0.5, 0.9, 1.6, 2.0, 2.2)),
+            source=two_point_source(mean, sigma2),
+            initial_opinions=np.array([[1.0, 0.4], [-0.4, 1.5], [2.0, -0.5]]),
+            max_agents=None, horizon=2.5, record_grid=(0.25, 1.2, 2.5))
+        rows = run_simulation(config, 0).rows
+        u = np.array([math.sqrt(sigma2), 0.0])
+        total = np.zeros((len(rows), 2))
+        for signs in itertools.product((1.0, -1.0), repeat=5):
+            state = SimState(t=0.0, k=0, opinions=config.initial_opinions, dim=2)
+            for i, row in enumerate(rows):
+                if row.event == "post_jump":
+                    state = inject_agent(state, mean + signs[row.k - 1] * u, row.record.t)
+                else:
+                    state = integrate_interval(state, config.kernel, row.record.t)
+                rec = compute_moments(state, config.kernel, mean)
+                total[i] += rec.v, rec.w
+        v, w = expected_moments(config)
+        np.testing.assert_allclose(v, total[:, 0] / 32, rtol=1e-12)
+        np.testing.assert_allclose(w, total[:, 1] / 32, rtol=1e-12)
+
+    def test_a_deterministic_run_is_its_own_expectation(self):
+        # sigma2 = 0: every arrival lands on the mean, so each replica is the one
+        # run; before the first arrival V is the engine's, bit for bit
+        config = ensemble_config(dim=2, source=gaussian_source((0.5, -1.0), 0.0),
+                                 initial_opinions=np.array([[2.0, 1.0], [-1.0, 0.5]]),
+                                 record_grid=(0.2, 0.5, 1.0, 3.0))
+        series = run_simulation(config, 4)
+        v, w = expected_moments(config)
+        np.testing.assert_allclose(v, series.v, rtol=1e-12)
+        np.testing.assert_allclose(w, series.w, rtol=1e-12)
+        before = series.n == 2
+        np.testing.assert_array_equal(v[before], series.v[before])
+
+    def test_other_kernels_are_refused(self):
+        with pytest.raises(ValueError, match="constant kernel"):
+            expected_moments(ensemble_config(kernel=rational_kernel(0.5, 0.5)))

@@ -23,7 +23,6 @@ from growpop import (
     m1_closed_form,
     predict_jumps,
     rational_kernel,
-    variance_jump_coefficient,
 )
 from growpop.kernels import _TILE_ROWS
 
@@ -256,30 +255,6 @@ class TestMeanClosedForms:
             expected_m1_deviation(1, -1, np.zeros((1, 1)), np.zeros(1), 1.0)
         with pytest.raises(ValueError):
             expected_m1_deviation(1, 1, np.zeros((1, 1)), np.zeros(1), -1.0)
-
-
-class TestVarianceJumpCoefficient:
-    def test_first_arrival_coefficient_vanishes(self):
-        for n0 in (1, 2, 10, 100):
-            assert variance_jump_coefficient(1, n0) == 0.0
-
-    def test_monotone_increasing_to_one(self):
-        n0 = 10
-        ks = np.unique(np.geomspace(1, 1_000_000, 200).astype(int))
-        vals = [variance_jump_coefficient(int(k), n0) for k in ks]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 1.0
-        assert vals[-1] > 0.9999
-
-    def test_explicit_value(self):
-        # k=3, n0=2: (3+4)(2)/25
-        assert variance_jump_coefficient(3, 2) == 7.0 * 2.0 / 25.0
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            variance_jump_coefficient(0, 1)
-        with pytest.raises(ValueError):
-            variance_jump_coefficient(1, 0)
 
 
 class TestArrivalSumIdentities:

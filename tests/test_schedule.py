@@ -192,7 +192,6 @@ INTEGER_ARGUMENTS = [
                  id="predict_jumps"),
     pytest.param(lambda n0, k: gp.expected_m1_deviation(n0, k, [[0.5], [-0.5]], [0.0], 1.0),
                  (2, 5), id="expected_m1_deviation"),
-    pytest.param(gp.variance_jump_coefficient, (3, 2), id="variance_jump_coefficient"),
     pytest.param(gp.derive_run_seed, (7, 3), id="derive_run_seed"),
     pytest.param(_sim_config, (1, 5), id="SimConfig"),
     pytest.param(lambda points: gp.geometric_record_grid(0.5, 30.0, points), (16,),
@@ -225,8 +224,6 @@ def _sim_config_floats(step_max, horizon, record_time):
                        step_max=step_max, horizon=horizon, record_grid=(record_time,))
     return cfg.step_max, cfg.horizon, cfg.record_grid
 
-
-_POWER_LAW = [(t, t**-1.5) for t in np.geomspace(1.0, 100.0, 40).tolist()]
 
 # each entry point as a function of its real arguments, their values, and the
 # parameter names its errors give
@@ -272,8 +269,6 @@ FLOAT_ARGUMENTS = [
     pytest.param(gp.HarmonicScaled, (1.0,), ("c",), id="HarmonicScaled"),
     pytest.param(lambda value: gp.ExplicitJumps(values=(0.5, value)), (0.25,), ("values",),
                  id="ExplicitJumps"),
-    pytest.param(lambda window: gp.fit_decay_exponent(_POWER_LAW, window), (0.5,), ("window",),
-                 id="fit_decay_exponent"),
     pytest.param(gp.consensus_rate_bounds, (0.5,), ("alpha",), id="consensus_rate_bounds"),
 ]
 
@@ -306,10 +301,3 @@ def test_times_sequences_hold_finite_numbers(times):
                  lambda: gp.envelope_bound(spec, times, len(times))):
         with pytest.raises(ValueError, match="times"):
             call()
-
-
-@pytest.mark.parametrize("pair", [(2.0, math.nan), (math.inf, 1.0), ("2.0", "1.0")])
-def test_decay_fit_series_hold_finite_numbers(pair):
-    series = [(t, t**-1.0) for t in np.geomspace(1.0, 100.0, 20).tolist()]
-    with pytest.raises(ValueError, match="series must be a sequence of finite"):
-        gp.fit_decay_exponent(series[:5] + [pair] + series[6:], 1.0)
