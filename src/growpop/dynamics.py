@@ -17,21 +17,33 @@ result does not depend on the block around it, and ``run_simulation`` is a
 block of one. There is one engine per kernel family.
 
 The constant kernel's force collapses to c*(m1 - x_i), so its flow is exact,
-x_i(t) = m1 + (x_i(s) - m1) e^{-c(t-s)}, and the engine carries each replica's
-m1 and nV = n V, the sum of squared deviations, from event to event: O(d) work
-per replica and event.
+x_i(t) = m1 + (x_i(s) - m1) e^{-c(t-s)}, and each replica's moments follow
+from its m1 and nV = n V, the sum of squared deviations, with no opinion
+stored:
 
 * a flow span tau: nV <- e^{-2c tau} nV, and m1 stays put;
-* an arrival x to a population of n: with delta = x - m1,
-  m1 <- m1 + delta/(n+1) and nV <- nV + n |delta|^2/(n+1);
+* an arrival x to a population of n: m1 <- m1 + (x - m1)/(n+1) and
+  nV <- nV + g, the jump g = n |x - m1|^2/(n+1) that ``predict_jumps`` states;
 * a row's moments: V = nV/n, m2 = V + |m1|^2, W = V + |m1 - m|^2 and
-  D = -2cV, computed for all rows after the event loop.
+  D = -2cV.
 
-The arrival step is the jump law ``predict_jumps`` states, in Welford's
-updating form (Welford, Technometrics 4, 1962; analysed by Chan, Golub &
-LeVeque, "Algorithms for computing the sample variance", Am. Stat. 37, 1983).
-Every term of the nV update is nonnegative, so no step cancels, wherever the
-population sits. The founders' nV is summed from their offsets from their
+The engine takes these updates for all replicas and arrivals at once, in
+whole-array prefix passes over the arrivals. m1 after arrival k is the
+founders' mean plus the prefix sum of x_j minus it over j <= k, divided by
+n0 + k; the prefix sums are compensated, ``np.cumsum`` plus the prefix sums of
+its exact TwoSum errors (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005),
+so m1 is the exact running mean rounded, 2e4 arrivals away from the founders
+included. The jumps follow from m1 before each arrival, and nV after arrival
+k is the decayed prefix sum
+
+    nV_k = e^{-2c t_k} (nV(0) + sum over j <= k of g_j e^{2c t_j}),
+
+taken in pieces that span at most 16 of 2c t, each from the nV of the arrival
+that begins it: no factor overflows, and the rounding of the factors'
+exponents costs at most about 16 eps of relative V. A span longer than a
+piece decays nV directly, to 0.0 if it underflows. Every other row decays the
+nV of its last arrival. Every term is nonnegative, so no sum cancels, wherever
+the population sits. The founders' nV is summed from their offsets from their
 mean, pivoted about the first founder, so a population in exact consensus has
 V == 0.0 exactly. The tests hold V to 1e-13 relative of the particle engine's,
 founders 1000 away from the source included.
@@ -89,7 +101,6 @@ that the tests replay a run through and compare the recursion against.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -97,8 +108,8 @@ import numpy as np
 
 from .kernels import Kernel, _force, _one_blas_thread
 from .observables import MomentSeries, _moments, compute_moments
-from .schedules import (GrowthSchedule, _integer, _number, final_injection_count,
-                        injection_time, population_at)
+from .schedules import (ExplicitSchedule, GrowthSchedule, _integer, _number, _pinned_time,
+                        final_injection_count, injection_time, population_at)
 from .sources import OpinionSource, _draw_incoming
 
 __all__ = [
@@ -127,6 +138,11 @@ _TIME_TOL = 1e-12
 # against the recursion's, relative to max(1, max |x|).
 _AUDIT_RTOL = 1e-12
 _AUDIT_ATOL = 1e-15
+
+# The longest stretch of 2c t one piece of the constant kernel's prefix pass
+# spans: its factors e^{2c (t_j - t_lo)} stay below e^16, and the rounding of
+# their exponents below 16 eps relative.
+_PIECE = 16.0
 
 
 class ContractViolationError(RuntimeError):
@@ -329,12 +345,16 @@ def _end_time(schedule: GrowthSchedule, horizon: float | None,
 def _arrival_times(config: SimConfig, t_end: float) -> np.ndarray:
     """t_1..t_K, every arrival at or before t_end that max_agents allows. K is
     counted first, so a K beyond memory raises at once, naming K and t_end."""
-    n0 = config.schedule.n0
-    count = population_at(config.schedule, t_end) - n0
+    schedule = config.schedule
+    count = population_at(schedule, t_end) - schedule.n0
     if config.max_agents is not None:
-        count = min(count, config.max_agents - n0)
+        count = min(count, config.max_agents - schedule.n0)
+    if isinstance(schedule, ExplicitSchedule):
+        return np.array(schedule.times[:count], dtype=float)
     try:
-        return np.fromiter((injection_time(config.schedule, j) for j in range(1, count + 1)),
+        # math.log and ** per element, as injection_time computes each t_j:
+        # np.log and np.power round some t_j differently
+        return np.fromiter((_pinned_time(schedule, j) for j in range(1, count + 1)),
                            dtype=float, count=count)
     except (MemoryError, OverflowError, ValueError) as err:
         raise ValueError(f"{count} arrivals up to t_end = {t_end} do not fit in memory: "
@@ -358,42 +378,41 @@ def _timeline(config: SimConfig) -> _Timeline:
     t_end = _end_time(config.schedule, config.horizon, config.max_agents)
     arrivals = _arrival_times(config, t_end)
     try:
-        return _timeline_rows(arrivals.tolist(), config.record_grid, t_end, config.schedule.n0)
+        return _timeline_rows(arrivals, config.record_grid, t_end, config.schedule.n0)
     except MemoryError as err:
         raise ValueError(f"the rows of {arrivals.size} arrivals up to t_end = {t_end} do not "
                          "fit in memory") from err
 
 
-def _timeline_rows(arrivals: list[float], record_grid, t_end: float, n0: int) -> _Timeline:
+_EVENTS = np.array(["record", "pre_jump", "post_jump"], dtype=object)
+
+
+def _timeline_rows(arrivals: np.ndarray, record_grid, t_end: float, n0: int) -> _Timeline:
     # Grid times coinciding with an arrival are dropped: the pre/post pair
     # already records that instant (post = right-continuous value).
-    grid = []
-    for g in sorted(set(record_grid)):
-        if not 0.0 < g <= t_end:
-            continue
+    grid = np.array(sorted(set(record_grid)), dtype=float)
+    grid = grid[(grid > 0.0) & (grid <= t_end)]
+    if arrivals.size:
         # arrivals are increasing, so the nearest one on each side decides
-        i = bisect.bisect_left(arrivals, g)
-        nearest = arrivals[max(i - 1, 0):i + 1]
-        if any(abs(g - t_j) <= _TIME_TOL * max(1.0, g) for t_j in nearest):
-            continue
-        grid.append(g)
+        i = np.searchsorted(arrivals, grid)
+        gap = np.minimum(np.abs(grid - arrivals[np.maximum(i - 1, 0)]),
+                         np.abs(grid - arrivals[np.minimum(i, arrivals.size - 1)]))
+        grid = grid[gap > _TIME_TOL * np.maximum(1.0, grid)]
 
-    # one row at t = 0, one per grid time, two per arrival (j = 0 marks a grid time)
-    event, t, k, arrived = ["record"], [0.0], [0], 0
-    for t_ev, j in sorted([(g, 0) for g in grid] + [(t_j, j + 1) for j, t_j in enumerate(arrivals)]):
-        if j == 0:
-            event.append("record")
-            t.append(t_ev)
-            k.append(arrived)
-        else:
-            event += ["pre_jump", "post_jump"]
-            t += [t_ev, t_ev]
-            k += [j, j]
-            arrived = j
-    k = np.array(k, dtype=np.int64)
+    # one row at t = 0, one per grid time, two per arrival: arrival j's pair
+    # follows the t = 0 row, the grid times before it and the earlier pairs
+    rows = 1 + grid.size + 2 * arrivals.size
+    j = np.arange(1, arrivals.size + 1)
+    pre = np.searchsorted(grid, arrivals) + 2 * j - 1
+    code, t, k = np.zeros(rows, dtype=np.intp), np.zeros(rows), np.zeros(rows, dtype=np.int64)
+    code[pre], code[pre + 1] = 1, 2
+    t[pre] = t[pre + 1] = arrivals
+    k[pre] = k[pre + 1] = j
+    record = np.flatnonzero(code == 0)[1:]
+    t[record] = grid
+    k[record] = np.searchsorted(arrivals, grid)  # arrivals so far
     # a pre_jump row holds the index of the arrival about to join
-    applied = k - np.array([ev == "pre_jump" for ev in event])
-    return _Timeline(tuple(event), np.array(t), k, n0 + applied)
+    return _Timeline(tuple(_EVENTS[code].tolist()), t, k, n0 + k - (code == 1))
 
 
 class _ReplicaError(RuntimeError):
@@ -483,41 +502,34 @@ def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict
 
 
 def _constant_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict:
-    """The constant kernel's replicas at once, by the (m1, V) recursion (see the
-    module docstring): O(d) work per replica and event."""
+    """The constant kernel's replicas at once, by whole-array prefix passes over
+    the arrivals (see the module docstring): m1 after each arrival from a
+    compensated prefix sum, each arrival's jump of nV, and nV at every row from
+    ``_decayed_sums``."""
     c = config.kernel.coef[0]
     m = config.source.mean_vector
     replicas, arrivals, d = x_new.shape
     x0 = config.initial_opinions
-    n = x0.shape[0]
+    n0 = x0.shape[0]
     rows = tl.t.size
 
-    # m1 after each arrival, as the flow leaves it alone, and nv = n V at each
-    # row; pivoted about x0[0], so a population in exact consensus has V == 0.0
+    # the founders' mean and nV, pivoted about x0[0], so a population in exact
+    # consensus has V == 0.0
     dev = x0 - x0[0]
-    mean_dev = dev.sum(axis=0) / n
+    mean_dev = dev.sum(axis=0) / n0
     offsets = dev - mean_dev
     m1_at = np.empty((replicas, arrivals + 1, d))
-    m1 = m1_at[:, 0] = x0[0] + mean_dev
-    nv = np.full(replicas, float((offsets * offsets).sum()))
-    v = np.empty((replicas, rows))
-    t = 0.0
-    times, event, k = tl.t.tolist(), tl.event, tl.k.tolist()
-    for i in range(rows):
-        if event[i] == "post_jump":
-            delta = x_new[:, k[i] - 1] - m1
-            m1 = m1_at[:, k[i]] = m1 + delta / (n + 1)
-            nv += (n / (n + 1)) * _sq(delta)
-            n += 1
-        elif times[i] > t:
-            nv *= math.exp(-2.0 * c * (times[i] - t))
-            t = times[i]
-        v[:, i] = nv
+    m1_at[:, 0] = x0[0] + mean_dev
+    n = n0 + np.arange(arrivals)  # agents present before each arrival
+    m1_at[:, 1:] = m1_at[:, :1] + _prefix_sums(x_new - m1_at[:, :1]) / (n + 1)[:, None]
+    jumps = (n / (n + 1)) * _sq(x_new - m1_at[:, :-1])
+    v = _decayed_sums(c, tl, float((offsets * offsets).sum()), jumps)
     v /= tl.n
     applied = tl.n - tl.n[0]
     m1 = m1_at[:, applied]
 
     # every replica at the last row, one in turn at each grid record
+    event, times = tl.event, tl.t.tolist()
     grid = [i for i in range(1, rows - 1) if event[i] == "record"]
     audits = [(turn % replicas, i) for turn, i in enumerate(grid)]
     t_arrival = tl.t[np.flatnonzero(np.diff(tl.n)) + 1]
@@ -537,6 +549,51 @@ def _constant_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict
     np.cumsum(v[:, :-1] * np.expm1((-2.0 * c) * np.diff(tl.t)), axis=1, out=d_integral[:, 1:])
     return {"m1": m1, "m2": m2, "v": v, "w": w, "dissipation": (-2.0 * c) * v,
             "d_integral": d_integral}
+
+
+def _prefix_sums(y: np.ndarray) -> np.ndarray:
+    """Prefix sums of y along axis 1, compensated: ``np.cumsum`` plus the
+    prefix sums of its exact rounding errors, each from TwoSum (Ogita, Rump &
+    Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005), so
+    each sum is as accurate as if summed in twice the working precision."""
+    s = np.cumsum(y, axis=1)
+    prev = np.zeros_like(s)
+    prev[:, 1:] = s[:, :-1]
+    b = s - prev
+    return s + np.cumsum((prev - (s - b)) + (y - b), axis=1)
+
+
+def _decayed_sums(c: float, tl: _Timeline, s0: float, jumps: np.ndarray) -> np.ndarray:
+    """S = nV at every row of ``tl``, for each replica of ``jumps`` (replicas,
+    K): S starts at s0, decays by e^{-2c tau} over a span tau, and arrival k
+    adds jumps[:, k - 1]. After arrival k, in closed form,
+
+        S_k = e^{-2c (t_k - t_lo)} (S_lo + sum over lo < j <= k of
+              jumps_j e^{2c (t_j - t_lo)}),
+
+    one prefix sum from the S_lo of the arrival (or t = 0) that begins the
+    piece holding k. A piece spans at most ``_PIECE`` of 2c t, so its factors
+    cannot overflow and their exponents' rounding stays near ``_PIECE`` eps;
+    a span longer than that is a piece of its own that decays S directly.
+    Every other row decays the S of its last arrival by e^{-2c (t - t_a)}."""
+    replicas, arrivals = jumps.shape
+    t_at = np.zeros(arrivals + 1)
+    t_at[1:] = tl.t[np.flatnonzero(np.diff(tl.n)) + 1]
+    s = np.empty((replicas, arrivals + 1))
+    s[:, 0] = s0
+    lo, reach = 0, _PIECE / (2.0 * c)
+    while lo < arrivals:
+        hi = max(int(np.searchsorted(t_at, t_at[lo] + reach, side="right")) - 1, lo + 1)
+        a = (2.0 * c) * (t_at[lo + 1:hi + 1] - t_at[lo])
+        if hi == lo + 1 and a[0] > _PIECE:
+            s[:, hi] = s[:, lo] * math.exp(-a[0]) + jumps[:, lo]
+        else:
+            np.cumsum(jumps[:, lo:hi] * np.exp(a), axis=1, out=s[:, lo + 1:hi + 1])
+            s[:, lo + 1:hi + 1] += s[:, lo:lo + 1]
+            s[:, lo + 1:hi + 1] *= np.exp(-a)
+        lo = hi
+    applied = tl.n - tl.n[0]
+    return s[:, applied] * np.exp((-2.0 * c) * (tl.t - t_at[applied]))
 
 
 def _sq(x: np.ndarray) -> np.ndarray:

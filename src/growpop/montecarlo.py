@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimConfig, _ReplicaError, _run_block, _timeline
+from .dynamics import SimConfig, _ReplicaError, _decayed_sums, _run_block, _timeline
 from .observables import _mean_deviation, expected_m1_deviation
 from .schedules import _integer
 
@@ -216,7 +216,10 @@ def expected_moments(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
       ``expected_m1_deviation`` of the founders;
     * at every row E V = E S / n and E W = E V + e.
 
-    sigma2 = E|x - m|^2 is the source's covariance trace for every family.
+    E S is the engine's decayed prefix pass (``dynamics._decayed_sums``) over
+    one replica whose jumps are these expected ones, so a row before the first
+    arrival holds the engine's V bit for bit. sigma2 = E|x - m|^2 is the
+    source's covariance trace for every family.
     Any other kernel raises ValueError.
     """
     if config.kernel.kind != "constant":
@@ -231,17 +234,8 @@ def expected_moments(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     dev = x0 - x0[0]
     offsets = dev - dev.sum(axis=0) / n0
     a_const = expected_m1_deviation(n0, 0, x0, config.source.mean_vector, sigma2).a_const
-    e = _mean_deviation(a_const, n0, tl.n - n0, sigma2)
-    s = np.empty(tl.t.size)
-    es, t = float((offsets * offsets).sum()), 0.0
-    times, pop, e_row = tl.t.tolist(), tl.n.tolist(), e.tolist()
-    for i, event in enumerate(tl.event):
-        if event == "post_jump":  # row i - 1 is its pre_jump row, with e_{k-1}
-            n = pop[i - 1]
-            es += n / (n + 1) * (sigma2 + e_row[i - 1])
-        elif times[i] > t:
-            es *= math.exp(-2.0 * c * (times[i] - t))
-            t = times[i]
-        s[i] = es
-    v = s / tl.n
-    return v, v + e
+    # arrival k joins n = n0 + k - 1 agents, with e_{k-1} before it
+    n = np.arange(n0, tl.n[-1])
+    jumps = n / (n + 1) * (sigma2 + _mean_deviation(a_const, n0, n - n0, sigma2))
+    v = _decayed_sums(c, tl, float((offsets * offsets).sum()), jumps[None, :])[0] / tl.n
+    return v, v + _mean_deviation(a_const, n0, tl.n - n0, sigma2)

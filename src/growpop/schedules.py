@@ -95,12 +95,18 @@ def injection_time(schedule: GrowthSchedule, j: int) -> float:
     if j == 0:
         return 0.0
     if isinstance(schedule, PowerExponentialSchedule):
-        return math.log(schedule.n0 + j) ** (1.0 / schedule.alpha)
+        return _pinned_time(schedule, j)
     if j > len(schedule.times):
         raise ValueError(
             f"injection index {j} out of range; schedule defines {len(schedule.times)} times"
         )
     return schedule.times[j - 1]
+
+
+def _pinned_time(schedule: PowerExponentialSchedule, j: int) -> float:
+    """t_j = (ln(n0 + j))**(1/alpha) for an int j >= 1, unchecked: the one place
+    the power-exponential family's formula lives."""
+    return math.log(schedule.n0 + j) ** (1.0 / schedule.alpha)
 
 
 def final_injection_count(schedule: GrowthSchedule):

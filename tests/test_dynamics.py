@@ -6,8 +6,11 @@ the constant-kernel shortcut) are checked on random states.
 """
 
 import dataclasses
+import decimal
 import math
 import tracemalloc
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -530,6 +533,44 @@ class TestRunSimulation:
         assert post.tolist() == [injection_time(schedule, j) for j in range(1, arrivals + 1)]
         assert injection_time(schedule, arrivals + 1) > 2.5
 
+    @pytest.mark.parametrize("case", ["regime-0.5", "regime-1.5", "grid-on-arrivals",
+                                      "explicit-horizon", "no-arrivals"])
+    def test_timeline_is_its_loop_reference(self, case):
+        # the columns of the timeline, byte for byte, against the row-by-row
+        # merge of sorted grid times and arrivals, the pinned t_j taken one at
+        # a time from injection_time
+        pinned = PowerExponentialSchedule(alpha=1.0, n0=3)
+        near = [injection_time(pinned, j) for j in range(1, 20)]
+        explicit = ExplicitSchedule(n0=2, times=(1.0, 400.0, 401.0))
+        config = {
+            "regime-0.5": lambda: regime_config(0.5),
+            "regime-1.5": lambda: regime_config(1.5),
+            # grid times on, within 1e-12 of and 1e-9 off arrivals, repeated,
+            # at 0 and past t_end
+            "grid-on-arrivals": lambda: small_config(
+                schedule=pinned, max_agents=None, horizon=3.0,
+                record_grid=(*near[:6], *near[:3], *(t + 1e-13 for t in near[6:10]),
+                             *(t + 1e-9 for t in near[10:14]), 0.0, 0.1, 0.1, 3.0, 5.0,
+                             *np.linspace(0.0, 3.0, 41))),
+            "explicit-horizon": lambda: small_config(
+                schedule=explicit, initial_opinions=np.zeros((2, 1)), max_agents=None,
+                horizon=450.0, record_grid=uniform_record_grid(450.0, 7.0)),
+            "no-arrivals": lambda: small_config(
+                schedule=explicit, initial_opinions=np.zeros((2, 1)), max_agents=None,
+                horizon=0.5, record_grid=(0.25, 0.5)),
+        }[case]()
+        tl = dynamics._timeline(config)
+        t_end = dynamics._end_time(config.schedule, config.horizon, config.max_agents)
+        count = population_at(config.schedule, t_end) - config.schedule.n0
+        if config.max_agents is not None:
+            count = min(count, config.max_agents - config.schedule.n0)
+        arrivals = [injection_time(config.schedule, j) for j in range(1, count + 1)]
+        ref = timeline_reference(arrivals, config.record_grid, t_end, config.schedule.n0)
+        assert tl.event == ref["event"]
+        for name in ("t", "k", "n"):
+            col = getattr(tl, name)
+            assert col.dtype == ref[name].dtype and col.tobytes() == ref[name].tobytes(), name
+
     def test_arrivals_beyond_memory_rejected_at_once(self):
         # alpha 1, horizon 44: about 1.3e19 arrivals, more than any address space
         config = small_config(schedule=PowerExponentialSchedule(alpha=1.0, n0=3),
@@ -602,6 +643,78 @@ def particle_reference(config, series):
         recs.append(compute_moments(state, config.kernel, config.source.mean_vector))
     return {name: np.array([getattr(r, name) for r in recs])
             for name in ("m1", "m2", "v", "w", "dissipation")}
+
+
+def recursion_reference(config, series):
+    """m1 and V at every row of a constant-kernel ``series`` by Welford's
+    recursion in plain floats, row by row: a span multiplies nV by e^{-2c tau},
+    an arrival x to n agents adds n |x - m1|^2 / (n + 1) and moves m1 by
+    (x - m1) / (n + 1)."""
+    c, x0 = config.kernel.coef[0], config.initial_opinions
+    dev = x0 - x0[0]
+    offsets = dev - dev.sum(axis=0) / len(x0)
+    m1 = x0[0] + dev.sum(axis=0) / len(x0)
+    nv, t, n = float((offsets * offsets).sum()), 0.0, len(x0)
+    m1s, vs = [], []
+    for i, event in enumerate(series.event):
+        if event == "post_jump":
+            delta = series.x_new[series.k[i] - 1] - m1
+            m1 = m1 + delta / (n + 1)
+            nv += n / (n + 1) * float(delta @ delta)
+            n += 1
+        elif series.t[i] > t:
+            nv *= math.exp(-2.0 * c * (series.t[i] - t))
+            t = series.t[i]
+        m1s.append(m1)
+        vs.append(nv / n)
+    return {"m1": np.array(m1s), "v": np.array(vs)}
+
+
+def exact_v(config, series):
+    """V at every row of a constant-kernel ``series`` in 40-digit decimal
+    arithmetic, rounded once to float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        c = Decimal(config.kernel.coef[0])
+        points = [[Decimal(x) for x in row] for row in config.initial_opinions]
+        n = len(points)
+        m1 = [sum(col) / n for col in zip(*points)]
+        nv = sum((x - m) ** 2 for row in points for x, m in zip(row, m1))
+        t, vs = Decimal(0), []
+        for i, event in enumerate(series.event):
+            if event == "post_jump":
+                delta = [Decimal(x) - m for x, m in zip(series.x_new[series.k[i] - 1], m1)]
+                nv += n * sum(q * q for q in delta) / (n + 1)
+                m1 = [m + q / (n + 1) for m, q in zip(m1, delta)]
+                n += 1
+            else:
+                t_i = Decimal(float(series.t[i]))
+                nv *= (-2 * c * (t_i - t)).exp()
+                t = t_i
+            vs.append(float(nv / n))
+    return np.array(vs)
+
+
+def timeline_reference(arrivals, record_grid, t_end, n0):
+    """The columns event, t, k and n of a run's rows, merged row by row: the
+    t = 0 record, each grid time in (0, t_end] farther than 1e-12 max(1, g)
+    from every arrival, and a pre/post pair per arrival, in time order."""
+    grid = [g for g in sorted(set(record_grid)) if 0.0 < g <= t_end
+            and all(abs(g - t_j) > 1e-12 * max(1.0, g) for t_j in arrivals)]
+    event, t, k, n = ["record"], [0.0], [0], [n0]
+    for t_ev, j in sorted([(g, 0) for g in grid] + [(t_j, j + 1) for j, t_j in enumerate(arrivals)]):
+        if j == 0:
+            event.append("record")
+            t.append(t_ev)
+            k.append(k[-1])
+            n.append(n[-1])
+        else:
+            event += ["pre_jump", "post_jump"]
+            t += [t_ev, t_ev]
+            k += [j, j]
+            n += [n0 + j - 1, n0 + j]
+    return {"event": tuple(event), "t": np.array(t), "k": np.array(k, dtype=np.int64),
+            "n": np.array(n, dtype=np.int64)}
 
 
 def regime_config(alpha):
@@ -696,6 +809,59 @@ class TestAffineEngine:
         exact = series.v[:-1] * np.exp(-2.0 * c * np.diff(series.t))
         np.testing.assert_allclose(series.v[1:][decayed], exact[decayed], rtol=self.V_RTOL,
                                    atol=0.0)
+
+    def test_running_mean_is_the_exact_mean_at_many_arrivals(self):
+        # 2e4 arrivals from a source away from the founders: m1 is held to the
+        # exact running mean, which a Welford recursion misses by about 3e-15 scale
+        schedule = PowerExponentialSchedule(alpha=1.5, n0=10)
+        config = SimConfig(dim=1, kernel=constant_kernel(1.0), schedule=schedule,
+                           source=gaussian_source(5.0, 1.0), initial_opinions=np.zeros((10, 1)),
+                           max_agents=10 + 20000)
+        series = run_simulation(config, seed=1)
+        points = np.concatenate([config.initial_opinions[:, 0], series.x_new[:, 0]])
+        rows = range(0, len(series.event), 37)
+        exact = np.array([math.fsum(points[:series.n[i]]) / series.n[i] for i in rows])
+        assert np.abs(series.m1[rows, 0] - exact).max() <= (
+            self.M1_TOL * self.m1_scale(config, series))
+
+    def test_long_spans_decay_without_overflow(self):
+        # a span of 399 with c = 1 decays V by e^{-798}, below the smallest
+        # float: the pre_jump row at t = 400 holds exactly 0, with no warning
+        config = SimConfig(dim=1, kernel=constant_kernel(1.0),
+                           schedule=ExplicitSchedule(n0=2, times=(1.0, 400.0, 401.0)),
+                           source=gaussian_source(0.5, 1.0),
+                           initial_opinions=np.array([[0.0], [1.0]]), horizon=450.0,
+                           record_grid=uniform_record_grid(450.0, 50.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = run_simulation(config, seed=3)
+        assert not np.isnan(series.v).any() and not np.isnan(series.m1).any()
+        pre = [i for i, ev in enumerate(series.event) if ev == "pre_jump" and series.t[i] == 400.0]
+        assert series.v[pre].tolist() == [0.0]
+        ref = recursion_reference(config, series)
+        assert np.array_equal(series.v == 0.0, ref["v"] == 0.0)
+        np.testing.assert_allclose(series.v, ref["v"], rtol=1e-15, atol=0.0)
+        assert np.abs(series.m1 - ref["m1"]).max() <= self.M1_TOL * self.m1_scale(config, series)
+
+    def test_spans_summing_past_many_pieces(self):
+        # no span is longer than a piece of the prefix pass, but together they
+        # decay V by e^{-1120}, past any one scan's float range; V stays within
+        # 1e-14 of its exact value, which pieces spanning 600 of 2c t miss by
+        # about 4e-14 through the rounding of their exponents
+        c = 0.7
+        config = SimConfig(dim=2, kernel=constant_kernel(c),
+                           schedule=ExplicitSchedule(n0=3, times=tuple(2.0 * j for j in range(1, 401))),
+                           source=gaussian_source((0.5, -1.0), 1.0),
+                           initial_opinions=np.array([[0.0, 1.0], [1.0, 0.5], [-1.0, 2.0]]),
+                           max_agents=403, record_grid=uniform_record_grid(800.0, 1.7))
+        assert 2.0 * c * 2.0 < dynamics._PIECE < 2.0 * c * 800.0 / 10
+        assert 2.0 * c * 800.0 > math.log(np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = run_simulation(config, seed=3)
+        assert not np.isnan(series.v).any()
+        np.testing.assert_allclose(series.v, exact_v(config, series), rtol=1e-14, atol=0.0)
+
 
 
 class TestParticleEngine:
