@@ -27,11 +27,12 @@ has a relative error of O(eps log chunk), within O(eps log n) (Higham,
 matches the 1-ulp rounding of each ``exp`` and g(k), which no exact summation
 of the rounded terms removes.
 
-For arrival times on the scale t_k = (ln k)^p the sum is asymptotically the
-generalized Dawson integral F(p, x) = exp(-lambda x^p) * int_0^x
-exp(lambda t^p) dt at x = ln n, which vanishes at infinity exactly when
-p > 1. ``classify_schedule`` applies the resulting trichotomy in the arrival
-exponent alpha = 1/p and cross-checks it numerically.
+For arrival times on the scale t_k = (ln k)^p the sum's integral over
+1 <= k <= n is the generalized Dawson integral F(p, x) = exp(-lambda x^p) *
+int_0^x exp(lambda t^p) dt at x = ln n, which vanishes at infinity exactly
+when p > 1. ``classify_schedule`` applies the resulting trichotomy in the
+arrival exponent alpha = 1/p, and checks that each computed sum lies in a
+proven band about F.
 """
 
 from __future__ import annotations
@@ -203,9 +204,9 @@ def _condition_sums(lams: Sequence[float], times: TimesSource, ns, bound: JumpBo
     rates; each piece of a segment ns[j-1] < k <= ns[j] inside the chunk is
     summed pairwise, and the pieces of a segment are added exactly. A
     segment's total adds the previous total carried forward by its decay
-    factor (see the module docstring). t_n is the value that the chunk
-    holding k = n computes; when a segment runs past the current chunk, that
-    chunk is read ahead and kept until the walk reaches it. Memory is
+    factor (see the module docstring). t_n is read off the chunk holding k = n,
+    or, before the walk reaches it, once per segment as the one time at k = n;
+    a time depends on its index alone, so both agree. Memory is
     O(_CHUNK x rates): the buffers are allocated once per call.
     """
     lams = [_number(lam, "lambda", "> 0") for lam in lams]
@@ -222,11 +223,11 @@ def _condition_sums(lams: Sequence[float], times: TimesSource, ns, bound: JumpBo
     diffs, terms = np.empty(width), np.empty((len(lams), width))
     sums = np.empty((len(lams), len(ends)))
     totals, pieces = [y0] * len(lams), [[] for _ in lams]
-    j, t_last, t_end = 0, 0.0, -math.inf  # t at the previous grid point and chunk end
-    ahead, t_ahead = -1, None  # start and times of the chunk holding the segment's end
+    # t at the previous grid point, at the last chunk's end, and at this segment's end
+    j, t_last, t_end, t_n = 0, 0.0, -math.inf, None
     for start in range(0, n_max, _CHUNK):
         stop = min(start + _CHUNK, n_max)
-        t = t_ahead if ahead == start else time_chunk(start, stop)
+        t = time_chunk(start, stop)
         # nondecreasing from the previous chunk on, with finite ends: every time is finite
         if not (t_end <= t[0] and math.isfinite(t[0]) and math.isfinite(t[-1])
                 and np.all(t[1:] >= t[:-1])):
@@ -235,16 +236,11 @@ def _condition_sums(lams: Sequence[float], times: TimesSource, ns, bound: JumpBo
         lo = start
         while lo < stop:
             end = ends[j]
-            if end <= stop:
-                t_n = t[end - 1 - start]
-            else:
-                if ahead != (end - 1) // _CHUNK * _CHUNK:
-                    ahead = (end - 1) // _CHUNK * _CHUNK
-                    t_ahead = time_chunk(ahead, min(ahead + _CHUNK, n_max))
-                t_n = t_ahead[end - 1 - ahead]
+            t_n = (t[end - 1 - start] if end <= stop else
+                   time_chunk(end - 1, end)[0] if t_n is None else t_n)
             hi = min(end, stop)
             d = np.subtract(t[lo - start:hi - start], t_n, out=diffs[:hi - lo])
-            if not d[-1] <= 0.0:  # t_n, read ahead, is not past this chunk's times
+            if not d[-1] <= 0.0:  # t_n, read past this chunk, is below its times
                 raise ValueError(_UNSORTED)
             for r, lam in enumerate(lams):
                 # g(k) exp(-lam (t_n - t_k)) for lo < k <= hi, into the rate's buffer
@@ -258,7 +254,7 @@ def _condition_sums(lams: Sequence[float], times: TimesSource, ns, bound: JumpBo
                     carried = math.exp(-lam * (t_n - t_last)) * totals[r] if totals[r] else 0.0
                     totals[r] = sums[r, j] = math.fsum(pieces[r]) + carried
                     pieces[r].clear()
-                j, t_last = j + 1, t_n
+                j, t_last, t_n = j + 1, t_n, None
             lo = hi
         t_end = t[-1]
     return sums
@@ -349,12 +345,12 @@ class ScheduleClass(enum.Enum):
 
 
 class ClassificationError(RuntimeError):
-    """Numeric trend contradicted the analytic classification."""
+    """A computed condition sum outside its proven band about the integral F."""
 
 
 def classify_schedule(alpha: float, psi_star: float, psi_max: float,
                       n_max: int = 100_000) -> ScheduleClass:
-    """Trichotomy in the arrival exponent, cross-checked numerically.
+    """Trichotomy in the arrival exponent, with the sums checked against F.
 
     alpha < 1: arrivals decelerate fast enough that S(lambda, n) -> 0 for
     every rate, so the consensus criterion holds (CONVERGES_C1). alpha > 1:
@@ -362,18 +358,18 @@ def classify_schedule(alpha: float, psi_star: float, psi_max: float,
     the criterion (FAILS_C2). alpha = 1 is the exponential-growth boundary,
     where S(lambda, n) -> 1/lambda > 0 for every lambda.
 
-    The analytic rule is authoritative; condition sums on a geometric n-grid
-    up to n_max are evaluated at the kernel's certified rates and a trend
-    inconsistent with the rule raises ClassificationError.
+    The analytic rule gives the verdict: the integral of the sum's terms,
+    F = dawson_f(1/alpha, lambda, ln n), vanishes exactly when alpha < 1. The
+    sums on a geometric n-grid from 10 to n_max at the verdict's rates must
+    lie in a proven band about F, else ClassificationError is raised.
     """
     alpha = _number(alpha, "alpha", "> 0")
     psi_star, psi_max = _number(psi_star, "psi_star", "> 0"), _number(psi_max, "psi_max", "> 0")
     if psi_star > psi_max:
         raise ValueError(f"psi_star must be <= psi_max, got ({psi_star}, {psi_max})")
-    n_max = _integer(n_max, "n_max", 10_000)
+    n_max = _integer(n_max, "n_max", 10)
 
-    times = asymptotic_injection_times(alpha)
-    grid = _sum_grid(n_max)
+    times, grid = asymptotic_injection_times(alpha), _sum_grid(n_max)
     # one condition_sum call per grid point: each sum is its own one-point
     # table, independent of the carried recurrence of a multi-point one
     return _classify(alpha, psi_star, psi_max, grid,
@@ -389,53 +385,56 @@ def _conditions_table(alpha: float, lambdas: Sequence[float], n_max: int):
     """(grid, {lam: S(lam, grid)}, verdict) for ``growpop conditions``.
 
     All the rates' columns come from one pass on the geometric grid up to
-    n_max, on the scale t_k = (ln k)^(1/alpha). From n_max >= 10000 on this grid is the
-    classifier's and its rates, the smallest and largest lambda, are columns,
-    so the verdict is checked on the table; below that ``classify_schedule``
-    evaluates its own grid up to 10000.
+    n_max, on the scale t_k = (ln k)^(1/alpha). The verdict's rates, the
+    smallest and largest lambda, are columns, so it is checked on the table.
     """
     grid = _sum_grid(n_max)
     rows = _condition_sums(lambdas, asymptotic_injection_times(alpha), grid, HarmonicScaled(1.0))
     columns = dict(zip(lambdas, rows))
-    psi_star, psi_max = min(lambdas), max(lambdas)
-    if n_max >= 10_000:
-        verdict = _classify(alpha, psi_star, psi_max, grid, columns.__getitem__)
-    else:
-        verdict = classify_schedule(alpha, psi_star, psi_max, n_max=10_000)
-    return grid, columns, verdict
+    return grid, columns, _classify(alpha, min(lambdas), max(lambdas), grid, columns.__getitem__)
 
 
 def _classify(alpha: float, psi_star: float, psi_max: float, grid: np.ndarray,
               sums_at: Callable[[float], np.ndarray]) -> ScheduleClass:
-    """The analytic verdict for ``alpha``, cross-checked on S at ``grid``.
+    """The analytic verdict for ``alpha``, with S checked against its band about F.
 
     ``sums_at(lam)`` gives S(lam, n) at every n of ``grid`` on the scale
-    t_k = (ln k)^(1/alpha); it is asked only for psi_star and psi_max.
+    t_k = (ln k)^p, p = 1/alpha; it is asked for the verdict's rates only.
+
+    With x = ln n and f(k) = (1/k) e^(-lam (x^p - (ln k)^p)), S = sum_{k<=n} f(k)
+    and F = dawson_f(p, lam, x) = int_1^n f(k) dk (put u = ln k). Where f is
+    monotone on [k, k+1], its integral there lies between f(k) and f(k+1); and
+    d ln f / du = -1 + lam p u^(p-1).
+    - p >= 1: f falls, then rises. Bounding each interval's integral above by
+      its end farther from the minimum uses no k twice, so F <= S; bounding it
+      below by the nearer end, and by 0 on the minimum's interval, uses every
+      k but 1 and n, so S - F <= f(1) + f(n) = e^(-lam x^p) + 1/n.
+    - p < 1: f rises to f_max at u = min((lam p)^(1/(1-p)), x), then falls.
+      The same comparisons with the ends swapped give F <= S + f_max (the
+      peak's interval bounded by f_max) and S - F <= 2 f_max (only the ends
+      of the peak's interval left out).
+    A sum outside its band, widened by 1e-12 S for rounding (S is within
+    O(eps log n) of its terms, whose exponents carry the rounding of lam t_n;
+    F is within 2e-15), raises ClassificationError.
     """
-    if alpha < 1.0:
-        s = sums_at(psi_star).tolist()
-        tail = s[len(s) // 2:]
-        decreasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(tail, tail[1:]))
-        if not decreasing or not s[-1] < tail[0]:
-            raise ClassificationError(
-                f"alpha={alpha} < 1 predicts decaying sums, observed {s}"
-            )
-        return ScheduleClass.CONVERGES_C1
-    if alpha > 1.0:
-        s = sums_at(psi_max).tolist()
-        if s[-1] < 0.9 * s[len(s) // 2] or s[-1] <= 1e-8:
-            raise ClassificationError(
-                f"alpha={alpha} > 1 predicts non-vanishing sums, observed {s}"
-            )
-        return ScheduleClass.FAILS_C2
-    for lam in {psi_star, psi_max}:
-        s_last = float(sums_at(lam)[-1])
-        if s_last < 0.25 * min(1.0, 1.0 / lam):
-            raise ClassificationError(
-                f"boundary alpha=1 predicts S -> 1/lambda = {1.0 / lam}, "
-                f"observed {s_last} at n={grid[-1]}"
-            )
-    return ScheduleClass.EXPONENTIAL_BOUNDARY
+    p = 1.0 / alpha
+    verdict, rates = ((ScheduleClass.CONVERGES_C1, {psi_star}) if alpha < 1.0 else
+                      (ScheduleClass.FAILS_C2, {psi_max}) if alpha > 1.0 else
+                      (ScheduleClass.EXPONENTIAL_BOUNDARY, {psi_star, psi_max}))
+    for lam in rates:
+        for n, s in zip(grid.tolist(), sums_at(lam).tolist()):
+            x = math.log(n)
+            if p >= 1.0:
+                low, high = 0.0, math.exp(-lam * x**p) + 1.0 / n
+            else:  # the peak's ln(u) first, as 1/(1-p) may be huge
+                u = math.exp(min(math.log(lam * p) / (1.0 - p), math.log(x)))
+                f_max = math.exp(-u - lam * (x**p - u**p))
+                low, high = -f_max, 2.0 * f_max
+            gap, slack = s - dawson_f(p, lam, x), 1e-12 * s
+            if not low - slack <= gap <= high + slack:
+                raise ClassificationError(f"alpha={alpha}: S(lambda={lam}, n={n}) = {s} leaves "
+                                          f"its band, S - F = {gap} outside [{low}, {high}]")
+    return verdict
 
 
 @dataclass(frozen=True)

@@ -328,7 +328,7 @@ class TestChunkedPass:
         for make in (one_sum, table):
             small, large = peak(make(10**6)), peak(make(4 * 10**6))
             assert small < 2 * 2**20 and large < 2 * 2**20, (make.__name__, small, large)
-            # the chunk read ahead for t_n may be partial; it is at most _CHUNK long
+            # no buffer grows with n: the two peaks are within a chunk's bytes
             assert large <= small + 8 * C, (make.__name__, small, large)
 
 
@@ -411,6 +411,14 @@ class TestDawsonTransform:
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 1.0
 
+    @pytest.mark.parametrize("x", [1e6, 1e12])
+    @pytest.mark.parametrize("rate", [0.1, 0.4, 1.6])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 0.95, 0.99, 1.0])
+    def test_limit_behind_the_verdict(self, alpha, rate, x):
+        # F ~ 1/(rate p x^(p-1)) -> 0 for p = 1/alpha > 1, and F -> 1/rate at p = 1
+        p = 1.0 / alpha
+        assert abs(dawson_f(p, rate, x) * rate * p * x ** (p - 1.0) - 1.0) <= 1e-6
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_large_x_asymptotics(self, p):
         x = 60.0
@@ -477,14 +485,15 @@ class TestClassification:
 
     def test_small_n_max_rejected(self):
         with pytest.raises(ValueError):
-            classify_schedule(0.5, 0.5, 1.0, n_max=1000)
+            classify_schedule(0.5, 0.5, 1.0, n_max=9)
+        assert classify_schedule(0.5, 0.5, 1.0, n_max=10) is ScheduleClass.CONVERGES_C1
 
     def test_numpy_integer_n_max(self):
         assert classify_schedule(0.5, 0.4, 1.6, n_max=np.int64(20000)) is ScheduleClass.CONVERGES_C1
 
     @pytest.mark.parametrize("n_max", [True, 20000.0, np.float64(20000.0), "20000"])
     def test_n_max_must_be_an_integer(self, n_max):
-        with pytest.raises(ValueError, match="n_max must be an integer >= 10000"):
+        with pytest.raises(ValueError, match="n_max must be an integer >= 10,"):
             classify_schedule(0.5, 0.4, 1.6, n_max=n_max)
 
     def test_bad_rates_rejected(self):
@@ -496,15 +505,32 @@ class TestClassification:
     @pytest.mark.parametrize("n_max", [10_000, 100_000, 1_000_000])
     def test_alpha_just_below_one_converges(self, n_max):
         # S(0.4, n) rises from 1.664 at n = 10 to a peak near n = 230 before it
-        # decays; the check compares the tail, not the transient
+        # decays; the band about F holds on the rise as on the fall
         assert classify_schedule(0.9, 0.4, 1.6, n_max=n_max) is ScheduleClass.CONVERGES_C1
 
-    @pytest.mark.parametrize("step", [1e-10, 1e-3])  # within / beyond the tail's tolerance
-    def test_rising_tail_below_one_raises(self, monkeypatch, step):
+    @pytest.mark.parametrize("alpha, psi_star, n_max, verdict", [
+        (0.8, 0.1, 10**6, ScheduleClass.CONVERGES_C1),
+        (0.95, 0.4, 10**5, ScheduleClass.CONVERGES_C1),
+        (0.99, 0.4, 10**6, ScheduleClass.CONVERGES_C1),
+        (0.9999, 0.4, 10**5, ScheduleClass.CONVERGES_C1),
+        (1.0001, 0.4, 10**5, ScheduleClass.FAILS_C2),
+        (1.000001, 0.4, 10**5, ScheduleClass.FAILS_C2),
+    ])
+    def test_alpha_near_one(self, alpha, psi_star, n_max, verdict):
+        # the sums near alpha = 1 turn only far past any n_max, yet stay in their band
+        assert classify_schedule(alpha, psi_star, 1.6, n_max=n_max) is verdict
+
+    @pytest.mark.parametrize("alpha, shift", [(0.5, 1e-3), (1.0, -1e-3), (1.5, 1e-2)])
+    def test_sums_outside_the_band_raise(self, monkeypatch, alpha, shift):
+        exact = analysis.condition_sum
+        verdict = classify_schedule(alpha, 0.4, 1.6, n_max=100_000)
+        monkeypatch.setattr(analysis, "condition_sum",  # a rounding-sized error stays inside
+                            lambda lam, times, n: exact(lam, times, n) * (1.0 + 1e-14))
+        assert classify_schedule(alpha, 0.4, 1.6, n_max=100_000) is verdict
         monkeypatch.setattr(analysis, "condition_sum",
-                            lambda lam, times, n: 1.0 + step * math.log(n))
-        with pytest.raises(ClassificationError, match="predicts decaying sums"):
-            classify_schedule(0.5, 0.4, 1.6, n_max=100_000)
+                            lambda lam, times, n: exact(lam, times, n) + shift)
+        with pytest.raises(ClassificationError, match=f"alpha={alpha}: .* leaves its band"):
+            classify_schedule(alpha, 0.4, 1.6, n_max=100_000)
 
     def test_classification_error_exists(self):
         assert issubclass(ClassificationError, RuntimeError)

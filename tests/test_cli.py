@@ -493,7 +493,7 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "classification: converges_c1" in out
 
-    @pytest.mark.parametrize("n_max", [1000, 20000])  # below / at the classifier's grid
+    @pytest.mark.parametrize("n_max", [1000, 20000])  # in one chunk / across chunk edges
     @pytest.mark.parametrize("alpha, verdict", [(0.5, "converges_c1"),
                                                 (1.0, "exponential_boundary"),
                                                 (1.5, "fails_c2")])
@@ -555,7 +555,7 @@ class TestDispatch:
 
     def test_conditions_classify_alpha_just_below_one(self, capsys):
         # S(0.4, n) at alpha 0.9 rises until n ~ 230 and then decays; the
-        # cross-check reads the decaying tail, so the analytic verdict stands
+        # band about F holds on the rise as on the fall, so the verdict stands
         assert cmd_dispatch(["conditions", "--alpha", "0.9", "--lambda", "0.4",
                              "--lambda", "1.6", "--n-max", "10000"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "classification: converges_c1"
