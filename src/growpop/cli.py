@@ -10,7 +10,9 @@ Command-line flags override file fields. Exit codes: 0 success, 1 usage error,
 
 CSV output is deterministic: UTF-8, LF newlines, floats in shortest
 round-trip form (repr), and the seed surfaced in a leading "# seed=" comment,
-so identical (config, seed) pairs produce byte-identical files.
+so identical (config, seed) pairs produce byte-identical files. Each column
+is formatted once per run of equal values: a value bit-equal to the one above
+it reuses that row's text, so the bytes are those of per-value repr.
 """
 
 from __future__ import annotations
@@ -334,8 +336,31 @@ def _jump_bound(spec: _Fields | None) -> HarmonicScaled | ExplicitJumps:
 # CSV output
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_BLOCK_ROWS = 512  # rows formatted per write, so the text in memory is bounded
+
+
+def _column_text(col: np.ndarray) -> list[str]:
+    """``[repr(v) for v in col.tolist()]``, with repr called once per run of equal values.
+
+    float64 values are compared by their bits, so -0.0 below 0.0 gets its own
+    text; any other column (integers) by value.
+    """
+    if len(col) == 0:
+        return []
+    bits = col.view(np.int64) if col.dtype == np.float64 else col
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    heads = np.array(list(map(repr, col[starts].tolist())), dtype=object)
+    return np.repeat(heads, np.diff(starts, append=len(col))).tolist()
+
+
+def _write_rows(fh, columns: list[np.ndarray], last=None) -> None:
+    """Write ``columns`` (1-D, of one length) as CSV rows; ``last``, a sequence
+    of strings, if given, is each row's last cell."""
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [_column_text(col[lo:lo + _BLOCK_ROWS]) for col in columns]
+        if last is not None:
+            block.append(last[lo:lo + _BLOCK_ROWS])
+        fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _write_series(series: MomentSeries, fh) -> None:
@@ -343,20 +368,15 @@ def _write_series(series: MomentSeries, fh) -> None:
     cols = ["t", "n"] + [f"m1_{i}" for i in range(d)] + ["m2", "v", "w", "dissipation", "event"]
     fh.write(f"# seed={series.seed}\n")
     fh.write(",".join(cols) + "\n")
-    # tolist() gives Python ints and floats, whose repr is the CSV format
-    values = [series.t, series.n, *series.m1.T, series.m2, series.v, series.w,
-              series.dissipation]
-    for *vals, event in zip(*(col.tolist() for col in values), series.event):
-        fh.write(",".join(map(repr, vals)) + f",{event}\n")
+    _write_rows(fh, [series.t, series.n, *series.m1.T, series.m2, series.v, series.w,
+                     series.dissipation], series.event)
 
 
 def _write_ensemble(stats: EnsembleStats, fh) -> None:
     fh.write(f"# seed={stats.master_seed}\n")
     fh.write("t,mean_w,stderr_w,mean_v,stderr_v,mean_m1_dev,stderr_m1_dev\n")
-    values = [stats.grid, stats.mean_w, stats.stderr_w, stats.mean_v, stats.stderr_v,
-              stats.mean_m1_dev, stats.stderr_m1_dev]
-    for vals in zip(*(col.tolist() for col in values)):
-        fh.write(",".join(map(repr, vals)) + "\n")
+    _write_rows(fh, [stats.grid, stats.mean_w, stats.stderr_w, stats.mean_v, stats.stderr_v,
+                     stats.mean_m1_dev, stats.stderr_m1_dev])
 
 
 def emit_series_csv(obj, path: str) -> None:
@@ -462,12 +482,12 @@ def _cmd_conditions(args) -> int:
 
     lambdas = tuple(dict.fromkeys(lambdas))  # drop duplicates, keep order
     grid, columns, verdict = _conditions_table(alpha, lambdas, n_max)
-    rows = [(int(n), [columns[lam][i] for lam in lambdas]) for i, n in enumerate(grid)]
+    table = [grid, *(columns[lam] for lam in lambdas)]
 
     head = ["n"] + [f"S(lambda={lam:g})" for lam in lambdas]
-    widths = [max(len(head[0]), len(str(rows[-1][0])))] + [max(18, len(h)) for h in head[1:]]
+    widths = [max(len(head[0]), len(str(grid[-1])))] + [max(18, len(h)) for h in head[1:]]
     print("  ".join(h.rjust(w) for h, w in zip(head, widths)))
-    for n, vals in rows:
+    for n, *vals in zip(*(col.tolist() for col in table)):
         cells = [str(n).rjust(widths[0])]
         cells += [("%.12g" % v).rjust(w) for v, w in zip(vals, widths[1:])]
         print("  ".join(cells))
@@ -477,8 +497,7 @@ def _cmd_conditions(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# classification={verdict.value}\n")
             fh.write(",".join(["n"] + [f"s_lambda_{i}" for i in range(len(lambdas))]) + "\n")
-            for n, vals in rows:
-                fh.write(",".join([str(n)] + [_fmt(v) for v in vals]) + "\n")
+            _write_rows(fh, table)
     return 0
 
 
@@ -501,8 +520,9 @@ def _cmd_envelope(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write("n,t_n,bound\n")
-            for n, t_n, b in rows:
-                fh.write(f"{n},{_fmt(t_n)},{_fmt(b)}\n")
+            ns, t_n, bound = zip(*rows)
+            _write_rows(fh, [np.array(ns), np.array(t_n, dtype=float),
+                             np.array(bound, dtype=float)])
     return 0
 
 

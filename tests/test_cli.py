@@ -6,6 +6,7 @@ start with the seed comment.
 """
 
 import importlib
+import io
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from growpop import (
     rational_kernel,
     run_simulation,
 )
-from growpop import analysis
+from growpop import analysis, cli
 from growpop.cli import ConfigError, cmd_dispatch, emit_series_csv, load_config
 from growpop.dynamics import _end_time
 
@@ -347,6 +348,31 @@ class TestPackageSurface:
         assert done.stderr == ""
 
 
+def regime_fields(alpha):
+    """Config fields of a regime ensemble: constant kernel, N from 10 to 2000."""
+    return {"schedule": {"type": "power_exp", "alpha": alpha, "n0": 10},
+            "initial_opinions": None, "step_max": 0.01, "max_agents": 2000,
+            "record_grid": {"type": "geometric", "points": 64, "t_first": 0.5}}
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+# float64 bit patterns: any float, the edge values, NaNs with other signs and
+# payloads (a signalling one too), and raw 64-bit words, which are mostly
+# normal floats but reach every subnormal and NaN pattern
+FLOAT_BITS = st.one_of(
+    st.floats(width=64).map(_bits),
+    st.sampled_from([_bits(x) for x in (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                                        2.225073858507201e-308, 2.2250738585072014e-308,
+                                        1.0, 0.1)]
+                    + [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                       0x7FF0000000000001]),
+    st.integers(0, 2**64 - 1),
+)
+
+
 class TestCsvEmission:
     def run_series(self, tmp_path, seed=5):
         cfg = load_config(write_config(tmp_path))
@@ -374,14 +400,13 @@ class TestCsvEmission:
         out = tmp_path / "run.csv"
         emit_series_csv(series, str(out))
         lines = out.read_text().strip().split("\n")[2:]
-        assert len(lines) == len(series.rows)
-        for line, row in zip(lines, series.rows):
-            cells = line.split(",")
-            rec = row.record
-            assert int(cells[1]) == rec.n
-            assert [float(c) for c in cells[:-1]] == [rec.t, rec.n, *rec.m1, rec.m2, rec.v,
-                                                      rec.w, rec.dissipation]
-            assert cells[-1] == row.event
+        assert len(lines) == len(series.t)
+        floats = [series.t, *series.m1.T, series.m2, series.v, series.w, series.dissipation]
+        for i, line in enumerate(lines):
+            t, n, *cells, event = line.split(",")
+            assert n == str(int(series.n[i]))
+            assert [t, *cells] == [repr(float(col[i])) for col in floats]
+            assert event == series.event[i]
 
     def test_identical_runs_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -392,6 +417,80 @@ class TestCsvEmission:
     def test_unsupported_object_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_series_csv({"not": "a series"}, str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize("values", [[], [1.5], [0.0, -0.0], [-0.0, 0.0], [0.0, 0.0, -0.0],
+                                        [math.nan, math.nan], [math.inf, math.inf, -math.inf]],
+                             ids=["empty", "one", "zero-negzero", "negzero-zero", "zero-run",
+                                  "nan-run", "inf-run"])
+    def test_column_text_small_columns(self, values):
+        col = np.array(values, dtype=float)
+        assert cli._column_text(col) == [repr(v) for v in values]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bits=st.lists(st.tuples(FLOAT_BITS, st.integers(1, 4)), max_size=12))
+    def test_float_column_text_is_per_value_repr(self, bits):
+        col = np.array([b for b, run in bits for _ in range(run)], dtype=np.uint64).view(float)
+        want = [repr(v) for v in col.tolist()]
+        assert cli._column_text(col) == want
+        # a strided view, as a column of m1 is
+        assert cli._column_text(np.stack([col, col], axis=1)[:, 1]) == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(values=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(1, 4)),
+                           max_size=12))
+    def test_int_column_text_is_per_value_repr(self, values):
+        col = np.array([v for v, run in values for _ in range(run)], dtype=np.int64)
+        assert cli._column_text(col) == [repr(v) for v in col.tolist()]
+
+    @pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 7])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_ensemble_csv_is_per_row_repr(self, tmp_path, monkeypatch, alpha, block_rows):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        cfg = load_config(write_config(tmp_path, **regime_fields(alpha)))
+        stats = growpop.run_ensemble(cfg.sim, 8, 11)
+        assert len(stats.grid) > cli._BLOCK_ROWS  # the table spans blocks
+        assert (np.diff(stats.grid) == 0.0).any() and (np.diff(stats.mean_m1_dev) == 0.0).any()
+        text = io.StringIO()
+        cli._write_ensemble(stats, text)
+        # the writer as it was before runs of equal values shared their text
+        want = ["# seed=11", "t,mean_w,stderr_w,mean_v,stderr_v,mean_m1_dev,stderr_m1_dev"]
+        values = [stats.grid, stats.mean_w, stats.stderr_w, stats.mean_v, stats.stderr_v,
+                  stats.mean_m1_dev, stats.stderr_m1_dev]
+        for vals in zip(*(col.tolist() for col in values)):
+            want.append(",".join(map(repr, vals)))
+        assert text.getvalue() == "\n".join(want) + "\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_stdout_is_the_out_file(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, **regime_fields(0.5), runs=3)
+        out = tmp_path / "out.csv"
+        assert cmd_dispatch([command, "--config", path, "--out", str(out)]) == 0
+        assert cmd_dispatch([command, "--config", path]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_conditions_and_envelope_csvs_are_per_value_repr(self, tmp_path, capsys):
+        lambdas = (0.4, 1.6)
+        cond = tmp_path / "cond.csv"
+        assert cmd_dispatch(["conditions", "--alpha", "0.5", "--lambda", "0.4", "--lambda",
+                             "1.6", "--n-max", "100000", "--out", str(cond)]) == 0
+        grid, columns, verdict = analysis._conditions_table(0.5, lambdas, 100_000)
+        want = [f"# classification={verdict.value}", "n,s_lambda_0,s_lambda_1"]
+        want += [",".join([str(int(n))] + [repr(float(columns[lam][i])) for lam in lambdas])
+                 for i, n in enumerate(grid)]
+        assert cond.read_bytes() == ("\n".join(want) + "\n").encode()
+
+        ns = [5, 5, 10, 20]  # a repeated n repeats its whole row
+        path = write_config(tmp_path, envelope={"y0": 1.0, "lambda": 0.5, "n": ns,
+                                                "jump": {"type": "harmonic", "c": 1.0}})
+        env = tmp_path / "env.csv"
+        assert cmd_dispatch(["envelope", "--config", path, "--out", str(env)]) == 0
+        schedule = load_config(path).sim.schedule
+        spec = growpop.EnvelopeSpec(decay_rate=0.5, y0=1.0,
+                                    jump_bound=growpop.HarmonicScaled(c=1.0))
+        want = ["n,t_n,bound"] + [
+            f"{n},{growpop.injection_time(schedule, n)!r},"
+            f"{growpop.envelope_bound(spec, schedule, n)!r}" for n in ns]
+        assert env.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 class TestDispatch:
