@@ -78,9 +78,6 @@ class AsymptoticTimes:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _number(self.alpha, "alpha", "> 0"))
 
-    def array(self, n: int) -> np.ndarray:
-        return _log_power(0, _integer(n, "n", 0), self.alpha)
-
 
 def asymptotic_injection_times(alpha: float) -> AsymptoticTimes:
     return AsymptoticTimes(alpha=alpha)
@@ -142,16 +139,9 @@ def _time_chunks(times: TimesSource, n: int) -> Callable[[int, int], np.ndarray]
     return lambda lo, hi: t[lo:hi].astype(float, copy=False)
 
 
-def _weight_chunks(bound: JumpBound, n: int, reverse: bool) -> Callable[[int, int], np.ndarray]:
-    """A reader of the jump weights: (lo, hi) -> g(lo+1..hi) as a new array, hi <= n.
-
-    Unless ``reverse``, a negative weight raises.
-    """
-    negative = "upper envelopes need nonnegative jump bounds"
+def _weight_chunks(bound: JumpBound, n: int) -> Callable[[int, int], np.ndarray]:
+    """A reader of the jump weights: (lo, hi) -> g(lo+1..hi) as a new array, hi <= n."""
     if isinstance(bound, HarmonicScaled):
-        if not reverse and bound.c < 0.0:
-            raise ValueError(negative)
-
         def harmonic(lo, hi):
             g = np.arange(lo + 1, hi + 1, dtype=float)
             return np.divide(bound.c, g, out=g)
@@ -159,13 +149,7 @@ def _weight_chunks(bound: JumpBound, n: int, reverse: bool) -> Callable[[int, in
     if isinstance(bound, ExplicitJumps):
         if len(bound.values) < n:
             raise ValueError(f"jump bound defines {len(bound.values)} values, need {n}")
-
-        def explicit(lo, hi):
-            g = np.array(bound.values[lo:hi], dtype=float)
-            if not reverse and g.min() < 0.0:
-                raise ValueError(negative)
-            return g
-        return explicit
+        return lambda lo, hi: np.array(bound.values[lo:hi], dtype=float)
     raise ValueError(f"unsupported jump bound {bound!r}")
 
 
@@ -193,21 +177,21 @@ def _add_exact(partials: list[float], x: float) -> None:
 
 
 def _condition_sums(lams: Sequence[float], times: TimesSource, ns, bound: JumpBound,
-                    y0: float = 0.0, reverse: bool = False) -> np.ndarray:
+                    y0: float = 0.0) -> np.ndarray:
     """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)) at each n of ``ns``,
     one row per rate of ``lams``.
 
-    g is the jump ``bound``, nonnegative unless ``reverse``. One pass walks
-    k <= ns[-1] in chunks of _CHUNK terms, aligned at multiples of _CHUNK. A
-    chunk's times are read, checked finite and nondecreasing (also across
-    the boundary from the previous chunk) and its weights built once for all
-    rates; each piece of a segment ns[j-1] < k <= ns[j] inside the chunk is
-    summed pairwise, and the pieces of a segment are added exactly. A
-    segment's total adds the previous total carried forward by its decay
-    factor (see the module docstring). t_n is read off the chunk holding k = n,
-    or, before the walk reaches it, once per segment as the one time at k = n;
-    a time depends on its index alone, so both agree. Memory is
-    O(_CHUNK x rates): the buffers are allocated once per call.
+    g >= 0 is the jump ``bound``. One pass walks k <= ns[-1] in chunks of
+    _CHUNK terms, aligned at multiples of _CHUNK. A chunk's times are read,
+    checked finite and nondecreasing (also across the boundary from the
+    previous chunk) and its weights built once for all rates; each piece of
+    a segment ns[j-1] < k <= ns[j] inside the chunk is summed pairwise, and
+    the pieces of a segment are added exactly. A segment's total adds the
+    previous total carried forward by its decay factor (see the module
+    docstring). t_n is read off the chunk holding k = n, or, before the walk
+    reaches it, once per segment as the one time at k = n; a time depends on
+    its index alone, so both agree. Memory is O(_CHUNK x rates): the buffers
+    are allocated once per call.
     """
     lams = [_number(lam, "lambda", "> 0") for lam in lams]
     grid = np.asarray(ns)
@@ -217,7 +201,7 @@ def _condition_sums(lams: Sequence[float], times: TimesSource, ns, bound: JumpBo
     ends = grid.tolist()
     n_max = ends[-1]
     time_chunk = _time_chunks(times, n_max)
-    weight_chunk = _weight_chunks(bound, n_max, reverse)
+    weight_chunk = _weight_chunks(bound, n_max)
 
     width = min(_CHUNK, n_max)
     diffs, terms = np.empty(width), np.empty((len(lams), width))
@@ -439,22 +423,23 @@ def _classify(alpha: float, psi_star: float, psi_max: float, grid: np.ndarray,
 
 @dataclass(frozen=True)
 class HarmonicScaled:
-    """Per-arrival bound g(n) = c / n."""
+    """Per-arrival bound g(n) = c / n, c >= 0."""
 
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _number(self.c, "c"))
+        object.__setattr__(self, "c", _number(self.c, "c", ">= 0"))
 
 
 @dataclass(frozen=True)
 class ExplicitJumps:
-    """Per-arrival bounds given outright: g(k) = values[k-1]."""
+    """Per-arrival bounds given outright: g(k) = values[k-1], each >= 0."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_number(v, "values") for v in self.values))
+        object.__setattr__(self, "values",
+                           tuple(_number(v, "values", ">= 0") for v in self.values))
 
 
 JumpBound = Union[HarmonicScaled, ExplicitJumps]
@@ -464,16 +449,13 @@ JumpBound = Union[HarmonicScaled, ExplicitJumps]
 class EnvelopeSpec:
     """Decayed-recursion envelope: rate, initial value, per-arrival bound.
 
-    With reverse=False the returned value upper-bounds any y satisfying
-    y' <= -decay_rate * y between arrivals and |jump at arrival n| <= g(n);
-    with reverse=True the same formula lower-bounds any y with y' >=
-    -decay_rate * y and jumps >= g(n) (g may then be negative).
+    ``envelope_bound`` of it upper-bounds any y with y(0) <= y0 that satisfies
+    y' <= -decay_rate * y between arrivals and |jump at arrival n| <= g(n).
     """
 
     decay_rate: float
     y0: float
     jump_bound: JumpBound
-    reverse: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "decay_rate", _number(self.decay_rate, "decay_rate", "> 0"))
@@ -483,29 +465,26 @@ class EnvelopeSpec:
 def envelope_bound(spec: EnvelopeSpec, times: TimesSource, n: int) -> float:
     """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)), t_0 = 0.
 
-    The terms are summed pairwise: with nonnegative jump bounds the error is
-    O(eps log n) relative to the sum; with a reverse envelope's bounds of
-    mixed sign it is O(eps log n) relative to the sum of the terms' absolute
-    values (Higham, section 4.2), and cancellation can make it large relative
-    to the sum itself.
+    The jump bounds are nonnegative, so the terms are too, and their
+    pairwise sum is within O(eps log n) of the sum (Higham, section 4.2).
     """
     return float(_condition_sums((spec.decay_rate,), times, (_integer(n, "n", 1),),
-                                 spec.jump_bound, spec.y0, spec.reverse)[0, 0])
+                                 spec.jump_bound, spec.y0)[0, 0])
 
 
 class RateBounds(NamedTuple):
-    p: float               # time exponent, 1/alpha
-    beta_star_sup: float   # supremum of valid (ln n)-scale exponents: p - 1
-    beta_sup: float        # supremum of valid t-scale exponents: 1 - alpha
+    p: float         # time exponent, 1/alpha
+    beta_sup: float  # supremum of valid t-scale exponents: 1 - alpha
 
 
 def consensus_rate_bounds(alpha: float) -> RateBounds:
-    """Decay-rate windows on both scales for arrival exponent alpha.
+    """Decay-rate window for arrival exponent alpha.
 
-    Variance decays like (ln n)^(-beta*) for any beta* < p - 1 (n-scale),
-    equivalently t^(-beta) for any beta < 1 - alpha (t-scale, via
-    ln n = t^alpha). Both suprema are positive exactly when alpha < 1.
+    Variance decays like t^(-beta) for any beta < 1 - alpha, equivalently
+    (ln n)^(-beta*) for any beta* < p - 1 = (1 - alpha) / alpha on the
+    arrival scale ln n = t^alpha. Both suprema are positive exactly when
+    alpha < 1.
     """
     alpha = _number(alpha, "alpha", "> 0")
     p = 1.0 / alpha
-    return RateBounds(p=p, beta_star_sup=p - 1.0, beta_sup=1.0 - alpha)
+    return RateBounds(p=p, beta_sup=1.0 - alpha)

@@ -78,9 +78,7 @@ class ConditionsBlock:
 
 @dataclass(eq=False)
 class EnvelopeBlock:
-    y0: float
-    decay_rate: float | None  # None: use the kernel's lower bound
-    jump: HarmonicScaled | ExplicitJumps
+    spec: EnvelopeSpec
     n_values: tuple[int, ...] | None = None
 
 
@@ -253,10 +251,12 @@ def load_config(path: str) -> ExperimentConfig:
     envelope = None
     block = top.get("envelope", "object", None)
     if block is not None:
-        envelope = EnvelopeBlock(y0=block.get("y0", "number"),
-                                 decay_rate=block.get("lambda", "number", None),
-                                 jump=_jump_bound(block.get("jump", "object", None)),
-                                 n_values=block.get("n", "integers", None))
+        y0 = block.get("y0", "number")
+        lam = block.get("lambda", "number", kernel.psi_star)
+        jump = _jump_bound(block.get("jump", "object", None))
+        spec = _build(f"{block.prefix}lambda: ", EnvelopeSpec, decay_rate=lam, y0=y0,
+                      jump_bound=jump)
+        envelope = EnvelopeBlock(spec=spec, n_values=block.get("n", "integers", None))
         block.close()
 
     cfg = ExperimentConfig(sim=sim, runs=top.get("runs", "integer", 100),
@@ -325,9 +325,9 @@ def _jump_bound(spec: _Fields | None) -> HarmonicScaled | ExplicitJumps:
     if spec is None:
         return HarmonicScaled(c=1.0)
     if spec.variant("harmonic", "explicit") == "harmonic":
-        jump = HarmonicScaled(c=spec.get("c", "number"))
+        jump = _build(spec.prefix, HarmonicScaled, c=spec.get("c", "number"))
     else:
-        jump = ExplicitJumps(values=spec.get("values", "numbers"))
+        jump = _build(spec.prefix, ExplicitJumps, values=spec.get("values", "numbers"))
     spec.close()
     return jump
 
@@ -505,11 +505,8 @@ def _cmd_envelope(args) -> int:
     cfg = load_config(args.config)
     if cfg.envelope is None:
         raise ConfigError("envelope: config has no envelope block")
-    block = cfg.envelope
-    lam = block.decay_rate if block.decay_rate is not None else cfg.sim.kernel.psi_star
-    spec = EnvelopeSpec(decay_rate=lam, y0=block.y0, jump_bound=block.jump)
+    spec, ns = cfg.envelope.spec, cfg.envelope.n_values
     schedule = cfg.sim.schedule
-    ns = block.n_values
     if ns is None:
         ns = tuple(int(n) for n in np.unique(np.geomspace(10, 1000, 10).astype(int)))
 

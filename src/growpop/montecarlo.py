@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimConfig, _ReplicaError, _decayed_sums, _run_block, _timeline
-from .observables import _mean_deviation, expected_m1_deviation
+from .observables import _founders_term, _mean_deviation
 from .schedules import _integer
 
 __all__ = [
@@ -233,7 +233,7 @@ def expected_moments(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     # the founders' S, pivoted about x0[0] as the engine's is
     dev = x0 - x0[0]
     offsets = dev - dev.sum(axis=0) / n0
-    a_const = expected_m1_deviation(n0, 0, x0, config.source.mean_vector, sigma2).a_const
+    a_const = _founders_term(x0, config.source.mean_vector)
     # arrival k joins n = n0 + k - 1 agents, with e_{k-1} before it
     n = np.arange(n0, tl.n[-1])
     jumps = n / (n + 1) * (sigma2 + _mean_deviation(a_const, n0, n - n0, sigma2))

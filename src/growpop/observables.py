@@ -34,9 +34,7 @@ __all__ = [
     "dissipation_of",
     "predict_jumps",
     "JumpPrediction",
-    "m1_closed_form",
     "expected_m1_deviation",
-    "MeanDeviationExpectation",
 ]
 
 # Tolerance for the standing decomposition self-checks, relative to the
@@ -210,34 +208,9 @@ def predict_jumps(record_minus: MomentRecord, x_new, k: int, n0: int) -> JumpPre
     return JumpPrediction(dm1=dm1, dm2=dm2, dv=dv)
 
 
-def m1_closed_form(x0, xs) -> np.ndarray:
-    """Mean after k arrivals: (sum of initial opinions + sum of arrivals) / (n0 + k).
-
-    The flow never moves the mean, so this is exact at any time at or after
-    the k-th arrival (and before the next).
-    """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    n0 = x0.shape[0]
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return x0.sum(axis=0) / n0
-    xs = np.atleast_2d(xs)
-    if xs.shape[1] != x0.shape[1]:
-        raise ValueError("initial opinions and arrivals disagree on dimension")
-    k = xs.shape[0]
-    return (x0.sum(axis=0) + xs.sum(axis=0)) / (n0 + k)
-
-
-class MeanDeviationExpectation(NamedTuple):
-    e_dev: float     # E |m1 - m|^2 after k arrivals
-    e_norm2: float   # E |m1|^2 after k arrivals
-    a_const: float   # |sum (x0_j - m)|^2
-    b_const: float   # |sum x0_j|^2
-    c_const: float   # (sum x0_j) . m
-
-
-def expected_m1_deviation(n0: int, k: int, x0, m, sigma2: float) -> MeanDeviationExpectation:
-    """Exact expectations of |m1 - m|^2 and |m1|^2 over the arrival draws.
+def expected_m1_deviation(n0: int, k: int, x0, m, sigma2: float) -> float:
+    """E |m1 - m|^2 after k arrivals, over the arrival draws, as a float:
+    (|sum_j (x0_j - m)|^2 + k sigma2) / (n0 + k)^2.
 
     Arrivals are i.i.d. with mean m and E|X - m|^2 = sigma2; the initial
     opinions x0 are deterministic. Valid for every k >= 0.
@@ -251,18 +224,16 @@ def expected_m1_deviation(n0: int, k: int, x0, m, sigma2: float) -> MeanDeviatio
     if m.shape != (x0.shape[1],):
         raise ValueError(f"m shape {m.shape} does not match opinion dimension {x0.shape[1]}")
     sigma2 = _number(sigma2, "sigma2", ">= 0")
+    return _mean_deviation(_founders_term(x0, m), n0, k, sigma2)
 
+
+def _founders_term(x0: np.ndarray, m: np.ndarray) -> float:
+    """|sum_j (x0_j - m)|^2 of the founders x0 (n0, d) about the target m (d,)."""
     s0 = x0.sum(axis=0)
-    a_const = float((s0 - n0 * m) @ (s0 - n0 * m))
-    b_const = float(s0 @ s0)
-    c_const = float(s0 @ m)
-    denom = float(n0 + k) ** 2
-    e_norm2 = (b_const + k * sigma2 + 2.0 * k * c_const + k * k * float(m @ m)) / denom
-    return MeanDeviationExpectation(_mean_deviation(a_const, n0, k, sigma2), e_norm2,
-                                    a_const, b_const, c_const)
+    return float((s0 - x0.shape[0] * m) @ (s0 - x0.shape[0] * m))
 
 
 def _mean_deviation(a_const: float, n0: int, k, sigma2: float):
     """E |m1 - m|^2 after k arrivals, (a_const + k sigma2) / (n0 + k)^2, for an
-    int k or an integer array of them."""
+    int k or an integer array of them; a_const is the ``_founders_term``."""
     return (a_const + k * sigma2) / (n0 + k) ** 2.0

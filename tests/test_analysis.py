@@ -209,16 +209,14 @@ class TestOnePassTable:
         for n in (1, 2, 10, 1000, 100_000):
             assert condition_sum(lam, times, n) == envelope_bound(spec, times, n), n
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_envelope_table_matches_each_envelope(self, reverse):
+    def test_envelope_table_matches_each_envelope(self):
         # a carried table with y0 and explicit jumps against one pass per n
         n, rng = 400, np.random.default_rng(12)
         times = np.sort(rng.uniform(0.0, 30.0, size=n))
-        g = rng.uniform(-0.5 if reverse else 0.0, 1.0, size=n)
-        spec = EnvelopeSpec(decay_rate=0.8, y0=1.5, jump_bound=ExplicitJumps(values=tuple(g)),
-                            reverse=reverse)
+        g = rng.uniform(0.0, 1.0, size=n)
+        spec = EnvelopeSpec(decay_rate=0.8, y0=1.5, jump_bound=ExplicitJumps(values=tuple(g)))
         ns = [1, 7, 50, 51, 399, 400]
-        (table,) = _condition_sums((0.8,), times, ns, spec.jump_bound, 1.5, reverse)
+        (table,) = _condition_sums((0.8,), times, ns, spec.jump_bound, 1.5)
         want = [envelope_bound(spec, times, k) for k in ns]
         np.testing.assert_allclose(table, want, rtol=1e-13, atol=1e-13 * np.abs(g).sum())
 
@@ -250,13 +248,11 @@ def _chunk_sources():
 
 
 def _chunk_bounds():
-    """(bound, y0, reverse): both jump bounds, and a reverse envelope of mixed sign."""
+    """(bound, y0): both jump bounds."""
     values = np.random.default_rng(22).uniform(0.0, 1.0, size=CHUNK_EDGES[-1])
     return [
-        pytest.param(HarmonicScaled(1.3), 0.0, False, id="harmonic"),
-        pytest.param(ExplicitJumps(values=tuple(values.tolist())), 0.7, False, id="explicit"),
-        pytest.param(ExplicitJumps(values=tuple((values - 0.4).tolist())), 1.5, True,
-                     id="reverse"),
+        pytest.param(HarmonicScaled(1.3), 0.0, id="harmonic"),
+        pytest.param(ExplicitJumps(values=tuple(values.tolist())), 0.7, id="explicit"),
     ]
 
 
@@ -270,15 +266,15 @@ class TestChunkedPass:
         head = y0 * math.exp(-lam * t[n - 1])
         return math.fsum([head, *terms.tolist()]), abs(head) + float(np.abs(terms).sum())
 
-    @pytest.mark.parametrize("bound, y0, reverse", _chunk_bounds())
+    @pytest.mark.parametrize("bound, y0", _chunk_bounds())
     @pytest.mark.parametrize("times, t", _chunk_sources())
-    def test_streamed_table_matches_fsum_at_chunk_edges(self, times, t, bound, y0, reverse):
+    def test_streamed_table_matches_fsum_at_chunk_edges(self, times, t, bound, y0):
         lams = (0.4, 1.6)
         g = (1.3 / np.arange(1.0, t.size + 1) if isinstance(bound, HarmonicScaled)
              else np.array(bound.values))
-        table = _condition_sums(lams, times, CHUNK_EDGES, bound, y0, reverse)
+        table = _condition_sums(lams, times, CHUNK_EDGES, bound, y0)
         for lam, row in zip(lams, table):
-            spec = EnvelopeSpec(decay_rate=lam, y0=y0, jump_bound=bound, reverse=reverse)
+            spec = EnvelopeSpec(decay_rate=lam, y0=y0, jump_bound=bound)
             for n, got in zip(CHUNK_EDGES, row):
                 want, scale = self.reference(lam, t, g, y0, n)
                 single = envelope_bound(spec, times, n)
@@ -566,24 +562,11 @@ class TestEnvelope:
             bound = envelope_bound(spec, times, k)
             assert y[k - 1] <= bound * (1.0 + 1e-12)
 
-    def test_reverse_envelope_lower_bounds(self):
-        lam, n = 0.7, 50
-        times = np.sort(RNG.uniform(0.1, 10.0, size=n))
-        g = np.full(n, -0.05)  # lower bound on the jumps, negative is allowed
-        jumps = g + RNG.uniform(0.0, 0.2, size=n)  # jumps >= g
-        y = self.recursion(lam, times, 1.0, jumps)
-        spec = EnvelopeSpec(decay_rate=lam, y0=1.0,
-                            jump_bound=ExplicitJumps(values=tuple(g)),
-                            reverse=True)
-        for k in (5, 25, 50):
-            bound = envelope_bound(spec, times, k)
-            assert y[k - 1] >= bound - 1e-12
-
     def test_upper_envelope_rejects_negative_bounds(self):
-        spec = EnvelopeSpec(decay_rate=1.0, y0=0.0,
-                            jump_bound=ExplicitJumps(values=(-0.1, 0.2)))
-        with pytest.raises(ValueError, match="nonnegative"):
-            envelope_bound(spec, [1.0, 2.0], 2)
+        with pytest.raises(ValueError, match=r"^values must be >= 0"):
+            ExplicitJumps(values=(-0.1, 0.2))
+        with pytest.raises(ValueError, match=r"^c must be >= 0"):
+            HarmonicScaled(c=-1.0)
 
     def test_explicit_jump_bound_on_boundary_scale(self):
         values = tuple(1.0 / k**2 for k in range(1, 101))
@@ -619,19 +602,18 @@ class TestRateBounds:
     def test_half_alpha_window(self):
         rb = consensus_rate_bounds(0.5)
         assert rb.p == 2.0
-        assert rb.beta_star_sup == 1.0
         assert rb.beta_sup == 0.5
 
     def test_windows_close_at_boundary(self):
         rb = consensus_rate_bounds(1.0)
-        assert rb.beta_star_sup == 0.0
+        assert rb.p == 1.0
         assert rb.beta_sup == 0.0
         assert consensus_rate_bounds(1.5).beta_sup < 0.0
 
     def test_any_exponent_below_sup_scales_the_sums_to_zero(self):
         # (ln n)^beta* S(lambda, n) must still vanish for beta* < p - 1
         alpha, lam, beta_star = 0.5, 1.0, 0.5
-        assert beta_star < consensus_rate_bounds(alpha).beta_star_sup
+        assert beta_star < consensus_rate_bounds(alpha).p - 1.0
         times = asymptotic_injection_times(alpha)
         scaled = [math.log(n) ** beta_star * condition_sum(lam, times, n)
                   for n in (10**3, 10**4, 10**5, 10**6)]

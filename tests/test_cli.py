@@ -94,24 +94,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"line 2"):
             load_config(str(path))
 
-    def test_zero_alpha_names_field(self, tmp_path):
-        path = write_config(tmp_path, schedule={"type": "power_exp",
-                                                "alpha": 0.0, "n0": 3})
-        with pytest.raises(ConfigError, match=r"schedule\.alpha"):
-            load_config(path)
-
     def test_zero_sigma2_accepted_with_warning(self, tmp_path):
         path = write_config(tmp_path, source={"type": "gaussian", "mean": 0.0,
                                               "sigma2": 0.0})
         with pytest.warns(UserWarning, match="sigma2"):
             cfg = load_config(path)
         assert cfg.sim.source.sigma2 == 0.0
-
-    def test_negative_sigma2_names_field(self, tmp_path):
-        path = write_config(tmp_path, source={"type": "gaussian", "mean": 0.0,
-                                              "sigma2": -1.0})
-        with pytest.raises(ConfigError, match=r"source\.sigma2"):
-            load_config(path)
 
     def test_missing_kernel(self, tmp_path):
         path = write_config(tmp_path, kernel=None)
@@ -235,10 +223,24 @@ class TestFieldTypes:
         with pytest.raises(ConfigError, match=re.escape(path)):
             load_spec(tmp_path, with_field(base, path, value))
 
+    @pytest.mark.parametrize("base, path, value", [pytest.param(*case, id=case[1]) for case in [
+        (BASE_CONFIG, "schedule.alpha", 0.0),
+        (BASE_CONFIG, "source.sigma2", -1.0),
+        (FULL_CONFIG, "envelope.lambda", -1.0),
+        (FULL_CONFIG, "envelope.jump.c", -2.0),
+        (EXPLICIT_JUMPS, "envelope.jump.values", [0.5, -0.1]),
+    ]])
+    def test_out_of_range_field_is_named(self, tmp_path, base, path, value):
+        assert load_spec(tmp_path, base)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
+            load_spec(tmp_path, with_field(base, path, value))
+
     def test_full_config_loads(self, tmp_path):
         cfg = load_spec(tmp_path, FULL_CONFIG)
         assert cfg.workers == 2 and cfg.conditions.lambdas == (0.5, 1.0)
-        assert cfg.envelope.decay_rate == 0.5 and cfg.envelope.n_values == (5, 10)
+        assert cfg.envelope.spec == growpop.EnvelopeSpec(
+            decay_rate=0.5, y0=1.0, jump_bound=growpop.HarmonicScaled(c=1.0))
+        assert cfg.envelope.n_values == (5, 10)
 
     @PROBE_SETTINGS
     @given(field=st.sampled_from(NUMERIC_FIELDS),
@@ -308,8 +310,7 @@ PUBLIC_NAMES = {
     "OpinionSource", "gaussian_source", "uniform_source", "two_point_source",
     "sample_incoming",
     "MomentRecord", "MomentSeries", "SeriesRow", "InjectionJump",
-    "JumpPrediction", "MeanDeviationExpectation", "compute_moments",
-    "dissipation_of", "predict_jumps", "m1_closed_form",
+    "JumpPrediction", "compute_moments", "dissipation_of", "predict_jumps",
     "expected_m1_deviation",
     "SimConfig", "SimState", "ContractViolationError", "rhs",
     "integrate_interval", "inject_agent", "run_simulation",

@@ -270,7 +270,7 @@ class TestRunEnsemble:
         exact = expected_m1_deviation(2, 8, config.initial_opinions,
                                       np.zeros(1), 1.0)
         mean, err = ensemble_statistic(stats, "m1_dev", at_k=8)
-        assert abs(mean - exact.e_dev) < 5.0 * err
+        assert abs(mean - exact) < 5.0 * err
 
 
 def replicas_of(config, runs, master, workers):

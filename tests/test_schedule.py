@@ -199,7 +199,6 @@ INTEGER_ARGUMENTS = [
     pytest.param(_ensemble_statistic, (3, 4, 1, 2), id="run_ensemble"),
     pytest.param(lambda n: gp.condition_sum(1.0, gp.asymptotic_injection_times(0.5), n),
                  (50,), id="condition_sum"),
-    pytest.param(lambda n: gp.AsymptoticTimes(1.0).array(n), (3,), id="AsymptoticTimes.array"),
 ]
 
 
