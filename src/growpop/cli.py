@@ -50,6 +50,8 @@ from .schedules import (
     GrowthSchedule,
     PowerExponentialSchedule,
     injection_time,
+    _integer,
+    _number,
 )
 from .sources import (
     OpinionSource,
@@ -74,6 +76,11 @@ class _UsageError(Exception):
 class ConditionsBlock:
     n_max: int = 100_000
     lambdas: tuple[float, ...] | None = None  # None: use the kernel bounds
+
+    def __post_init__(self):
+        self.n_max = _integer(self.n_max, "n_max", 10)
+        if self.lambdas is not None:
+            self.lambdas = tuple(_number(lam, "lambdas", "> 0") for lam in self.lambdas)
 
 
 @dataclass(eq=False)
@@ -244,8 +251,9 @@ def load_config(path: str) -> ExperimentConfig:
     conditions = None
     block = top.get("conditions", "object", None)
     if block is not None:
-        conditions = ConditionsBlock(n_max=block.get("n_max", "integer", 100_000),
-                                     lambdas=block.get("lambdas", "numbers", None))
+        conditions = _build(block.prefix, ConditionsBlock,
+                            n_max=block.get("n_max", "integer", 100_000),
+                            lambdas=block.get("lambdas", "numbers", None))
         block.close()
 
     envelope = None

@@ -78,8 +78,10 @@ and the dissipation D together. The pass computes each pair's weight once, in
 tiles of the upper triangle that hold their rows of the pair matrix as
 columns, and uses it in both directions: about N^2 / 2 weights and three
 matrix products per tile, one Gram product with k = d + 2 for the squared
-distances and two for the velocities, in O(N * tile) memory. A run, like every
-other entry point that makes passes, runs them on one BLAS thread.
+distances, which become the weights in place, and two for the velocities, in
+O(N * tile) memory. D is d(m2)/dt, (2/N) sum_i (x_i - m1) . v_i, an O(N) sum
+over the velocities. A run, like every other entry point that makes passes,
+runs them on one BLAS thread.
 Simpson's rule over the stages gives each step's integral of D, which every
 run records (``d_integral``): the witness of the energy balance d(m2)/dt = D
 between arrivals. The constant kernel's integral is closed form, from the V
@@ -88,10 +90,11 @@ column.
 Each row's D comes from one pass at its opinions, which the next span then
 takes as its first stage, k1, so the pass costs nothing extra. A pre/post pair
 takes both values from the pass at the post-jump opinions: D_post is its
-total, and D_pre sums the old population's block of each tile directly, not
-D_post less the newcomer's row and column, which would cancel as the
-population tightens. ``dissipation_of`` is the D of the same pass, so each
-row's D equals ``dissipation_of`` of the row's opinions bit for bit.
+D, and D_pre comes from the old population's own row sums and W y, summed
+over their block of each tile, not from D_post less the newcomer's terms,
+which would cancel as the population tightens. ``dissipation_of`` is the D of
+the same pass, so each row's D equals ``dissipation_of`` of the row's opinions
+bit for bit.
 
 ``integrate_interval`` takes one span on given opinions: the exact flow, in
 one O(N) update, for the constant kernel, and the RK4 steps otherwise. Its
@@ -465,7 +468,7 @@ def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict
     ``compute_moments``. Its D comes from one ``_force`` pass at its
     opinions, which the next span takes as its first RK4 stage, k1. A pre/post
     pair takes both values from the pass at the post-jump opinions, the
-    pre-jump D summed over the old agents' own block of each tile.
+    pre-jump D from the old agents' own sums over their block of each tile.
     """
     kernel, m = config.kernel, config.source.mean_vector
     replicas, rows = x_new.shape[0], tl.t.size

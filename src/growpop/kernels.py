@@ -16,9 +16,9 @@ which gives the velocities and the dissipation together. The constant kernel's
 pass is O(N). For any other kernel the pass weighs each unordered pair once, in
 tiles of the upper triangle (``_pair_tiles``), and uses each weight in both
 directions, so the pair terms are antisymmetric by construction. A tile holds
-its rows of the pair matrix as columns, so every sum of D the pass takes reads
-a contiguous row prefix of it, and its squared distances come from one Gram
-matrix product with k = d + 2.
+its rows of the pair matrix as columns, in one buffer: one Gram matrix product
+with k = d + 2 writes the squared distances, which ``eval_squared`` turns into
+weights in place. D is then an O(N) sum over the velocities, as d(m2)/dt.
 """
 
 from __future__ import annotations
@@ -40,14 +40,16 @@ __all__ = [
     "rational_kernel",
 ]
 
-# Pair-matrix rows per tile, each held as a column: a tile's two buffers are
-# (N - lo, rows). On the pairwise workload (N to 502, d = 2, one core), 32 and
-# 48 rows took 1.21-1.29x and 1.02-1.11x the time of 64. With Gram tiles, one
-# pass at N = 150 to 502 took 0.89-1.06x the time of 64 at 80 rows, 0.89-1.01x
-# at 96 and 0.97-0.98x at 128, best of interleaved timings on one core that no
-# end-to-end run has resolved. A larger size also widens the strided old-agent
-# view of the tile ``old`` cuts.
-_TILE_ROWS = 64
+# Pair-matrix rows per tile, each held as a column: a tile is one buffer of
+# (N - lo, rows) weights, so 128 rows take the memory that two buffers of 64
+# took. On the pairwise workload (N to 502, d = 2, one core of a 2-core Xeon,
+# gauge-scaled `perfbench/run.py` wall_s, five alternating pairs of 20 s runs),
+# a run took 0.526-0.543 s at 128 rows (median 0.539 s) and 0.567-0.634 s at
+# 64 (median 0.598 s). In-process timings of 64 to 256 rows on one core
+# moved 0.72-1.24x per round, too widely to rank them. A larger size weighs
+# more pairs twice, N * rows / 2 in all, and widens the strided old-agent view
+# of the tile ``old`` cuts.
+_TILE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,9 @@ class Kernel:
         Both built-in families depend on the distance only through its
         square, so pairwise force loops can feed squared distances directly.
         With ``out``, an array of r2's shape, the weights are written into it
-        and it is returned; the rational family's operations run in the same
-        order, a + b / (1 + r2), so either way gives the same bits.
+        and it is returned; ``out`` may be r2 itself, which the weights then
+        overwrite. The rational family's operations run in the same order, a +
+        b / (1 + r2), so either way gives the same bits.
         """
         if self.kind == "constant":
             c = self.coef[0]
@@ -116,9 +119,8 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
     """The one pass over the pairs of opinions x (N, d): their velocities
     (N, d) under the flow, dx_i/dt = (1/N) sum_j psi(|x_j - x_i|) (x_j - x_i),
     and the dissipation D = -(1/N^2) sum_ij psi(|x_j - x_i|) |x_j - x_i|^2.
-    With ``old``, also the D of the first ``old`` agents alone, summed over
-    their own block of each tile, so it equals this pass's D of x[:old] bit for
-    bit (else None).
+    With ``old``, also the D of the first ``old`` agents alone, equal to this
+    pass's D of x[:old] bit for bit (else None); ``old`` changes nothing else.
 
     Both work on y = x - x[0], so exact consensus (y = 0) is a fixed point with
     D = 0. The constant kernel's velocities are c (m1 - x_i) and its D is -2cV,
@@ -128,12 +130,12 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
     computed once and used in both directions. The Gram operand left = [|y|^2,
     1, y] holds [1 | y] as its last d + 1 columns: ``w.T @ left[lo:, 1:]``
     gives the row sums and W y for the tile's rows, and ``w[nr:] @ left[lo:hi,
-    1:]`` the mirrored terms for rows hi..N. D sums each tile both ways: twice
-    its ``np.vdot`` of weights and squared distances, less its own (nr, nr)
-    block ``w[:nr]``, which the tile already holds both ways. Every such sum
-    reads a contiguous row prefix of the tile, as does the old agents' part,
-    ``w[:old - lo]``, in every tile but the one ``old`` cuts. That is N^2 / 2
-    weights, in O(N * tile) memory.
+    1:]`` the mirrored terms for rows hi..N. D is d(m2)/dt along the flow,
+    (2/N) sum_i (y_i - mean y) . v_i, an O(N) sum over the velocities
+    (``_velocities``). The old agents' [row sums | W y] are the same two
+    products over their own rows of each tile, ``w[:old - lo, :m]`` and
+    ``w[nr:old - lo]``, which are the tiles their own pass makes. That is N^2 /
+    2 weights, in O(N * tile) memory.
     """
     n = x.shape[0]
     if kernel.kind == "constant":
@@ -146,27 +148,32 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
     left, right = _gram_operands(x)
     one_y, y = left[:, 1:], left[:, 2:]
     acc = np.zeros(one_y.shape)  # [row sums of W | W y]
-    total = pre = 0.0
-    for rows, w, d2 in _pair_tiles(left, right, kernel):
+    acc_old = None if old is None else np.zeros((old, one_y.shape[1]))
+    for rows, w in _pair_tiles(left, right, kernel):
         lo, hi = rows.start, rows.stop
         nr = hi - lo
         acc[rows] += w.T @ one_y[lo:]
         if hi < n:
             acc[hi:] += w[nr:] @ one_y[rows]
-        total += _both_ways(w, d2, nr)
         if old is not None and lo < old:
             # the old agents' part of the tile is the tile their own pass
-            # makes, and takes the same sum in the same order
+            # makes, and takes the same products in the same order
             m = min(hi, old) - lo
-            pre += _both_ways(w[:old - lo, :m], d2[:old - lo, :m], m)
-    velocities = (acc[:, 1:] - acc[:, :1] * y) / n
-    return velocities, -total / (n * n), None if old is None else -pre / (old * old)
+            acc_old[lo:lo + m] += w[:old - lo, :m].T @ one_y[lo:old]
+            if hi < old:
+                acc_old[hi:] += w[nr:old - lo] @ one_y[rows]
+    velocities, total = _velocities(acc, y)
+    return velocities, total, None if old is None else _velocities(acc_old, y[:old])[1]
 
 
-def _both_ways(w: np.ndarray, d2: np.ndarray, nr: int) -> float:
-    """sum w_ij d2_ij over a tile's pairs both ways: twice the tile, less its
-    own (nr, nr) block, its first nr rows, which it holds both ways already."""
-    return 2.0 * float(np.vdot(w, d2)) - float(np.vdot(w[:nr], d2[:nr]))
+def _velocities(acc: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The velocities (N, d) of the points y from their [row sums of W | W y]
+    ``acc``, and D = d(m2)/dt = (2/N) sum_i (y_i - mean y) . v_i. In exact
+    arithmetic the velocities sum to zero and this is -(1/N^2) sum_ij W_ij
+    |y_j - y_i|^2; taking y about its mean keeps D off the pivot."""
+    n = y.shape[0]
+    v = (acc[:, 1:] - acc[:, :1] * y) / n
+    return v, 2.0 * float(np.vdot(y - y.sum(axis=0) / n, v)) / n
 
 
 def _gram_operands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,32 +196,32 @@ def _pair_tiles(left: np.ndarray, right: np.ndarray, kernel: Kernel):
     ``_gram_operands``, by tiles of the upper triangle stored column-major, for
     ``_force``, the one pass that sums them.
 
-    Yields ``(rows, w, d2)`` for consecutive slices [lo, hi) of at most
-    ``_TILE_ROWS`` pair-matrix rows, each held as a column: ``d2[j - lo, i -
-    lo] = |y_j - y_i|^2`` for i in the tile and j in [lo, N), and ``w =
-    kernel.eval_squared(d2)``, both (N - lo, hi - lo). A pair of agents in
-    different tiles is in the earlier tile only, so each weight is computed
-    once.
+    Yields ``(rows, w)`` for consecutive slices [lo, hi) of at most
+    ``_TILE_ROWS`` pair-matrix rows, each held as a column: ``w[j - lo, i -
+    lo] = psi(|y_j - y_i|)`` for i in the tile and j in [lo, N), (N - lo, hi -
+    lo). A pair of agents in different tiles is in the earlier tile only, so
+    each weight is computed once.
 
-    A tile's ``d2`` is one matrix product with k = d + 2, ``left[lo:] @
-    right[:, rows]``: the Gram identity |y_j - y_i|^2 = |y_j|^2 + |y_i|^2 - 2
-    y_j . y_i, within a few eps (|y_i|^2 + |y_j|^2) (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1). So a tiny distance may round below
-    zero, and exact consensus gives d2 = 0. A tile's own (nr, nr) block, its
-    first nr rows, holds its pairs both ways and is symmetric bit for bit:
-    either way a pair adds |y_i|^2 + |y_j|^2, then the same products -2 y_i[c]
-    y_j[c], one coordinate at a time in the same order. The tiles are views of
-    one flat buffer allocated once per call, so a yielded ``w`` or ``d2`` is
-    valid only until the next tile is asked for: copy it to keep it.
+    A tile is one matrix product with k = d + 2, ``left[lo:] @ right[:,
+    rows]``, the squared distances by the Gram identity |y_j - y_i|^2 = |y_j|^2
+    + |y_i|^2 - 2 y_j . y_i, which ``kernel.eval_squared`` then turns into
+    weights in place. The squared distances are within a few eps (|y_i|^2 +
+    |y_j|^2) (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), so
+    a tiny distance may round below zero, and exact consensus gives weights of
+    exactly psi(0). A tile's own (nr, nr) block, its first nr rows, holds its
+    pairs both ways and is symmetric bit for bit: either way a pair adds
+    |y_i|^2 + |y_j|^2, then the same products -2 y_i[c] y_j[c], one coordinate
+    at a time in the same order. The tiles are views of one flat buffer
+    allocated once per call, so a yielded ``w`` is valid only until the next
+    tile is asked for: copy it to keep it.
     """
     n = left.shape[0]
-    flat = np.empty(2 * min(_TILE_ROWS, n) * n)
+    flat = np.empty(min(_TILE_ROWS, n) * n)
     for lo in range(0, n, _TILE_ROWS):
         rows = slice(lo, min(lo + _TILE_ROWS, n))
         shape = (n - lo, rows.stop - lo)
-        size = shape[0] * shape[1]
-        d2 = np.matmul(left[lo:], right[:, rows], out=flat[:size].reshape(shape))
-        yield rows, kernel.eval_squared(d2, out=flat[size:2 * size].reshape(shape)), d2
+        w = np.matmul(left[lo:], right[:, rows], out=flat[:shape[0] * shape[1]].reshape(shape))
+        yield rows, kernel.eval_squared(w, out=w)
 
 
 @functools.cache

@@ -166,8 +166,9 @@ def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
     It is the D of the force pass, ``kernels._force``, which a run of a
     non-constant kernel makes at every row and RK4 stage, so such a run's D
     equals this of the same opinions bit for bit. A constant kernel's D is
-    -2cV, O(N); any other kernel's is summed over tiles of pair weights, each
-    pair's weight computed once: N^2 / 2 weights, O(N * tile) memory.
+    -2cV, O(N); any other kernel's is d(m2)/dt over the velocities of a pass
+    over tiles of pair weights, each pair's weight computed once: N^2 / 2
+    weights, O(N * tile) memory.
     """
     with _one_blas_thread():
         return _force(np.asarray(x, dtype=float), kernel)[1]

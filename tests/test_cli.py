@@ -229,6 +229,8 @@ class TestFieldTypes:
         (FULL_CONFIG, "envelope.lambda", -1.0),
         (FULL_CONFIG, "envelope.jump.c", -2.0),
         (EXPLICIT_JUMPS, "envelope.jump.values", [0.5, -0.1]),
+        (FULL_CONFIG, "conditions.lambdas", [0.5, -1.0]),
+        (FULL_CONFIG, "conditions.n_max", 9),
     ]])
     def test_out_of_range_field_is_named(self, tmp_path, base, path, value):
         assert load_spec(tmp_path, base)

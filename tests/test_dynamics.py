@@ -1,8 +1,9 @@
 """Integrator and hybrid driver: force field, conservation, arrivals.
 
-The force oracle is a plain triple loop over (i, j, component) — slow and
-obviously right — against which both vectorized paths (generic pairwise and
-the constant-kernel shortcut) are checked on random states.
+The force oracle, ``exact_force``, sums every pair's term in long double
+straight from the differences x_j - x_i, with no pivot, Gram product or
+tiles; both paths of the pass (the tiled pairwise one and the constant-kernel
+shortcut) are held to it on random states, within stated rounding bounds.
 """
 
 import dataclasses
@@ -45,38 +46,32 @@ from growpop.observables import compute_moments, dissipation_of
 
 RNG = np.random.default_rng(424242)
 
-RHS_RTOL = 1e-13
-RHS_ATOL = 1e-15
 MEAN_DRIFT_TOL = 1e-12
 EQUIVARIANCE_TOL = 1e-12
 
-# populations that fill about half a tile, or one tile and three rows, and
-# populations on both sides of one and of two tile edges of the pair sums
-TILE_EDGE_SIZES = (_TILE_ROWS // 2 - 1, _TILE_ROWS // 2, _TILE_ROWS // 2 + 1, _TILE_ROWS + 3,
-                   _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1, 2 * _TILE_ROWS + 3)
+# populations that fill about a quarter or half of a tile, half a tile and
+# three rows, both sides of a tile edge, one tile and three rows, and two tiles
+# and three rows of the pair sums
+TILE_EDGE_SIZES = (_TILE_ROWS // 4 - 1, _TILE_ROWS // 4, _TILE_ROWS // 4 + 1,
+                   _TILE_ROWS // 2 - 1, _TILE_ROWS // 2, _TILE_ROWS // 2 + 1, _TILE_ROWS // 2 + 3,
+                   _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1, _TILE_ROWS + 3, 2 * _TILE_ROWS + 3)
 TILE_EDGE_SHAPES = [(n, d) for n in TILE_EDGE_SIZES for d in (1, 2, 3)]
 
 
-def brute_force_rhs(x, kernel):
-    n, d = x.shape
-    out = np.zeros((n, d))
-    for i in range(n):
-        for j in range(n):
-            r = math.sqrt(sum((x[j, c] - x[i, c]) ** 2 for c in range(d)))
-            w = kernel(r)
-            for c in range(d):
-                out[i, c] += w * (x[j, c] - x[i, c])
-    return out / n
-
-
-def brute_force_dissipation(x, kernel):
-    n, d = x.shape
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            r2 = sum((x[j, c] - x[i, c]) ** 2 for c in range(d))
-            total += kernel(math.sqrt(r2)) * r2
-    return -total / (n * n)
+def exact_force(x, kernel):
+    """Velocities (N, d) and D of the opinions x in long double, from every
+    pair's difference x_j - x_i and weight psi (the kernel's formula written
+    out again): the reference the force pass is held to."""
+    xl = np.asarray(x, dtype=np.longdouble)
+    diff = xl[None, :, :] - xl[:, None, :]
+    r2 = (diff * diff).sum(axis=2)
+    if kernel.kind == "constant":
+        w = np.full_like(r2, kernel.coef[0])
+    else:
+        a, b = kernel.coef
+        w = a + b / (1 + r2)
+    n = xl.shape[0]
+    return (w[:, :, None] * diff).sum(axis=1) / n, -(w * r2).sum() / (n * n)
 
 
 def state_of(x):
@@ -89,11 +84,24 @@ class TestForceField:
     @pytest.mark.parametrize("maker", [lambda: constant_kernel(0.8),
                                        lambda: rational_kernel(0.5, 0.5)])
     def test_matches_brute_force(self, n, d, maker):
+        # With u = eps / 2 and M = max |y_j| about the pivot y = x - x[0], row i
+        # is ((W y)_i - (sum_j W_ij) y_i) / N. Each sum has N terms of at most
+        # psi_max M, and in any order rounds within N u times the sum of their
+        # sizes (Higham 3.1): N eps psi_max M after the division by N. The
+        # pivot's rounding, of u M per point, adds eps psi_max M; the product,
+        # difference and division 3 eps psi_max M; and each weight's three
+        # roundings, times |y_j - y_i| <= 2 M, 4 eps psi_max M. A squared
+        # distance off by (d + 3) eps 2 M^2 (see the next test) moves a
+        # rational weight by b / (1 + r^2)^2 times that, and r / (1 + r^2)^2 <=
+        # 1/3, which adds (d + 3) M eps psi_max M. So k = N + 8 + (d + 3) M.
         kernel = maker()
         x = RNG.normal(0.0, 2.0, size=(n, d))
-        np.testing.assert_allclose(rhs(state_of(x), kernel),
-                                   brute_force_rhs(x, kernel),
-                                   rtol=RHS_RTOL, atol=RHS_ATOL)
+        want, _ = exact_force(x, kernel)
+        spread = np.linalg.norm(x - x[0], axis=1).max()
+        k = n + 8 + (d + 3) * spread
+        bound = k * np.finfo(float).eps * kernel.psi_max * spread
+        err = np.abs(rhs(state_of(x), kernel) - want)
+        assert (err <= bound).all(), (float(err.max()), bound)
 
     def test_single_agent_is_stationary(self):
         x = np.array([[1.5, -2.0]])
@@ -109,12 +117,12 @@ class TestForceField:
 
     def test_pairwise_terms_exactly_antisymmetric(self):
         # each weight is computed once, in the upper tile of its pair, and used
-        # both ways. A tile's squared distances come from one Gram product: its
-        # weights are eval_squared of them, bit for bit, its own block, which
-        # holds both ways, is symmetric, and each distance is within (d + 3)
-        # eps (|y_i|^2 + |y_j|^2) of the exact one of the pivoted points y.
-        # The tiles are views of reused buffers, so each is copied as it comes.
-        # A tile holds its rows of the pair matrix as columns, (N - lo, nr).
+        # both ways. A tile's weights are eval_squared, in place, of one Gram
+        # product, bit for bit; its own block, which holds both ways, is
+        # symmetric, and each squared distance is within (d + 3) eps (|y_i|^2 +
+        # |y_j|^2) of the exact one of the pivoted points y. The tiles are
+        # views of a reused buffer, so each is copied as it comes. A tile
+        # holds its rows of the pair matrix as columns, (N - lo, nr).
         kernel = rational_kernel(0.5, 0.5)
         n = 2 * _TILE_ROWS + 3
         eps = np.finfo(float).eps
@@ -122,8 +130,9 @@ class TestForceField:
             x = RNG.normal(0.0, 1.0, size=(n, d))
             left, right = _gram_operands(x)
             wts, d2s = np.full((n, n), np.nan), np.full((n, n), np.nan)
-            for rows, w, d2 in _pair_tiles(left, right, kernel):
-                assert np.array_equal(w, kernel.eval_squared(d2.copy())), d
+            for rows, w in _pair_tiles(left, right, kernel):
+                d2 = left[rows.start:] @ right[:, rows]
+                assert np.array_equal(w, kernel.eval_squared(d2)), d
                 nr = rows.stop - rows.start
                 for tile in (w, d2):
                     assert np.array_equal(tile[:nr], tile[:nr].T), d
@@ -137,12 +146,13 @@ class TestForceField:
             terms = wts[:, :, None] * (x[None, :, :] - x[:, None, :])
             assert np.array_equal(terms, -np.transpose(terms, (1, 0, 2))), d
             consensus = np.tile(x[1], (n, 1))
-            for _, _, d2 in _pair_tiles(*_gram_operands(consensus), kernel):
-                assert (d2 == 0.0).all(), d
+            for _, w in _pair_tiles(*_gram_operands(consensus), kernel):
+                assert (w == kernel.psi_max).all(), d
 
     def test_force_pass_evaluates_each_pair_once(self, monkeypatch):
         # a tile's rows meet only the columns from its own first row on, so a
-        # pass weighs sum over tiles of rows * (N - lo) pairs, about N^2 / 2
+        # pass weighs sum over tiles of rows * (N - lo) pairs, about N^2 / 2,
+        # in one call per tile
         n = 2 * _TILE_ROWS + 3
         sizes = []
         evaluate = Kernel.eval_squared
@@ -154,7 +164,7 @@ class TestForceField:
         monkeypatch.setattr(Kernel, "eval_squared", counted)
         _force(RNG.normal(size=(n, 2)), rational_kernel(0.5, 0.5))
         want = sum(min(_TILE_ROWS, n - lo) * (n - lo) for lo in range(0, n, _TILE_ROWS))
-        assert sizes and sum(sizes) == want
+        assert len(sizes) == len(range(0, n, _TILE_ROWS)) and sum(sizes) == want
         assert want < 0.5 * n * (n + _TILE_ROWS)
 
     @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
@@ -166,12 +176,12 @@ class TestForceField:
         # own pass
         kernel = maker()
         x = RNG.normal(0.0, 2.0, size=(n, d))
-        want = brute_force_dissipation(x, kernel)
+        want = exact_force(x, kernel)[1]
         for old in sorted({1, n // 2, n - 1, _TILE_ROWS} & set(range(1, n))):
             _, d_all, d_old = _force(x, kernel, old)
-            np.testing.assert_allclose(d_all, want, rtol=1e-13)
-            np.testing.assert_allclose(d_old, brute_force_dissipation(x[:old], kernel),
-                                       rtol=1e-13)
+            assert abs(d_all - want) <= 1e-13 * abs(want)
+            d_old_want = exact_force(x[:old], kernel)[1]
+            assert abs(d_old - d_old_want) <= 1e-13 * abs(d_old_want)
 
     @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
     def test_force_pass_dissipation_is_dissipation_of_bit_for_bit(self, n, d):
@@ -196,23 +206,31 @@ class TestForceField:
         rng = np.random.default_rng(17)
         x = rng.normal(0.0, spread, size=(n, 2))
         x[0] = (offset, 0.0)
-        xl = x.astype(np.longdouble)
-        a, b = kernel.coef
-
-        def exact(m):
-            diff = xl[None, :m, :] - xl[:m, None, :]
-            r2 = (diff * diff).sum(axis=2)
-            w = a + b / (1 + r2)
-            return (w[:, :, None] * diff).sum(axis=1) / m, -(w * r2).sum() / (m * m)
-
-        v_want, d_want = exact(n)
+        v_want, d_want = exact_force(x, kernel)
         for old in (None, n // 2, _TILE_ROWS + 1):
             v, d_all, d_old = _force(x, kernel, old)
             assert np.abs(v - v_want).max() <= 1e-11 * np.abs(v_want).max()
             assert abs(d_all - d_want) <= 1e-14 * abs(d_want)
             if old is not None:
-                d_old_want = exact(old)[1]
+                d_old_want = exact_force(x[:old], kernel)[1]
                 assert abs(d_old - d_old_want) <= 1e-14 * abs(d_old_want)
+
+    @pytest.mark.parametrize("spread", [1e-6, 1e-9])
+    def test_force_pass_dissipation_precise_with_a_far_newcomer(self, spread):
+        # a tight cluster and, in the last row, a newcomer far from it: D is
+        # the newcomer's, and D_pre, of the cluster alone, is about spread^2,
+        # so D_pre taken as D less the newcomer's terms would cancel. Both stay
+        # within 1e-14 relative of a long-double brute force, with `old`
+        # cutting the last tile, and the velocities do not depend on `old`
+        kernel = rational_kernel(0.5, 0.5)
+        n = 2 * _TILE_ROWS + 3
+        x = np.random.default_rng(29).normal(0.0, spread, size=(n, 2))
+        x[-1] = (30.0, -30.0)
+        v, d_all, d_pre = _force(x, kernel, n - 1)
+        assert np.array_equal(v, _force(x, kernel)[0])
+        for got, want in ((d_all, exact_force(x, kernel)[1]),
+                          (d_pre, exact_force(x[:-1], kernel)[1])):
+            assert abs(got - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
     def test_velocity_sum_near_zero(self, n, d):

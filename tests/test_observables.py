@@ -42,12 +42,9 @@ def brute_moments(x, m):
 
 def brute_dissipation(x, kernel):
     n = x.shape[0]
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            r2 = float((x[j] - x[i]) @ (x[j] - x[i]))
-            total += kernel(np.sqrt(r2)) * r2
-    return -total / (n * n)
+    diff = x[None, :, :] - x[:, None, :]
+    r2 = (diff * diff).sum(axis=2)
+    return -float((kernel(np.sqrt(r2)) * r2).sum()) / (n * n)
 
 
 def record_of(x, kernel, m):
@@ -92,12 +89,14 @@ class TestComputeMoments:
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="self-check"):
             record_of(x, maker(), np.zeros(1))
 
-    # the last 24 fill about half a tile, or one tile and three rows, or sit on
-    # both sides of one and of two tile edges of the pair sums
+    # the last 36 fill about a quarter or half of a tile, half a tile and three
+    # rows, sit on both sides of a tile edge, or fill one tile and three rows,
+    # or two tiles and three rows of the pair sums
     @pytest.mark.parametrize("n,d", [(2, 1), (7, 2), (12, 3)] + [
-        (n, d) for n in (_TILE_ROWS // 2 - 1, _TILE_ROWS // 2, _TILE_ROWS // 2 + 1,
-                         _TILE_ROWS + 3, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1,
-                         2 * _TILE_ROWS + 3)
+        (n, d) for n in (_TILE_ROWS // 4 - 1, _TILE_ROWS // 4, _TILE_ROWS // 4 + 1,
+                         _TILE_ROWS // 2 - 1, _TILE_ROWS // 2, _TILE_ROWS // 2 + 1,
+                         _TILE_ROWS // 2 + 3, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1,
+                         _TILE_ROWS + 3, 2 * _TILE_ROWS + 3)
         for d in (1, 2, 3)])
     @pytest.mark.parametrize("maker", [lambda: constant_kernel(0.9),
                                        lambda: rational_kernel(0.4, 1.1)])
