@@ -7,8 +7,11 @@ The central object is the weighted sum
 which controls whether the variance contributions of early arrivals are
 forgotten (S -> 0, consensus) or pile up (S bounded away from zero). It is the
 envelope y0 e^(-lambda t_n) + sum_k g(k) e^(-lambda (t_n - t_k)) of a quantity
-decaying at rate lambda with jumps g(k), at y0 = 0 and g(k) = 1/k. No term's
-exponent is positive, so none overflows regardless of how fast the times grow.
+decaying at rate lambda with jumps g(k), at y0 = 0 and g(k) = 1/k. The times
+come from a growth schedule or an AsymptoticTimes scale, read through
+``schedules._times``: they are finite, at least t_0 = 0 and nondecreasing by
+construction, so no term's exponent is positive and none overflows,
+regardless of how fast the times grow.
 
 A table of envelopes at increasing n_1 < n_2 < ..., for any number of rates,
 costs one O(n_max) pass in O(chunk x rates) memory: k runs in fixed chunks
@@ -44,13 +47,10 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .schedules import (ExplicitSchedule, GrowthSchedule, PowerExponentialSchedule, _integer,
-                        _number)
+from .schedules import AsymptoticTimes, TimeScale, _integer, _number, _times
 
 __all__ = [
     "condition_sum",
-    "asymptotic_injection_times",
-    "AsymptoticTimes",
     "dawson_f",
     "ScheduleClass",
     "ClassificationError",
@@ -64,27 +64,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AsymptoticTimes:
-    """Large-k time scale t_k = (ln k)^(1/alpha) of a power-exponential schedule.
-
-    This is the schedule with its initial population dropped (t_1 = 0), the
-    scale on which the condition sums admit closed forms: alpha = 1 and
-    lambda = 1 gives S(n) = 1 exactly for every n.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _number(self.alpha, "alpha", "> 0"))
-
-
-def asymptotic_injection_times(alpha: float) -> AsymptoticTimes:
-    return AsymptoticTimes(alpha=alpha)
-
-
-TimesSource = Union[GrowthSchedule, AsymptoticTimes, Sequence[float]]
-
 # Terms per chunk of the condition-sum pass. Each chunk's times and weights
 # are fresh arrays, and below malloc's mmap threshold (128 KiB) the heap
 # reuses their memory. A sweep on one core of a 2-core Xeon, two runs of 15
@@ -95,48 +74,6 @@ TimesSource = Union[GrowthSchedule, AsymptoticTimes, Sequence[float]]
 # times are within this machine's noise, so the size is the largest that
 # faults no page.
 _CHUNK = 1 << 13
-
-
-def _log_power(lo: int, hi: int, alpha: float) -> np.ndarray:
-    """(ln j)^(1/alpha) for lo < j <= hi, as a new array.
-
-    The one formula of the power-exponential family. A value depends on j
-    alone, not on where the slice starts, so chunks agree with a full array.
-    """
-    t = np.arange(lo + 1, hi + 1, dtype=float)
-    np.log(t, out=t)
-    t **= 1.0 / alpha
-    return t
-
-
-def _time_array(values) -> np.ndarray | None:
-    """``values`` as a one-dimensional numeric array, or None if it is not one or
-    if an entry is not a real number: a bool, a string or an object, also one
-    among numbers (numpy would silently turn a bool into 1.0 or 0.0)."""
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        return None
-    if isinstance(values, (list, tuple)) and set(map(type, values)) & {bool, np.bool_}:
-        return None
-    return arr
-
-
-def _time_chunks(times: TimesSource, n: int) -> Callable[[int, int], np.ndarray]:
-    """A reader of the arrival times: (lo, hi) -> t_{lo+1..hi} as floats, hi <= n."""
-    if isinstance(times, (AsymptoticTimes, PowerExponentialSchedule)):
-        n0 = getattr(times, "n0", 0)  # AsymptoticTimes: t_k = (ln k)^(1/alpha)
-        return lambda lo, hi: _log_power(n0 + lo, n0 + hi, times.alpha)
-    if isinstance(times, ExplicitSchedule):
-        if len(times.times) < n:
-            raise ValueError(f"schedule defines {len(times.times)} times, need {n}")
-        return lambda lo, hi: np.array(times.times[lo:hi], dtype=float)
-    t = _time_array(times)  # the caller's memory, streamed as views
-    if t is None:
-        raise ValueError("times must be a growth schedule, an AsymptoticTimes scale or a "
-                         f"one-dimensional sequence of times t_1..t_n, got {times!r}")
-    if t.size < n:
-        raise ValueError(f"times sequence has {t.size} entries, need {n}")
-    return lambda lo, hi: t[lo:hi].astype(float, copy=False)
 
 
 def _weight_chunks(bound: JumpBound, n: int) -> Callable[[int, int], np.ndarray]:
@@ -151,9 +88,6 @@ def _weight_chunks(bound: JumpBound, n: int) -> Callable[[int, int], np.ndarray]
             raise ValueError(f"jump bound defines {len(bound.values)} values, need {n}")
         return lambda lo, hi: np.array(bound.values[lo:hi], dtype=float)
     raise ValueError(f"unsupported jump bound {bound!r}")
-
-
-_UNSORTED = "arrival times must be finite and nondecreasing"
 
 
 def _add_exact(partials: list[float], x: float) -> None:
@@ -176,19 +110,19 @@ def _add_exact(partials: list[float], x: float) -> None:
     partials[i:] = [x]
 
 
-def _condition_sums(lams: Sequence[float], times: TimesSource, ns, bound: JumpBound,
+def _condition_sums(lams: Sequence[float], times: TimeScale, ns, bound: JumpBound,
                     y0: float = 0.0) -> np.ndarray:
     """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)) at each n of ``ns``,
     one row per rate of ``lams``.
 
     g >= 0 is the jump ``bound``. One pass walks k <= ns[-1] in chunks of
-    _CHUNK terms, aligned at multiples of _CHUNK. A chunk's times are read,
-    checked finite and nondecreasing (also across the boundary from the
-    previous chunk) and its weights built once for all rates; each piece of
-    a segment ns[j-1] < k <= ns[j] inside the chunk is summed pairwise, and
-    the pieces of a segment are added exactly. A segment's total adds the
-    previous total carried forward by its decay factor (see the module
-    docstring). t_n is read off the chunk holding k = n, or, before the walk
+    _CHUNK terms, aligned at multiples of _CHUNK. A chunk's times are read by
+    ``schedules._times`` and its weights built once for all rates; each
+    piece of a segment ns[j-1] < k <= ns[j] inside the chunk is summed
+    pairwise, and the pieces of a segment are added exactly. A segment's
+    total adds the previous total carried forward by its decay factor (see
+    the module docstring), at most 1 since the times are nondecreasing from
+    t_0 = 0. t_n is read off the chunk holding k = n, or, before the walk
     reaches it, once per segment as the one time at k = n; a time depends on
     its index alone, so both agree. Memory is O(_CHUNK x rates): the buffers
     are allocated once per call.
@@ -200,32 +134,24 @@ def _condition_sums(lams: Sequence[float], times: TimesSource, ns, bound: JumpBo
         raise ValueError(f"ns must be strictly increasing integers >= 1, got {ns!r}")
     ends = grid.tolist()
     n_max = ends[-1]
-    time_chunk = _time_chunks(times, n_max)
     weight_chunk = _weight_chunks(bound, n_max)
 
     width = min(_CHUNK, n_max)
     diffs, terms = np.empty(width), np.empty((len(lams), width))
     sums = np.empty((len(lams), len(ends)))
     totals, pieces = [y0] * len(lams), [[] for _ in lams]
-    # t at the previous grid point, at the last chunk's end, and at this segment's end
-    j, t_last, t_end, t_n = 0, 0.0, -math.inf, None
+    j, t_last, t_n = 0, 0.0, None  # t at the previous grid point, and at this one
     for start in range(0, n_max, _CHUNK):
         stop = min(start + _CHUNK, n_max)
-        t = time_chunk(start, stop)
-        # nondecreasing from the previous chunk on, with finite ends: every time is finite
-        if not (t_end <= t[0] and math.isfinite(t[0]) and math.isfinite(t[-1])
-                and np.all(t[1:] >= t[:-1])):
-            raise ValueError(_UNSORTED)
+        t = _times(times, start, stop)
         g = weight_chunk(start, stop)
         lo = start
         while lo < stop:
             end = ends[j]
             t_n = (t[end - 1 - start] if end <= stop else
-                   time_chunk(end - 1, end)[0] if t_n is None else t_n)
+                   _times(times, end - 1, end)[0] if t_n is None else t_n)
             hi = min(end, stop)
             d = np.subtract(t[lo - start:hi - start], t_n, out=diffs[:hi - lo])
-            if not d[-1] <= 0.0:  # t_n, read past this chunk, is below its times
-                raise ValueError(_UNSORTED)
             for r, lam in enumerate(lams):
                 # g(k) exp(-lam (t_n - t_k)) for lo < k <= hi, into the rate's buffer
                 buf = np.multiply(d, lam, out=terms[r, :hi - lo])
@@ -234,22 +160,21 @@ def _condition_sums(lams: Sequence[float], times: TimesSource, ns, bound: JumpBo
                 _add_exact(pieces[r], float(np.sum(buf)))
             if hi == end:
                 for r, lam in enumerate(lams):
-                    # skipped at a zero total: t < 0 may overflow the factor
-                    carried = math.exp(-lam * (t_n - t_last)) * totals[r] if totals[r] else 0.0
-                    totals[r] = sums[r, j] = math.fsum(pieces[r]) + carried
+                    totals[r] = sums[r, j] = (math.fsum(pieces[r])
+                                              + math.exp(-lam * (t_n - t_last)) * totals[r])
                     pieces[r].clear()
                 j, t_last, t_n = j + 1, t_n, None
             lo = hi
-        t_end = t[-1]
     return sums
 
 
-def condition_sum(lam: float, times: TimesSource, n: int) -> float:
+def condition_sum(lam: float, times: TimeScale, n: int) -> float:
     """S(lambda, n) = sum_{k<=n} (1/k) exp(-lambda (t_n - t_k)).
 
-    ``times`` may be a growth schedule, an AsymptoticTimes scale, or a plain
-    sequence of the times t_1..t_n. Only time differences enter,
-    so the value is invariant under shifting all times by a constant.
+    ``times`` is a growth schedule or an AsymptoticTimes scale; a list of
+    times is an ``ExplicitSchedule``, which checks them when it is built. Only
+    time differences enter, so the value is invariant under shifting all
+    times by a constant.
     """
     return float(_condition_sums((lam,), times, (_integer(n, "n", 1),), HarmonicScaled(1.0))[0, 0])
 
@@ -353,7 +278,7 @@ def classify_schedule(alpha: float, psi_star: float, psi_max: float,
         raise ValueError(f"psi_star must be <= psi_max, got ({psi_star}, {psi_max})")
     n_max = _integer(n_max, "n_max", 10)
 
-    times, grid = asymptotic_injection_times(alpha), _sum_grid(n_max)
+    times, grid = AsymptoticTimes(alpha), _sum_grid(n_max)
     # one condition_sum call per grid point: each sum is its own one-point
     # table, independent of the carried recurrence of a multi-point one
     return _classify(alpha, psi_star, psi_max, grid,
@@ -373,7 +298,7 @@ def _conditions_table(alpha: float, lambdas: Sequence[float], n_max: int):
     smallest and largest lambda, are columns, so it is checked on the table.
     """
     grid = _sum_grid(n_max)
-    rows = _condition_sums(lambdas, asymptotic_injection_times(alpha), grid, HarmonicScaled(1.0))
+    rows = _condition_sums(lambdas, AsymptoticTimes(alpha), grid, HarmonicScaled(1.0))
     columns = dict(zip(lambdas, rows))
     return grid, columns, _classify(alpha, min(lambdas), max(lambdas), grid, columns.__getitem__)
 
@@ -462,7 +387,7 @@ class EnvelopeSpec:
         object.__setattr__(self, "y0", _number(self.y0, "y0"))
 
 
-def envelope_bound(spec: EnvelopeSpec, times: TimesSource, n: int) -> float:
+def envelope_bound(spec: EnvelopeSpec, times: TimeScale, n: int) -> float:
     """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)), t_0 = 0.
 
     The jump bounds are nonnegative, so the terms are too, and their

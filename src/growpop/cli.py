@@ -30,7 +30,6 @@ from .analysis import (
     EnvelopeSpec,
     ExplicitJumps,
     HarmonicScaled,
-    asymptotic_injection_times,
     condition_sum,
     envelope_bound,
     _conditions_table,
@@ -49,6 +48,7 @@ from .schedules import (
     ExplicitSchedule,
     GrowthSchedule,
     PowerExponentialSchedule,
+    asymptotic_injection_times,
     injection_time,
     _integer,
     _number,

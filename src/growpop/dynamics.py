@@ -111,8 +111,8 @@ import numpy as np
 
 from .kernels import Kernel, _force, _one_blas_thread
 from .observables import MomentSeries, _moments, compute_moments
-from .schedules import (ExplicitSchedule, GrowthSchedule, _integer, _number, _pinned_time,
-                        final_injection_count, injection_time, population_at)
+from .schedules import (GrowthSchedule, _integer, _number, _times, final_injection_count,
+                        injection_time, population_at)
 from .sources import OpinionSource, _draw_incoming
 
 __all__ = [
@@ -121,7 +121,6 @@ __all__ = [
     "ContractViolationError",
     "rhs",
     "integrate_interval",
-    "inject_agent",
     "run_simulation",
     "uniform_record_grid",
     "geometric_record_grid",
@@ -133,7 +132,7 @@ __all__ = [
 # steps of up to this over 2 * psi_max keep every mode decaying.
 _RK4_REAL_STABILITY = 2.785
 
-# Slack when matching the integrator's landing time against an arrival time.
+# Slack when matching a record time against an arrival time.
 _TIME_TOL = 1e-12
 
 # The constant kernel's audit: V of the rebuilt opinions against the
@@ -238,18 +237,6 @@ def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
     return SimState(t=t_end, k=state.k, opinions=x, dim=state.dim)
 
 
-def inject_agent(state: SimState, x_new, t_k: float) -> SimState:
-    """Append one newcomer at arrival time t_k; existing opinions unchanged."""
-    x_new = np.asarray(x_new, dtype=float).reshape(-1)
-    if x_new.shape != (state.dim,):
-        raise ContractViolationError(
-            f"arrival has dimension {x_new.shape[0]}, state has {state.dim}")
-    if abs(state.t - t_k) > _TIME_TOL:
-        raise ContractViolationError(f"state is at t={state.t}, arrival scheduled at t={t_k}")
-    opinions = np.vstack([state.opinions, x_new[None, :]])
-    return SimState(t=state.t, k=state.k + 1, opinions=opinions, dim=state.dim)
-
-
 def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
     """Record times dt, 2*dt, ... below t_end, then t_end itself."""
     t_end, dt = _number(t_end, "t_end", "> 0"), _number(dt, "dt", "> 0")
@@ -346,21 +333,17 @@ def _end_time(schedule: GrowthSchedule, horizon: float | None,
 
 
 def _arrival_times(config: SimConfig, t_end: float) -> np.ndarray:
-    """t_1..t_K, every arrival at or before t_end that max_agents allows. K is
-    counted first, so a K beyond memory raises at once, naming K and t_end."""
+    """t_1..t_K, every arrival at or before t_end that max_agents allows, read by
+    ``schedules._times``. K is counted first, so a K beyond memory raises at
+    once, naming t_end and K, or, past 2**53 arrivals, the count's estimate."""
     schedule = config.schedule
-    count = population_at(schedule, t_end) - schedule.n0
-    if config.max_agents is not None:
-        count = min(count, config.max_agents - schedule.n0)
-    if isinstance(schedule, ExplicitSchedule):
-        return np.array(schedule.times[:count], dtype=float)
     try:
-        # math.log and ** per element, as injection_time computes each t_j:
-        # np.log and np.power round some t_j differently
-        return np.fromiter((_pinned_time(schedule, j) for j in range(1, count + 1)),
-                           dtype=float, count=count)
-    except (MemoryError, OverflowError, ValueError) as err:
-        raise ValueError(f"{count} arrivals up to t_end = {t_end} do not fit in memory: "
+        count = population_at(schedule, t_end) - schedule.n0
+        if config.max_agents is not None:
+            count = min(count, config.max_agents - schedule.n0)
+        return _times(schedule, 0, count)
+    except (MemoryError, OverflowError) as err:
+        raise ValueError(f"the arrivals up to t_end = {t_end} do not fit in memory: "
                          f"{err}") from err
 
 
@@ -516,17 +499,13 @@ def _constant_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict
     n0 = x0.shape[0]
     rows = tl.t.size
 
-    # the founders' mean and nV, pivoted about x0[0], so a population in exact
-    # consensus has V == 0.0
-    dev = x0 - x0[0]
-    mean_dev = dev.sum(axis=0) / n0
-    offsets = dev - mean_dev
+    m1_0, offsets, s0 = _founders(x0)
     m1_at = np.empty((replicas, arrivals + 1, d))
-    m1_at[:, 0] = x0[0] + mean_dev
+    m1_at[:, 0] = m1_0
     n = n0 + np.arange(arrivals)  # agents present before each arrival
     m1_at[:, 1:] = m1_at[:, :1] + _prefix_sums(x_new - m1_at[:, :1]) / (n + 1)[:, None]
     jumps = (n / (n + 1)) * _sq(x_new - m1_at[:, :-1])
-    v = _decayed_sums(c, tl, float((offsets * offsets).sum()), jumps)
+    v = _decayed_sums(c, tl, s0, jumps)
     v /= tl.n
     applied = tl.n - tl.n[0]
     m1 = m1_at[:, applied]
@@ -552,6 +531,16 @@ def _constant_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict
     np.cumsum(v[:, :-1] * np.expm1((-2.0 * c) * np.diff(tl.t)), axis=1, out=d_integral[:, 1:])
     return {"m1": m1, "m2": m2, "v": v, "w": w, "dissipation": (-2.0 * c) * v,
             "d_integral": d_integral}
+
+
+def _founders(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The founders' mean, their offsets from it and nV, the sum of their
+    squared offsets, pivoted about x0[0], so a population in exact consensus
+    has V == 0.0."""
+    dev = x0 - x0[0]
+    mean_dev = dev.sum(axis=0) / x0.shape[0]
+    offsets = dev - mean_dev
+    return x0[0] + mean_dev, offsets, float((offsets * offsets).sum())
 
 
 def _prefix_sums(y: np.ndarray) -> np.ndarray:

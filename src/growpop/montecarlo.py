@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimConfig, _ReplicaError, _decayed_sums, _run_block, _timeline
+from .dynamics import (SimConfig, _ReplicaError, _decayed_sums, _founders, _run_block,
+                       _timeline)
 from .observables import _founders_term, _mean_deviation
 from .schedules import _integer
 
@@ -216,9 +217,10 @@ def expected_moments(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
       ``expected_m1_deviation`` of the founders;
     * at every row E V = E S / n and E W = E V + e.
 
-    E S is the engine's decayed prefix pass (``dynamics._decayed_sums``) over
-    one replica whose jumps are these expected ones, so a row before the first
-    arrival holds the engine's V bit for bit. sigma2 = E|x - m|^2 is the
+    E S is the engine's decayed prefix pass (``dynamics._decayed_sums``) from
+    the engine's founders' S (``dynamics._founders``), over one replica whose
+    jumps are these expected ones, so a row before the first arrival holds the
+    engine's V bit for bit. sigma2 = E|x - m|^2 is the
     source's covariance trace for every family.
     Any other kernel raises ValueError.
     """
@@ -230,12 +232,9 @@ def expected_moments(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     n0 = x0.shape[0]
     tl = _timeline(config)
 
-    # the founders' S, pivoted about x0[0] as the engine's is
-    dev = x0 - x0[0]
-    offsets = dev - dev.sum(axis=0) / n0
     a_const = _founders_term(x0, config.source.mean_vector)
     # arrival k joins n = n0 + k - 1 agents, with e_{k-1} before it
     n = np.arange(n0, tl.n[-1])
     jumps = n / (n + 1) * (sigma2 + _mean_deviation(a_const, n0, n - n0, sigma2))
-    v = _decayed_sums(c, tl, float((offsets * offsets).sum()), jumps[None, :])[0] / tl.n
+    v = _decayed_sums(c, tl, _founders(x0)[2], jumps[None, :])[0] / tl.n
     return v, v + _mean_deviation(a_const, n0, tl.n - n0, sigma2)

@@ -23,8 +23,7 @@ import numpy as np
 
 from .schedules import _number
 
-__all__ = ["OpinionSource", "gaussian_source", "uniform_source",
-           "two_point_source", "sample_incoming"]
+__all__ = ["OpinionSource", "gaussian_source", "uniform_source", "two_point_source"]
 
 
 @dataclass(frozen=True)
@@ -61,16 +60,11 @@ def two_point_source(mean, sigma2: float) -> OpinionSource:
     return _make("two_point", mean, sigma2)
 
 
-def sample_incoming(source: OpinionSource, rng: np.random.Generator) -> np.ndarray:
-    """Draw one incoming opinion; advances rng by exactly one draw."""
-    return _draw_incoming(source, rng, 1)[0]
-
-
 def _draw_incoming(source: OpinionSource, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` incoming opinions, shape (count, d), in one call on rng.
 
-    Row j is bit for bit the j-th of ``count`` successive ``sample_incoming``
-    calls on the same generator: numpy fills a (count, d) request in the
+    Row j is bit for bit what the j-th of ``count`` successive one-row calls
+    on the same generator draws: numpy fills a (count, d) request in the
     order of ``count`` requests of d values.
     """
     m = source.mean_vector

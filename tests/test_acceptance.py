@@ -21,7 +21,7 @@ from scipy import stats as sps
 
 import growpop as gp
 from growpop.cli import emit_series_csv
-from growpop.sources import sample_incoming
+from growpop.sources import _draw_incoming
 
 # Wall-clock budgets, generous multiples of observed runtimes.
 DECAY_BUDGET_S = 1.0
@@ -391,8 +391,8 @@ def test_arrival_sum_identities():
     details = []
     ok = True
     for k in (2, 5, 20):
-        xs = np.array([[sample_incoming(source, rng)[0] for _ in range(k)]
-                       for _ in range(draws)])
+        # the arrivals one at a time, k per row: one call draws them in that order
+        xs = _draw_incoming(source, rng, draws * k)[:, 0].reshape(draws, k)
         block = xs[:, :-1].sum(axis=1) - (k - 1) * xs[:, -1]
         sq = block**2
         cross = (x0.sum() - n0 * xs[:, -1]) * block

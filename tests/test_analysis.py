@@ -55,7 +55,7 @@ class TestConditionSum:
         assert abs(s - (n + 1) / (2.0 * n)) <= CLOSED_FORM_TOL
 
     def test_single_term(self):
-        assert condition_sum(3.0, [5.0], 1) == 1.0
+        assert condition_sum(3.0, ExplicitSchedule(n0=1, times=(5.0,)), 1) == 1.0
 
     def test_decreasing_in_rate(self):
         times = asymptotic_injection_times(0.5)
@@ -65,35 +65,42 @@ class TestConditionSum:
     def test_translation_invariant_exactly_on_integer_times(self):
         times = np.cumsum(RNG.integers(1, 5, size=64)).astype(float)
         shifted = times + 7.0  # integer-valued floats subtract exactly
-        s0 = condition_sum(0.8, times, 64)
-        s1 = condition_sum(0.8, shifted, 64)
+        s0 = condition_sum(0.8, ExplicitSchedule(n0=1, times=times), 64)
+        s1 = condition_sum(0.8, ExplicitSchedule(n0=1, times=shifted), 64)
         assert s0 == s1
 
     def test_translation_invariant_generically(self):
         times = np.sort(RNG.uniform(0.0, 30.0, size=128))
-        s0 = condition_sum(1.3, times, 128)
-        s1 = condition_sum(1.3, times + 0.371, 128)
+        s0 = condition_sum(1.3, ExplicitSchedule(n0=1, times=times), 128)
+        s1 = condition_sum(1.3, ExplicitSchedule(n0=1, times=times + 0.371), 128)
         np.testing.assert_allclose(s1, s0, rtol=1e-12)
 
     def test_accepts_every_times_source(self):
         n, alpha, n0 = 50, 0.5, 3
         sched = PowerExponentialSchedule(alpha=alpha, n0=n0)
+        # the same times from an independent formula, as an explicit schedule
         as_seq = [math.log(n0 + k) ** (1.0 / alpha) for k in range(1, n + 1)]
-        vals = [condition_sum(1.0, src, n) for src in (sched, as_seq, np.array(as_seq))]
+        explicit = ExplicitSchedule(n0=n0, times=as_seq)
+        vals = [condition_sum(1.0, src, n) for src in (sched, explicit)]
         np.testing.assert_allclose(vals, vals[0], rtol=1e-14)
 
-    @pytest.mark.parametrize("times", [lambda k: math.log(k), "abc", object()])
+    @pytest.mark.parametrize("times", [lambda k: math.log(k), "abc", object(),
+                                       [1.0, 2.0, 3.0, 4.0, 5.0]])
     def test_rejects_other_times_sources(self, times):
-        with pytest.raises(ValueError, match="growth schedule, an AsymptoticTimes scale"):
+        # a list of times is an ExplicitSchedule, which checks them when it is built
+        with pytest.raises(ValueError, match="growth schedule or an AsymptoticTimes scale"):
             condition_sum(1.0, times, 5)
 
     @pytest.mark.parametrize("times", [[True, 2.0], [0.0, np.bool_(True)], (0.0, False, 2.0),
                                        [[0.0], [True]], [np.array([0.0]), np.array([True])],
                                        np.array([False, True])])
     def test_rejects_bool_entries(self, times):
-        # numpy would turn a bool among numbers into 1.0 or 0.0
-        with pytest.raises(ValueError, match="growth schedule, an AsymptoticTimes scale"):
+        # numpy would turn a bool among numbers into 1.0 or 0.0: neither the sums
+        # nor an explicit schedule take them
+        with pytest.raises(ValueError, match="growth schedule or an AsymptoticTimes scale"):
             condition_sum(1.0, times, 2)
+        with pytest.raises(ValueError, match="times must be a real number"):
+            ExplicitSchedule(n0=1, times=times)
 
     @pytest.mark.parametrize("times", [[[0.0, 1.0], [2.0, 3.0]], np.arange(4.0).reshape(2, 2),
                                        np.arange(4.0).reshape(4, 1), np.float64(1.0)])
@@ -101,8 +108,10 @@ class TestConditionSum:
         # flattened, a (2, 2) table would read as the four times t_1..t_4
         spec = EnvelopeSpec(decay_rate=1.0, y0=0.0, jump_bound=HarmonicScaled(c=1.0))
         for call in (lambda: condition_sum(1.0, times, 4), lambda: envelope_bound(spec, times, 4)):
-            with pytest.raises(ValueError, match="times must be .* one-dimensional sequence"):
+            with pytest.raises(ValueError, match="growth schedule or an AsymptoticTimes scale"):
                 call()
+        with pytest.raises((TypeError, ValueError)):  # a scalar is not iterable
+            ExplicitSchedule(n0=1, times=times)
 
     def test_explicit_schedule_source(self):
         sched = ExplicitSchedule(n0=1, times=(1.0, 2.0, 3.0, 4.0))
@@ -112,13 +121,17 @@ class TestConditionSum:
 
     def test_no_overflow_for_huge_times(self):
         # exponents are shifted to be nonpositive; times in the thousands are fine
-        times = np.linspace(0.0, 50_000.0, 100)
+        times = ExplicitSchedule(n0=1, times=np.linspace(500.0, 50_000.0, 100))
         s = condition_sum(2.0, times, 100)
         assert 0.0 < s < 1.0 / 100.0 + 1e-12
 
     def test_no_overflow_for_negative_times(self):
-        # only differences enter; the zero y0 is carried by no factor e^(-lam t_n)
-        assert condition_sum(1.0, [-1000.0, -999.0], 2) == condition_sum(1.0, [0.0, 1.0], 2)
+        # no source holds a time below t_0 = 0, so the factor e^(-lam t_n) that
+        # carries y0 is at most 1: at t_1 = 0 it carries y0 = 1e300 unchanged
+        with pytest.raises(ValueError, match="> 0; offending entry 0"):
+            ExplicitSchedule(n0=1, times=(-1000.0, -999.0))
+        spec = EnvelopeSpec(decay_rate=1.0, y0=1e300, jump_bound=HarmonicScaled(c=0.0))
+        assert envelope_bound(spec, AsymptoticTimes(1.0), 1) == 1e300
 
     def test_boundary_limit_helper(self):
         # the sums approach 1/lambda on the boundary scale
@@ -139,12 +152,15 @@ class TestConditionSum:
         assert stable[-1] > 0.5 * stable[0] > 0.0
 
     def test_validation(self):
+        times = ExplicitSchedule(n0=1, times=(1.0,))
         with pytest.raises(ValueError):
-            condition_sum(0.0, [1.0], 1)
+            condition_sum(0.0, times, 1)
         with pytest.raises(ValueError):
-            condition_sum(1.0, [1.0], 0)
+            condition_sum(1.0, times, 0)
         with pytest.raises(ValueError):
-            condition_sum(1.0, [2.0, 1.0], 2)  # decreasing times
+            condition_sum(1.0, times, 2)  # past the schedule's times
+        with pytest.raises(ValueError):
+            condition_sum(1.0, ExplicitSchedule(n0=1, times=(2.0, 1.0)), 2)  # decreasing times
 
     def test_numpy_integer_n(self):
         times = asymptotic_injection_times(1.0)
@@ -156,16 +172,15 @@ class TestConditionSum:
                                    np.int64(-1)])
     def test_n_must_be_a_positive_integer(self, n):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
-            condition_sum(1.0, [0.0, 1.0], n)
+            condition_sum(1.0, AsymptoticTimes(1.0), n)
 
 
 @st.composite
 def sum_tables(draw):
-    """Nondecreasing times (ties included), a rate, and a strictly increasing ns."""
+    """Positive, strictly increasing times, a rate, and a strictly increasing ns."""
     size = draw(st.integers(1, 300))
-    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
-                         min_size=size, max_size=size))
-    times = draw(st.floats(-5.0, 5.0)) + np.cumsum(gaps)
+    gaps = draw(st.lists(st.floats(1e-6, 2.0), min_size=size, max_size=size))
+    times = draw(st.floats(0.0, 5.0)) + np.cumsum(gaps)
     lam = draw(st.floats(0.05, 5.0))
     ns = sorted(draw(st.sets(st.integers(1, size), min_size=1, max_size=12)))
     return times, lam, ns
@@ -181,27 +196,29 @@ class TestOnePassTable:
     @given(sum_tables())
     def test_matches_per_n_exact_sums(self, case):
         times, lam, ns = case
-        (table,) = _condition_sums((lam,), times, ns, HarmonicScaled(1.0))
+        schedule = ExplicitSchedule(n0=1, times=times)
+        (table,) = _condition_sums((lam,), schedule, ns, HarmonicScaled(1.0))
         assert table.shape == (len(ns),)
         for n, got in zip(ns, table):
             want = self.reference(lam, times, n)
             assert abs(got - want) <= 1e-13 * want, (n, got, want)
-        single = condition_sum(lam, times, ns[-1])
+        single = condition_sum(lam, schedule, ns[-1])
         assert abs(single - want) <= 1e-13 * want, (single, want)
 
     @pytest.mark.parametrize("ns", [[3, 2], [2, 2], [1, 2, 2], [], [0, 2], [1, 5],
                                     [1.0, 2.0], [[1, 2]]])
     def test_rejects_bad_grids(self, ns):
         with pytest.raises(ValueError):
-            _condition_sums((1.0,), [0.0, 0.5, 1.0, 2.0], ns, HarmonicScaled(1.0))
+            _condition_sums((1.0,), ExplicitSchedule(n0=1, times=(0.25, 0.5, 1.0, 2.0)), ns,
+                            HarmonicScaled(1.0))
 
     @pytest.mark.parametrize("times", [
         pytest.param(asymptotic_injection_times(0.5), id="alpha-0.5"),
         pytest.param(asymptotic_injection_times(1.0), id="alpha-1"),
         pytest.param(asymptotic_injection_times(1.5), id="alpha-1.5"),
         pytest.param(PowerExponentialSchedule(alpha=0.7, n0=3), id="schedule"),
-        pytest.param(np.cumsum(np.random.default_rng(11).uniform(0.0, 1e-3, size=100_000))
-                     .tolist(), id="sequence"),
+        pytest.param(ExplicitSchedule(n0=1, times=np.cumsum(
+            np.random.default_rng(11).uniform(0.0, 1e-3, size=100_000))), id="sequence"),
     ])
     @pytest.mark.parametrize("lam", [0.4, 1.0, 1.6])
     def test_condition_sum_is_the_harmonic_envelope(self, times, lam):
@@ -212,7 +229,7 @@ class TestOnePassTable:
     def test_envelope_table_matches_each_envelope(self):
         # a carried table with y0 and explicit jumps against one pass per n
         n, rng = 400, np.random.default_rng(12)
-        times = np.sort(rng.uniform(0.0, 30.0, size=n))
+        times = ExplicitSchedule(n0=1, times=np.sort(rng.uniform(0.0, 30.0, size=n)))
         g = rng.uniform(0.0, 1.0, size=n)
         spec = EnvelopeSpec(decay_rate=0.8, y0=1.5, jump_bound=ExplicitJumps(values=tuple(g)))
         ns = [1, 7, 50, 51, 399, 400]
@@ -242,8 +259,6 @@ def _chunk_sources():
         pytest.param(PowerExponentialSchedule(alpha=1.5, n0=3),
                      np.log(np.arange(4.0, size + 4)) ** (1 / 1.5), id="schedule"),
         pytest.param(ExplicitSchedule(n0=1, times=tuple(seq.tolist())), seq, id="explicit"),
-        pytest.param(seq.tolist(), seq, id="list"),
-        pytest.param(seq, seq, id="array"),
     ]
 
 
@@ -286,7 +301,9 @@ class TestChunkedPass:
     @pytest.mark.parametrize("fault", ["dip", "drop", "nan"])
     @pytest.mark.parametrize("kind", ["list", "array"])
     def test_bad_times_raise_wherever_they_sit(self, at, fault, kind):
-        t = np.linspace(0.0, 10.0, CHUNK_EDGES[-1])
+        # the sums take times from a schedule only, and an explicit one refuses
+        # bad times when it is built, naming the entry wherever it sits
+        t = np.linspace(0.1, 10.0, CHUNK_EDGES[-1])
         if fault == "dip":  # one time below its predecessor
             t[at] = t[at - 1] - 0.5
         elif fault == "drop":  # every later time far below the earlier ones
@@ -294,14 +311,10 @@ class TestChunkedPass:
         else:
             t[at] = math.nan
         times = t.tolist() if kind == "list" else t
-        n = CHUNK_EDGES[-1]
-        spec = EnvelopeSpec(decay_rate=1.0, y0=0.5, jump_bound=HarmonicScaled(1.0))
-        with pytest.raises(ValueError, match="finite and nondecreasing"):
-            condition_sum(1.0, times, n)
-        with pytest.raises(ValueError, match="finite and nondecreasing"):
-            envelope_bound(spec, times, n)
-        with pytest.raises(ValueError, match="finite and nondecreasing"):
-            _condition_sums((0.4, 1.6), times, [5, C + 1, n], HarmonicScaled(1.0))
+        want = ("times must be finite, got " if fault == "nan" else
+                f"times must be strictly increasing and > 0; offending entry {at}:")
+        with pytest.raises(ValueError, match=f"^{want}"):
+            ExplicitSchedule(n0=1, times=times)
 
     def test_memory_is_bounded_in_n(self):
         import tracemalloc
@@ -549,7 +562,8 @@ class TestEnvelope:
         g = 0.7 / np.arange(1, n + 1, dtype=float)
         y = self.recursion(lam, times, 2.0, g)
         spec = EnvelopeSpec(decay_rate=lam, y0=2.0, jump_bound=bound_fn)
-        np.testing.assert_allclose(envelope_bound(spec, times, n), y[-1], rtol=1e-12)
+        np.testing.assert_allclose(envelope_bound(spec, ExplicitSchedule(n0=1, times=times), n),
+                                   y[-1], rtol=1e-12)
 
     def test_dominates_any_compliant_sequence(self):
         lam, n = 1.2, 80
@@ -559,7 +573,7 @@ class TestEnvelope:
         y = self.recursion(lam, times, 0.5, jumps)
         spec = EnvelopeSpec(decay_rate=lam, y0=0.5, jump_bound=HarmonicScaled(c=1.0))
         for k in (10, 40, 80):
-            bound = envelope_bound(spec, times, k)
+            bound = envelope_bound(spec, ExplicitSchedule(n0=1, times=times), k)
             assert y[k - 1] <= bound * (1.0 + 1e-12)
 
     def test_upper_envelope_rejects_negative_bounds(self):
@@ -580,7 +594,7 @@ class TestEnvelope:
     def test_rejects_other_jump_bounds(self):
         spec = EnvelopeSpec(decay_rate=1.0, y0=0.0, jump_bound=lambda k: 1.0 / k**2)
         with pytest.raises(ValueError, match="unsupported jump bound"):
-            envelope_bound(spec, [1.0, 2.0], 2)
+            envelope_bound(spec, ExplicitSchedule(n0=1, times=(1.0, 2.0)), 2)
 
     def test_numpy_integer_n(self):
         spec = EnvelopeSpec(decay_rate=1.0, y0=1.5, jump_bound=HarmonicScaled(c=0.5))

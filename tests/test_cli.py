@@ -27,7 +27,7 @@ from growpop import (
     rational_kernel,
     run_simulation,
 )
-from growpop import analysis, cli
+from growpop import analysis, cli, schedules
 from growpop.cli import ConfigError, cmd_dispatch, emit_series_csv, load_config
 from growpop.dynamics import _end_time
 
@@ -308,17 +308,16 @@ class TestRoundTrip:
 PUBLIC_NAMES = {
     "Kernel", "constant_kernel", "rational_kernel",
     "PowerExponentialSchedule", "ExplicitSchedule", "GrowthSchedule",
+    "AsymptoticTimes", "asymptotic_injection_times",
     "injection_time", "population_at", "final_injection_count",
     "OpinionSource", "gaussian_source", "uniform_source", "two_point_source",
-    "sample_incoming",
     "MomentRecord", "MomentSeries", "SeriesRow", "InjectionJump",
     "JumpPrediction", "compute_moments", "dissipation_of", "predict_jumps",
     "expected_m1_deviation",
     "SimConfig", "SimState", "ContractViolationError", "rhs",
-    "integrate_interval", "inject_agent", "run_simulation",
+    "integrate_interval", "run_simulation",
     "uniform_record_grid", "geometric_record_grid",
-    "AsymptoticTimes", "asymptotic_injection_times", "condition_sum",
-    "dawson_f", "ScheduleClass", "ClassificationError", "classify_schedule",
+    "condition_sum", "dawson_f", "ScheduleClass", "ClassificationError", "classify_schedule",
     "HarmonicScaled", "ExplicitJumps", "EnvelopeSpec", "envelope_bound",
     "RateBounds", "consensus_rate_bounds",
     "EnsembleStats", "derive_run_seed", "run_ensemble", "ensemble_statistic",
@@ -497,6 +496,41 @@ class TestCsvEmission:
 
 
 class TestDispatch:
+    def test_envelope_t_n_is_the_time_its_bound_used(self, tmp_path, monkeypatch):
+        # every bound's chunk of times, as the condition-sum pass reads it; each
+        # n is below one chunk, so a chunk ends at the bound's t_n
+        read = []
+
+        def recorded(schedule, lo, hi):
+            t = schedules._times(schedule, lo, hi)
+            read.append(float(t[-1]))
+            return t
+
+        monkeypatch.setattr(analysis, "_times", recorded)
+        ns = list(range(1, 1991, 7))
+        path = write_config(tmp_path, schedule={"type": "power_exp", "alpha": 1.5, "n0": 10},
+                            initial_opinions=None, max_agents=2000,
+                            envelope={"y0": 1.0, "lambda": 0.7, "n": ns})
+        out = tmp_path / "env.csv"
+        assert cmd_dispatch(["envelope", "--config", path, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == ns
+        assert [float(row[1]) for row in rows] == read
+
+    def test_horizon_past_2_53_arrivals_exits_at_once(self, tmp_path):
+        # about 2.7e43 arrivals up to t = 100, where consecutive times tie
+        path = write_config(tmp_path, schedule={"type": "power_exp", "alpha": 1.0, "n0": 3},
+                            max_agents=None, horizon=100.0)
+        src = os.path.dirname(os.path.dirname(growpop.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "growpop.cli", "simulate", "--config", path],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert re.fullmatch(r"error: the arrivals up to t_end = 100\.0 do not fit in memory: "
+                            r"population at t=100\.0 is about \d{44} arrivals, past 2\*\*53, "
+                            r"where arrival times tie\n", done.stderr), done.stderr
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert cmd_dispatch([]) == 1
         assert "usage" in capsys.readouterr().err

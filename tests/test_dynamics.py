@@ -28,14 +28,12 @@ from growpop import (
     constant_kernel,
     gaussian_source,
     geometric_record_grid,
-    inject_agent,
     injection_time,
     integrate_interval,
     population_at,
     rational_kernel,
     rhs,
     run_simulation,
-    sample_incoming,
     two_point_source,
     uniform_record_grid,
     uniform_source,
@@ -43,6 +41,7 @@ from growpop import (
 from growpop import dynamics, kernels, observables
 from growpop.kernels import _TILE_ROWS, Kernel, _force, _gram_operands, _pair_tiles
 from growpop.observables import compute_moments, dissipation_of
+from growpop.sources import _draw_incoming
 
 RNG = np.random.default_rng(424242)
 
@@ -378,27 +377,6 @@ class TestIntegrator:
             integrate_interval(state, constant_kernel(1.0), 0.5)
 
 
-class TestInjection:
-    def test_appends_row_and_bumps_count(self):
-        state = state_of(RNG.normal(size=(4, 2)))
-        state.t = 1.25
-        out = inject_agent(state, np.array([9.0, -9.0]), 1.25)
-        assert out.k == state.k + 1
-        assert out.opinions.shape == (5, 2)
-        np.testing.assert_array_equal(out.opinions[:4], state.opinions)
-        np.testing.assert_array_equal(out.opinions[4], [9.0, -9.0])
-
-    def test_time_mismatch_rejected(self):
-        state = state_of(RNG.normal(size=(4, 2)))
-        with pytest.raises(ContractViolationError, match="scheduled"):
-            inject_agent(state, np.zeros(2), 1.0)
-
-    def test_dimension_mismatch_rejected(self):
-        state = state_of(RNG.normal(size=(4, 2)))
-        with pytest.raises(ContractViolationError, match="dimension"):
-            inject_agent(state, np.zeros(3), 0.0)
-
-
 def small_config(**overrides):
     base = dict(
         dim=1,
@@ -592,7 +570,8 @@ class TestRunSimulation:
         # alpha 1, horizon 44: about 1.3e19 arrivals, more than any address space
         config = small_config(schedule=PowerExponentialSchedule(alpha=1.0, n0=3),
                               max_agents=None, horizon=44.0)
-        with pytest.raises(ValueError, match=r"\d{20} arrivals up to t_end = 44\.0"):
+        with pytest.raises(ValueError, match=r"arrivals up to t_end = 44\.0 do not fit in memory: "
+                                             r"population at t=44\.0 is about \d{20} arrivals"):
             run_simulation(config, seed=0)
 
     def test_timeline_beyond_memory_names_its_size(self, monkeypatch):
@@ -641,20 +620,25 @@ def assert_m2_reconstructed(kernel, rtol):
         np.testing.assert_allclose(m2, expected, rtol=rtol)
 
 
+def with_arrival(state, x_new):
+    """``state`` with one newcomer appended as its last row."""
+    return SimState(t=state.t, k=state.k + 1, opinions=np.vstack([state.opinions, x_new]),
+                    dim=state.dim)
+
+
 def particle_reference(config, series):
     """The columns m1, m2, v, w and dissipation at every row of ``series``,
-    replayed on the opinions themselves through the public integrate_interval,
-    inject_agent and compute_moments, with the arrivals drawn one at a time by
-    sample_incoming."""
+    replayed on the opinions themselves through the public integrate_interval
+    and compute_moments, with the arrivals drawn one at a time."""
     rng = np.random.default_rng(series.seed)
     state = state_of(config.initial_opinions)
     recs = [compute_moments(state, config.kernel, config.source.mean_vector)]
     for i in range(1, len(series.event)):
         t = float(series.t[i])
         if series.event[i] == "post_jump":
-            x_new = sample_incoming(config.source, rng)
+            x_new = _draw_incoming(config.source, rng, 1)[0]
             assert np.array_equal(x_new, series.x_new[series.k[i] - 1])
-            state = inject_agent(state, x_new, t)
+            state = with_arrival(state, x_new)
         else:
             state = integrate_interval(state, config.kernel, t, step_max=config.step_max)
         recs.append(compute_moments(state, config.kernel, config.source.mean_vector))
@@ -1011,7 +995,7 @@ class TestParticleEngine:
         want = []
         for ev, t in zip(tl.event, tl.t):
             if ev == "post_jump":
-                state = inject_agent(state, x_new[0, 0], t)
+                state = with_arrival(state, x_new[0, 0])
             else:
                 state = integrate_interval(state, config.kernel, t, step_max=config.step_max)
             want.append(dissipation_of(state.opinions, config.kernel))

@@ -27,12 +27,10 @@ from growpop import (
     expected_m1_deviation,
     expected_moments,
     gaussian_source,
-    inject_agent,
     integrate_interval,
     rational_kernel,
     run_ensemble,
     run_simulation,
-    sample_incoming,
     two_point_source,
     uniform_source,
 )
@@ -95,8 +93,7 @@ class TestSeedDerivation:
 
 class TestSampling:
     def draw(self, source, n, seed=0):
-        rng = np.random.default_rng(seed)
-        return np.array([sample_incoming(source, rng) for _ in range(n)])
+        return _draw_incoming(source, np.random.default_rng(seed), n)
 
     @pytest.mark.parametrize("make", [
         lambda: gaussian_source((0.5, -1.0), 0.8),
@@ -137,12 +134,10 @@ class TestSampling:
     def test_one_draw_per_arrival(self):
         # consuming one stream in two interleavings gives the same arrivals
         source = gaussian_source(0.0, 1.0)
+        a = _draw_incoming(source, np.random.default_rng(77), 6)
         rng = np.random.default_rng(77)
-        a = [sample_incoming(source, rng) for _ in range(6)]
-        rng = np.random.default_rng(77)
-        b = [sample_incoming(source, rng) for _ in range(3)]
-        b += [sample_incoming(source, rng) for _ in range(3)]
-        np.testing.assert_array_equal(np.array(a), np.array(b))
+        b = [_draw_incoming(source, rng, 1)[0] for _ in range(6)]
+        np.testing.assert_array_equal(a, np.array(b))
 
 
     @pytest.mark.parametrize("make", [gaussian_source, uniform_source, two_point_source])
@@ -455,7 +450,8 @@ class TestExpectedMoments:
             state = SimState(t=0.0, k=0, opinions=config.initial_opinions, dim=2)
             for i, row in enumerate(rows):
                 if row.event == "post_jump":
-                    state = inject_agent(state, mean + signs[row.k - 1] * u, row.record.t)
+                    x = np.vstack([state.opinions, mean + signs[row.k - 1] * u])
+                    state = SimState(t=state.t, k=state.k + 1, opinions=x, dim=2)
                 else:
                     state = integrate_interval(state, config.kernel, row.record.t)
                 rec = compute_moments(state, config.kernel, mean)

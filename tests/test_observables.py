@@ -19,7 +19,6 @@ from growpop import (
     constant_kernel,
     dissipation_of,
     expected_m1_deviation,
-    inject_agent,
     predict_jumps,
     rational_kernel,
 )
@@ -192,7 +191,8 @@ class TestJumpLawProperty:
         m = np.zeros(x_pre.shape[1])
         state = SimState(t=0.5, k=k - 1, opinions=x_pre, dim=x_pre.shape[1])
         pre = compute_moments(state, kernel, m)
-        post = compute_moments(inject_agent(state, x_new, 0.5), kernel, m)
+        post = compute_moments(SimState(t=0.5, k=k, opinions=np.vstack([x_pre, x_new]),
+                                        dim=x_pre.shape[1]), kernel, m)
         pred = predict_jumps(pre, x_new, k, n0)
         scale = max(1.0, abs(pre.m2), float(x_new @ x_new))
         residual = max(float(np.max(np.abs((post.m1 - pre.m1) - pred.dm1))),

@@ -1,8 +1,10 @@
 """Arrival schedules: pinned injection times and the population count.
 
-The power-exponential family pins t_j = (ln(n0 + j))**(1/alpha); the
-population count must agree with those pinned times *exactly*, i.e.
-population_at(s, t_j) == n0 + j and one ulp earlier it is n0 + j - 1.
+The power-exponential family pins t_j = (ln(n0 + j))**(1/alpha), and every
+reader takes its times from ``schedules._times``, whose slices agree with one
+full array bit for bit. The population count must agree with those pinned
+times *exactly*, i.e. population_at(s, t_j) == n0 + j and one ulp earlier it
+is n0 + j - 1.
 """
 
 import json
@@ -20,7 +22,8 @@ from growpop import (
     injection_time,
     population_at,
 )
-from growpop.cli import ConfigError, load_config
+from growpop.cli import ConfigError, cmd_dispatch, load_config
+from growpop.schedules import _times
 
 RNG = np.random.default_rng(8128)
 
@@ -30,7 +33,15 @@ class TestPowerExponentialTimes:
                                             (1.0, 3, 12), (2.0, 5, 100)])
     def test_pinned_formula(self, alpha, n0, j):
         s = PowerExponentialSchedule(alpha=alpha, n0=n0)
-        assert injection_time(s, j) == math.log(n0 + j) ** (1.0 / alpha)
+        assert injection_time(s, j) == _times(s, 0, 200)[j - 1]
+        # the formula itself, to rounding
+        assert injection_time(s, j) == pytest.approx(math.log(n0 + j) ** (1.0 / alpha),
+                                                     rel=1e-15)
+
+    def test_overflow_refused(self):
+        s = PowerExponentialSchedule(alpha=0.001, n0=10)
+        with pytest.raises(OverflowError, match="t_5 .* exceeds the floating-point range"):
+            injection_time(s, 5)
 
     def test_time_zero_convention(self):
         s = PowerExponentialSchedule(alpha=0.5, n0=4)
@@ -93,6 +104,69 @@ class TestPopulationCount:
         s = PowerExponentialSchedule(alpha=1.0, n0=1)
         with pytest.raises(OverflowError):
             population_at(s, 800.0)
+
+    @pytest.mark.parametrize("t", [50.0, 100.0, 700.0])
+    def test_past_2_53_arrivals_refused_at_once(self, t):
+        # there consecutive times tie, and settling the guess by stepping
+        # through the ties would take longer than any run could
+        s = PowerExponentialSchedule(alpha=1.0, n0=3)
+        with pytest.raises(OverflowError, match=rf"population at t={t} .* past 2\*\*53"):
+            population_at(s, t)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_counts_below_2_53_arrivals_settle_among_ties(self, alpha):
+        # up to 2**53 arrivals the count is settled: N(t) - n0 is the last j
+        # with t_j <= t, though times tie there
+        s = PowerExponentialSchedule(alpha=alpha, n0=3)
+        for t in (36.0 ** (1 / alpha), math.log(2.0**53 - 100) ** (1 / alpha)):
+            j = population_at(s, t) - 3
+            assert j > 2**51 and injection_time(s, j) <= t < injection_time(s, j + 1)
+
+
+# both families, the n0 = 0 scale and an explicit schedule
+SCALES = [
+    *(pytest.param(PowerExponentialSchedule(alpha=alpha, n0=n0), id=f"power-{alpha:.3g}-{n0}")
+      for alpha in (1 / 3, 0.5, 0.9, 1.5, 2.0) for n0 in (1, 10)),
+    *(pytest.param(gp.AsymptoticTimes(alpha), id=f"asymptotic-{alpha}") for alpha in (0.5, 1.5)),
+    pytest.param(ExplicitSchedule(
+        n0=2, times=np.cumsum(np.random.default_rng(5).uniform(0.01, 1.0, size=6000))),
+        id="explicit"),
+]
+
+
+class TestTimesReader:
+    @pytest.mark.parametrize("schedule", SCALES)
+    def test_slices_are_the_full_array_bit_for_bit(self, schedule):
+        full = _times(schedule, 0, 6000)
+        rng = np.random.default_rng(6)
+        for lo, hi in np.sort(rng.integers(0, 6001, size=(300, 2)), axis=1).tolist():
+            assert _times(schedule, lo, hi).tobytes() == full[lo:hi].tobytes(), (lo, hi)
+        for j in rng.integers(1, 6001, size=300).tolist():
+            assert _times(schedule, j - 1, j).tobytes() == full[j - 1:j].tobytes(), j
+        if not isinstance(schedule, gp.AsymptoticTimes):
+            assert [injection_time(schedule, j) for j in range(1, 6001)] == full.tolist()
+
+    def test_returns_a_new_array(self):
+        s = ExplicitSchedule(n0=1, times=(1.0, 2.0, 3.0))
+        _times(s, 0, 3)[0] = 9.0
+        assert _times(s, 0, 3).tolist() == [1.0, 2.0, 3.0]
+        assert _times(s, 1, 1).size == 0
+
+    def test_explicit_times_past_the_end_raise(self):
+        s = ExplicitSchedule(n0=1, times=(1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="schedule defines 3 times, need 4"):
+            _times(s, 2, 4)
+
+    def test_overflow_raises_without_a_warning(self):
+        # pytest turns a leaked RuntimeWarning into an error
+        with pytest.raises(OverflowError, match="t_8192"):
+            gp.condition_sum(1.0, gp.AsymptoticTimes(0.001), 10**4)
+        # the times below the float's range are still read
+        assert np.isfinite(_times(gp.AsymptoticTimes(0.001), 0, 7)).all()
+
+    def test_conditions_cli_refuses_an_overflowing_scale(self, capsys):
+        assert cmd_dispatch(["conditions", "--alpha", "0.001", "--lambda", "1.0"]) == 2
+        assert "exceeds the floating-point range" in capsys.readouterr().err
 
 
 class TestExplicitSchedule:
@@ -295,8 +369,10 @@ def test_float_arguments_reject_nan(call, floats, names):
                                    [-math.inf, 0.0, 1.0], [True, True, True],
                                    np.ones(3, dtype=bool), ["0", "1", "2"]])
 def test_times_sequences_hold_finite_numbers(times):
+    # the sums take no plain sequence, and an explicit schedule refuses these
     spec = gp.EnvelopeSpec(decay_rate=1.0, y0=0.0, jump_bound=gp.HarmonicScaled(c=1.0))
     for call in (lambda: gp.condition_sum(1.0, times, len(times)),
-                 lambda: gp.envelope_bound(spec, times, len(times))):
+                 lambda: gp.envelope_bound(spec, times, len(times)),
+                 lambda: ExplicitSchedule(n0=1, times=times)):
         with pytest.raises(ValueError, match="times"):
             call()
