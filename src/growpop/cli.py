@@ -88,6 +88,10 @@ class EnvelopeBlock:
     spec: EnvelopeSpec
     n_values: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.n_values is not None:
+            self.n_values = tuple(_integer(n, "n", 1) for n in self.n_values)
+
 
 @dataclass(eq=False)
 class ExperimentConfig:
@@ -264,7 +268,8 @@ def load_config(path: str) -> ExperimentConfig:
         jump = _jump_bound(block.get("jump", "object", None))
         spec = _build(f"{block.prefix}lambda: ", EnvelopeSpec, decay_rate=lam, y0=y0,
                       jump_bound=jump)
-        envelope = EnvelopeBlock(spec=spec, n_values=block.get("n", "integers", None))
+        envelope = _build(block.prefix, EnvelopeBlock, spec=spec,
+                          n_values=block.get("n", "integers", None))
         block.close()
 
     cfg = ExperimentConfig(sim=sim, runs=top.get("runs", "integer", 100),

@@ -14,12 +14,13 @@ all its arrivals from a generator seeded by the seed.
 The engine runs a block of replicas, runs of one config under different
 seeds, which share the timeline of grid records and arrivals; a replica's
 result does not depend on the block around it, and ``run_simulation`` is a
-block of one. There is one engine per kernel family.
+block of one. The kernel psi = a + b/(1 + r^2) picks one of two engines by
+whether b == 0.
 
-The constant kernel's force collapses to c*(m1 - x_i), so its flow is exact,
-x_i(t) = m1 + (x_i(s) - m1) e^{-c(t-s)}, and each replica's moments follow
-from its m1 and nV = n V, the sum of squared deviations, with no opinion
-stored:
+At b = 0 the kernel is the constant c = a and the force collapses to
+c*(m1 - x_i), so the flow is exact, x_i(t) = m1 + (x_i(s) - m1) e^{-c(t-s)},
+and each replica's moments follow from its m1 and nV = n V, the sum of
+squared deviations, with no opinion stored:
 
 * a flow span tau: nV <- e^{-2c tau} nV, and m1 stays put;
 * an arrival x to a population of n: m1 <- m1 + (x - m1)/(n+1) and
@@ -67,7 +68,7 @@ than 1e-12 max(1, max |x|), or a V by more than 1e-12 relative with a floor of
 1e-15 max(1, m2), raises, as does a non-finite moment; either error names the
 replica.
 
-Any other kernel runs on the opinions themselves, replica after replica, in
+A kernel with b > 0 runs on the opinions themselves, replica after replica, in
 one buffer of the final population: each arrival is written into the next
 free row, and the rows present are advanced in place between events by
 classical Runge-Kutta 4 at a fixed step, the last one shortened to land
@@ -84,8 +85,7 @@ over the velocities. A run, like every other entry point that makes passes,
 runs them on one BLAS thread.
 Simpson's rule over the stages gives each step's integral of D, which every
 run records (``d_integral``): the witness of the energy balance d(m2)/dt = D
-between arrivals. The constant kernel's integral is closed form, from the V
-column.
+between arrivals. At b = 0 the integral is closed form, from the V column.
 
 Each row's D comes from one pass at its opinions, which the next span then
 takes as its first stage, k1, so the pass costs nothing extra. A pre/post pair
@@ -97,9 +97,9 @@ the same pass, so each row's D equals ``dissipation_of`` of the row's opinions
 bit for bit.
 
 ``integrate_interval`` takes one span on given opinions: the exact flow, in
-one O(N) update, for the constant kernel, and the RK4 steps otherwise. Its
-constant branch is not a second engine for runs: it is the particle reference
-that the tests replay a run through and compare the recursion against.
+one O(N) update, at b = 0, and the RK4 steps otherwise. Its exact branch is
+not a second engine for runs: it is the particle reference that the tests
+replay a run through and compare the recursion against.
 """
 
 from __future__ import annotations
@@ -135,13 +135,13 @@ _RK4_REAL_STABILITY = 2.785
 # Slack when matching a record time against an arrival time.
 _TIME_TOL = 1e-12
 
-# The constant kernel's audit: V of the rebuilt opinions against the
+# The exact engine's audit (b = 0): V of the rebuilt opinions against the
 # recursion's, relative, with an absolute floor relative to max(1, m2); m1
 # against the recursion's, relative to max(1, max |x|).
 _AUDIT_RTOL = 1e-12
 _AUDIT_ATOL = 1e-15
 
-# The longest stretch of 2c t one piece of the constant kernel's prefix pass
+# The longest stretch of 2c t one piece of the exact engine's prefix pass
 # spans: its factors e^{2c (t_j - t_lo)} stay below e^16, and the rounding of
 # their exponents below 16 eps relative.
 _PIECE = 16.0
@@ -193,15 +193,15 @@ def _advance(x: np.ndarray, kernel: Kernel, span: float, step_max: float,
              first=None) -> float:
     """Advances opinions x (N, d) in place by the flow over span >= 0, and
     returns the RK4 steps' integral of D over it. ``first``, the ``_force``
-    pass at x if the caller has made it, is the first step's k1 stage. The
-    constant kernel's exact flow takes no steps and returns 0.0.
+    pass at x if the caller has made it, is the first step's k1 stage. At
+    b = 0 the exact flow takes no steps and returns 0.0.
     """
     if not span > 0.0:
         return 0.0
-    if kernel.kind == "constant":
+    if kernel.b == 0.0:
         # exact flow, pivoted about x[0] as in _force so consensus stays put
         dev = x - x[0]
-        x += (-math.expm1(-kernel.coef[0] * span)) * (dev.sum(axis=0) / x.shape[0] - dev)
+        x += (-math.expm1(-kernel.a * span)) * (dev.sum(axis=0) / x.shape[0] - dev)
         return 0.0
     # a span below h is one step of that span: n_full = 0 and rem = span
     h = min(step_max, _RK4_REAL_STABILITY / (2.0 * kernel.psi_max))
@@ -222,11 +222,11 @@ def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
     """The state at t_end, reached by the flow from state.t with no arrivals
     inside; ``state`` is not changed.
 
-    A constant kernel takes its exact flow in one update, and step_max does
-    not enter. Any other kernel takes RK4 steps of step_max, capped at RK4's
-    real-axis stability limit 2.785 / (2 psi_max), with the final one
-    shortened to land exactly on t_end. A t_end before state.t is a contract
-    violation.
+    At b = 0, the constant kernel psi = a, the state takes the exact flow in
+    one update, and step_max does not enter. A kernel with b > 0 takes RK4
+    steps of step_max, capped at RK4's real-axis stability limit
+    2.785 / (2 psi_max), with the final one shortened to land exactly on
+    t_end. A t_end before state.t is a contract violation.
     """
     step_max, t_end = _number(step_max, "step_max", "> 0"), _number(t_end, "t_end")
     if t_end < state.t:
@@ -272,11 +272,12 @@ class SimConfig:
     ``record_grid`` as a tuple of floats: editing the array or list passed in
     later does not edit the config.
 
-    step_max is an upper bound on the RK4 step of a non-constant kernel: the
+    step_max is an upper bound on the RK4 step of a kernel with b > 0: the
     step taken is min(step_max, 2.785 / (2 psi_max)), RK4's real-axis
-    stability limit for the kernel. A constant kernel is advanced by its
-    exact flow and ignores step_max. Every run records the integral of the
-    dissipation D, whatever the config (``MomentSeries.d_integral``).
+    stability limit for the kernel. At b = 0, the constant kernel psi = a,
+    the run takes the exact flow and ignores step_max. Every run records the
+    integral of the dissipation D, whatever the config
+    (``MomentSeries.d_integral``).
     """
 
     dim: int
@@ -350,12 +351,13 @@ def _arrival_times(config: SimConfig, t_end: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Timeline:
     """The rows every run of a config shares: the columns ``event``, ``t``, ``k``
-    and ``n`` of ``MomentSeries``."""
+    and ``n`` of ``MomentSeries``, and the arrival times t_1..t_K they hold."""
 
     event: tuple[str, ...]
     t: np.ndarray
     k: np.ndarray
     n: np.ndarray
+    arrivals: np.ndarray
 
 
 def _timeline(config: SimConfig) -> _Timeline:
@@ -398,7 +400,7 @@ def _timeline_rows(arrivals: np.ndarray, record_grid, t_end: float, n0: int) -> 
     t[record] = grid
     k[record] = np.searchsorted(arrivals, grid)  # arrivals so far
     # a pre_jump row holds the index of the arrival about to join
-    return _Timeline(tuple(_EVENTS[code].tolist()), t, k, n0 + k - (code == 1))
+    return _Timeline(tuple(_EVENTS[code].tolist()), t, k, n0 + k - (code == 1), arrivals)
 
 
 class _ReplicaError(RuntimeError):
@@ -432,10 +434,9 @@ def _run_block(config: SimConfig, seeds) -> tuple[_Timeline, dict[str, np.ndarra
     runs on one BLAS thread (``kernels._one_blas_thread``).
     """
     tl = _timeline(config)
-    arrivals = tl.event.count("post_jump")
-    x_new = np.stack([_draw_incoming(config.source, np.random.default_rng(s), arrivals)
+    x_new = np.stack([_draw_incoming(config.source, np.random.default_rng(s), tl.arrivals.size)
                       for s in seeds])
-    engine = _constant_block if config.kernel.kind == "constant" else _particle_block
+    engine = _constant_block if config.kernel.b == 0.0 else _particle_block
     with _one_blas_thread():
         cols = engine(config, tl, x_new)
     cols["x_new"] = x_new
@@ -488,11 +489,11 @@ def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict
 
 
 def _constant_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict:
-    """The constant kernel's replicas at once, by whole-array prefix passes over
-    the arrivals (see the module docstring): m1 after each arrival from a
-    compensated prefix sum, each arrival's jump of nV, and nV at every row from
-    ``_decayed_sums``."""
-    c = config.kernel.coef[0]
+    """The replicas of a kernel with b = 0, the constant c = a, at once, by
+    whole-array prefix passes over the arrivals (see the module docstring): m1
+    after each arrival from a compensated prefix sum, each arrival's jump of
+    nV, and nV at every row from ``_decayed_sums``."""
+    c = config.kernel.a
     m = config.source.mean_vector
     replicas, arrivals, d = x_new.shape
     x0 = config.initial_opinions
@@ -514,10 +515,9 @@ def _constant_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict
     event, times = tl.event, tl.t.tolist()
     grid = [i for i in range(1, rows - 1) if event[i] == "record"]
     audits = [(turn % replicas, i) for turn, i in enumerate(grid)]
-    t_arrival = tl.t[np.flatnonzero(np.diff(tl.n)) + 1]
     for r, i in audits + [(r, rows - 1) for r in range(replicas)]:
         j = applied[i]
-        x = _opinions(c, times[i], offsets, m1_at[r, :j + 1], x_new[r, :j], t_arrival[:j])
+        x = _opinions(c, times[i], offsets, m1_at[r, :j + 1], x_new[r, :j], tl.arrivals[:j])
         _audit(config, times[i], r, x, m1[r, i], v[r, i])
 
     m2, w = v + _sq(m1), v + _sq(m1 - m)
@@ -569,8 +569,7 @@ def _decayed_sums(c: float, tl: _Timeline, s0: float, jumps: np.ndarray) -> np.n
     a span longer than that is a piece of its own that decays S directly.
     Every other row decays the S of its last arrival by e^{-2c (t - t_a)}."""
     replicas, arrivals = jumps.shape
-    t_at = np.zeros(arrivals + 1)
-    t_at[1:] = tl.t[np.flatnonzero(np.diff(tl.n)) + 1]
+    t_at = np.concatenate(([0.0], tl.arrivals))
     s = np.empty((replicas, arrivals + 1))
     s[:, 0] = s0
     lo, reach = 0, _PIECE / (2.0 * c)

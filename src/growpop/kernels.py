@@ -1,24 +1,23 @@
 """Interaction weights with certified global bounds.
 
 A kernel maps the distance r = |x_j - x_i| between two opinions to a positive
-coupling weight psi(r). Every instance carries its own infimum and supremum
-as certified metadata, so downstream bounds (condition sums, envelopes) never
-have to re-derive them: a future kernel family only needs to ship correct
-numbers here.
+coupling weight psi(r). The one built-in formula is
 
-Two families are built in:
+    psi(r) = a + b / (1 + r^2),    a > 0, b >= 0,
 
-* ``constant``: psi(r) = c,
-* ``rational``: psi(r) = a + b / (1 + r^2), decaying from a+b toward a.
+decaying from psi_max = a + b at r = 0 toward psi_star = a. b = 0 is the
+constant kernel psi = a (``constant_kernel``); ``rational_kernel`` takes any
+b >= 0. The bounds are properties of (a, b), so downstream bounds (condition
+sums, envelopes) never have to re-derive them.
 
 The module also holds the one pass over the pairs of opinions, ``_force``,
-which gives the velocities and the dissipation together. The constant kernel's
-pass is O(N). For any other kernel the pass weighs each unordered pair once, in
-tiles of the upper triangle (``_pair_tiles``), and uses each weight in both
-directions, so the pair terms are antisymmetric by construction. A tile holds
-its rows of the pair matrix as columns, in one buffer: one Gram matrix product
-with k = d + 2 writes the squared distances, which ``eval_squared`` turns into
-weights in place. D is then an O(N) sum over the velocities, as d(m2)/dt.
+which gives the velocities and the dissipation together. At b = 0 the pass is
+O(N). For b > 0 the pass weighs each unordered pair once, in tiles of the
+upper triangle (``_pair_tiles``), and uses each weight in both directions, so
+the pair terms are antisymmetric by construction. A tile holds its rows of the
+pair matrix as columns, in one buffer: one Gram matrix product with k = d + 2
+writes the squared distances, which ``eval_squared`` turns into weights in
+place. D is then an O(N) sum over the velocities, as d(m2)/dt.
 """
 
 from __future__ import annotations
@@ -54,20 +53,23 @@ _TILE_ROWS = 128
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric coupling weight psi with certified bounds.
+    """Symmetric coupling weight psi(r) = a + b / (1 + r^2), a > 0, b >= 0;
+    b = 0 is the constant kernel psi = a.
 
-    Attributes
-    ----------
-    kind : "constant" or "rational"
-    coef : family coefficients, (c,) or (a, b)
-    psi_star : certified global infimum of psi on [0, inf)
-    psi_max : certified global supremum
+    ``psi_star`` = a and ``psi_max`` = a + b are its certified global infimum
+    and supremum on [0, inf).
     """
 
-    kind: str
-    coef: tuple[float, ...]
-    psi_star: float
-    psi_max: float
+    a: float
+    b: float
+
+    @property
+    def psi_star(self) -> float:
+        return self.a
+
+    @property
+    def psi_max(self) -> float:
+        return self.a + self.b
 
     def __call__(self, r):
         """psi at distance(s) r >= 0: scalars map to floats, arrays to arrays.
@@ -79,11 +81,7 @@ class Kernel:
         arr = np.asarray(r, dtype=float)
         if not (arr >= 0.0).all():  # written as not (>=) so NaN fails too
             raise ValueError("kernel distance must be a number >= 0")
-        if self.kind == "constant":
-            out = np.full_like(arr, self.coef[0])
-        else:
-            a, b = self.coef
-            out = a + b / (1.0 + arr * arr)
+        out = self.a + self.b / (1.0 + arr * arr)
         if arr.ndim == 0:
             return float(out)
         return out
@@ -91,27 +89,18 @@ class Kernel:
     def eval_squared(self, r2, out=None):
         """psi evaluated at distance sqrt(r2); skips the square root.
 
-        Both built-in families depend on the distance only through its
-        square, so pairwise force loops can feed squared distances directly.
-        With ``out``, an array of r2's shape, the weights are written into it
-        and it is returned; ``out`` may be r2 itself, which the weights then
-        overwrite. The rational family's operations run in the same order, a +
-        b / (1 + r2), so either way gives the same bits.
+        psi depends on the distance only through its square, so pairwise
+        force loops can feed squared distances directly. With ``out``, an
+        array of r2's shape, the weights are written into it and it is
+        returned; ``out`` may be r2 itself, which the weights then overwrite.
+        The operations run in the same order, a + b / (1 + r2), so either way
+        gives the same bits.
         """
-        if self.kind == "constant":
-            c = self.coef[0]
-            if out is not None:
-                out.fill(c)
-                return out
-            if np.isscalar(r2):
-                return c
-            return np.full_like(np.asarray(r2, dtype=float), c)
-        a, b = self.coef
         if out is None:
-            return a + b / (1.0 + r2)
+            return self.a + self.b / (1.0 + r2)
         np.add(1.0, r2, out=out)
-        np.divide(b, out, out=out)
-        return np.add(a, out, out=out)
+        np.divide(self.b, out, out=out)
+        return np.add(self.a, out, out=out)
 
 
 def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
@@ -123,11 +112,11 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
     pass's D of x[:old] bit for bit (else None); ``old`` changes nothing else.
 
     Both work on y = x - x[0], so exact consensus (y = 0) is a fixed point with
-    D = 0. The constant kernel's velocities are c (m1 - x_i) and its D is -2cV,
-    O(N). Any other kernel takes row i of the velocities as ((W y)_i - (sum_j
-    W_ij) y_i) / N. A tile of ``_pair_tiles`` holds the pair-matrix rows [lo,
-    hi) as its nr columns, against the rows [lo, N), so each weight is
-    computed once and used in both directions. The Gram operand left = [|y|^2,
+    D = 0. At b = 0 the velocities are a (m1 - x_i) and D is -2aV, O(N).
+    Otherwise row i of the velocities is ((W y)_i - (sum_j W_ij) y_i) / N. A
+    tile of ``_pair_tiles`` holds the pair-matrix rows [lo, hi) as its nr
+    columns, against the rows [lo, N), so each weight is computed once and
+    used in both directions. The Gram operand left = [|y|^2,
     1, y] holds [1 | y] as its last d + 1 columns: ``w.T @ left[lo:, 1:]``
     gives the row sums and W y for the tile's rows, and ``w[nr:] @ left[lo:hi,
     1:]`` the mirrored terms for rows hi..N. D is d(m2)/dt along the flow,
@@ -138,12 +127,12 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
     2 weights, in O(N * tile) memory.
     """
     n = x.shape[0]
-    if kernel.kind == "constant":
+    if kernel.b == 0.0:
         dev = x - x[0]
         towards_mean = dev.sum(axis=0) / n - dev
-        c = kernel.coef[0]
+        a = kernel.a
         d_old = None if old is None else _force(x[:old], kernel)[1]
-        return c * towards_mean, -2.0 * c * float(np.vdot(towards_mean, towards_mean)) / n, d_old
+        return a * towards_mean, -2.0 * a * float(np.vdot(towards_mean, towards_mean)) / n, d_old
     # sum_j w_ij (y_j - y_i) = (W y)_i - (sum_j w_ij) y_i
     left, right = _gram_operands(x)
     one_y, y = left[:, 1:], left[:, 2:]
@@ -272,12 +261,12 @@ def _one_blas_thread():
 
 
 def constant_kernel(c: float) -> Kernel:
-    """Distance-independent coupling psi(r) = c, c > 0."""
-    c = _number(c, "c", "> 0")
-    return Kernel(kind="constant", coef=(c,), psi_star=c, psi_max=c)
+    """Distance-independent coupling psi(r) = c, c > 0: the formula at a = c,
+    b = 0."""
+    return Kernel(_number(c, "c", "> 0"), 0.0)
 
 
 def rational_kernel(a: float, b: float) -> Kernel:
-    """Decaying coupling psi(r) = a + b/(1 + r^2) with floor a > 0, b >= 0."""
-    a, b = _number(a, "a", "> 0"), _number(b, "b", ">= 0")
-    return Kernel(kind="rational", coef=(a, b), psi_star=a, psi_max=a + b)
+    """Decaying coupling psi(r) = a + b/(1 + r^2) with floor a > 0, b >= 0;
+    b = 0 gives ``constant_kernel(a)``."""
+    return Kernel(_number(a, "a", "> 0"), _number(b, "b", ">= 0"))

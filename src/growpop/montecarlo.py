@@ -5,9 +5,9 @@ ensemble is a set of runs of one SimConfig under seeds derived from a master
 seed by a counter-mixing construction (SplitMix64 finalizer over a Weyl
 sequence): distinct run indices and distinct master seeds can never collide.
 Runs go to the engine in blocks of consecutive run indices: one block in
-this process for the constant kernel, one block per worker process for any
-other. A failure names the run index and seed of its replica, or, when a
-worker dies, those of its block.
+this process for a kernel with b = 0, the constant kernel, one block per
+worker process for b > 0. A failure names the run index and seed of its
+replica, or, when a worker dies, those of its block.
 
 All runs of a config share the record timeline exactly (the schedule and the
 record grid are deterministic), so per-row sample means and standard errors
@@ -15,7 +15,7 @@ are well defined. Aggregation order is by run index regardless of worker
 count, which makes ensemble output bit-identical for any level of
 parallelism.
 
-For a constant kernel, ``expected_moments`` gives the exact expectations that
+For a kernel with b = 0, ``expected_moments`` gives the exact expectations that
 an ensemble's ``mean_v`` and ``mean_w`` estimate, row by row, with no
 sampling.
 """
@@ -131,11 +131,11 @@ def run_ensemble(config: SimConfig, runs: int, master_seed: int,
                  workers: int = 1) -> EnsembleStats:
     """Run ``runs`` independent replicas and aggregate moment statistics.
 
-    Replica i uses seed derive_run_seed(master_seed, i). A constant kernel's
-    replicas run as one block in this process, whatever ``workers``; any other
-    kernel's are cut into blocks of ceil(runs / workers) consecutive run
-    indices, each run by one call of the block engine, in a process of its own
-    when there is more than one block. Results are reduced in run-index order,
+    Replica i uses seed derive_run_seed(master_seed, i). At b = 0, the
+    constant kernel, the replicas run as one block in this process, whatever
+    ``workers``; at b > 0 they are cut into blocks of ceil(runs / workers)
+    consecutive run indices, each run by one call of the block engine, in a
+    process of its own when there is more than one block. Results are reduced in run-index order,
     and a replica's result does not depend on its block, so the statistics do
     not depend on the worker count.
     """
@@ -143,9 +143,9 @@ def run_ensemble(config: SimConfig, runs: int, master_seed: int,
     workers = _integer(workers, "workers", 1)
 
     seeds = [derive_run_seed(master_seed, i) for i in range(runs)]
-    # the constant kernel's engine does O(d) work per replica and event, less
-    # than a worker process costs to start, so its runs stay in one block here
-    size = runs if config.kernel.kind == "constant" else math.ceil(runs / workers)
+    # the exact engine of b = 0 does O(d) work per replica and event, less than
+    # a worker process costs to start, so its runs stay in one block here
+    size = runs if config.kernel.b == 0.0 else math.ceil(runs / workers)
     tasks = [(config, i, seeds[i:i + size]) for i in range(0, runs, size)]
     timelines, *blocks = zip(*_blocks(tasks, workers))
     # every block runs the same config, and the timeline is a function of it
@@ -204,7 +204,8 @@ def ensemble_statistic(stats: EnsembleStats, which: str, at_k: int) -> tuple[flo
 
 def expected_moments(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Exact E V and E W over the arrival draws, on the rows that
-    ``run_simulation(config, seed)`` writes, for a constant kernel c.
+    ``run_simulation(config, seed)`` writes, for a kernel with b = 0, the
+    constant c = a.
 
     S = nV, the sum of squared deviations, follows the engine's recursion
     (``dynamics``), and each step is linear in S with a new opinion x drawn
@@ -222,11 +223,11 @@ def expected_moments(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     jumps are these expected ones, so a row before the first arrival holds the
     engine's V bit for bit. sigma2 = E|x - m|^2 is the
     source's covariance trace for every family.
-    Any other kernel raises ValueError.
+    A kernel with b > 0 raises ValueError.
     """
-    if config.kernel.kind != "constant":
-        raise ValueError(f"exact expectations need a constant kernel, got {config.kernel.kind!r}")
-    c = config.kernel.coef[0]
+    if config.kernel.b != 0.0:
+        raise ValueError(f"exact expectations need a constant kernel, got b = {config.kernel.b!r}")
+    c = config.kernel.a
     sigma2 = config.source.sigma2
     x0 = config.initial_opinions
     n0 = x0.shape[0]

@@ -164,11 +164,11 @@ def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
     """D = -(1/N^2) sum_ij psi(|x_j - x_i|) |x_j - x_i|^2 of the opinions x (N, d).
 
     It is the D of the force pass, ``kernels._force``, which a run of a
-    non-constant kernel makes at every row and RK4 stage, so such a run's D
-    equals this of the same opinions bit for bit. A constant kernel's D is
-    -2cV, O(N); any other kernel's is d(m2)/dt over the velocities of a pass
-    over tiles of pair weights, each pair's weight computed once: N^2 / 2
-    weights, O(N * tile) memory.
+    kernel with b > 0 makes at every row and RK4 stage, so such a run's D
+    equals this of the same opinions bit for bit. At b = 0 D is -2aV, O(N);
+    for b > 0 it is d(m2)/dt over the velocities of a pass over tiles of pair
+    weights, each pair's weight computed once: N^2 / 2 weights, O(N * tile)
+    memory.
     """
     with _one_blas_thread():
         return _force(np.asarray(x, dtype=float), kernel)[1]

@@ -202,7 +202,7 @@ def test_mean_conservation_between_arrivals(kernel):
     m1_0 = series.rows[0].record.m1
     drift = max(float(np.abs(row.record.m1 - m1_0).max()) for row in series.rows)
     ok = drift <= 1e-9
-    _line(f"mean conservation ({kernel.kind})", ok,
+    _line(f"mean conservation (a = {kernel.a:g}, b = {kernel.b:g})", ok,
           f"max |m1 drift| {drift:.2e} over length-10 interval, N={n}")
     assert drift <= 1e-9
 
@@ -358,7 +358,7 @@ def test_variance_envelope_domination(regime_ensembles):
     # at most (sigma2 + e_{k-1}) / (n0 + k), below (sigma2 + max e) / k, with
     # e = E|m1 - m|^2 = E W - E V
     spec = gp.EnvelopeSpec(
-        decay_rate=2.0 * config.kernel.coef[0],
+        decay_rate=2.0 * config.kernel.a,
         y0=v[0],
         jump_bound=gp.HarmonicScaled(c=sigma2 + float(np.max(w - v))),
     )

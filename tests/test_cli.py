@@ -61,7 +61,7 @@ class TestLoadConfig:
     def test_full_round_trip(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         assert cfg.sim.dim == 1
-        assert cfg.sim.kernel.kind == "constant"
+        assert cfg.sim.kernel == constant_kernel(1.0)
         assert cfg.sim.schedule.alpha == 0.5
         assert cfg.runs == 4 and cfg.master_seed == 17
         np.testing.assert_array_equal(cfg.sim.initial_opinions,
@@ -231,6 +231,7 @@ class TestFieldTypes:
         (EXPLICIT_JUMPS, "envelope.jump.values", [0.5, -0.1]),
         (FULL_CONFIG, "conditions.lambdas", [0.5, -1.0]),
         (FULL_CONFIG, "conditions.n_max", 9),
+        (FULL_CONFIG, "envelope.n", [0, 5]),
     ]])
     def test_out_of_range_field_is_named(self, tmp_path, base, path, value):
         assert load_spec(tmp_path, base)
@@ -601,6 +602,17 @@ class TestDispatch:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "# seed=17"
         assert lines[1] == "t,mean_w,stderr_w,mean_v,stderr_v,mean_m1_dev,stderr_m1_dev"
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_rational_kernel_at_b_0_writes_the_constant_kernels_csv(self, tmp_path, command):
+        # b = 0 is the constant kernel, so it takes the same exact flow
+        outs = []
+        for kernel in ({"type": "constant", "c": 0.8}, {"type": "rational", "a": 0.8, "b": 0}):
+            path = write_config(tmp_path, kernel=kernel, max_agents=40,
+                                record_grid={"type": "geometric", "t_first": 0.1, "points": 16})
+            outs.append(tmp_path / f"{kernel['type']}.csv")
+            assert cmd_dispatch([command, "--config", path, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_ensemble_worker_flag_beats_config(self, tmp_path, capsys):
         path = write_config(tmp_path, workers=0)

@@ -64,11 +64,7 @@ def exact_force(x, kernel):
     xl = np.asarray(x, dtype=np.longdouble)
     diff = xl[None, :, :] - xl[:, None, :]
     r2 = (diff * diff).sum(axis=2)
-    if kernel.kind == "constant":
-        w = np.full_like(r2, kernel.coef[0])
-    else:
-        a, b = kernel.coef
-        w = a + b / (1 + r2)
+    w = kernel.a + kernel.b / (1 + r2)
     n = xl.shape[0]
     return (w[:, :, None] * diff).sum(axis=1) / n, -(w * r2).sum() / (n * n)
 
@@ -565,6 +561,7 @@ class TestRunSimulation:
         for name in ("t", "k", "n"):
             col = getattr(tl, name)
             assert col.dtype == ref[name].dtype and col.tobytes() == ref[name].tobytes(), name
+        assert tl.arrivals.tobytes() == np.array(arrivals, dtype=float).tobytes()
 
     def test_arrivals_beyond_memory_rejected_at_once(self):
         # alpha 1, horizon 44: about 1.3e19 arrivals, more than any address space
@@ -651,7 +648,7 @@ def recursion_reference(config, series):
     recursion in plain floats, row by row: a span multiplies nV by e^{-2c tau},
     an arrival x to n agents adds n |x - m1|^2 / (n + 1) and moves m1 by
     (x - m1) / (n + 1)."""
-    c, x0 = config.kernel.coef[0], config.initial_opinions
+    c, x0 = config.kernel.a, config.initial_opinions
     dev = x0 - x0[0]
     offsets = dev - dev.sum(axis=0) / len(x0)
     m1 = x0[0] + dev.sum(axis=0) / len(x0)
@@ -676,7 +673,7 @@ def exact_v(config, series):
     arithmetic, rounded once to float."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        c = Decimal(config.kernel.coef[0])
+        c = Decimal(config.kernel.a)
         points = [[Decimal(x) for x in row] for row in config.initial_opinions]
         n = len(points)
         m1 = [sum(col) / n for col in zip(*points)]
@@ -988,7 +985,8 @@ class TestParticleEngine:
         tl = dynamics._Timeline(
             event=("record", "record", "record", "pre_jump", "post_jump", "record", "record"),
             t=np.array([0.0, 0.3, 0.3, 0.6, 0.6, 0.6, 0.9]),
-            k=np.array([0, 0, 0, 1, 1, 1, 1]), n=np.array([2, 2, 2, 2, 3, 3, 3]))
+            k=np.array([0, 0, 0, 1, 1, 1, 1]), n=np.array([2, 2, 2, 2, 3, 3, 3]),
+            arrivals=np.array([0.6]))
         x_new = np.array([[[1.0, -1.0]]])
         dis = dynamics._particle_block(config, tl, x_new)["dissipation"][0]
         state = state_of(config.initial_opinions)

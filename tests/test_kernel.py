@@ -1,12 +1,13 @@
-"""Kernel families: values, certified bounds, config."""
+"""The kernel formula psi = a + b/(1 + r^2): values, certified bounds, config."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from growpop import constant_kernel, rational_kernel
+from growpop import Kernel, constant_kernel, rational_kernel
 from growpop.cli import ConfigError, load_config
 
 RNG = np.random.default_rng(20260301)
@@ -53,6 +54,10 @@ class TestRationalKernel:
         k = rational_kernel(0.8, 0.0)
         r = RNG.uniform(0.0, 10.0, size=50)
         np.testing.assert_array_equal(k(r), np.full(50, 0.8))
+
+    def test_zero_b_is_the_constant_kernel(self):
+        assert rational_kernel(0.8, 0.0) == constant_kernel(0.8)
+        assert [f.name for f in dataclasses.fields(Kernel)] == ["a", "b"]
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-0.1, 1.0), (1.0, -0.5),
                                      (math.nan, 1.0), (1.0, math.inf)])

@@ -473,6 +473,12 @@ class TestExpectedMoments:
         before = series.n == 2
         np.testing.assert_array_equal(v[before], series.v[before])
 
+    def test_rational_kernel_at_b_0_is_the_constant_kernel(self):
+        want = expected_moments(ensemble_config(kernel=constant_kernel(0.8)))
+        got = expected_moments(ensemble_config(kernel=rational_kernel(0.8, 0.0)))
+        for a, b in zip(want, got):
+            assert a.tobytes() == b.tobytes()
+
     def test_other_kernels_are_refused(self):
         with pytest.raises(ValueError, match="constant kernel"):
             expected_moments(ensemble_config(kernel=rational_kernel(0.5, 0.5)))
