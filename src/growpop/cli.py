@@ -31,7 +31,7 @@ from .analysis import (
     ExplicitJumps,
     HarmonicScaled,
     condition_sum,
-    envelope_bound,
+    _condition_sums,
     _conditions_table,
 )
 from .dynamics import (
@@ -523,7 +523,10 @@ def _cmd_envelope(args) -> int:
     if ns is None:
         ns = tuple(int(n) for n in np.unique(np.geomspace(10, 1000, 10).astype(int)))
 
-    rows = [(n, injection_time(schedule, n), envelope_bound(spec, schedule, n)) for n in ns]
+    # one table over the distinct n in increasing order, read back per request
+    grid, at = np.unique(np.array(ns), return_inverse=True)
+    bounds = _condition_sums((spec.decay_rate,), schedule, grid, spec.jump_bound, spec.y0)[0, at]
+    rows = [(n, injection_time(schedule, n), float(b)) for n, b in zip(ns, bounds)]
     print("%8s  %18s  %18s" % ("n", "t_n", "bound"))
     for n, t_n, b in rows:
         print("%8d  %18.12g  %18.12g" % (n, t_n, b))

@@ -69,19 +69,24 @@ than 1e-12 max(1, max |x|), or a V by more than 1e-12 relative with a floor of
 replica.
 
 A kernel with b > 0 runs on the opinions themselves, replica after replica, in
-one buffer of the final population: each arrival is written into the next
-free row, and the rows present are advanced in place between events by
-classical Runge-Kutta 4 at a fixed step, the last one shortened to land
-exactly on the endpoint. The step is step_max, capped at RK4's real-axis
-stability limit for the kernel's certified psi_max. Every RK4 stage is one
-pass of ``kernels._force`` over the pair weights, which gives the velocities
-and the dissipation D together. The pass computes each pair's weight once, in
+one coordinate-major buffer (d, N) of the final population: each arrival is
+written into the next free column, and the (d, n) prefix of the agents
+present is advanced in place between events by classical Runge-Kutta 4 at a
+fixed step, the last one shortened to land exactly on the endpoint. Every
+O(N) sweep, of the force pass and of a row's moments, so runs along
+contiguous rows of length n; each sum over agents runs along a row or over a
+fresh array, so the prefix view gives the bits of a contiguous copy. The
+step is step_max, capped at RK4's real-axis stability limit for the
+kernel's certified psi_max. Every RK4 stage is one pass of ``kernels._force``
+over the pair weights, which gives the velocities and the dissipation D
+together. The pass computes each pair's weight once, in
 tiles of the upper triangle that hold their rows of the pair matrix as
 columns, and uses it in both directions: about N^2 / 2 weights and three
 matrix products per tile, one Gram product with k = d + 2 for the squared
-distances, which become the weights in place, and two for the velocities, in
-O(N * tile) memory. D is d(m2)/dt, (2/N) sum_i (x_i - m1) . v_i, an O(N) sum
-over the velocities. A run, like every other entry point that makes passes,
+distances, which become the weights in place, and two for the velocities,
+whose right operand is the whole Gram operand of d + 2 columns, in O(N *
+tile) memory. D is d(m2)/dt, (2/N) sum_i (x_i - m1) . v_i, an O(N) sum over
+the velocities. A run, like every other entry point that makes passes,
 runs them on one BLAS thread.
 Simpson's rule over the stages gives each step's integral of D, which every
 run records (``d_integral``): the witness of the energy balance d(m2)/dt = D
@@ -96,6 +101,8 @@ which would cancel as the population tightens. ``dissipation_of`` is the D of
 the same pass, so each row's D equals ``dissipation_of`` of the row's opinions
 bit for bit.
 
+``rhs`` and ``integrate_interval``, the public step API, take and return
+opinions (N, d) and transpose at the boundary, one O(N) copy per call.
 ``integrate_interval`` takes one span on given opinions: the exact flow, in
 one O(N) update, at b = 0, and the RK4 steps otherwise. Its exact branch is
 not a second engine for runs: it is the particle reference that the tests
@@ -174,13 +181,14 @@ def rhs(state: SimState, kernel: Kernel) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("state.opinions must be a nonempty (N, d) array")
     with _one_blas_thread():
-        return _force(x, kernel)[0]
+        return _force(np.ascontiguousarray(x.T), kernel)[0].T
 
 
 def _rk4_step(x: np.ndarray, kernel: Kernel, h: float, first=None) -> float:
-    """Advance opinions in place by one RK4 step; returns the step's integral of
-    D, its four stage values weighted by Simpson's rule. ``first``, the
-    ``_force`` pass at x if the caller has made it, is the k1 stage."""
+    """Advance opinions x (d, N) in place by one RK4 step; returns the step's
+    integral of D, its four stage values weighted by Simpson's rule.
+    ``first``, the ``_force`` pass at x if the caller has made it, is the k1
+    stage."""
     k1, d1, _ = _force(x, kernel) if first is None else first
     k2, d2, _ = _force(x + (0.5 * h) * k1, kernel)
     k3, d3, _ = _force(x + (0.5 * h) * k2, kernel)
@@ -191,7 +199,7 @@ def _rk4_step(x: np.ndarray, kernel: Kernel, h: float, first=None) -> float:
 
 def _advance(x: np.ndarray, kernel: Kernel, span: float, step_max: float,
              first=None) -> float:
-    """Advances opinions x (N, d) in place by the flow over span >= 0, and
+    """Advances opinions x (d, N) in place by the flow over span >= 0, and
     returns the RK4 steps' integral of D over it. ``first``, the ``_force``
     pass at x if the caller has made it, is the first step's k1 stage. At
     b = 0 the exact flow takes no steps and returns 0.0.
@@ -199,9 +207,10 @@ def _advance(x: np.ndarray, kernel: Kernel, span: float, step_max: float,
     if not span > 0.0:
         return 0.0
     if kernel.b == 0.0:
-        # exact flow, pivoted about x[0] as in _force so consensus stays put
-        dev = x - x[0]
-        x += (-math.expm1(-kernel.a * span)) * (dev.sum(axis=0) / x.shape[0] - dev)
+        # exact flow, pivoted about x[:, 0] as in _force so consensus stays put
+        dev = x - x[:, :1]
+        towards_mean = dev.sum(axis=1, keepdims=True) / x.shape[1] - dev
+        x += (-math.expm1(-kernel.a * span)) * towards_mean
         return 0.0
     # a span below h is one step of that span: n_full = 0 and rem = span
     h = min(step_max, _RK4_REAL_STABILITY / (2.0 * kernel.psi_max))
@@ -231,10 +240,10 @@ def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
     step_max, t_end = _number(step_max, "step_max", "> 0"), _number(t_end, "t_end")
     if t_end < state.t:
         raise ContractViolationError(f"t_end={t_end} precedes state.t={state.t}")
-    x = np.array(state.opinions, dtype=float, order="C")
+    x = np.array(np.asarray(state.opinions, dtype=float).T, order="C")
     with _one_blas_thread():
         _advance(x, kernel, t_end - state.t, step_max)
-    return SimState(t=t_end, k=state.k, opinions=x, dim=state.dim)
+    return SimState(t=t_end, k=state.k, opinions=x.T, dim=state.dim)
 
 
 def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
@@ -445,8 +454,9 @@ def _run_block(config: SimConfig, seeds) -> tuple[_Timeline, dict[str, np.ndarra
 
 def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict:
     """Each replica on the opinions themselves, one after the other, in one
-    buffer of the final population: RK4 in place on the rows present between
-    events, arrival j written into the next free row.
+    buffer (d, N) of the final population: RK4 in place on the (d, n) prefix
+    of the agents present between events, arrival j written into the next
+    free column.
 
     A row's m1, m2, V and W come from its opinions, with the self-checks of
     ``compute_moments``. Its D comes from one ``_force`` pass at its
@@ -461,27 +471,27 @@ def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict
                 for name in ("m2", "v", "w", "dissipation", "d_integral"))
 
     times, agents, k = tl.t.tolist(), tl.n.tolist(), tl.k.tolist()
-    x = np.empty((agents[-1], config.dim))
+    x = np.empty((config.dim, agents[-1]))
     for r in range(replicas):
         dis = cols["dissipation"][r]
         try:
-            x[:agents[0]] = config.initial_opinions
+            x[:, :agents[0]] = config.initial_opinions.T
             t, q, first = 0.0, 0.0, None  # first: the pass at the last row's opinions
             for i in range(rows):
                 n = agents[i]
                 if tl.event[i] == "post_jump":
-                    x[n - 1] = x_new[r, k[i] - 1]
+                    x[:, n - 1] = x_new[r, k[i] - 1]
                 elif i:  # no span leads into the first row, at t = 0
-                    q, t = q + _advance(x[:n], kernel, times[i] - t, config.step_max,
+                    q, t = q + _advance(x[:, :n], kernel, times[i] - t, config.step_max,
                                         first), times[i]
                 cols["m1"][r, i], cols["m2"][r, i], cols["v"][r, i], cols["w"][r, i] = (
-                    _moments(x[:n], m))
+                    _moments(x[:, :n], m))
                 cols["d_integral"][r, i] = q
                 if tl.event[i] == "post_jump":
-                    first = _force(x[:n], kernel, agents[i - 1])
+                    first = _force(x[:, :n], kernel, agents[i - 1])
                     dis[i - 1], dis[i] = first[2], first[1]
                 elif tl.event[i] == "record":
-                    first = _force(x[:n], kernel)
+                    first = _force(x[:, :n], kernel)
                     dis[i] = first[1]
         except RuntimeError as err:
             raise _ReplicaError(r, str(err)) from err

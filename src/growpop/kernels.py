@@ -11,13 +11,20 @@ b >= 0. The bounds are properties of (a, b), so downstream bounds (condition
 sums, envelopes) never have to re-derive them.
 
 The module also holds the one pass over the pairs of opinions, ``_force``,
-which gives the velocities and the dissipation together. At b = 0 the pass is
-O(N). For b > 0 the pass weighs each unordered pair once, in tiles of the
-upper triangle (``_pair_tiles``), and uses each weight in both directions, so
-the pair terms are antisymmetric by construction. A tile holds its rows of the
-pair matrix as columns, in one buffer: one Gram matrix product with k = d + 2
-writes the squared distances, which ``eval_squared`` turns into weights in
-place. D is then an O(N) sum over the velocities, as d(m2)/dt.
+which gives the velocities and the dissipation together. It takes the
+opinions coordinate-major, (d, N), one row per coordinate, as the particle
+engine keeps them, and returns the velocities alike; the public entry points
+(``dynamics.rhs``, ``integrate_interval``, ``observables.compute_moments``
+and ``dissipation_of``) take and return (N, d) and transpose at the
+boundary. Every O(N) sweep thus runs along contiguous rows of length N. At
+b = 0 the pass is O(N). For b > 0 the pass weighs each unordered pair once,
+in tiles of the upper triangle (``_pair_tiles``), and uses each weight in
+both directions, so the pair terms are antisymmetric by construction. A tile
+holds its rows of the pair matrix as columns, in one buffer: one Gram matrix
+product with k = d + 2 writes the squared distances, which ``eval_squared``
+turns into weights in place. Two more products give the tile's pair sums;
+their right operand is the whole Gram operand [|y|^2, 1, y], four columns at
+d = 2. D is then an O(N) sum over the velocities, as d(m2)/dt.
 """
 
 from __future__ import annotations
@@ -57,11 +64,17 @@ class Kernel:
     b = 0 is the constant kernel psi = a.
 
     ``psi_star`` = a and ``psi_max`` = a + b are its certified global infimum
-    and supremum on [0, inf).
+    and supremum on [0, inf). Both fields are checked, and stored as floats,
+    when it is built: a non-finite or out-of-range one raises a ValueError
+    naming it.
     """
 
     a: float
     b: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", _number(self.a, "a", "> 0"))
+        object.__setattr__(self, "b", _number(self.b, "b", ">= 0"))
 
     @property
     def psi_star(self) -> float:
@@ -76,12 +89,14 @@ class Kernel:
 
         Negative and NaN distances are a domain error. The formula is
         written out here, apart from ``eval_squared``, so tests can use one to
-        check the other.
+        check the other. A distance whose square overflows to inf gives
+        a + b / inf = a, its value, with no warning.
         """
         arr = np.asarray(r, dtype=float)
         if not (arr >= 0.0).all():  # written as not (>=) so NaN fails too
             raise ValueError("kernel distance must be a number >= 0")
-        out = self.a + self.b / (1.0 + arr * arr)
+        with np.errstate(over="ignore"):
+            out = self.a + self.b / (1.0 + arr * arr)
         if arr.ndim == 0:
             return float(out)
         return out
@@ -105,78 +120,83 @@ class Kernel:
 
 def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
            ) -> tuple[np.ndarray, float, float | None]:
-    """The one pass over the pairs of opinions x (N, d): their velocities
-    (N, d) under the flow, dx_i/dt = (1/N) sum_j psi(|x_j - x_i|) (x_j - x_i),
-    and the dissipation D = -(1/N^2) sum_ij psi(|x_j - x_i|) |x_j - x_i|^2.
-    With ``old``, also the D of the first ``old`` agents alone, equal to this
-    pass's D of x[:old] bit for bit (else None); ``old`` changes nothing else.
+    """The one pass over the pairs of opinions x (d, N), one row per
+    coordinate: their velocities (d, N) under the flow, dx_i/dt = (1/N) sum_j
+    psi(|x_j - x_i|) (x_j - x_i), and the dissipation D = -(1/N^2) sum_ij
+    psi(|x_j - x_i|) |x_j - x_i|^2. With ``old``, also the D of the first
+    ``old`` agents alone, equal to this pass's D of x[:, :old] bit for bit
+    (else None); ``old`` changes nothing else. x may be a view with strided
+    rows, such as the prefix of a wider buffer: every sum over agents runs
+    along a row or over a fresh array, so it gives the bits of a contiguous
+    copy.
 
-    Both work on y = x - x[0], so exact consensus (y = 0) is a fixed point with
-    D = 0. At b = 0 the velocities are a (m1 - x_i) and D is -2aV, O(N).
-    Otherwise row i of the velocities is ((W y)_i - (sum_j W_ij) y_i) / N. A
+    Both work on y = x - x[:, 0], so exact consensus (y = 0) is a fixed point
+    with D = 0. At b = 0 the velocities are a (m1 - x_i) and D is -2aV, O(N).
+    Otherwise column i of the velocities is ((W y)_i - (sum_j W_ij) y_i) / N. A
     tile of ``_pair_tiles`` holds the pair-matrix rows [lo, hi) as its nr
     columns, against the rows [lo, N), so each weight is computed once and
-    used in both directions. The Gram operand left = [|y|^2,
-    1, y] holds [1 | y] as its last d + 1 columns: ``w.T @ left[lo:, 1:]``
-    gives the row sums and W y for the tile's rows, and ``w[nr:] @ left[lo:hi,
-    1:]`` the mirrored terms for rows hi..N. D is d(m2)/dt along the flow,
-    (2/N) sum_i (y_i - mean y) . v_i, an O(N) sum over the velocities
-    (``_velocities``). The old agents' [row sums | W y] are the same two
-    products over their own rows of each tile, ``w[:old - lo, :m]`` and
-    ``w[nr:old - lo]``, which are the tiles their own pass makes. That is N^2 /
-    2 weights, in O(N * tile) memory.
+    used in both directions. The pair sums take the whole Gram operand left =
+    [|y|^2, 1, y] (N, d + 2) as their right operand, ``acc`` = [W |y|^2 | row
+    sums of W | W y]: ``w.T @ left[lo:]`` gives the tile's rows, and ``w[nr:]
+    @ left[lo:hi]`` the mirrored terms for rows hi..N. Nothing reads the W
+    |y|^2 column; with four columns OpenBLAS's products run faster than with
+    the three that are read. D is d(m2)/dt along the flow, (2/N) sum_i (y_i -
+    mean y) . v_i, an O(N) sum over the velocities (``_velocities``). The old
+    agents' ``acc`` is the same two products over their own rows of each
+    tile, ``w[:old - lo, :m]`` and ``w[nr:old - lo]``, which are the tiles
+    their own pass makes. That is N^2 / 2 weights, in O(N * tile) memory.
     """
-    n = x.shape[0]
+    n = x.shape[1]
+    y = np.subtract(x, x[:, :1], order="C")
     if kernel.b == 0.0:
-        dev = x - x[0]
-        towards_mean = dev.sum(axis=0) / n - dev
+        towards_mean = y.sum(axis=1, keepdims=True) / n - y
         a = kernel.a
-        d_old = None if old is None else _force(x[:old], kernel)[1]
+        d_old = None if old is None else _force(x[:, :old], kernel)[1]
         return a * towards_mean, -2.0 * a * float(np.vdot(towards_mean, towards_mean)) / n, d_old
     # sum_j w_ij (y_j - y_i) = (W y)_i - (sum_j w_ij) y_i
     left, right = _gram_operands(x)
-    one_y, y = left[:, 1:], left[:, 2:]
-    acc = np.zeros(one_y.shape)  # [row sums of W | W y]
-    acc_old = None if old is None else np.zeros((old, one_y.shape[1]))
+    acc = np.zeros(left.shape)  # [W |y|^2 | row sums of W | W y]
+    acc_old = None if old is None else np.zeros((old, left.shape[1]))
     for rows, w in _pair_tiles(left, right, kernel):
         lo, hi = rows.start, rows.stop
         nr = hi - lo
-        acc[rows] += w.T @ one_y[lo:]
+        acc[rows] += w.T @ left[lo:]
         if hi < n:
-            acc[hi:] += w[nr:] @ one_y[rows]
+            acc[hi:] += w[nr:] @ left[rows]
         if old is not None and lo < old:
             # the old agents' part of the tile is the tile their own pass
             # makes, and takes the same products in the same order
             m = min(hi, old) - lo
-            acc_old[lo:lo + m] += w[:old - lo, :m].T @ one_y[lo:old]
+            acc_old[lo:lo + m] += w[:old - lo, :m].T @ left[lo:old]
             if hi < old:
-                acc_old[hi:] += w[nr:old - lo] @ one_y[rows]
+                acc_old[hi:] += w[nr:old - lo] @ left[rows]
     velocities, total = _velocities(acc, y)
-    return velocities, total, None if old is None else _velocities(acc_old, y[:old])[1]
+    return velocities, total, None if old is None else _velocities(acc_old, y[:, :old])[1]
 
 
 def _velocities(acc: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """The velocities (N, d) of the points y from their [row sums of W | W y]
-    ``acc``, and D = d(m2)/dt = (2/N) sum_i (y_i - mean y) . v_i. In exact
-    arithmetic the velocities sum to zero and this is -(1/N^2) sum_ij W_ij
-    |y_j - y_i|^2; taking y about its mean keeps D off the pivot."""
-    n = y.shape[0]
-    v = (acc[:, 1:] - acc[:, :1] * y) / n
-    return v, 2.0 * float(np.vdot(y - y.sum(axis=0) / n, v)) / n
+    """The velocities (d, N) of the points y (d, N) from their [W |y|^2 | row
+    sums of W | W y] ``acc`` (N, d + 2), and D = d(m2)/dt = (2/N) sum_i (y_i -
+    mean y) . v_i. In exact arithmetic the velocities sum to zero and this is
+    -(1/N^2) sum_ij W_ij |y_j - y_i|^2; taking y about its mean keeps D off
+    the pivot."""
+    n = y.shape[1]
+    v = (acc[:, 2:].T - acc[:, 1] * y) / n
+    return v, 2.0 * float(np.vdot(y - y.sum(axis=1, keepdims=True) / n, v)) / n
 
 
 def _gram_operands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram operands of the opinions x (N, d), pivoted to y = x - x[0]:
-    left = [|y|^2, 1, y] (N, d + 2) and right = [1; |y|^2; -2 y^T] (d + 2, N),
+    """The Gram operands of the opinions x (d, N), pivoted to y = x - x[:, 0]:
+    left = [|y|^2, 1, y^T] (N, d + 2) and right = [1; |y|^2; -2 y] (d + 2, N),
     so that left[j] @ right[:, i] is |y_j - y_i|^2."""
-    n, d = x.shape
+    d, n = x.shape
     left, right = np.empty((n, d + 2)), np.empty((d + 2, n))
-    y = np.subtract(x, x[0], out=left[:, 2:])
+    y = np.subtract(x, x[:, :1], out=right[2:])
+    left[:, 2:] = y.T
     left[:, 1] = right[0] = 1.0
-    # right[2:] holds the squares until -2 y^T replaces them
-    np.add.reduce(np.square(y.T, out=right[2:]), axis=0, out=right[1])
+    np.add.reduce(y * y, axis=0, out=right[1])
     left[:, 0] = right[1]
-    np.multiply(y.T, -2.0, out=right[2:])
+    y *= -2.0
     return left, right
 
 
@@ -269,4 +289,4 @@ def constant_kernel(c: float) -> Kernel:
 def rational_kernel(a: float, b: float) -> Kernel:
     """Decaying coupling psi(r) = a + b/(1 + r^2) with floor a > 0, b >= 0;
     b = 0 gives ``constant_kernel(a)``."""
-    return Kernel(_number(a, "a", "> 0"), _number(b, "b", ">= 0"))
+    return Kernel(a, b)

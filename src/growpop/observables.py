@@ -127,27 +127,31 @@ def compute_moments(state, kernel: Kernel, m) -> MomentRecord:
     raises too.
 
     The mean is computed pivot-subtracted (about opinions[0]) so that an
-    exactly coincident population yields exactly V = 0.
+    exactly coincident population yields exactly V = 0. The opinions (N, d)
+    are taken as one coordinate-major copy (d, N), the layout of the particle
+    engine, whose rows give the same moments bit for bit.
     """
     x = np.asarray(state.opinions, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("state.opinions must be a nonempty (N, d) array")
-    m1, m2, v, w = _moments(x, np.asarray(m, dtype=float))
+    m1, m2, v, w = _moments(np.ascontiguousarray(x.T), np.asarray(m, dtype=float))
     return MomentRecord(t=float(state.t), n=x.shape[0], m1=m1, m2=m2, v=v, w=w,
                         dissipation=dissipation_of(x, kernel))
 
 
 def _moments(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """m1, m2, V and W of the opinions x (N, d) about the target m, with the
-    self-checks of ``compute_moments``."""
-    n = x.shape[0]
-    dev = x - x[0]
-    m1 = x[0] + dev.sum(axis=0) / n
-    m2 = float(np.einsum("ij,ij->", x, x)) / n
-    cen = x - m1
-    v = float(np.einsum("ij,ij->", cen, cen)) / n
-    off = x - m
-    w = float(np.einsum("ij,ij->", off, off)) / n
+    """m1, m2, V and W of the opinions x (d, N) about the target m, with the
+    self-checks of ``compute_moments``. x may be a view with strided rows: m1
+    sums along rows, and ``np.vdot`` takes its operands in C order, copying a
+    strided one, so each gives the bits of a contiguous copy."""
+    n = x.shape[1]
+    dev = np.subtract(x, x[:, :1], order="C")
+    m1 = x[:, 0] + dev.sum(axis=1) / n
+    m2 = float(np.vdot(x, x)) / n
+    cen = x - m1[:, None]
+    v = float(np.vdot(cen, cen)) / n
+    off = x - m[:, None]
+    w = float(np.vdot(off, off)) / n
 
     scale = max(1.0, abs(m2))
     # written as not (<=) so that a nan residual fails the check
@@ -161,7 +165,8 @@ def _moments(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float, float, fl
 
 
 def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
-    """D = -(1/N^2) sum_ij psi(|x_j - x_i|) |x_j - x_i|^2 of the opinions x (N, d).
+    """D = -(1/N^2) sum_ij psi(|x_j - x_i|) |x_j - x_i|^2 of the opinions x (N, d),
+    taken as one coordinate-major copy (d, N).
 
     It is the D of the force pass, ``kernels._force``, which a run of a
     kernel with b > 0 makes at every row and RK4 stage, so such a run's D
@@ -171,7 +176,7 @@ def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
     memory.
     """
     with _one_blas_thread():
-        return _force(np.asarray(x, dtype=float), kernel)[1]
+        return _force(np.ascontiguousarray(np.asarray(x, dtype=float).T), kernel)[1]
 
 
 class JumpPrediction(NamedTuple):

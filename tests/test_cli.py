@@ -498,17 +498,21 @@ class TestCsvEmission:
 
 class TestDispatch:
     def test_envelope_t_n_is_the_time_its_bound_used(self, tmp_path, monkeypatch):
-        # every bound's chunk of times, as the condition-sum pass reads it; each
-        # n is below one chunk, so a chunk ends at the bound's t_n
+        # the bounds of every n, asked for in any order and with repeats, come
+        # from one condition-sum pass; every n is below one chunk, so the pass
+        # reads one chunk of times, and each row's t_n is the time its bound
+        # used. Each bound is within a few ulps of its own envelope_bound pass:
+        # the table carries a total from one n to the next, one rounding each
         read = []
 
         def recorded(schedule, lo, hi):
             t = schedules._times(schedule, lo, hi)
-            read.append(float(t[-1]))
+            read.append((lo, t))
             return t
 
         monkeypatch.setattr(analysis, "_times", recorded)
         ns = list(range(1, 1991, 7))
+        ns = ns[::-1] + ns[5:9]
         path = write_config(tmp_path, schedule={"type": "power_exp", "alpha": 1.5, "n0": 10},
                             initial_opinions=None, max_agents=2000,
                             envelope={"y0": 1.0, "lambda": 0.7, "n": ns})
@@ -516,7 +520,14 @@ class TestDispatch:
         assert cmd_dispatch(["envelope", "--config", path, "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [int(row[0]) for row in rows] == ns
-        assert [float(row[1]) for row in rows] == read
+        assert len(read) == 1 and read[0][0] == 0
+        assert [float(row[1]) for row in rows] == [float(read[0][1][n - 1]) for n in ns]
+        monkeypatch.undo()
+        spec = load_config(path).envelope.spec
+        schedule = load_config(path).sim.schedule
+        for n, row in zip(ns, rows):
+            want = growpop.envelope_bound(spec, schedule, n)
+            assert abs(float(row[2]) - want) <= 1e-14 * want, n
 
     def test_horizon_past_2_53_arrivals_exits_at_once(self, tmp_path):
         # about 2.7e43 arrivals up to t = 100, where consecutive times tie

@@ -123,7 +123,7 @@ class TestForceField:
         eps = np.finfo(float).eps
         for d in (1, 2, 3):
             x = RNG.normal(0.0, 1.0, size=(n, d))
-            left, right = _gram_operands(x)
+            left, right = _gram_operands(x.T)
             wts, d2s = np.full((n, n), np.nan), np.full((n, n), np.nan)
             for rows, w in _pair_tiles(left, right, kernel):
                 d2 = left[rows.start:] @ right[:, rows]
@@ -141,7 +141,7 @@ class TestForceField:
             terms = wts[:, :, None] * (x[None, :, :] - x[:, None, :])
             assert np.array_equal(terms, -np.transpose(terms, (1, 0, 2))), d
             consensus = np.tile(x[1], (n, 1))
-            for _, w in _pair_tiles(*_gram_operands(consensus), kernel):
+            for _, w in _pair_tiles(*_gram_operands(consensus.T), kernel):
                 assert (w == kernel.psi_max).all(), d
 
     def test_force_pass_evaluates_each_pair_once(self, monkeypatch):
@@ -157,7 +157,7 @@ class TestForceField:
             return evaluate(self, r2, out)
 
         monkeypatch.setattr(Kernel, "eval_squared", counted)
-        _force(RNG.normal(size=(n, 2)), rational_kernel(0.5, 0.5))
+        _force(RNG.normal(size=(n, 2)).T, rational_kernel(0.5, 0.5))
         want = sum(min(_TILE_ROWS, n - lo) * (n - lo) for lo in range(0, n, _TILE_ROWS))
         assert len(sizes) == len(range(0, n, _TILE_ROWS)) and sum(sizes) == want
         assert want < 0.5 * n * (n + _TILE_ROWS)
@@ -173,7 +173,7 @@ class TestForceField:
         x = RNG.normal(0.0, 2.0, size=(n, d))
         want = exact_force(x, kernel)[1]
         for old in sorted({1, n // 2, n - 1, _TILE_ROWS} & set(range(1, n))):
-            _, d_all, d_old = _force(x, kernel, old)
+            _, d_all, d_old = _force(x.T, kernel, old)
             assert abs(d_all - want) <= 1e-13 * abs(want)
             d_old_want = exact_force(x[:old], kernel)[1]
             assert abs(d_old - d_old_want) <= 1e-13 * abs(d_old_want)
@@ -185,7 +185,7 @@ class TestForceField:
         kernel = rational_kernel(0.5, 0.5)
         x = RNG.normal(0.0, 2.0, size=(n, d))
         for old in sorted({1, n // 2, n - 1, _TILE_ROWS} & set(range(1, n))):
-            _, d_all, d_old = _force(x, kernel, old)
+            _, d_all, d_old = _force(x.T, kernel, old)
             assert d_all == dissipation_of(x, kernel)
             assert d_old == dissipation_of(x[:old], kernel)
 
@@ -203,8 +203,8 @@ class TestForceField:
         x[0] = (offset, 0.0)
         v_want, d_want = exact_force(x, kernel)
         for old in (None, n // 2, _TILE_ROWS + 1):
-            v, d_all, d_old = _force(x, kernel, old)
-            assert np.abs(v - v_want).max() <= 1e-11 * np.abs(v_want).max()
+            v, d_all, d_old = _force(x.T, kernel, old)
+            assert np.abs(v.T - v_want).max() <= 1e-11 * np.abs(v_want).max()
             assert abs(d_all - d_want) <= 1e-14 * abs(d_want)
             if old is not None:
                 d_old_want = exact_force(x[:old], kernel)[1]
@@ -221,11 +221,33 @@ class TestForceField:
         n = 2 * _TILE_ROWS + 3
         x = np.random.default_rng(29).normal(0.0, spread, size=(n, 2))
         x[-1] = (30.0, -30.0)
-        v, d_all, d_pre = _force(x, kernel, n - 1)
-        assert np.array_equal(v, _force(x, kernel)[0])
+        v, d_all, d_pre = _force(x.T, kernel, n - 1)
+        assert np.array_equal(v, _force(x.T, kernel)[0])
         for got, want in ((d_all, exact_force(x, kernel)[1]),
                           (d_pre, exact_force(x[:-1], kernel)[1])):
             assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
+    @pytest.mark.parametrize("maker", [lambda: constant_kernel(0.8),
+                                       lambda: rational_kernel(0.5, 0.5)])
+    def test_stride_independent_on_a_prefix_view(self, n, d, maker):
+        # the engine keeps its opinions in the (d, n) prefix of a (d, N_final)
+        # buffer, and the public entry points pass contiguous copies: every
+        # sum over agents must give the same bits on both, so that a run's
+        # rows equal compute_moments and dissipation_of of its opinions.
+        # Buffers of odd and even widths shift every row but the first
+        kernel = maker()
+        m = RNG.normal(0.0, 1.0, size=d)
+        for extra in (1, 2, 7):
+            buf = np.full((d, n + extra), np.nan)
+            buf[:, :n] = RNG.normal(0.5, 2.0, size=(d, n))
+            view, copy = buf[:, :n], np.ascontiguousarray(buf[:, :n])
+            got, want = observables._moments(view, m), observables._moments(copy, m)
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:], extra
+            for old in [None] + sorted({1, n // 2, n - 1, _TILE_ROWS} & set(range(1, n))):
+                got, want = _force(view, kernel, old), _force(copy, kernel, old)
+                assert got[0].tobytes() == want[0].tobytes(), (extra, old)
+                assert got[1:] == want[1:], (extra, old)
 
     @pytest.mark.parametrize("n,d", TILE_EDGE_SHAPES)
     def test_velocity_sum_near_zero(self, n, d):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,24 @@ class TestRationalKernel:
             rational_kernel(a, b)
 
 
+class TestKernelChecksItself:
+    # a kernel built directly, not through a factory, is checked too: an a
+    # below zero would grow V without bound, a negative b would make the RK4
+    # step cap negative, and a nan a would give a nan psi_star
+    @pytest.mark.parametrize("a,b,field", [(-1.0, 0.0, "a"), (0.0, 1.0, "a"),
+                                           (math.nan, 0.0, "a"), (math.inf, 0.0, "a"),
+                                           (1.0, -2.0, "b"), (1.0, math.nan, "b"),
+                                           (1.0, math.inf, "b"), ("1", 0.0, "a")])
+    def test_rejects_bad_fields_naming_them(self, a, b, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            Kernel(a, b)
+
+    def test_stores_floats(self):
+        k = Kernel(1, 0)
+        assert (type(k.a), type(k.b)) == (float, float)
+        assert k == constant_kernel(1.0)
+
+
 class TestEvaluation:
     def test_scalar_in_float_out(self):
         k = rational_kernel(0.5, 0.5)
@@ -93,6 +112,17 @@ class TestEvaluation:
             k(math.nan)
         with pytest.raises(ValueError):
             k(np.array([0.5, math.nan]))
+
+    @pytest.mark.parametrize("maker", [lambda: constant_kernel(1.0),
+                                       lambda: rational_kernel(1.0, 0.0),
+                                       lambda: rational_kernel(1.0, 1.0)])
+    def test_far_distance_gives_the_floor_without_overflow(self, maker):
+        # r^2 overflows past about 1.3e154; psi is then a, with no warning
+        k = maker()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert k(1e200) == 1.0 and k(math.inf) == 1.0
+            assert k(np.array([1e200, 1e300])).tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("maker", [lambda: constant_kernel(1.3),
                                        lambda: rational_kernel(0.4, 1.1)])
@@ -147,3 +177,5 @@ class TestConfig:
             load_kernel(tmp_path, {"type": "rational", "a": 0.0, "b": 1.0})
         with pytest.raises(ConfigError, match=r"kernel\.b must be"):
             load_kernel(tmp_path, {"type": "rational", "a": 1.0, "b": -1.0})
+        with pytest.raises(ConfigError, match=r"kernel\.c must be"):
+            load_kernel(tmp_path, {"type": "constant", "c": -1.0})
