@@ -53,12 +53,7 @@ from .schedules import (
     _integer,
     _number,
 )
-from .sources import (
-    OpinionSource,
-    gaussian_source,
-    two_point_source,
-    uniform_source,
-)
+from .sources import OpinionSource, gaussian_source, _FAMILIES
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config",
            "emit_series_csv", "cmd_dispatch", "main"]
@@ -304,14 +299,8 @@ def _schedule(spec: _Fields) -> GrowthSchedule:
 
 
 def _source(spec: _Fields) -> OpinionSource:
-    kind = spec.variant("gaussian", "uniform", "two_point")
-    if kind == "gaussian":
-        make = gaussian_source
-    elif kind == "uniform":
-        make = uniform_source
-    else:
-        make = two_point_source
-    source = _build(spec.prefix, make, spec.get("mean", "vector"), spec.get("sigma2", "number"))
+    source = _build(spec.prefix, OpinionSource, spec.variant(*_FAMILIES),
+                    spec.get("mean", "vector"), spec.get("sigma2", "number"))
     spec.close()
     return source
 
@@ -490,8 +479,8 @@ def _cmd_conditions(args) -> int:
     if alpha is None or lambdas is None:
         raise _UsageError("conditions needs either --config or both --alpha and --lambda")
     n_max = args.n_max if args.n_max is not None else block.n_max
-    if n_max < 10:
-        raise ConfigError(f"conditions.n_max must be >= 10, got {n_max}")
+    if n_max < 10:  # a config's n_max was checked at load: this is the flag's
+        raise ConfigError(f"--n-max must be >= 10, got {n_max}")
 
     lambdas = tuple(dict.fromkeys(lambdas))  # drop duplicates, keep order
     grid, columns, verdict = _conditions_table(alpha, lambdas, n_max)

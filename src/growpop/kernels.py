@@ -84,23 +84,6 @@ class Kernel:
     def psi_max(self) -> float:
         return self.a + self.b
 
-    def __call__(self, r):
-        """psi at distance(s) r >= 0: scalars map to floats, arrays to arrays.
-
-        Negative and NaN distances are a domain error. The formula is
-        written out here, apart from ``eval_squared``, so tests can use one to
-        check the other. A distance whose square overflows to inf gives
-        a + b / inf = a, its value, with no warning.
-        """
-        arr = np.asarray(r, dtype=float)
-        if not (arr >= 0.0).all():  # written as not (>=) so NaN fails too
-            raise ValueError("kernel distance must be a number >= 0")
-        with np.errstate(over="ignore"):
-            out = self.a + self.b / (1.0 + arr * arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
-
     def eval_squared(self, r2, out=None):
         """psi evaluated at distance sqrt(r2); skips the square root.
 

@@ -290,7 +290,7 @@ class TestRoundTrip:
     def test_load_builds_what_the_constructors_build(self, tmp_path, kernel, schedule,
                                                      source, step_max):
         kind, mean, sigma2 = source
-        built = getattr(growpop, f"{kind}_source")(mean, sigma2)
+        built = growpop.OpinionSource(kind, mean, sigma2)
         cfg = load_spec(tmp_path, {
             "dim": built.dim,
             "kernel": kernel[0],
@@ -311,7 +311,7 @@ PUBLIC_NAMES = {
     "PowerExponentialSchedule", "ExplicitSchedule", "GrowthSchedule",
     "AsymptoticTimes", "asymptotic_injection_times",
     "injection_time", "population_at", "final_injection_count",
-    "OpinionSource", "gaussian_source", "uniform_source", "two_point_source",
+    "OpinionSource", "gaussian_source", "uniform_source",
     "MomentRecord", "MomentSeries", "SeriesRow", "InjectionJump",
     "JumpPrediction", "compute_moments", "dissipation_of", "predict_jumps",
     "expected_m1_deviation",
@@ -635,6 +635,13 @@ class TestDispatch:
         # the flag overrides it, so this succeeds
         assert cmd_dispatch(["ensemble", "--config", path, "--runs", "2",
                              "--workers", "1", "--out", str(out)]) == 0
+
+    def test_conditions_n_max_flag_below_10_is_named(self, capsys):
+        # a config's conditions.n_max is checked at load, so only the flag
+        # reaches this check
+        assert cmd_dispatch(["conditions", "--alpha", "0.5", "--lambda", "0.4",
+                             "--n-max", "9"]) == 2
+        assert capsys.readouterr().err == "error: --n-max must be >= 10, got 9\n"
 
     def test_conditions_table_boundary_rate(self, capsys):
         assert cmd_dispatch(["conditions", "--alpha", "1.0",

@@ -25,6 +25,7 @@ from growpop import (
     SimState,
     PowerExponentialSchedule,
     ExplicitSchedule,
+    OpinionSource,
     constant_kernel,
     gaussian_source,
     geometric_record_grid,
@@ -34,9 +35,7 @@ from growpop import (
     rational_kernel,
     rhs,
     run_simulation,
-    two_point_source,
     uniform_record_grid,
-    uniform_source,
 )
 from growpop import dynamics, kernels, observables
 from growpop.kernels import _TILE_ROWS, Kernel, _force, _gram_operands, _pair_tiles
@@ -747,10 +746,10 @@ def regime_config(alpha):
                      record_grid=geometric_record_grid(0.5, t_end, 64))
 
 
-def d3_config(make_source):
+def d3_config(kind):
     schedule = PowerExponentialSchedule(alpha=0.5, n0=4)
     return SimConfig(dim=3, kernel=constant_kernel(0.7), schedule=schedule,
-                     source=make_source((0.3, -0.2, 1.0), 2.0),
+                     source=OpinionSource(kind, (0.3, -0.2, 1.0), 2.0),
                      initial_opinions=np.arange(12.0).reshape(4, 3) / 7, step_max=1e-2,
                      max_agents=200,
                      record_grid=geometric_record_grid(0.1, injection_time(schedule, 196), 40))
@@ -777,9 +776,8 @@ class TestAffineEngine:
         return max(1.0, float(np.abs(np.vstack([config.initial_opinions, series.x_new])).max()))
 
     @pytest.mark.parametrize("config", [
-        regime_config(0.5), regime_config(1.5), d3_config(uniform_source),
-        d3_config(two_point_source)], ids=["regime-0.5", "regime-1.5", "d3-uniform",
-                                           "d3-two-point"])
+        regime_config(0.5), regime_config(1.5), d3_config("uniform"),
+        d3_config("two_point")], ids=["regime-0.5", "regime-1.5", "d3-uniform", "d3-two-point"])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_particle_reference(self, config, seed):
         series = run_simulation(config, seed)

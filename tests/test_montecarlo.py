@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from growpop import (
     EnsembleStats,
     ExplicitSchedule,
+    OpinionSource,
     PowerExponentialSchedule,
     SimConfig,
     SimState,
@@ -31,7 +32,6 @@ from growpop import (
     rational_kernel,
     run_ensemble,
     run_simulation,
-    two_point_source,
     uniform_source,
 )
 from growpop import dynamics, montecarlo
@@ -91,6 +91,26 @@ class TestSeedDerivation:
             derive_run_seed(0, -1)
 
 
+class TestOpinionSourceChecksItself:
+    # a source built directly, not through a factory, is checked too: an
+    # unknown kind would draw another family's law, and a negative sigma2
+    # would fail only at the first draw, with a message that names nothing
+    @pytest.mark.parametrize("kind,mean,sigma2,field", [
+        ("bogus", (0.0,), 1.0, "kind"), ("gaussian", (0.0,), -1.0, "sigma2"),
+        ("uniform", (0.0,), math.inf, "sigma2"), ("gaussian", (math.nan,), 1.0, "mean"),
+        ("gaussian", (), 1.0, "mean")],
+        ids=["unknown-kind", "negative-sigma2", "infinite-sigma2", "nan-mean", "empty-mean"])
+    def test_rejects_bad_fields_naming_them(self, kind, mean, sigma2, field):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            OpinionSource(kind, mean, sigma2)
+
+    def test_stores_a_tuple_of_floats(self):
+        assert OpinionSource("gaussian", 0.0, 1.0) == gaussian_source(0.0, 1.0)
+        source = OpinionSource("two_point", np.array([1, 2]), 3)
+        assert source == OpinionSource("two_point", (1.0, 2.0), 3.0)
+        assert {type(v) for v in (*source.mean, source.sigma2)} == {float}
+
+
 class TestSampling:
     def draw(self, source, n, seed=0):
         return _draw_incoming(source, np.random.default_rng(seed), n)
@@ -98,7 +118,7 @@ class TestSampling:
     @pytest.mark.parametrize("make", [
         lambda: gaussian_source((0.5, -1.0), 0.8),
         lambda: uniform_source((0.5, -1.0), 0.8),
-        lambda: two_point_source((0.5, -1.0), 0.8),
+        lambda: OpinionSource("two_point", (0.5, -1.0), 0.8),
     ])
     def test_mean_and_spread_match_parameters(self, make):
         source = make()
@@ -115,7 +135,7 @@ class TestSampling:
         assert abs(dev2.mean() - 0.8) <= half + 1e-12
 
     def test_two_point_support(self):
-        source = two_point_source(1.0, 0.49)
+        source = OpinionSource("two_point", 1.0, 0.49)
         xs = self.draw(source, 500, seed=3).ravel()
         assert set(np.round(xs, 12)) == {0.3, 1.7}  # 1 -+ 0.7
 
@@ -126,8 +146,8 @@ class TestSampling:
         assert xs.min() < -2.5 and xs.max() > 2.5  # actually fills the range
 
     def test_zero_variance_is_exact_point_mass(self):
-        for make in (gaussian_source, uniform_source, two_point_source):
-            source = make((0.25, 0.75), 0.0)
+        for kind in ("gaussian", "uniform", "two_point"):
+            source = OpinionSource(kind, (0.25, 0.75), 0.0)
             xs = self.draw(source, 50, seed=5)
             assert np.all(xs == np.array([0.25, 0.75]))
 
@@ -140,19 +160,20 @@ class TestSampling:
         np.testing.assert_array_equal(a, np.array(b))
 
 
-    @pytest.mark.parametrize("make", [gaussian_source, uniform_source, two_point_source])
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform", "two_point"],
+                             ids=lambda kind: f"{kind}_source")
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_a_run_draws_what_single_draws_drew(self, make, dim):
+    def test_a_run_draws_what_single_draws_drew(self, kind, dim):
         # a run's (K, d) draw equals K draws made one at a time with the
         # generator calls below, so every seed keeps its arrivals
-        source = make(np.linspace(-0.5, 0.5, dim), 0.9)
+        source = OpinionSource(kind, np.linspace(-0.5, 0.5, dim), 0.9)
         rng = np.random.default_rng(31)
         one_at_a_time = []
         for _ in range(500):
             x = source.mean_vector.copy()
-            if make is gaussian_source:
+            if kind == "gaussian":
                 x += rng.normal(0.0, math.sqrt(0.9 / dim), size=dim)
-            elif make is uniform_source:
+            elif kind == "uniform":
                 half = math.sqrt(3.0 * 0.9 / dim)
                 x += rng.uniform(-half, half, size=dim)
             else:
@@ -290,15 +311,13 @@ def replicas_of(config, runs, master, workers):
     return stats, text.getvalue(), w, v, m1
 
 
-SOURCES = [gaussian_source, uniform_source, two_point_source]
-
-
 class TestBlockInvariance:
     @settings(max_examples=16, deadline=None, derandomize=True)
     @given(runs=st.sampled_from([2, 7, 100]), workers=st.sampled_from([2, 3]),
            dim=st.integers(1, 3), kind=st.sampled_from(["constant", "rational"]),
-           make_source=st.sampled_from(SOURCES), master=st.integers(0, 2**64 - 1))
-    def test_replica_is_its_single_run(self, runs, workers, dim, kind, make_source, master):
+           source_kind=st.sampled_from(["gaussian", "uniform", "two_point"]),
+           master=st.integers(0, 2**64 - 1))
+    def test_replica_is_its_single_run(self, runs, workers, dim, kind, source_kind, master):
         # replica i, in a block of any size at any worker count, is
         # run_simulation under derive_run_seed(master, i), bit for bit
         if kind == "constant":
@@ -307,7 +326,8 @@ class TestBlockInvariance:
             kernel, n0, arrivals, alpha = rational_kernel(0.5, 0.5), 2, 3, 1.5
         config = ensemble_config(
             dim=dim, kernel=kernel, schedule=PowerExponentialSchedule(alpha=alpha, n0=n0),
-            source=make_source(np.linspace(-0.5, 0.75, dim), 1.0), max_agents=n0 + arrivals,
+            source=OpinionSource(source_kind, np.linspace(-0.5, 0.75, dim), 1.0),
+            max_agents=n0 + arrivals,
             initial_opinions=np.linspace(-1.0, 1.0, n0 * dim).reshape(n0, dim),
             record_grid=(0.25, 0.5, 1.0))
         serial = replicas_of(config, runs, master, workers=1)
@@ -440,7 +460,7 @@ class TestExpectedMoments:
         config = ensemble_config(
             dim=2, kernel=constant_kernel(0.7), schedule=ExplicitSchedule(
                 n0=3, times=(0.5, 0.9, 1.6, 2.0, 2.2)),
-            source=two_point_source(mean, sigma2),
+            source=OpinionSource("two_point", mean, sigma2),
             initial_opinions=np.array([[1.0, 0.4], [-0.4, 1.5], [2.0, -0.5]]),
             max_agents=None, horizon=2.5, record_grid=(0.25, 1.2, 2.5))
         rows = run_simulation(config, 0).rows

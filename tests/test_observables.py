@@ -43,7 +43,7 @@ def brute_dissipation(x, kernel):
     n = x.shape[0]
     diff = x[None, :, :] - x[:, None, :]
     r2 = (diff * diff).sum(axis=2)
-    return -float((kernel(np.sqrt(r2)) * r2).sum()) / (n * n)
+    return -float(((kernel.a + kernel.b / (1.0 + r2)) * r2).sum()) / (n * n)
 
 
 def record_of(x, kernel, m):
