@@ -8,16 +8,19 @@ field's type, and the constructor a value goes to checks its range.
 Command-line flags override file fields. Exit codes: 0 success, 1 usage error,
 2 runtime error.
 
-CSV output is deterministic: UTF-8, LF newlines, floats in shortest
-round-trip form (repr), and the seed surfaced in a leading "# seed=" comment,
-so identical (config, seed) pairs produce byte-identical files. Each column
-is formatted once per run of equal values: a value bit-equal to the one above
-it reuses that row's text, so the bytes are those of per-value repr.
+Every CSV goes through one writer, ``_write_csv``, to --out (simulate and
+ensemble: else output_path, else stdout): UTF-8, LF newlines, a leading
+"# seed=" (simulate, ensemble) or "# classification=" (conditions) line, none
+for envelope, the header, then floats in shortest round-trip form (repr), so
+identical (config, seed) pairs give byte-identical files. Each column is
+formatted once per run of equal values: a value bit-equal to the one above it
+reuses that row's text, so the bytes are those of per-value repr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -97,6 +100,9 @@ class ExperimentConfig:
     workers: int = 1
     conditions: ConditionsBlock | None = None
     envelope: EnvelopeBlock | None = None
+
+    def __post_init__(self):
+        self.master_seed = _integer(self.master_seed, "master_seed", 0)
 
 
 # What a field of each kind read by _Fields.get must hold, for error messages.
@@ -267,11 +273,11 @@ def load_config(path: str) -> ExperimentConfig:
                           n_values=block.get("n", "integers", None))
         block.close()
 
-    cfg = ExperimentConfig(sim=sim, runs=top.get("runs", "integer", 100),
-                           master_seed=top.get("master_seed", "integer", 0),
-                           output_path=top.get("output_path", "string", None),
-                           workers=top.get("workers", "integer", 1),
-                           conditions=conditions, envelope=envelope)
+    cfg = _build("", ExperimentConfig, sim=sim, runs=top.get("runs", "integer", 100),
+                 master_seed=top.get("master_seed", "integer", 0),
+                 output_path=top.get("output_path", "string", None),
+                 workers=top.get("workers", "integer", 1),
+                 conditions=conditions, envelope=envelope)
     top.close()
     return cfg
 
@@ -365,32 +371,34 @@ def _write_rows(fh, columns: list[np.ndarray], last=None) -> None:
         fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
-def _write_series(series: MomentSeries, fh) -> None:
-    d = series.m1.shape[1]
-    cols = ["t", "n"] + [f"m1_{i}" for i in range(d)] + ["m2", "v", "w", "dissipation", "event"]
-    fh.write(f"# seed={series.seed}\n")
-    fh.write(",".join(cols) + "\n")
-    _write_rows(fh, [series.t, series.n, *series.m1.T, series.m2, series.v, series.w,
-                     series.dissipation], series.event)
+def _write_csv(path: str | None, head: list[str], columns: list[np.ndarray], last=None,
+               comment: str | None = None) -> None:
+    """Write one table to ``path``, or to stdout when it is None: the line
+    "# ``comment``" if given, the header ``head``, then the rows of ``columns``
+    and ``last`` (see ``_write_rows``)."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(head) + "\n")
+        _write_rows(fh, columns, last)
 
 
-def _write_ensemble(stats: EnsembleStats, fh) -> None:
-    fh.write(f"# seed={stats.master_seed}\n")
-    fh.write("t,mean_w,stderr_w,mean_v,stderr_v,mean_m1_dev,stderr_m1_dev\n")
-    _write_rows(fh, [stats.grid, stats.mean_w, stats.stderr_w, stats.mean_v, stats.stderr_v,
-                     stats.mean_m1_dev, stats.stderr_m1_dev])
-
-
-def emit_series_csv(obj, path: str) -> None:
-    """Write a MomentSeries or EnsembleStats to CSV (see module docstring)."""
+def emit_series_csv(obj, path: str | None) -> None:
+    """Write a MomentSeries or EnsembleStats as CSV to ``path``, or to stdout
+    when it is None (see module docstring)."""
     if isinstance(obj, MomentSeries):
-        writer = _write_series
+        head = ["t", "n", *(f"m1_{i}" for i in range(obj.m1.shape[1])),
+                "m2", "v", "w", "dissipation", "event"]
+        _write_csv(path, head, [obj.t, obj.n, *obj.m1.T, obj.m2, obj.v, obj.w, obj.dissipation],
+                   obj.event, comment=f"seed={obj.seed}")
     elif isinstance(obj, EnsembleStats):
-        writer = _write_ensemble
+        head = ["t", "mean_w", "stderr_w", "mean_v", "stderr_v", "mean_m1_dev", "stderr_m1_dev"]
+        _write_csv(path, head, [obj.grid, obj.mean_w, obj.stderr_w, obj.mean_v, obj.stderr_v,
+                                obj.mean_m1_dev, obj.stderr_m1_dev],
+                   comment=f"seed={obj.master_seed}")
     else:
         raise ValueError(f"cannot emit {type(obj).__name__} as CSV")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer(obj, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -436,27 +444,18 @@ def _build_parser() -> _Parser:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.master_seed
-    series = run_simulation(cfg.sim, seed)
-    out = args.out or cfg.output_path
-    if out is None:
-        _write_series(series, sys.stdout)
-    else:
-        emit_series_csv(series, out)
+    seed = cfg.master_seed if args.seed is None else _integer(args.seed, "--seed", 0)
+    emit_series_csv(run_simulation(cfg.sim, seed), args.out or cfg.output_path)
     return 0
 
 
 def _cmd_ensemble(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.master_seed
+    seed = cfg.master_seed if args.seed is None else _integer(args.seed, "--seed", 0)
     runs = args.runs if args.runs is not None else cfg.runs
     workers = args.workers if args.workers is not None else cfg.workers
-    stats = run_ensemble(cfg.sim, runs, seed, workers=workers)
-    out = args.out or cfg.output_path
-    if out is None:
-        _write_ensemble(stats, sys.stdout)
-    else:
-        emit_series_csv(stats, out)
+    emit_series_csv(run_ensemble(cfg.sim, runs, seed, workers=workers),
+                    args.out or cfg.output_path)
     return 0
 
 
@@ -496,10 +495,8 @@ def _cmd_conditions(args) -> int:
     print(f"classification: {verdict.value}")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# classification={verdict.value}\n")
-            fh.write(",".join(["n"] + [f"s_lambda_{i}" for i in range(len(lambdas))]) + "\n")
-            _write_rows(fh, table)
+        _write_csv(args.out, ["n"] + [f"s_lambda_{i}" for i in range(len(lambdas))], table,
+                   comment=f"classification={verdict.value}")
     return 0
 
 
@@ -515,16 +512,12 @@ def _cmd_envelope(args) -> int:
     # one table over the distinct n in increasing order, read back per request
     grid, at = np.unique(np.array(ns), return_inverse=True)
     bounds = _condition_sums((spec.decay_rate,), schedule, grid, spec.jump_bound, spec.y0)[0, at]
-    rows = [(n, injection_time(schedule, n), float(b)) for n, b in zip(ns, bounds)]
+    t_n = np.array([injection_time(schedule, n) for n in ns], dtype=float)
     print("%8s  %18s  %18s" % ("n", "t_n", "bound"))
-    for n, t_n, b in rows:
-        print("%8d  %18.12g  %18.12g" % (n, t_n, b))
+    for row in zip(ns, t_n.tolist(), bounds.tolist()):
+        print("%8d  %18.12g  %18.12g" % row)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("n,t_n,bound\n")
-            ns, t_n, bound = zip(*rows)
-            _write_rows(fh, [np.array(ns), np.array(t_n, dtype=float),
-                             np.array(bound, dtype=float)])
+        _write_csv(args.out, ["n", "t_n", "bound"], [np.array(ns), t_n, bounds])
     return 0
 
 

@@ -116,7 +116,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, _force, _one_blas_thread
+from .kernels import Kernel, _coordinate_major, _force, _one_blas_thread
 from .observables import MomentSeries, _moments, compute_moments
 from .schedules import (GrowthSchedule, _integer, _number, _times, final_injection_count,
                         injection_time, population_at)
@@ -177,11 +177,8 @@ def rhs(state: SimState, kernel: Kernel) -> np.ndarray:
     conserved along the flow up to roundoff. The pivot y = x - x[0] makes
     exact consensus (y = 0) give exactly zero.
     """
-    x = np.asarray(state.opinions, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("state.opinions must be a nonempty (N, d) array")
     with _one_blas_thread():
-        return _force(np.ascontiguousarray(x.T), kernel)[0].T
+        return _force(_coordinate_major(state.opinions), kernel)[0].T
 
 
 def _rk4_step(x: np.ndarray, kernel: Kernel, h: float, first=None) -> float:
@@ -240,7 +237,7 @@ def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
     step_max, t_end = _number(step_max, "step_max", "> 0"), _number(t_end, "t_end")
     if t_end < state.t:
         raise ContractViolationError(f"t_end={t_end} precedes state.t={state.t}")
-    x = np.array(np.asarray(state.opinions, dtype=float).T, order="C")
+    x = _coordinate_major(state.opinions)
     with _one_blas_thread():
         _advance(x, kernel, t_end - state.t, step_max)
     return SimState(t=t_end, k=state.k, opinions=x.T, dim=state.dim)
@@ -429,8 +426,9 @@ def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
     one-replica block of the engine ``run_ensemble`` runs, so replica i of an
     ensemble is run_simulation(config, derive_run_seed(master, i)), bit for bit.
     """
+    seed = _integer(seed, "seed", 0)
     tl, cols = _run_block(config, [seed])
-    return MomentSeries(t=tl.t, event=tl.event, k=tl.k, n=tl.n, seed=int(seed),
+    return MomentSeries(t=tl.t, event=tl.event, k=tl.k, n=tl.n, seed=seed,
                         **{name: col[0] for name, col in cols.items()})
 
 

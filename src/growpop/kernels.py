@@ -16,15 +16,16 @@ opinions coordinate-major, (d, N), one row per coordinate, as the particle
 engine keeps them, and returns the velocities alike; the public entry points
 (``dynamics.rhs``, ``integrate_interval``, ``observables.compute_moments``
 and ``dissipation_of``) take and return (N, d) and transpose at the
-boundary. Every O(N) sweep thus runs along contiguous rows of length N. At
-b = 0 the pass is O(N). For b > 0 the pass weighs each unordered pair once,
-in tiles of the upper triangle (``_pair_tiles``), and uses each weight in
-both directions, so the pair terms are antisymmetric by construction. A tile
-holds its rows of the pair matrix as columns, in one buffer: one Gram matrix
-product with k = d + 2 writes the squared distances, which ``eval_squared``
-turns into weights in place. Two more products give the tile's pair sums;
-their right operand is the whole Gram operand [|y|^2, 1, y], four columns at
-d = 2. D is then an O(N) sum over the velocities, as d(m2)/dt.
+boundary, each through ``_coordinate_major``, which checks the shape. Every
+O(N) sweep thus runs along contiguous rows of length N. At b = 0 the pass is
+O(N). For b > 0 the pass weighs each unordered pair once, in tiles of the
+upper triangle (``_pair_tiles``), and uses each weight in both directions,
+so the pair terms are antisymmetric by construction. A tile holds its rows
+of the pair matrix as columns, in one buffer: one Gram matrix product with
+k = d + 2 writes the squared distances, which ``eval_squared`` turns into
+weights in place. Two more products give the tile's pair sums; their right
+operand is the whole Gram operand [|y|^2, 1, y], four columns at d = 2. D is
+then an O(N) sum over the velocities, as d(m2)/dt.
 """
 
 from __future__ import annotations
@@ -99,6 +100,14 @@ class Kernel:
         np.add(1.0, r2, out=out)
         np.divide(self.b, out, out=out)
         return np.add(self.a, out, out=out)
+
+
+def _coordinate_major(opinions) -> np.ndarray:
+    """The opinions (N, d), checked, as a new C-ordered (d, N) array for ``_force``."""
+    x = np.asarray(opinions, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError(f"opinions must be a nonempty (N, d) array, got shape {x.shape}")
+    return np.array(x.T, order="C")
 
 
 def _force(x: np.ndarray, kernel: Kernel, old: int | None = None

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import Kernel, _force, _one_blas_thread
+from .kernels import Kernel, _coordinate_major, _force, _one_blas_thread
 from .schedules import _integer, _number
 
 __all__ = [
@@ -131,12 +131,10 @@ def compute_moments(state, kernel: Kernel, m) -> MomentRecord:
     are taken as one coordinate-major copy (d, N), the layout of the particle
     engine, whose rows give the same moments bit for bit.
     """
-    x = np.asarray(state.opinions, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("state.opinions must be a nonempty (N, d) array")
-    m1, m2, v, w = _moments(np.ascontiguousarray(x.T), np.asarray(m, dtype=float))
-    return MomentRecord(t=float(state.t), n=x.shape[0], m1=m1, m2=m2, v=v, w=w,
-                        dissipation=dissipation_of(x, kernel))
+    x = _coordinate_major(state.opinions)
+    m1, m2, v, w = _moments(x, np.asarray(m, dtype=float))
+    return MomentRecord(t=float(state.t), n=x.shape[1], m1=m1, m2=m2, v=v, w=w,
+                        dissipation=dissipation_of(state.opinions, kernel))
 
 
 def _moments(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float, float, float]:
@@ -176,7 +174,7 @@ def dissipation_of(x: np.ndarray, kernel: Kernel) -> float:
     memory.
     """
     with _one_blas_thread():
-        return _force(np.ascontiguousarray(np.asarray(x, dtype=float).T), kernel)[1]
+        return _force(_coordinate_major(x), kernel)[1]
 
 
 class JumpPrediction(NamedTuple):

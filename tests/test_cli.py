@@ -5,6 +5,7 @@ error. CSV files must round-trip bit for bit (repr floats, LF newlines) and
 start with the seed comment.
 """
 
+import contextlib
 import importlib
 import io
 import json
@@ -100,6 +101,10 @@ class TestLoadConfig:
         with pytest.warns(UserWarning, match="sigma2"):
             cfg = load_config(path)
         assert cfg.sim.source.sigma2 == 0.0
+
+    def test_negative_master_seed_is_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="^master_seed must be an integer >= 0, got -1$"):
+            load_config(write_config(tmp_path, master_seed=-1))
 
     def test_missing_kernel(self, tmp_path):
         path = write_config(tmp_path, kernel=None)
@@ -454,7 +459,8 @@ class TestCsvEmission:
         assert len(stats.grid) > cli._BLOCK_ROWS  # the table spans blocks
         assert (np.diff(stats.grid) == 0.0).any() and (np.diff(stats.mean_m1_dev) == 0.0).any()
         text = io.StringIO()
-        cli._write_ensemble(stats, text)
+        with contextlib.redirect_stdout(text):
+            emit_series_csv(stats, None)
         # the writer as it was before runs of equal values shared their text
         want = ["# seed=11", "t,mean_w,stderr_w,mean_v,stderr_v,mean_m1_dev,stderr_m1_dev"]
         values = [stats.grid, stats.mean_w, stats.stderr_w, stats.mean_v, stats.stderr_v,
@@ -598,6 +604,22 @@ class TestDispatch:
         cmd_dispatch(["simulate", "--config", path, "--seed", "17",
                       "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()  # config master_seed is 17
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_negative_master_seed_is_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, master_seed=-1)
+        assert cmd_dispatch([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: master_seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_negative_seed_flag_is_named(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path)
+        assert cmd_dispatch([command, "--config", path, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
 
     def test_simulate_stdout_fallback(self, tmp_path, capsys):
         path = write_config(tmp_path)

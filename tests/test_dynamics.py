@@ -393,6 +393,40 @@ class TestIntegrator:
         with pytest.raises(ContractViolationError):
             integrate_interval(state, constant_kernel(1.0), 0.5)
 
+    @pytest.mark.parametrize("maker", [lambda: constant_kernel(1.0),
+                                       lambda: rational_kernel(0.5, 0.5)])
+    def test_fortran_ordered_opinions_not_changed(self, maker):
+        # their transpose is C-ordered already, and must still be copied
+        x = np.asfortranarray(RNG.normal(size=(6, 2)))
+        state = state_of(x)
+        before = x.copy()
+        out = integrate_interval(state, maker(), 0.5, step_max=0.1)
+        np.testing.assert_array_equal(state.opinions, before)
+        assert not np.array_equal(out.opinions, before)
+
+
+class TestOpinionShapes:
+    """The four entry points that take opinions check them alike."""
+
+    ENTRY_POINTS = {
+        "rhs": rhs,
+        "integrate_interval": lambda state, kernel: integrate_interval(state, kernel, 0.5),
+        "compute_moments": lambda state, kernel: compute_moments(state, kernel, np.zeros(2)),
+        "dissipation_of": lambda state, kernel: dissipation_of(state.opinions, kernel),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("opinions", [np.zeros(3), np.zeros((0, 2)), np.zeros((2, 2, 1)),
+                                          1.0], ids=["1-D", "empty", "3-D", "scalar"])
+    @pytest.mark.parametrize("maker", [lambda: constant_kernel(1.0),
+                                       lambda: rational_kernel(0.5, 0.5)])
+    def test_bad_shape_rejected(self, entry, opinions, maker):
+        state = SimState(t=0.0, k=0, opinions=opinions, dim=2)
+        want = f"opinions must be a nonempty (N, d) array, got shape {np.shape(opinions)}"
+        with pytest.raises(ValueError) as err:
+            self.ENTRY_POINTS[entry](state, maker())
+        assert str(err.value) == want
+
 
 def small_config(**overrides):
     base = dict(
@@ -410,6 +444,16 @@ def small_config(**overrides):
 
 
 class TestRunSimulation:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            run_simulation(small_config(), seed)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        a, b = run_simulation(small_config(), np.uint64(7)), run_simulation(small_config(), 7)
+        assert type(a.seed) is int and a.seed == 7
+        np.testing.assert_array_equal(a.w, b.w)
+
     def test_row_stream_structure(self):
         config = small_config(record_grid=(0.3, 0.9))
         series = run_simulation(config, seed=0)

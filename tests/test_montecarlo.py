@@ -1,5 +1,6 @@
 """Seed derivation, arrival sampling, and reproducible parallel ensembles."""
 
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -35,7 +36,7 @@ from growpop import (
     uniform_source,
 )
 from growpop import dynamics, montecarlo
-from growpop.cli import _write_ensemble
+from growpop.cli import emit_series_csv
 from growpop.sources import _draw_incoming
 
 MASK64 = (1 << 64) - 1
@@ -305,7 +306,8 @@ def replicas_of(config, runs, master, workers):
         mp.setattr(montecarlo, "_blocks", recorded)
         stats = run_ensemble(config, runs=runs, master_seed=master, workers=workers)
     text = io.StringIO()
-    _write_ensemble(stats, text)
+    with contextlib.redirect_stdout(text):
+        emit_series_csv(stats, None)
     _, *columns = zip(*results)
     w, v, m1 = (np.concatenate(blocks) for blocks in columns)
     return stats, text.getvalue(), w, v, m1
