@@ -4,17 +4,19 @@ Subcommands: simulate (one trajectory to CSV), ensemble (aggregate statistics
 to CSV), conditions (condition-sum table plus classification), envelope
 (decayed-recursion bound table), check (built-in oracle suite). Configs are
 JSON, and this module alone reads that format: ``load_config`` checks each
-field's type, and the constructor a value goes to checks its range.
-Command-line flags override file fields. Exit codes: 0 success, 1 usage error,
-2 runtime error.
+field's type, the constructor a value goes to checks its range, and a field
+left out takes that constructor's default. Flags override file fields, and a
+bad flag value is named by its flag. Exit codes: 0 success, 1 usage error, 2
+runtime error.
 
 Every CSV goes through one writer, ``_write_csv``, to --out (simulate and
-ensemble: else output_path, else stdout): UTF-8, LF newlines, a leading
-"# seed=" (simulate, ensemble) or "# classification=" (conditions) line, none
-for envelope, the header, then floats in shortest round-trip form (repr), so
-identical (config, seed) pairs give byte-identical files. Each column is
-formatted once per run of equal values: a value bit-equal to the one above it
-reuses that row's text, so the bytes are those of per-value repr.
+ensemble: else output_path, else stdout), checked before any work: UTF-8, LF
+newlines, a leading "# seed=" (simulate, ensemble) or "# classification="
+(conditions) line, none for envelope, the header, then floats in shortest
+round-trip form (repr), so identical (config, seed) pairs give byte-identical
+files. Each column is formatted once per run of equal values: a value
+bit-equal to the one above it reuses that row's text, so the bytes are those
+of per-value repr.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -84,11 +87,10 @@ class ConditionsBlock:
 @dataclass(eq=False)
 class EnvelopeBlock:
     spec: EnvelopeSpec
-    n_values: tuple[int, ...] | None = None
+    n_values: tuple[int, ...] = (10, 16, 27, 46, 77, 129, 215, 359, 599, 1000)
 
     def __post_init__(self):
-        if self.n_values is not None:
-            self.n_values = tuple(_integer(n, "n", 1) for n in self.n_values)
+        self.n_values = tuple(_integer(n, "n", 1) for n in self.n_values)
 
 
 @dataclass(eq=False)
@@ -103,19 +105,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.master_seed = _integer(self.master_seed, "master_seed", 0)
-
-
-# What a field of each kind read by _Fields.get must hold, for error messages.
-_EXPECTED = {
-    "string": "a string",
-    "integer": "an integer",
-    "integers": "a nonempty list of integers",
-    "number": "a finite number",
-    "numbers": "a nonempty list of finite numbers",
-    "times": "a list of finite numbers",
-    "vector": "a finite number or a nonempty list of finite numbers",
-    "opinions": '"at_mean" or a list of opinions, each a number or a list of numbers',
-}
 
 
 def _is_int(val) -> bool:
@@ -144,10 +133,27 @@ def _opinion_rows(val) -> np.ndarray | None:
     return np.array(rows)
 
 
+# Each kind of field _Fields.get reads: what it must hold, and its reader (None: it does not).
+_KINDS = {
+    "string": ("a string", lambda val: val if isinstance(val, str) else None),
+    "integer": ("an integer", lambda val: val if _is_int(val) else None),
+    "integers": ("a nonempty list of integers", lambda val: tuple(val) if (
+        isinstance(val, list) and val and all(map(_is_int, val))) else None),
+    "number": ("a finite number", lambda val: float(val) if _is_finite(val) else None),
+    "numbers": ("a nonempty list of finite numbers", _finite_list),
+    "times": ("a list of finite numbers", lambda val: _finite_list(val, nonempty=False)),
+    "vector": ("a finite number or a nonempty list of finite numbers",
+               lambda val: float(val) if _is_finite(val) else _finite_list(val)),
+    "opinions": ('"at_mean" or a list of opinions, each a number or a list of numbers',
+                 lambda val: val if val == "at_mean" else _opinion_rows(val)),
+}
+
+
 class _Fields:
     """One JSON object of a config, read field by field.
 
     ``get`` type-checks a field and names it by its dotted path on failure;
+    ``given`` reads the optional fields whose defaults are the constructor's;
     ``close`` rejects every key that was never read. Ranges are left to the
     constructors the values go to (see ``_build``).
     """
@@ -160,7 +166,7 @@ class _Fields:
         self.prefix = f"{path}." if path else ""
 
     def get(self, key: str, kind: str, default=...):
-        """Field ``key`` as "object" or a kind of _EXPECTED; required without a default."""
+        """Field ``key`` as "object" or a kind of _KINDS; required without a default."""
         self.read.add(key)
         if key not in self.obj:
             if default is ...:
@@ -169,24 +175,16 @@ class _Fields:
         val = self.obj[key]
         if kind == "object":
             return _Fields(val, self.prefix + key)
-        if kind == "string":
-            out = val if isinstance(val, str) else None
-        elif kind == "integer":
-            out = val if _is_int(val) else None
-        elif kind == "integers":
-            ok = isinstance(val, list) and val and all(map(_is_int, val))
-            out = tuple(val) if ok else None
-        elif kind == "number":
-            out = float(val) if _is_finite(val) else None
-        elif kind == "vector":
-            out = float(val) if _is_finite(val) else _finite_list(val)
-        elif kind == "opinions":
-            out = val if val == "at_mean" else _opinion_rows(val)
-        else:  # "numbers" or "times"
-            out = _finite_list(val, nonempty=kind == "numbers")
+        expected, read = _KINDS[kind]
+        out = read(val)
         if out is None:
-            raise ConfigError(f"{self.prefix}{key}: expected {_EXPECTED[kind]}, got {val!r}")
+            raise ConfigError(f"{self.prefix}{key}: expected {expected}, got {val!r}")
         return out
+
+    def given(self, **kinds: str) -> dict:
+        """The fields of ``kinds`` that the object holds, read as their kinds: one
+        left out is absent here, so it takes the default of the constructor."""
+        return {key: self.get(key, kind) for key, kind in kinds.items() if key in self.obj}
 
     def variant(self, *options: str) -> str:
         """The ``type`` field, which names one of the variants ``options``."""
@@ -221,7 +219,8 @@ def load_config(path: str) -> ExperimentConfig:
     Every field is type-checked here, and every range by the constructor the
     value goes to; either failure names the offending field (e.g.
     schedule.alpha), and so does a key that no field reads. Parse failures
-    carry the line and column.
+    carry the line and column. An optional field left out takes the default
+    of the constructor it goes to; only the defaults none declares are here.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -244,40 +243,32 @@ def load_config(path: str) -> ExperimentConfig:
     x0 = top.get("initial_opinions", "opinions", "at_mean")
     if isinstance(x0, str):
         x0 = np.tile(source.mean_vector, (schedule.n0, 1))
-    step_max = top.get("step_max", "number", 1e-2)
-    horizon = top.get("horizon", "number", None)
-    max_agents = top.get("max_agents", "integer", None)
-    t_end = _build("", _end_time, schedule, horizon, max_agents)
-    grid_spec = top.get("record_grid", "object", None)
+    limits = top.given(step_max="number", horizon="number", max_agents="integer")
+    t_end = _build("", _end_time, schedule, limits.get("horizon"), limits.get("max_agents"))
+    grid = _record_grid(top.get("record_grid", "object", None), t_end)
     sim = _build("", SimConfig, dim=dim, kernel=kernel, schedule=schedule, source=source,
-                 initial_opinions=x0, step_max=step_max, horizon=horizon,
-                 max_agents=max_agents, record_grid=_record_grid(grid_spec, t_end))
+                 initial_opinions=x0, record_grid=grid, **limits)
 
     conditions = None
     block = top.get("conditions", "object", None)
     if block is not None:
         conditions = _build(block.prefix, ConditionsBlock,
-                            n_max=block.get("n_max", "integer", 100_000),
-                            lambdas=block.get("lambdas", "numbers", None))
+                            **block.given(n_max="integer", lambdas="numbers"))
         block.close()
 
     envelope = None
     block = top.get("envelope", "object", None)
     if block is not None:
-        y0 = block.get("y0", "number")
-        lam = block.get("lambda", "number", kernel.psi_star)
-        jump = _jump_bound(block.get("jump", "object", None))
-        spec = _build(f"{block.prefix}lambda: ", EnvelopeSpec, decay_rate=lam, y0=y0,
-                      jump_bound=jump)
-        envelope = _build(block.prefix, EnvelopeBlock, spec=spec,
-                          n_values=block.get("n", "integers", None))
+        spec = _build(f"{block.prefix}lambda: ", EnvelopeSpec, y0=block.get("y0", "number"),
+                      decay_rate=block.get("lambda", "number", kernel.psi_star),
+                      jump_bound=_jump_bound(block.get("jump", "object", None)))
+        # the field "n" fills EnvelopeBlock.n_values, its second parameter
+        envelope = _build(block.prefix, EnvelopeBlock, spec, *block.given(n="integers").values())
         block.close()
 
-    cfg = _build("", ExperimentConfig, sim=sim, runs=top.get("runs", "integer", 100),
-                 master_seed=top.get("master_seed", "integer", 0),
-                 output_path=top.get("output_path", "string", None),
-                 workers=top.get("workers", "integer", 1),
-                 conditions=conditions, envelope=envelope)
+    cfg = _build("", ExperimentConfig, sim=sim, conditions=conditions, envelope=envelope,
+                 **top.given(runs="integer", master_seed="integer", output_path="string",
+                             workers="integer"))
     top.close()
     return cfg
 
@@ -312,16 +303,16 @@ def _source(spec: _Fields) -> OpinionSource:
 
 
 def _record_grid(spec: _Fields | None, t_end: float) -> tuple[float, ...]:
-    """The grid ``spec`` asks for; without one, 64 points from t_end / 100 to t_end."""
-    t_first = t_end / 100.0
-    if spec is None:
-        return geometric_record_grid(t_first, t_end, 64) if t_end > 0.0 else ()
+    """The grid ``spec`` asks for; a geometric one's t_first and points
+    default to t_end / 100 and 64."""
+    if spec is None:  # a geometric spec with neither, or no grid if the run ends at t = 0
+        return _record_grid(_Fields({"type": "geometric"}, ""), t_end) if t_end > 0.0 else ()
     kind = spec.variant("uniform", "geometric", "explicit")
     if kind == "uniform":
         grid = _build(spec.prefix, uniform_record_grid, t_end, spec.get("dt", "number"))
     elif kind == "geometric":
         grid = _build(spec.prefix, geometric_record_grid,
-                      spec.get("t_first", "number", t_first), t_end,
+                      spec.get("t_first", "number", t_end / 100.0), t_end,
                       spec.get("points", "integer", 64))
     else:
         grid = spec.get("times", "times")
@@ -416,11 +407,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     sim = sub.add_parser("simulate", help="run one trajectory and write its moment CSV")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("--config", required=True)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--out", default=None)
 
     ens = sub.add_parser("ensemble", help="run replicas and write aggregate statistics CSV")
+    ens.set_defaults(run=_cmd_ensemble)
     ens.add_argument("--config", required=True)
     ens.add_argument("--seed", type=int, default=None)
     ens.add_argument("--runs", type=int, default=None)
@@ -428,6 +421,7 @@ def _build_parser() -> _Parser:
     ens.add_argument("--out", default=None)
 
     cond = sub.add_parser("conditions", help="condition-sum table and classification")
+    cond.set_defaults(run=_cmd_conditions)
     cond.add_argument("--config", default=None)
     cond.add_argument("--alpha", type=float, default=None)
     cond.add_argument("--lambda", dest="lam", type=float, action="append", default=None)
@@ -435,27 +429,42 @@ def _build_parser() -> _Parser:
     cond.add_argument("--out", default=None)
 
     env = sub.add_parser("envelope", help="decayed-recursion bound table")
+    env.set_defaults(run=_cmd_envelope)
     env.add_argument("--config", required=True)
     env.add_argument("--out", default=None)
 
-    sub.add_parser("check", help="run the built-in oracle suite")
+    sub.add_parser("check", help="run the built-in oracle suite").set_defaults(run=_cmd_check)
     return parser
 
 
-def _cmd_simulate(args) -> int:
+def _writable(path: str | None) -> str | None:
+    """``path``, checked before any run or table work: its directory must exist,
+    and it must not be one itself. None (stdout) passes; nothing is created."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise OSError(f"cannot write {path}: no directory {os.path.dirname(path)}")
+    if path is not None and os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+    return path
+
+
+def _run_setup(args) -> tuple[ExperimentConfig, int, str | None]:
+    """The config, seed and checked output path of a simulate or ensemble run."""
     cfg = load_config(args.config)
     seed = cfg.master_seed if args.seed is None else _integer(args.seed, "--seed", 0)
-    emit_series_csv(run_simulation(cfg.sim, seed), args.out or cfg.output_path)
+    return cfg, seed, _writable(args.out or cfg.output_path)
+
+
+def _cmd_simulate(args) -> int:
+    cfg, seed, out = _run_setup(args)
+    emit_series_csv(run_simulation(cfg.sim, seed), out)
     return 0
 
 
 def _cmd_ensemble(args) -> int:
-    cfg = load_config(args.config)
-    seed = cfg.master_seed if args.seed is None else _integer(args.seed, "--seed", 0)
-    runs = args.runs if args.runs is not None else cfg.runs
-    workers = args.workers if args.workers is not None else cfg.workers
-    emit_series_csv(run_ensemble(cfg.sim, runs, seed, workers=workers),
-                    args.out or cfg.output_path)
+    cfg, seed, out = _run_setup(args)
+    runs = cfg.runs if args.runs is None else _integer(args.runs, "--runs", 2)
+    workers = cfg.workers if args.workers is None else _integer(args.workers, "--workers", 1)
+    emit_series_csv(run_ensemble(cfg.sim, runs, seed, workers=workers), out)
     return 0
 
 
@@ -480,6 +489,7 @@ def _cmd_conditions(args) -> int:
     n_max = args.n_max if args.n_max is not None else block.n_max
     if n_max < 10:  # a config's n_max was checked at load: this is the flag's
         raise ConfigError(f"--n-max must be >= 10, got {n_max}")
+    _writable(args.out)
 
     lambdas = tuple(dict.fromkeys(lambdas))  # drop duplicates, keep order
     grid, columns, verdict = _conditions_table(alpha, lambdas, n_max)
@@ -504,10 +514,9 @@ def _cmd_envelope(args) -> int:
     cfg = load_config(args.config)
     if cfg.envelope is None:
         raise ConfigError("envelope: config has no envelope block")
+    _writable(args.out)
     spec, ns = cfg.envelope.spec, cfg.envelope.n_values
     schedule = cfg.sim.schedule
-    if ns is None:
-        ns = tuple(int(n) for n in np.unique(np.geomspace(10, 1000, 10).astype(int)))
 
     # one table over the distinct n in increasing order, read back per request
     grid, at = np.unique(np.array(ns), return_inverse=True)
@@ -619,18 +628,11 @@ def _cmd_check(args) -> int:
 def cmd_dispatch(argv: list[str]) -> int:
     """Parse argv (no program name) and run the subcommand; returns exit code."""
     parser = _build_parser()
-    handlers = {
-        "simulate": _cmd_simulate,
-        "ensemble": _cmd_ensemble,
-        "conditions": _cmd_conditions,
-        "envelope": _cmd_envelope,
-        "check": _cmd_check,
-    }
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
-        return handlers[args.command](args)
+        return args.run(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)

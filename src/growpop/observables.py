@@ -203,12 +203,9 @@ def predict_jumps(record_minus: MomentRecord, x_new, k: int, n0: int) -> JumpPre
     npop = n0 + k  # population after the arrival
     dm1 = (x_new - m1m) / npop
     dm2 = (float(x_new @ x_new) - record_minus.m2) / npop
-    m1p = m1m + dm1
-    dv = (
-        float((x_new - m1p) @ (x_new - m1p)) / npop
-        + (npop - 1) * float((x_new - m1m) @ (x_new - m1m)) / npop**3
-        - record_minus.v / npop
-    )
+    # nV gains g = n|x - m1|^2/(n + 1), n = npop - 1 (see ``dynamics``), so V moves by (g - V)/npop
+    g = (npop - 1) * float((x_new - m1m) @ (x_new - m1m)) / npop
+    dv = (g - record_minus.v) / npop
     return JumpPrediction(dm1=dm1, dm2=dm2, dv=dv)
 
 

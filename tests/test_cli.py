@@ -6,6 +6,7 @@ start with the seed comment.
 """
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -78,6 +79,22 @@ class TestLoadConfig:
         np.testing.assert_array_equal(cfg.sim.initial_opinions, np.zeros((3, 1)))
         assert cfg.sim.step_max == 1e-2
         assert len(cfg.sim.record_grid) == 64  # default geometric grid
+
+    def test_left_out_fields_take_the_constructors_defaults(self, tmp_path):
+        # the required fields alone, plus two blocks with only their required
+        # fields: every other field holds the default its dataclass declares
+        spec = {key: BASE_CONFIG[key] for key in ("kernel", "schedule", "source")}
+        cfg = load_spec(tmp_path, {**spec, "horizon": 2.0, "conditions": {},
+                                   "envelope": {"y0": 1.0}})
+        set_here = {"horizon", "record_grid", "conditions", "envelope"}
+        checked = []
+        for obj in (cfg, cfg.sim, cfg.conditions, cfg.envelope):
+            for field in dataclasses.fields(obj):
+                if field.default is not dataclasses.MISSING and field.name not in set_here:
+                    assert getattr(obj, field.name) == field.default, field.name
+                    checked.append(field.name)
+        assert sorted(checked) == ["lambdas", "master_seed", "max_agents", "n_max", "n_values",
+                                   "output_path", "runs", "step_max", "workers"]
 
     @pytest.mark.parametrize("grid", [None, {"type": "geometric", "points": 16}])
     def test_default_grid_does_not_depend_on_step_max(self, tmp_path, grid):
@@ -657,6 +674,42 @@ class TestDispatch:
         # the flag overrides it, so this succeeds
         assert cmd_dispatch(["ensemble", "--config", path, "--runs", "2",
                              "--workers", "1", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--runs", "1", "--runs must be an integer >= 2, got 1"),
+        ("--workers", "0", "--workers must be an integer >= 1, got 0"),
+    ])
+    def test_ensemble_flags_are_named(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "stats.csv"
+        path = write_config(tmp_path)
+        assert cmd_dispatch(["ensemble", "--config", path, flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "conditions", "envelope",
+                                         "output_path"])
+    @pytest.mark.parametrize("bad", ["missing directory", "directory"])
+    def test_output_path_is_checked_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                     command, bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        for name in ("run_simulation", "run_ensemble", "_conditions_table", "_condition_sums"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = str(tmp_path / "missing" / "x.csv") if bad == "missing directory" else str(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        path = write_config(tmp_path, envelope={"y0": 1.0},
+                            output_path=out if command == "output_path" else None)
+        argv = {"simulate": ["simulate", "--config", path, "--out", out],
+                "ensemble": ["ensemble", "--config", path, "--out", out],
+                "conditions": ["conditions", "--alpha", "0.5", "--lambda", "0.4", "--out", out],
+                "envelope": ["envelope", "--config", path, "--out", out],
+                "output_path": ["simulate", "--config", path]}[command]
+        assert cmd_dispatch(argv) == 2
+        std = capsys.readouterr()
+        assert std.out == "" and std.err.startswith(f"error: cannot write {out}: "), std.err
+        # the check made nothing: only the config file is new
+        assert sorted(tmp_path.iterdir()) == sorted([*before, tmp_path / "config.json"])
 
     def test_conditions_n_max_flag_below_10_is_named(self, capsys):
         # a config's conditions.n_max is checked at load, so only the flag
