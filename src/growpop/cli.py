@@ -105,6 +105,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.master_seed = _integer(self.master_seed, "master_seed", 0)
+        if self.output_path == "":  # no file has this name; stdout is None
+            raise ValueError("output_path must name a file, got ''")
 
 
 def _is_int(val) -> bool:
@@ -469,9 +471,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
-    alpha = args.alpha
-    lambdas = tuple(args.lam) if args.lam is not None else None
-    block = ConditionsBlock()
+    alpha, lambdas, block = args.alpha, args.lam, ConditionsBlock()
     if args.config is not None:
         cfg = load_config(args.config)
         if alpha is None:
@@ -486,8 +486,13 @@ def _cmd_conditions(args) -> int:
             lambdas = block.lambdas or (cfg.sim.kernel.psi_star, cfg.sim.kernel.psi_max)
     if alpha is None or lambdas is None:
         raise _UsageError("conditions needs either --config or both --alpha and --lambda")
+    # a flag's value is named by its flag; a config's was checked at load
+    if args.alpha is not None:
+        alpha = _number(alpha, "--alpha", "> 0")
+    if args.lam is not None:
+        lambdas = [_number(lam, "--lambda", "> 0") for lam in lambdas]
     n_max = args.n_max if args.n_max is not None else block.n_max
-    if n_max < 10:  # a config's n_max was checked at load: this is the flag's
+    if n_max < 10:
         raise ConfigError(f"--n-max must be >= 10, got {n_max}")
     _writable(args.out)
 

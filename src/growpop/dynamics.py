@@ -118,8 +118,7 @@ import numpy as np
 
 from .kernels import Kernel, _coordinate_major, _force, _one_blas_thread
 from .observables import MomentSeries, _moments, compute_moments
-from .schedules import (GrowthSchedule, _integer, _number, _times, final_injection_count,
-                        injection_time, population_at)
+from .schedules import GrowthSchedule, _integer, _number, _times, injection_time, population_at
 from .sources import OpinionSource, _draw_incoming
 
 __all__ = [
@@ -250,7 +249,7 @@ def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
     try:
         pts = np.arange(1, math.floor(t_end / dt) + 1) * dt  # i * dt, bit for bit
     except (MemoryError, OverflowError, ValueError) as err:
-        raise ValueError(f"record times every dt = {dt} up to t_end = {t_end} do not fit in "
+        raise ValueError(f"dt = {dt} up to t_end = {t_end}: the record times do not fit in "
                          f"memory: {err}") from err
     # i*dt rounds, so a multiple of dt meant to land on t_end can overshoot it
     return (*pts[pts < t_end].tolist(), t_end)
@@ -262,7 +261,12 @@ def geometric_record_grid(t_first: float, t_end: float, points: int) -> tuple[fl
     if t_first > t_end:
         raise ValueError(f"t_first must be <= t_end, got {t_first}, t_end = {t_end}")
     points = _integer(points, "points", 2)
-    return tuple(float(g) for g in np.geomspace(t_first, t_end, points))
+    try:
+        grid = np.geomspace(t_first, t_end, points)
+    except (MemoryError, OverflowError, ValueError) as err:
+        raise ValueError(f"points = {points} from t_first = {t_first} to t_end = {t_end}: the "
+                         f"record times do not fit in memory: {err}") from err
+    return tuple(grid.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,28 +334,11 @@ def _end_time(schedule: GrowthSchedule, horizon: float | None,
         ends.append(_number(horizon, "horizon", "> 0"))
     if max_agents is not None:
         max_agents = _integer(max_agents, "max_agents", schedule.n0)
-        k_needed = max_agents - schedule.n0
-        limit = final_injection_count(schedule)
-        if limit is not None and k_needed > limit:
-            raise ValueError(f"max_agents = {max_agents} needs {k_needed} arrivals "
-                             f"but the schedule defines only {limit}")
-        ends.append(injection_time(schedule, k_needed) if k_needed > 0 else 0.0)
+        try:  # an explicit schedule refuses an arrival past its times
+            ends.append(injection_time(schedule, max_agents - schedule.n0))
+        except ValueError as err:
+            raise ValueError(f"max_agents = {max_agents}: {err}") from err
     return min(ends)
-
-
-def _arrival_times(config: SimConfig, t_end: float) -> np.ndarray:
-    """t_1..t_K, every arrival at or before t_end that max_agents allows, read by
-    ``schedules._times``. K is counted first, so a K beyond memory raises at
-    once, naming t_end and K, or, past 2**53 arrivals, the count's estimate."""
-    schedule = config.schedule
-    try:
-        count = population_at(schedule, t_end) - schedule.n0
-        if config.max_agents is not None:
-            count = min(count, config.max_agents - schedule.n0)
-        return _times(schedule, 0, count)
-    except (MemoryError, OverflowError) as err:
-        raise ValueError(f"the arrivals up to t_end = {t_end} do not fit in memory: "
-                         f"{err}") from err
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,12 +354,25 @@ class _Timeline:
 
 
 def _timeline(config: SimConfig) -> _Timeline:
-    """The rows of every run of ``config``. K arrivals whose rows do not fit in
-    memory raise a ValueError naming K and t_end, as ``_arrival_times`` does."""
-    t_end = _end_time(config.schedule, config.horizon, config.max_agents)
-    arrivals = _arrival_times(config, t_end)
+    """The rows of every run of ``config``, around t_1..t_K: every arrival at or
+    before t_end that max_agents allows, read by ``schedules._times``.
+
+    K is counted first, so a K beyond memory raises a ValueError at once,
+    naming t_end and K, or, past 2**53 arrivals, the count's estimate; rows
+    beyond memory raise one naming K and t_end.
+    """
+    schedule = config.schedule
+    t_end = _end_time(schedule, config.horizon, config.max_agents)
     try:
-        return _timeline_rows(arrivals, config.record_grid, t_end, config.schedule.n0)
+        count = population_at(schedule, t_end) - schedule.n0
+        if config.max_agents is not None:
+            count = min(count, config.max_agents - schedule.n0)
+        arrivals = _times(schedule, 0, count)
+    except (MemoryError, OverflowError) as err:
+        raise ValueError(f"the arrivals up to t_end = {t_end} do not fit in memory: "
+                         f"{err}") from err
+    try:
+        return _timeline_rows(arrivals, config.record_grid, t_end, schedule.n0)
     except MemoryError as err:
         raise ValueError(f"the rows of {arrivals.size} arrivals up to t_end = {t_end} do not "
                          "fit in memory") from err

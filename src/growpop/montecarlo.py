@@ -188,16 +188,11 @@ def ensemble_statistic(stats: EnsembleStats, which: str, at_k: int) -> tuple[flo
     if which not in _STATS:
         raise ValueError(f"unknown statistic {which!r}; choose from {sorted(_STATS)}")
     at_k = _integer(at_k, "at_k", 0)
-    if at_k == 0:
-        idx = 0
-        if stats.event[0] != "record" or stats.k[0] != 0:
-            raise RuntimeError("ensemble timeline does not start at the t=0 record")
-    else:
-        hits = [i for i, (ev, kk) in enumerate(zip(stats.event, stats.k))
-                if ev == "post_jump" and kk == at_k]
-        if not hits:
-            raise ValueError(f"ensemble holds no arrival with index {at_k}")
-        idx = hits[0]
+    if at_k > int(stats.k[-1]):
+        raise ValueError(f"ensemble holds no arrival with index {at_k}")
+    # k never decreases along the rows, and the first row holding k >= 1 is
+    # arrival k's pre_jump row, so its post_jump row is the next one
+    idx = int(np.searchsorted(stats.k, at_k)) + (at_k > 0)
     mean_name, err_name = _STATS[which]
     return float(getattr(stats, mean_name)[idx]), float(getattr(stats, err_name)[idx])
 

@@ -36,7 +36,6 @@ __all__ = [
     "asymptotic_injection_times",
     "injection_time",
     "population_at",
-    "final_injection_count",
 ]
 
 
@@ -158,13 +157,6 @@ def injection_time(schedule: GrowthSchedule, j: int) -> float:
     """Arrival time t_j of the j-th newcomer, j >= 1. t_0 = 0 by convention."""
     j = _integer(j, "injection index", 0)
     return float(_times(schedule, j - 1, j)[0]) if j else 0.0
-
-
-def final_injection_count(schedule: GrowthSchedule):
-    """Number of injections the schedule defines, or None if unbounded."""
-    if isinstance(schedule, ExplicitSchedule):
-        return len(schedule.times)
-    return None
 
 
 def population_at(schedule: GrowthSchedule, t: float) -> int:

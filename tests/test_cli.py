@@ -332,7 +332,7 @@ PUBLIC_NAMES = {
     "Kernel", "constant_kernel", "rational_kernel",
     "PowerExponentialSchedule", "ExplicitSchedule", "GrowthSchedule",
     "AsymptoticTimes", "asymptotic_injection_times",
-    "injection_time", "population_at", "final_injection_count",
+    "injection_time", "population_at",
     "OpinionSource", "gaussian_source", "uniform_source",
     "MomentRecord", "MomentSeries", "SeriesRow", "InjectionJump",
     "JumpPrediction", "compute_moments", "dissipation_of", "predict_jumps",
@@ -355,9 +355,6 @@ class TestPackageSurface:
     def test_every_public_name_resolves(self, module):
         mod = importlib.import_module(module)
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
-
-    def test_final_injection_count_is_public_in_schedules(self):
-        assert "final_injection_count" in growpop.schedules.__all__
 
     def test_package_publishes_the_same_names(self):
         assert len(growpop.__all__) == len(PUBLIC_NAMES)
@@ -710,6 +707,61 @@ class TestDispatch:
         assert std.out == "" and std.err.startswith(f"error: cannot write {out}: "), std.err
         # the check made nothing: only the config file is new
         assert sorted(tmp_path.iterdir()) == sorted([*before, tmp_path / "config.json"])
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_empty_output_path_is_refused_at_load(self, tmp_path, monkeypatch, capsys,
+                                                  command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was refused")
+
+        for name in ("run_simulation", "run_ensemble"):
+            monkeypatch.setattr(cli, name, no_work)
+        path = write_config(tmp_path, output_path="")
+        assert cmd_dispatch([command, "--config", path]) == 2
+        assert capsys.readouterr() == ("", "error: output_path must name a file, got ''\n")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"type": "geometric", "points": 2**70}, "record_grid.points = 1180591620717411303424 "),
+        ({"type": "geometric", "points": 10**11}, "record_grid.points = 100000000000 "),
+        ({"type": "uniform", "dt": 1e-300}, "record_grid.dt = 1e-300 up to t_end = "),
+    ])
+    def test_record_grid_beyond_memory_names_its_field(self, tmp_path, monkeypatch, capsys,
+                                                       grid, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was refused")
+
+        geomspace = np.geomspace
+
+        def refused(start, stop, num):
+            # 10**11 points are 745 GiB: refused as numpy would, without trying
+            if num == 10**11:
+                raise MemoryError("Unable to allocate 745. GiB")
+            return geomspace(start, stop, num)
+
+        for name in ("run_simulation", "run_ensemble"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(np, "geomspace", refused)
+        path = write_config(tmp_path, record_grid=grid)
+        assert cmd_dispatch(["ensemble", "--config", path]) == 2
+        std = capsys.readouterr()
+        assert std.out == "" and std.err.startswith(f"error: {message}"), std.err
+        assert "do not fit in memory" in std.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--alpha", "-1", "--lambda", "1"], "--alpha must be > 0 and finite, got -1.0"),
+        (["--alpha", "0.5", "--lambda", "0"], "--lambda must be > 0 and finite, got 0.0"),
+    ])
+    def test_conditions_flags_are_named(self, tmp_path, monkeypatch, capsys, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("table work started before the flags were checked")
+
+        for name in ("_conditions_table", "_condition_sums"):
+            monkeypatch.setattr(cli, name, no_work)
+        # the flags are checked before the output path
+        out = str(tmp_path / "missing" / "x.csv")
+        assert cmd_dispatch(["conditions", *argv, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_conditions_n_max_flag_below_10_is_named(self, capsys):
         # a config's conditions.n_max is checked at load, so only the flag

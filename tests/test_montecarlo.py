@@ -452,6 +452,31 @@ class TestEnsembleStatistic:
         with pytest.raises(ValueError, match="no arrival"):
             ensemble_statistic(stats, "v", at_k=999)
 
+    def test_is_the_scan_of_every_row(self):
+        # records before the first arrival, between arrivals, on an arrival
+        # time (2.0, dropped for the pre/post pair) and after the last one
+        config = ensemble_config(schedule=ExplicitSchedule(n0=2, times=(1.0, 2.0, 3.0)),
+                                 max_agents=None, horizon=4.0,
+                                 record_grid=(0.25, 0.5, 1.25, 1.5, 2.0, 3.5, 4.0))
+        stats = run_ensemble(config, runs=4, master_seed=5)
+        rows = list(zip(stats.event, stats.k.tolist()))
+        assert rows[:3] == [("record", 0)] * 3 and ("record", 1) in rows
+        assert rows[-2:] == [("record", 3)] * 2
+        assert 2.0 not in stats.grid[np.array(stats.event) == "record"]
+
+        def scan(which, at_k):
+            # the row every event string is scanned for
+            idx = 0 if at_k == 0 else [i for i, row in enumerate(rows)
+                                       if row == ("post_jump", at_k)][0]
+            mean, err = (getattr(stats, f"{part}_{which}")[idx] for part in ("mean", "stderr"))
+            return float(mean), float(err)
+
+        for which in ("w", "v", "m1_dev"):
+            for at_k in range(4):
+                assert ensemble_statistic(stats, which, at_k) == scan(which, at_k), (which, at_k)
+            with pytest.raises(ValueError, match="no arrival with index 4"):
+                ensemble_statistic(stats, which, 4)
+
 
 class TestExpectedMoments:
     def test_is_the_average_over_every_two_point_draw(self):

@@ -18,7 +18,6 @@ import growpop as gp
 from growpop import (
     ExplicitSchedule,
     PowerExponentialSchedule,
-    final_injection_count,
     injection_time,
     population_at,
 )
@@ -186,9 +185,23 @@ class TestExplicitSchedule:
         with pytest.raises(ValueError):
             injection_time(s, 3)
 
-    def test_final_injection_count(self):
-        assert final_injection_count(ExplicitSchedule(n0=1, times=(0.5, 1.0))) == 2
-        assert final_injection_count(PowerExponentialSchedule(alpha=0.5, n0=1)) is None
+    def test_schedule_shorter_than_max_agents_is_refused(self, tmp_path):
+        # max_agents = 8 from n0 = 3 needs 5 arrivals; the schedule has 3
+        message = r"max_agents = 8: schedule defines 3 times, need 5"
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            gp.SimConfig(dim=1, kernel=gp.constant_kernel(1.0),
+                         schedule=ExplicitSchedule(n0=3, times=(1.0, 2.0, 3.0)),
+                         source=gp.gaussian_source(0.0, 1.0), initial_opinions=np.zeros((3, 1)),
+                         max_agents=8)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "kernel": {"type": "constant", "c": 1.0},
+            "schedule": {"type": "explicit", "n0": 3, "times": [1.0, 2.0, 3.0]},
+            "source": {"type": "gaussian", "mean": 0.0, "sigma2": 1.0},
+            "max_agents": 8,
+        }))
+        with pytest.raises(ConfigError, match=rf"^{message}$"):
+            load_config(str(path))
 
     @pytest.mark.parametrize("times", [(0.0, 1.0), (-1.0,), (1.0, 1.0),
                                        (2.0, 1.0), (1.0, math.nan)])
