@@ -17,9 +17,9 @@ A table of envelopes at increasing n_1 < n_2 < ..., for any number of rates,
 costs one O(n_max) pass in O(chunk x rates) memory: k runs in fixed chunks
 of a few thousand terms, whose times and weights are made once for all
 rates. Within a chunk each piece of segment j, the terms n_{j-1} < k <= n_j,
-is summed by numpy's pairwise ``np.sum``; the chunk sums of a segment are
-added by ``math.fsum``, correctly rounded, and the running total, y0 at
-t_0 = 0, is carried by
+is summed by ``np.add.reduce``, the pairwise sum that ``np.sum`` calls; the
+chunk sums of a segment are added by ``math.fsum``, correctly rounded, and the
+running total, y0 at t_0 = 0, is carried by
 
     S(lambda, n_j) = exp(-lambda (t_{n_j} - t_{n_{j-1}})) S(lambda, n_{j-1}) + segment_j.
 
@@ -47,7 +47,8 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .schedules import AsymptoticTimes, TimeScale, _integer, _number, _times
+from .schedules import (_CHUNK, AsymptoticTimes, TimeScale, _integer, _integers, _number,
+                        _times)
 
 __all__ = [
     "condition_sum",
@@ -64,23 +65,11 @@ __all__ = [
 ]
 
 
-# Terms per chunk of the condition-sum pass. Each chunk's times and weights
-# are fresh arrays, and below malloc's mmap threshold (128 KiB) the heap
-# reuses their memory. A sweep on one core of a 2-core Xeon, two runs of 15
-# calls per size, for a two-rate table to n = 1e6 (minimum ms per call, minor
-# page faults per call): 2^11, 18-27 ms, 0 faults; 2^12, 12-20 ms, 0;
-# 2^13, 12-15 ms, 0; 2^14, 10-13 ms, 128; 2^15, 8-13 ms, 224; 2^16, 9-14 ms,
-# 480. Full-length arrays: 20-24 ms, 2,600-4,700 faults. Above 2^13 the
-# times are within this machine's noise, so the size is the largest that
-# faults no page.
-_CHUNK = 1 << 13
-
-
 def _weight_chunks(bound: JumpBound, n: int) -> Callable[[int, int], np.ndarray]:
     """A reader of the jump weights: (lo, hi) -> g(lo+1..hi) as a new array, hi <= n."""
     if isinstance(bound, HarmonicScaled):
         def harmonic(lo, hi):
-            g = np.arange(lo + 1, hi + 1, dtype=float)
+            g = _integers(lo, hi)
             return np.divide(bound.c, g, out=g)
         return harmonic
     if isinstance(bound, ExplicitJumps):
@@ -138,7 +127,7 @@ def _condition_sums(lams: Sequence[float], times: TimeScale, ns, bound: JumpBoun
                 buf = np.multiply(d, lam, out=terms[r, :hi - lo])
                 np.exp(buf, out=buf)
                 buf *= g[lo - start:hi - start]
-                pieces[r].append(float(np.sum(buf)))
+                pieces[r].append(float(np.add.reduce(buf)))
             if hi == end:
                 for r, lam in enumerate(lams):
                     totals[r] = sums[r, j] = (math.fsum(pieces[r])

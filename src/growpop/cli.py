@@ -403,6 +403,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="growpop",
                      description="Growing-population averaging dynamics toolkit")

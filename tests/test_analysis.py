@@ -296,6 +296,14 @@ class TestChunkedPass:
                 assert abs(got - want) <= 1e-13 * scale, (lam, n, got, want)
                 assert abs(single - want) <= 1e-13 * scale, (lam, n, single, want)
 
+    def test_harmonic_weights_are_c_over_k_bit_for_bit(self):
+        # the weight reader takes its integers from the ramp up to C values
+        # and from np.arange past it; either way g(k) = c / k, rounded once
+        weights = analysis._weight_chunks(HarmonicScaled(1.3), 10**6 + C)
+        for lo, hi in [(0, 1), (0, C), (C - 5, C + 5), (3, 2 * C + 3), (10**6, 10**6 + C)]:
+            want = 1.3 / np.arange(lo + 1, hi + 1, dtype=float)
+            assert weights(lo, hi).tobytes() == want.tobytes(), (lo, hi)
+
     @pytest.mark.parametrize("at", [C - 1, C, C + 100], ids=["chunk-end", "chunk-start",
                                                             "later-chunk"])
     @pytest.mark.parametrize("fault", ["dip", "drop", "nan"])

@@ -838,6 +838,21 @@ class TestDispatch:
     def test_conditions_without_alpha_is_usage_error(self, capsys):
         assert cmd_dispatch(["conditions", "--lambda", "1.0"]) == 1
 
+    def test_parser_is_reused_across_calls(self, capsys):
+        # the parser is built once per process: neither a usage error nor a
+        # repeated --lambda leaves anything behind for the next call to read
+        argv = ["conditions", "--alpha", "1.5", "--lambda", "0.4", "--lambda", "1.6",
+                "--n-max", "1000"]
+        assert cmd_dispatch(["conditions", "--lambda", "1.0"]) == 1
+        capsys.readouterr()
+        assert cli._build_parser() is cli._build_parser()
+        outs = []
+        for _ in range(2):
+            assert cmd_dispatch(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].split("\n")[0].split() == ["n", "S(lambda=0.4)", "S(lambda=1.6)"]
+
     def test_conditions_csv_output(self, tmp_path, capsys):
         out = tmp_path / "cond.csv"
         assert cmd_dispatch(["conditions", "--alpha", "0.5", "--lambda", "1.0",

@@ -128,7 +128,7 @@ SCALES = [
       for alpha in (1 / 3, 0.5, 0.9, 1.5, 2.0) for n0 in (1, 10)),
     *(pytest.param(gp.AsymptoticTimes(alpha), id=f"asymptotic-{alpha}") for alpha in (0.5, 1.5)),
     pytest.param(ExplicitSchedule(
-        n0=2, times=np.cumsum(np.random.default_rng(5).uniform(0.01, 1.0, size=6000))),
+        n0=2, times=np.cumsum(np.random.default_rng(5).uniform(0.01, 1.0, size=20000))),
         id="explicit"),
 ]
 
@@ -136,14 +136,35 @@ SCALES = [
 class TestTimesReader:
     @pytest.mark.parametrize("schedule", SCALES)
     def test_slices_are_the_full_array_bit_for_bit(self, schedule):
-        full = _times(schedule, 0, 6000)
+        # the full array is longer than the integer ramp, so its integers come
+        # from np.arange, and those of slices of at most 8,192 from the ramp
+        full = _times(schedule, 0, 20000)
         rng = np.random.default_rng(6)
-        for lo, hi in np.sort(rng.integers(0, 6001, size=(300, 2)), axis=1).tolist():
+        for lo, hi in np.sort(rng.integers(0, 20001, size=(300, 2)), axis=1).tolist():
             assert _times(schedule, lo, hi).tobytes() == full[lo:hi].tobytes(), (lo, hi)
-        for j in rng.integers(1, 6001, size=300).tolist():
+        for j in rng.integers(1, 20001, size=300).tolist():
             assert _times(schedule, j - 1, j).tobytes() == full[j - 1:j].tobytes(), j
         if not isinstance(schedule, gp.AsymptoticTimes):
-            assert [injection_time(schedule, j) for j in range(1, 6001)] == full.tolist()
+            assert [injection_time(schedule, j) for j in range(1, 20001)] == full.tolist()
+
+    @pytest.mark.parametrize("n0", [0, 1, 10], ids=lambda n0: f"n0={n0}")
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_power_family_is_the_log_of_its_integers(self, alpha, n0):
+        # t_j = ln(n0 + j) with no power taken at alpha = 1, its power 1/alpha
+        # otherwise, for slices inside the 8,192-value ramp, straddling its
+        # end, past it, longer than it, and ending at 2**53, the last integer
+        # the ramp serves; n0 = 0 is the AsymptoticTimes scale. A time scale
+        # shifted by one index, which the classifier's band cannot see at
+        # alpha 0.5, fails here.
+        schedule = (gp.AsymptoticTimes(alpha) if n0 == 0
+                    else PowerExponentialSchedule(alpha=alpha, n0=n0))
+        for lo, hi in [(0, 1), (0, 8192), (8000, 8400), (8191, 8193), (8192, 16384),
+                       (20000, 20001), (3, 20003), (10**6, 10**6 + 8192),
+                       (2**53 - n0 - 8, 2**53 - n0)]:
+            want = np.log(np.arange(n0 + lo + 1, n0 + hi + 1, dtype=float))
+            if alpha != 1.0:
+                want **= 1.0 / alpha
+            assert _times(schedule, lo, hi).tobytes() == want.tobytes(), (lo, hi)
 
     def test_returns_a_new_array(self):
         s = ExplicitSchedule(n0=1, times=(1.0, 2.0, 3.0))
