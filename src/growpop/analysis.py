@@ -1,4 +1,4 @@
-"""Consensus criteria: condition sums, envelopes, and decay-rate tools.
+"""Consensus criteria: condition sums, envelopes and the generalized Dawson integral.
 
 The central object is the weighted sum
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -60,8 +60,6 @@ __all__ = [
     "HarmonicScaled",
     "ExplicitJumps",
     "envelope_bound",
-    "consensus_rate_bounds",
-    "RateBounds",
 ]
 
 
@@ -366,20 +364,3 @@ def envelope_bound(spec: EnvelopeSpec, times: TimeScale, n: int) -> float:
     return float(_condition_sums((spec.decay_rate,), times, (_integer(n, "n", 1),),
                                  spec.jump_bound, spec.y0)[0, 0])
 
-
-class RateBounds(NamedTuple):
-    p: float         # time exponent, 1/alpha
-    beta_sup: float  # supremum of valid t-scale exponents: 1 - alpha
-
-
-def consensus_rate_bounds(alpha: float) -> RateBounds:
-    """Decay-rate window for arrival exponent alpha.
-
-    Variance decays like t^(-beta) for any beta < 1 - alpha, equivalently
-    (ln n)^(-beta*) for any beta* < p - 1 = (1 - alpha) / alpha on the
-    arrival scale ln n = t^alpha. Both suprema are positive exactly when
-    alpha < 1.
-    """
-    alpha = _number(alpha, "alpha", "> 0")
-    p = 1.0 / alpha
-    return RateBounds(p=p, beta_sup=1.0 - alpha)

@@ -124,7 +124,6 @@ from .sources import OpinionSource, _draw_incoming
 __all__ = [
     "SimState",
     "SimConfig",
-    "ContractViolationError",
     "rhs",
     "integrate_interval",
     "run_simulation",
@@ -151,10 +150,6 @@ _AUDIT_ATOL = 1e-15
 # spans: its factors e^{2c (t_j - t_lo)} stay below e^16, and the rounding of
 # their exponents below 16 eps relative.
 _PIECE = 16.0
-
-
-class ContractViolationError(RuntimeError):
-    """An operation was driven outside its stated preconditions."""
 
 
 @dataclass(eq=False)
@@ -231,11 +226,11 @@ def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
     one update, and step_max does not enter. A kernel with b > 0 takes RK4
     steps of step_max, capped at RK4's real-axis stability limit
     2.785 / (2 psi_max), with the final one shortened to land exactly on
-    t_end. A t_end before state.t is a contract violation.
+    t_end. A t_end before state.t raises ValueError.
     """
     step_max, t_end = _number(step_max, "step_max", "> 0"), _number(t_end, "t_end")
     if t_end < state.t:
-        raise ContractViolationError(f"t_end={t_end} precedes state.t={state.t}")
+        raise ValueError(f"t_end = {t_end} precedes state.t = {state.t}")
     x = _coordinate_major(state.opinions)
     with _one_blas_thread():
         _advance(x, kernel, t_end - state.t, step_max)
@@ -427,27 +422,27 @@ def run_simulation(config: SimConfig, seed: int) -> MomentSeries:
     ensemble is run_simulation(config, derive_run_seed(master, i)), bit for bit.
     """
     seed = _integer(seed, "seed", 0)
-    tl, cols = _run_block(config, [seed])
+    tl = _timeline(config)
+    cols = _run_block(config, tl, [seed])
     return MomentSeries(t=tl.t, event=tl.event, k=tl.k, n=tl.n, seed=seed,
                         **{name: col[0] for name, col in cols.items()})
 
 
-def _run_block(config: SimConfig, seeds) -> tuple[_Timeline, dict[str, np.ndarray]]:
-    """Runs of ``config`` under each seed: the shared timeline, and the columns
+def _run_block(config: SimConfig, tl: _Timeline, seeds) -> dict[str, np.ndarray]:
+    """Runs of ``config`` under each seed on its timeline ``tl``: the columns
     ``m1``, ``m2``, ``v``, ``w``, ``dissipation``, ``d_integral`` and ``x_new``
     of ``MomentSeries`` with a leading replica axis. A replica's result does not
     depend on the others or on their number. A failure that belongs to one
     replica raises ``_ReplicaError`` with its place in ``seeds``. The block
     runs on one BLAS thread (``kernels._one_blas_thread``).
     """
-    tl = _timeline(config)
     x_new = np.stack([_draw_incoming(config.source, np.random.default_rng(s), tl.arrivals.size)
                       for s in seeds])
     engine = _constant_block if config.kernel.b == 0.0 else _particle_block
     with _one_blas_thread():
         cols = engine(config, tl, x_new)
     cols["x_new"] = x_new
-    return tl, cols
+    return cols
 
 
 def _particle_block(config: SimConfig, tl: _Timeline, x_new: np.ndarray) -> dict:

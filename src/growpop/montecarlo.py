@@ -4,16 +4,18 @@ The only randomness in a run is the sequence of incoming opinions, so an
 ensemble is a set of runs of one SimConfig under seeds derived from a master
 seed by a counter-mixing construction (SplitMix64 finalizer over a Weyl
 sequence): distinct run indices and distinct master seeds can never collide.
-Runs go to the engine in blocks of consecutive run indices: one block in
-this process for a kernel with b = 0, the constant kernel, one block per
-worker process for b > 0. A failure names the run index and seed of its
-replica, or, when a worker dies, those of its block.
-
 All runs of a config share the record timeline exactly (the schedule and the
 record grid are deterministic), so per-row sample means and standard errors
-are well defined. Aggregation order is by run index regardless of worker
-count, which makes ensemble output bit-identical for any level of
-parallelism.
+are well defined. ``run_ensemble`` builds it once, in the calling process,
+before any run: a config whose timeline cannot be built raises the same
+ValueError as ``run_simulation``, naming no run, and starts no worker.
+
+Runs go to the engine in blocks of consecutive run indices on that timeline:
+one block in this process for a kernel with b = 0, the constant kernel, one
+block per worker process for b > 0. A failure names the run index and seed of
+its replica, or, when a worker dies, those of its block. Aggregation order is
+by run index regardless of worker count, which makes ensemble output
+bit-identical for any level of parallelism.
 
 For a kernel with b = 0, ``expected_moments`` gives the exact expectations that
 an ensemble's ``mean_v`` and ``mean_w`` estimate, row by row, with no
@@ -95,15 +97,15 @@ def _runs(start: int, seeds) -> str:
 def _run_task(task):
     """One block of replicas, reduced to the columns the ensemble reads. A
     failure names its replica's run index and seed, or else the block's."""
-    config, start, seeds = task
+    config, tl, start, seeds = task
     try:
-        tl, cols = _run_block(config, seeds)
+        cols = _run_block(config, tl, seeds)
     except _ReplicaError as err:
         raise RuntimeError(f"ensemble run {start + err.replica} (seed {seeds[err.replica]}) "
                            f"failed: {err}") from err
     except Exception as err:
         raise RuntimeError(f"ensemble {_runs(start, seeds)} failed: {err}") from err
-    return tl, cols["w"], cols["v"], cols["m1"]
+    return cols["w"], cols["v"], cols["m1"]
 
 
 def _blocks(tasks, workers: int):
@@ -119,7 +121,7 @@ def _blocks(tasks, workers: int):
         return
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = [pool.submit(_run_task, task) for task in tasks]
-        for (_, start, seeds), future in zip(tasks, futures):
+        for (*_, start, seeds), future in zip(tasks, futures):
             try:
                 yield future.result()
             except BrokenProcessPool as err:
@@ -131,28 +133,28 @@ def run_ensemble(config: SimConfig, runs: int, master_seed: int,
                  workers: int = 1) -> EnsembleStats:
     """Run ``runs`` independent replicas and aggregate moment statistics.
 
-    Replica i uses seed derive_run_seed(master_seed, i). At b = 0, the
-    constant kernel, the replicas run as one block in this process, whatever
-    ``workers``; at b > 0 they are cut into blocks of ceil(runs / workers)
-    consecutive run indices, each run by one call of the block engine, in a
-    process of its own when there is more than one block. Results are reduced in run-index order,
-    and a replica's result does not depend on its block, so the statistics do
-    not depend on the worker count.
+    Replica i uses seed derive_run_seed(master_seed, i). The shared timeline
+    is built first, so a config fault raises as in ``run_simulation``. At
+    b = 0, the constant kernel, the replicas run as one block in this process,
+    whatever ``workers``; at b > 0 they are cut into blocks of
+    ceil(runs / workers) consecutive run indices, each run by one call of the
+    block engine, in a process of its own when there is more than one block.
+    Results are reduced in run-index order, and a replica's result does not
+    depend on its block, so the statistics do not depend on the worker count.
     """
     runs = _integer(runs, "runs", 2)
     workers = _integer(workers, "workers", 1)
 
     seeds = [derive_run_seed(master_seed, i) for i in range(runs)]
+    tl = _timeline(config)
     # the exact engine of b = 0 does O(d) work per replica and event, less than
     # a worker process costs to start, so its runs stay in one block here
     size = runs if config.kernel.b == 0.0 else math.ceil(runs / workers)
-    tasks = [(config, i, seeds[i:i + size]) for i in range(0, runs, size)]
-    timelines, *blocks = zip(*_blocks(tasks, workers))
-    # every block runs the same config, and the timeline is a function of it
-    tl = timelines[0]
+    tasks = [(config, tl, i, seeds[i:i + size]) for i in range(0, runs, size)]
     # C order whatever the blocks' layout: the reductions over runs then sum in
     # one order for any block size
-    w, v, m1 = (np.ascontiguousarray(np.concatenate(cols)) for cols in blocks)
+    w, v, m1 = (np.ascontiguousarray(np.concatenate(cols))
+                for cols in zip(*_blocks(tasks, workers)))
 
     diff = m1 - config.source.mean_vector
     # |m1 - m|^2 row by row as a (1, d) @ (d, 1) product: the rounding of diff @ diff

@@ -495,13 +495,14 @@ def test_off_mean_founders_match_exact_expectations():
 def _rate_ratio(alpha: float, n: int) -> float:
     """r(n) = E V (2c + rho) / (rho sigma^2) right after the n-th agent joins:
     n0 = 10 founders at the mean, c = 1, sigma^2 = 1, rho = alpha t^(-beta) with
-    beta = consensus_rate_bounds(alpha).beta_sup."""
+    beta = 1 - alpha."""
     sched = gp.PowerExponentialSchedule(alpha=alpha, n0=10)
     config = gp.SimConfig(dim=1, kernel=gp.constant_kernel(1.0), schedule=sched,
                           source=gp.gaussian_source(0.0, 1.0),
                           initial_opinions=np.zeros((10, 1)), max_agents=n)
     v, _ = gp.expected_moments(config)
-    rho = alpha * gp.injection_time(sched, n - 10) ** -gp.consensus_rate_bounds(alpha).beta_sup
+    beta = 1.0 - alpha
+    rho = alpha * gp.injection_time(sched, n - 10) ** -beta
     return float(v[-1]) * (2.0 + rho) / rho
 
 

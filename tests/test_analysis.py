@@ -33,7 +33,6 @@ from growpop import (
     condition_sum,
     dawson_f,
     envelope_bound,
-    consensus_rate_bounds,
 )
 from growpop import analysis
 from growpop.analysis import _condition_sums
@@ -621,21 +620,10 @@ class TestEnvelope:
 
 
 class TestRateBounds:
-    def test_half_alpha_window(self):
-        rb = consensus_rate_bounds(0.5)
-        assert rb.p == 2.0
-        assert rb.beta_sup == 0.5
-
-    def test_windows_close_at_boundary(self):
-        rb = consensus_rate_bounds(1.0)
-        assert rb.p == 1.0
-        assert rb.beta_sup == 0.0
-        assert consensus_rate_bounds(1.5).beta_sup < 0.0
-
     def test_any_exponent_below_sup_scales_the_sums_to_zero(self):
         # (ln n)^beta* S(lambda, n) must still vanish for beta* < p - 1
         alpha, lam, beta_star = 0.5, 1.0, 0.5
-        assert beta_star < consensus_rate_bounds(alpha).p - 1.0
+        assert beta_star < 1.0 / alpha - 1.0
         times = asymptotic_injection_times(alpha)
         scaled = [math.log(n) ** beta_star * condition_sum(lam, times, n)
                   for n in (10**3, 10**4, 10**5, 10**6)]

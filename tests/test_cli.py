@@ -337,12 +337,11 @@ PUBLIC_NAMES = {
     "MomentRecord", "MomentSeries", "SeriesRow", "InjectionJump",
     "JumpPrediction", "compute_moments", "dissipation_of", "predict_jumps",
     "expected_m1_deviation",
-    "SimConfig", "SimState", "ContractViolationError", "rhs",
+    "SimConfig", "SimState", "rhs",
     "integrate_interval", "run_simulation",
     "uniform_record_grid", "geometric_record_grid",
     "condition_sum", "dawson_f", "ScheduleClass", "ClassificationError", "classify_schedule",
     "HarmonicScaled", "ExplicitJumps", "EnvelopeSpec", "envelope_bound",
-    "RateBounds", "consensus_rate_bounds",
     "EnsembleStats", "derive_run_seed", "run_ensemble", "ensemble_statistic",
     "expected_moments",
 }
@@ -598,6 +597,21 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: the rows of \d+ arrivals up to t_end = 3\.0 do not fit in "
                             r"memory\n", err), err
+
+    @pytest.mark.parametrize("kernel", [{"type": "constant", "c": 1.0},
+                                        {"type": "rational", "a": 0.5, "b": 0.5}],
+                             ids=["constant", "rational"])
+    def test_ensemble_reports_a_config_fault_as_simulate_does(self, tmp_path, capsys, kernel):
+        # 10**17 arrivals do not fit in memory: no run is to blame
+        path = write_config(tmp_path, kernel=kernel, max_agents=10**17)
+        errs = []
+        for argv in (["simulate"], ["ensemble", "--workers", "2"]):
+            assert cmd_dispatch([*argv, "--config", path,
+                                 "--out", str(tmp_path / "out.csv")]) == 2
+            errs.append(capsys.readouterr())
+        assert errs[0].err.startswith("error: the arrivals up to t_end = "), errs[0].err
+        assert errs[1] == errs[0]
+        assert not (tmp_path / "out.csv").exists()
 
     def test_missing_config_file_is_runtime_error(self, capsys):
         assert cmd_dispatch(["simulate", "--config", "/nonexistent.json"]) == 2

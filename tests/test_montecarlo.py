@@ -308,8 +308,7 @@ def replicas_of(config, runs, master, workers):
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
         emit_series_csv(stats, None)
-    _, *columns = zip(*results)
-    w, v, m1 = (np.concatenate(blocks) for blocks in columns)
+    w, v, m1 = (np.concatenate(blocks) for blocks in zip(*results))
     return stats, text.getvalue(), w, v, m1
 
 
@@ -406,8 +405,42 @@ class TestReplicaFailures:
                 RuntimeError, match=rf"ensemble run 3 \(seed {bad_seed}\) failed"):
             run_ensemble(config, runs=5, master_seed=6, workers=1)
 
+    @pytest.mark.parametrize("kernel", [constant_kernel(1.0), rational_kernel(0.5, 0.5)],
+                             ids=["constant", "rational"])
+    def test_config_fault_raises_before_any_block(self, monkeypatch, kernel):
+        # 10**17 arrivals do not fit in memory: the config's fault, not a run's
+        def no_blocks(tasks, workers):
+            raise AssertionError("blocks started for a config with no timeline")
+
+        config = ensemble_config(kernel=kernel, max_agents=10**17)
+        with pytest.raises(ValueError) as want:
+            run_simulation(config, 0)
+        assert str(want.value).startswith("the arrivals up to t_end = ")
+        monkeypatch.setattr(montecarlo, "_blocks", no_blocks)
+        with pytest.raises(ValueError) as got:
+            run_ensemble(config, runs=4, master_seed=8, workers=2)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kernel", [constant_kernel(1.0), rational_kernel(0.5, 0.5)],
+                             ids=["constant", "rational"])
+    def test_timeline_is_built_once_per_ensemble(self, monkeypatch, kernel):
+        calls, timeline = [], montecarlo._timeline
+
+        def counted(config):
+            calls.append(config)
+            return timeline(config)
+
+        def refused(config):
+            raise AssertionError("a block built its own timeline")
+
+        monkeypatch.setattr(montecarlo, "_timeline", counted)
+        monkeypatch.setattr(dynamics, "_timeline", refused)
+        config = ensemble_config(kernel=kernel)
+        run_ensemble(config, runs=3, master_seed=8, workers=1)
+        assert calls == [config]
+
     def test_other_failure_names_the_block(self, monkeypatch):
-        def fail(config, seeds):
+        def fail(config, tl, seeds):
             raise ValueError("no replica to blame")
 
         monkeypatch.setattr(montecarlo, "_run_block", fail)
@@ -420,7 +453,7 @@ class TestReplicaFailures:
     def test_dead_worker_names_its_runs(self, monkeypatch):
         # every worker dies; the first block in run order, runs 0-3, is reported
         # (the rational kernel's ensembles are the ones that use workers)
-        monkeypatch.setattr(montecarlo, "_run_block", lambda config, seeds: os._exit(1))
+        monkeypatch.setattr(montecarlo, "_run_block", lambda config, tl, seeds: os._exit(1))
         seeds = ", ".join(str(derive_run_seed(8, i)) for i in range(4))
         config = ensemble_config(kernel=rational_kernel(0.5, 0.5))
         with pytest.raises(RuntimeError, match=rf"ensemble runs 0-3 \(seeds {seeds}\) lost"):

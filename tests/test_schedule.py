@@ -376,7 +376,6 @@ FLOAT_ARGUMENTS = [
     pytest.param(gp.HarmonicScaled, (1.0,), ("c",), id="HarmonicScaled"),
     pytest.param(lambda value: gp.ExplicitJumps(values=(0.5, value)), (0.25,), ("values",),
                  id="ExplicitJumps"),
-    pytest.param(gp.consensus_rate_bounds, (0.5,), ("alpha",), id="consensus_rate_bounds"),
 ]
 
 
