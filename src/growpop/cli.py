@@ -305,19 +305,26 @@ def _source(spec: _Fields) -> OpinionSource:
 
 
 def _record_grid(spec: _Fields | None, t_end: float) -> tuple[float, ...]:
-    """The grid ``spec`` asks for; a geometric one's t_first and points
-    default to t_end / 100 and 64."""
-    if spec is None:  # a geometric spec with neither, or no grid if the run ends at t = 0
-        return _record_grid(_Fields({"type": "geometric"}, ""), t_end) if t_end > 0.0 else ()
+    """The grid ``spec`` asks for, geometric if none; a geometric one's t_first
+    and points default to t_end / 100 and 64. A run that ends at t = 0 has no
+    time to record in: there a uniform grid, or a geometric one without
+    t_first, is empty, each field given checked as its constructor checks it."""
+    spec = _Fields({"type": "geometric"}, "") if spec is None else spec
     kind = spec.variant("uniform", "geometric", "explicit")
-    if kind == "uniform":
+    if kind == "explicit":
+        grid = spec.get("times", "times")
+    elif t_end == 0.0 and (kind == "uniform" or "t_first" not in spec.obj):
+        if kind == "uniform":
+            _build(spec.prefix, _number, spec.get("dt", "number"), "dt", "> 0")
+        else:
+            _build(spec.prefix, _integer, spec.get("points", "integer", 64), "points", 2)
+        grid = ()
+    elif kind == "uniform":
         grid = _build(spec.prefix, uniform_record_grid, t_end, spec.get("dt", "number"))
-    elif kind == "geometric":
+    else:
         grid = _build(spec.prefix, geometric_record_grid,
                       spec.get("t_first", "number", t_end / 100.0), t_end,
                       spec.get("points", "integer", 64))
-    else:
-        grid = spec.get("times", "times")
     spec.close()
     return grid
 
@@ -523,6 +530,10 @@ def _cmd_envelope(args) -> int:
     _writable(args.out)
     spec, ns = cfg.envelope.spec, cfg.envelope.n_values
     schedule = cfg.sim.schedule
+    try:  # an explicit schedule has no time past its last
+        injection_time(schedule, max(ns))
+    except ValueError as err:
+        raise ConfigError(f"envelope.n = {max(ns)}: {err}") from None
 
     # one table over the distinct n in increasing order, read back per request
     grid, at = np.unique(np.array(ns), return_inverse=True)

@@ -77,17 +77,9 @@ O(N) sweep, of the force pass and of a row's moments, so runs along
 contiguous rows of length n; each sum over agents runs along a row or over a
 fresh array, so the prefix view gives the bits of a contiguous copy. The
 step is step_max, capped at RK4's real-axis stability limit for the
-kernel's certified psi_max. Every RK4 stage is one pass of ``kernels._force``
-over the pair weights, which gives the velocities and the dissipation D
-together. The pass computes each pair's weight once, in
-tiles of the upper triangle that hold their rows of the pair matrix as
-columns, and uses it in both directions: about N^2 / 2 weights and three
-matrix products per tile, one Gram product with k = d + 2 for the squared
-distances, which become the weights in place, and two for the velocities,
-whose right operand is the whole Gram operand of d + 2 columns, in O(N *
-tile) memory. D is d(m2)/dt, (2/N) sum_i (x_i - m1) . v_i, an O(N) sum over
-the velocities. A run, like every other entry point that makes passes,
-runs them on one BLAS thread.
+kernel's certified psi_max. Every RK4 stage is one pass of ``kernels._force``,
+which gives the velocities and the dissipation D together. A run, like every
+other entry point that makes passes, runs them on one BLAS thread.
 Simpson's rule over the stages gives each step's integral of D, which every
 run records (``d_integral``): the witness of the energy balance d(m2)/dt = D
 between arrivals. At b = 0 the integral is closed form, from the V column.
@@ -101,11 +93,11 @@ which would cancel as the population tightens. ``dissipation_of`` is the D of
 the same pass, so each row's D equals ``dissipation_of`` of the row's opinions
 bit for bit.
 
-``rhs`` and ``integrate_interval``, the public step API, take and return
+``rhs`` and ``integrate_interval``, the public step API, and
+``observables.compute_moments``, which takes opinions and their time, take
 opinions (N, d) and transpose at the boundary, one O(N) copy per call.
-``integrate_interval`` takes one span on given opinions: the exact flow, in
-one O(N) update, at b = 0, and the RK4 steps otherwise. Its exact branch is
-not a second engine for runs: it is the particle reference that the tests
+``integrate_interval`` alone holds the exact flow at b = 0, one O(N) update:
+not a second engine for runs, but the particle reference that the tests
 replay a run through and compare the recursion against.
 """
 
@@ -116,7 +108,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, _coordinate_major, _force, _one_blas_thread
+from .kernels import Kernel, _coordinate_major, _force, _one_blas_thread, _towards_mean
 from .observables import MomentSeries, _moments, compute_moments
 from .schedules import GrowthSchedule, _integer, _number, _times, injection_time, population_at
 from .sources import OpinionSource, _draw_incoming
@@ -163,14 +155,9 @@ class SimState:
 
 
 def rhs(state: SimState, kernel: Kernel) -> np.ndarray:
-    """Instantaneous opinion velocities, shape (N, d).
-
-    Each pair's weight is computed once and used in both directions, so the
-    pair weight matrix W is symmetric and the velocities (W y - r * y) / N,
-    with r the row sums of W, sum to zero in exact arithmetic: the mean is
-    conserved along the flow up to roundoff. The pivot y = x - x[0] makes
-    exact consensus (y = 0) give exactly zero.
-    """
+    """Instantaneous opinion velocities, shape (N, d), of one ``kernels._force``
+    pass: each pair's weight is used both ways, so they sum to zero in exact
+    arithmetic, and exact consensus gives exactly zero."""
     with _one_blas_thread():
         return _force(_coordinate_major(state.opinions), kernel)[0].T
 
@@ -190,18 +177,12 @@ def _rk4_step(x: np.ndarray, kernel: Kernel, h: float, first=None) -> float:
 
 def _advance(x: np.ndarray, kernel: Kernel, span: float, step_max: float,
              first=None) -> float:
-    """Advances opinions x (d, N) in place by the flow over span >= 0, and
-    returns the RK4 steps' integral of D over it. ``first``, the ``_force``
-    pass at x if the caller has made it, is the first step's k1 stage. At
-    b = 0 the exact flow takes no steps and returns 0.0.
+    """Advances opinions x (d, N) in place by RK4 steps over span >= 0 under a
+    kernel with b > 0, and returns the steps' integral of D over it.
+    ``first``, the ``_force`` pass at x if the caller has made it, is the
+    first step's k1 stage.
     """
     if not span > 0.0:
-        return 0.0
-    if kernel.b == 0.0:
-        # exact flow, pivoted about x[:, 0] as in _force so consensus stays put
-        dev = x - x[:, :1]
-        towards_mean = dev.sum(axis=1, keepdims=True) / x.shape[1] - dev
-        x += (-math.expm1(-kernel.a * span)) * towards_mean
         return 0.0
     # a span below h is one step of that span: n_full = 0 and rem = span
     h = min(step_max, _RK4_REAL_STABILITY / (2.0 * kernel.psi_max))
@@ -231,9 +212,12 @@ def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
     step_max, t_end = _number(step_max, "step_max", "> 0"), _number(t_end, "t_end")
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} precedes state.t = {state.t}")
-    x = _coordinate_major(state.opinions)
-    with _one_blas_thread():
-        _advance(x, kernel, t_end - state.t, step_max)
+    x, span = _coordinate_major(state.opinions), t_end - state.t
+    if kernel.b > 0.0:
+        with _one_blas_thread():
+            _advance(x, kernel, span, step_max)
+    elif span > 0.0:  # the exact flow, pivoted as in _force so consensus stays put
+        x += (-math.expm1(-kernel.a * span)) * _towards_mean(x - x[:, :1])
     return SimState(t=t_end, k=state.k, opinions=x.T, dim=state.dim)
 
 
@@ -619,14 +603,13 @@ def _audit(config: SimConfig, t: float, r: int, x: np.ndarray, m1: np.ndarray,
     its own self-checks) on its rebuilt opinions x: an m1 off by more than
     1e-12 max(1, max |x|), or a V by more than 1e-12 relative with a floor of
     1e-15 max(1, m2), raises ``_ReplicaError``."""
-    state = SimState(t=float(t), k=0, opinions=x, dim=config.dim)
     try:
-        rec = compute_moments(state, config.kernel, config.source.mean_vector)
+        rec = compute_moments(x, config.kernel, config.source.mean_vector, t)
     except RuntimeError as err:
         raise _ReplicaError(r, str(err)) from err
     if not np.abs(rec.m1 - m1).max() <= _AUDIT_RTOL * max(1.0, float(np.abs(x).max())):
-        raise _ReplicaError(r, f"audit at t={state.t!r}: recursion m1={m1!r}, "
+        raise _ReplicaError(r, f"audit at t={rec.t!r}: recursion m1={m1!r}, "
                                f"rebuilt m1={rec.m1!r}")
     if not abs(rec.v - v) <= max(_AUDIT_RTOL * abs(v), _AUDIT_ATOL * max(1.0, rec.m2)):
-        raise _ReplicaError(r, f"audit at t={state.t!r}: recursion V={float(v)!r}, "
+        raise _ReplicaError(r, f"audit at t={rec.t!r}: recursion V={float(v)!r}, "
                                f"rebuilt V={rec.v!r}")

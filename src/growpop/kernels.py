@@ -18,14 +18,9 @@ engine keeps them, and returns the velocities alike; the public entry points
 and ``dissipation_of``) take and return (N, d) and transpose at the
 boundary, each through ``_coordinate_major``, which checks the shape. Every
 O(N) sweep thus runs along contiguous rows of length N. At b = 0 the pass is
-O(N). For b > 0 the pass weighs each unordered pair once, in tiles of the
-upper triangle (``_pair_tiles``), and uses each weight in both directions,
-so the pair terms are antisymmetric by construction. A tile holds its rows
-of the pair matrix as columns, in one buffer: one Gram matrix product with
-k = d + 2 writes the squared distances, which ``eval_squared`` turns into
-weights in place. Two more products give the tile's pair sums; their right
-operand is the whole Gram operand [|y|^2, 1, y], four columns at d = 2. D is
-then an O(N) sum over the velocities, as d(m2)/dt.
+O(N). For b > 0 it weighs each unordered pair once, in tiles of the upper
+triangle (``_pair_tiles``), and uses each weight in both directions, so the
+pair terms are antisymmetric by construction; ``_force`` states its products.
 """
 
 from __future__ import annotations
@@ -141,12 +136,12 @@ def _force(x: np.ndarray, kernel: Kernel, old: int | None = None
     n = x.shape[1]
     y = np.subtract(x, x[:, :1], order="C")
     if kernel.b == 0.0:
-        towards_mean = y.sum(axis=1, keepdims=True) / n - y
+        towards_mean = _towards_mean(y)
         a = kernel.a
         d_old = None if old is None else _force(x[:, :old], kernel)[1]
         return a * towards_mean, -2.0 * a * float(np.vdot(towards_mean, towards_mean)) / n, d_old
     # sum_j w_ij (y_j - y_i) = (W y)_i - (sum_j w_ij) y_i
-    left, right = _gram_operands(x)
+    left, right = _gram_operands(y)
     acc = np.zeros(left.shape)  # [W |y|^2 | row sums of W | W y]
     acc_old = None if old is None else np.zeros((old, left.shape[1]))
     for rows, w in _pair_tiles(left, right, kernel):
@@ -177,18 +172,23 @@ def _velocities(acc: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return v, 2.0 * float(np.vdot(y - y.sum(axis=1, keepdims=True) / n, v)) / n
 
 
-def _gram_operands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram operands of the opinions x (d, N), pivoted to y = x - x[:, 0]:
+def _towards_mean(y: np.ndarray) -> np.ndarray:
+    """mean(y) - y of the pivoted opinions y = x - x[:, 0] (d, N), the
+    direction of the constant kernel's flow: exactly zero at consensus."""
+    return y.sum(axis=1, keepdims=True) / y.shape[1] - y
+
+
+def _gram_operands(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram operands of the pivoted opinions y = x - x[:, 0] (d, N):
     left = [|y|^2, 1, y^T] (N, d + 2) and right = [1; |y|^2; -2 y] (d + 2, N),
     so that left[j] @ right[:, i] is |y_j - y_i|^2."""
-    d, n = x.shape
+    d, n = y.shape
     left, right = np.empty((n, d + 2)), np.empty((d + 2, n))
-    y = np.subtract(x, x[:, :1], out=right[2:])
     left[:, 2:] = y.T
     left[:, 1] = right[0] = 1.0
     np.add.reduce(y * y, axis=0, out=right[1])
     left[:, 0] = right[1]
-    y *= -2.0
+    np.multiply(y, -2.0, out=right[2:])
     return left, right
 
 

@@ -112,13 +112,13 @@ def _blocks(tasks, workers: int):
     """Block results in task order: one block runs in this process, more in a
     process pool. A dead worker fails every block not yet done; the first of
     them is reported with its runs and seeds."""
+    if len(tasks) == 1:
+        yield _run_task(tasks[0])
+        return
     # here, not at the top: the pool pulls in multiprocessing, which only a
     # many-block ensemble needs
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    if len(tasks) == 1:
-        yield _run_task(tasks[0])
-        return
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = [pool.submit(_run_task, task) for task in tasks]
         for (*_, start, seeds), future in zip(tasks, futures):

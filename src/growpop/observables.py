@@ -117,8 +117,8 @@ class MomentSeries:
                               post=self._record(i + 1)) for i, x in zip(pre, self.x_new)]
 
 
-def compute_moments(state, kernel: Kernel, m) -> MomentRecord:
-    """Moment functionals of ``state`` (anything with .t and .opinions).
+def compute_moments(opinions, kernel: Kernel, m, t: float) -> MomentRecord:
+    """Moment functionals of the opinions (N, d) at time t.
 
     W is computed directly by summation and must agree with V + |m1 - m|^2;
     likewise V against m2 - |m1|^2. Disagreement beyond a scale-aware 1e-10
@@ -131,10 +131,10 @@ def compute_moments(state, kernel: Kernel, m) -> MomentRecord:
     are taken as one coordinate-major copy (d, N), the layout of the particle
     engine, whose rows give the same moments bit for bit.
     """
-    x = _coordinate_major(state.opinions)
+    x = _coordinate_major(opinions)
     m1, m2, v, w = _moments(x, np.asarray(m, dtype=float))
-    return MomentRecord(t=float(state.t), n=x.shape[1], m1=m1, m2=m2, v=v, w=w,
-                        dissipation=dissipation_of(state.opinions, kernel))
+    return MomentRecord(t=float(t), n=x.shape[1], m1=m1, m2=m2, v=v, w=w,
+                        dissipation=dissipation_of(opinions, kernel))
 
 
 def _moments(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float, float, float]:

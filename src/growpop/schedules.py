@@ -121,18 +121,21 @@ TimeScale = Union[GrowthSchedule, AsymptoticTimes]
 
 
 # Terms per chunk of the condition-sum pass, and the length of the integer
-# ramp below. Each chunk's times and weights are fresh arrays, and below
-# malloc's mmap threshold (128 KiB) the heap reuses their memory. A sweep on
-# one core of a 2-core Xeon, two runs of 15 calls per size, for a two-rate
-# table to n = 1e6 (minimum ms per call, minor page faults per call): 2^11,
-# 18-27 ms, 0 faults; 2^12, 12-20 ms, 0; 2^13, 12-15 ms, 0; 2^14, 10-13 ms,
-# 128; 2^15, 8-13 ms, 224; 2^16, 9-14 ms, 480. Full-length arrays: 20-24 ms,
-# 2,600-4,700 faults. Above 2^13 the times are within this machine's noise,
-# so the size is the largest that faults no page. With the ramp and the
-# alpha = 1 path of ``_times``, 2^14 ran the six passes of the conditions
-# benchmark 6-8% faster again (42.3 against 45.2 ms, median of 15 interleaved
-# calls on one pinned core), but the pairwise sums of its longer pieces moved
-# table values by up to 2-3 ulps, so the size stays.
+# ramp below. Each chunk's times and weights are fresh arrays, below malloc's
+# mmap threshold (128 KiB), so the heap reuses their memory. Minimum ms and
+# minor page faults per call of a two-rate table to n = 1e6 (one core of a
+# 2-core Xeon, two runs of 15 calls per size): 2^11, 18-27 ms, 0 faults;
+# 2^12, 12-20, 0; 2^13, 12-15, 0; 2^14, 10-13, 128; 2^15, 8-13, 224; 2^16,
+# 9-14, 480; full-length arrays, 20-24, 2,600-4,700. Above 2^13 the times are
+# within noise, so the size is the largest that faults no page. With the ramp
+# and the alpha = 1 path of ``_times``, 2^14 ran the conditions benchmark's six
+# passes 6-8% faster (42.3 against 45.2 ms, median of 15 interleaved calls on
+# one pinned core), but its longer pairwise sums moved table values by 2-3
+# ulps. Elementwise work in larger blocks than the sums does not pay either:
+# times, weights and exponentials in blocks of 2^15, 2^16 and 2^17 terms (the
+# ramp as long), summed over the same 2^13-aligned pieces, so with the same
+# bits, took 0.98-1.00x, 1.12-1.16x and 1.42-1.44x as long per iteration of the
+# conditions benchmark (medians of 20 interleaved iterations, three sweeps).
 _CHUNK = 1 << 13
 _RAMP = np.arange(1.0, _CHUNK + 1.0)  # 1.0, 2.0, ..., _CHUNK, exact
 

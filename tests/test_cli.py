@@ -762,6 +762,43 @@ class TestDispatch:
         assert std.out == "" and std.err.startswith(f"error: {message}"), std.err
         assert "do not fit in memory" in std.err
 
+    @pytest.mark.parametrize("grid", [{"type": "uniform", "dt": 0.1}, {"type": "geometric"},
+                                      {"type": "geometric", "points": 8}])
+    def test_run_that_ends_at_zero_records_no_grid_time(self, tmp_path, capsys, grid):
+        # max_agents = n0: no arrival, so the run ends at t = 0, and a uniform
+        # grid, or a geometric one without t_first, holds no time to record
+        bare = write_config(tmp_path, "bare.json", max_agents=3, record_grid=None)
+        assert cmd_dispatch(["simulate", "--config", bare]) == 0
+        want = capsys.readouterr().out
+        assert len(want.splitlines()) == 3  # the seed comment, the header, the t = 0 row
+        path = write_config(tmp_path, max_agents=3, record_grid=grid)
+        assert cmd_dispatch(["simulate", "--config", path]) == 0
+        assert capsys.readouterr() == (want, "")
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"type": "uniform", "dt": -1.0}, "record_grid.dt must be > 0 and finite, got -1.0"),
+        ({"type": "geometric", "points": 1}, "record_grid.points must be an integer >= 2, got 1"),
+        ({"type": "geometric", "step": 1}, "unknown field(s): record_grid.step"),
+    ])
+    def test_run_that_ends_at_zero_checks_its_grid_fields(self, tmp_path, capsys, grid,
+                                                          message):
+        path = write_config(tmp_path, max_agents=3, record_grid=grid)
+        assert cmd_dispatch(["simulate", "--config", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_envelope_n_past_an_explicit_schedule_is_named(self, tmp_path, monkeypatch,
+                                                           capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("table work started before envelope.n was checked")
+
+        monkeypatch.setattr(cli, "_condition_sums", no_work)
+        path = write_config(tmp_path, schedule={"type": "explicit", "n0": 3,
+                                                "times": [0.5, 1.0, 1.5]},
+                            max_agents=6, envelope={"y0": 1.0, "n": [2, 5]})
+        assert cmd_dispatch(["envelope", "--config", path]) == 2
+        assert capsys.readouterr() == (
+            "", "error: envelope.n = 5: schedule defines 3 times, need 5\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["--alpha", "-1", "--lambda", "1"], "--alpha must be > 0 and finite, got -1.0"),
         (["--alpha", "0.5", "--lambda", "0"], "--lambda must be > 0 and finite, got 0.0"),

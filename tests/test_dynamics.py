@@ -121,7 +121,7 @@ class TestForceField:
         eps = np.finfo(float).eps
         for d in (1, 2, 3):
             x = RNG.normal(0.0, 1.0, size=(n, d))
-            left, right = _gram_operands(x.T)
+            left, right = _gram_operands(x.T - x.T[:, :1])
             wts, d2s = np.full((n, n), np.nan), np.full((n, n), np.nan)
             for rows, w in _pair_tiles(left, right, kernel):
                 d2 = left[rows.start:] @ right[:, rows]
@@ -139,7 +139,7 @@ class TestForceField:
             terms = wts[:, :, None] * (x[None, :, :] - x[:, None, :])
             assert np.array_equal(terms, -np.transpose(terms, (1, 0, 2))), d
             consensus = np.tile(x[1], (n, 1))
-            for _, w in _pair_tiles(*_gram_operands(consensus.T), kernel):
+            for _, w in _pair_tiles(*_gram_operands(consensus.T - consensus.T[:, :1]), kernel):
                 assert (w == kernel.psi_max).all(), d
 
     def test_force_pass_evaluates_each_pair_once(self, monkeypatch):
@@ -410,7 +410,8 @@ class TestOpinionShapes:
     ENTRY_POINTS = {
         "rhs": rhs,
         "integrate_interval": lambda state, kernel: integrate_interval(state, kernel, 0.5),
-        "compute_moments": lambda state, kernel: compute_moments(state, kernel, np.zeros(2)),
+        "compute_moments": lambda state, kernel: compute_moments(state.opinions, kernel,
+                                                                 np.zeros(2), state.t),
         "dissipation_of": lambda state, kernel: dissipation_of(state.opinions, kernel),
     }
 
@@ -693,7 +694,7 @@ def particle_reference(config, series):
     and compute_moments, with the arrivals drawn one at a time."""
     rng = np.random.default_rng(series.seed)
     state = state_of(config.initial_opinions)
-    recs = [compute_moments(state, config.kernel, config.source.mean_vector)]
+    recs = [compute_moments(state.opinions, config.kernel, config.source.mean_vector, state.t)]
     for i in range(1, len(series.event)):
         t = float(series.t[i])
         if series.event[i] == "post_jump":
@@ -702,7 +703,8 @@ def particle_reference(config, series):
             state = with_arrival(state, x_new)
         else:
             state = integrate_interval(state, config.kernel, t, step_max=config.step_max)
-        recs.append(compute_moments(state, config.kernel, config.source.mean_vector))
+        recs.append(compute_moments(state.opinions, config.kernel, config.source.mean_vector,
+                                    state.t))
     return {name: np.array([getattr(r, name) for r in recs])
             for name in ("m1", "m2", "v", "w", "dissipation")}
 
@@ -1101,7 +1103,7 @@ class TestFlowProperties:
     def test_variance_nonincreasing(self, x, kernel_step, spans):
         kernel, step_max = kernel_step
         target = np.zeros(x.shape[1])
-        moments = [compute_moments(state, kernel, target)
+        moments = [compute_moments(state.opinions, kernel, target, state.t)
                    for state in flow_through(x, kernel, step_max, spans)]
         for before, after in zip(moments, moments[1:]):
             assert after.v <= before.v + 1e-12 * max(1.0, before.m2)

@@ -269,15 +269,25 @@ class TestRunEnsemble:
 
     def test_package_import_loads_no_process_pool(self):
         # the pool's modules (multiprocessing, socket, logging) cost about 15 ms
-        # per interpreter; only an ensemble of more than one block needs them
+        # per interpreter; only an ensemble of more than one block needs them,
+        # so a constant-kernel ensemble, one block whatever ``workers``, loads none
         import growpop
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(growpop.__file__)))
-        code = ("import sys, growpop, growpop.cli; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))")
+        code = ("import sys, growpop, growpop.cli\n"
+                "def pool():\n"
+                "    print(sorted(m for m in sys.modules if m.split('.')[0] == "
+                "'multiprocessing' or m == 'concurrent.futures.process'))\n"
+                "pool()\n"
+                "config = growpop.SimConfig(dim=1, kernel=growpop.constant_kernel(1.0), "
+                "schedule=growpop.PowerExponentialSchedule(alpha=0.5, n0=2), "
+                "source=growpop.gaussian_source(0.0, 1.0), initial_opinions=[[0.5], [-0.5]], "
+                "max_agents=12)\n"
+                "growpop.run_ensemble(config, 4, 1, workers=2)\n"
+                "pool()\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.splitlines() == ["[]", "[]"]
 
     def test_mean_deviation_matches_exact_expectation(self):
         # E |m1 - m|^2 after arrival k has a closed form; 5-sigma band
@@ -363,9 +373,9 @@ class TestReplicaFailures:
         audits = []
         compute_moments = dynamics.compute_moments
 
-        def perturbed(state, kernel, m):
-            rec = compute_moments(state, kernel, m)
-            audits.append(state.t)
+        def perturbed(opinions, kernel, m, t):
+            rec = compute_moments(opinions, kernel, m, t)
+            audits.append(t)
             return perturb(rec) if len(audits) == 3 else rec
 
         monkeypatch.setattr(dynamics, "compute_moments", perturbed)
@@ -534,7 +544,7 @@ class TestExpectedMoments:
                     state = SimState(t=state.t, k=state.k + 1, opinions=x, dim=2)
                 else:
                     state = integrate_interval(state, config.kernel, row.record.t)
-                rec = compute_moments(state, config.kernel, mean)
+                rec = compute_moments(state.opinions, config.kernel, mean, state.t)
                 total[i] += rec.v, rec.w
         v, w = expected_moments(config)
         np.testing.assert_allclose(v, total[:, 0] / 32, rtol=1e-12)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from growpop import (
-    SimState,
     compute_moments,
     constant_kernel,
     dissipation_of,
@@ -48,8 +47,7 @@ def brute_dissipation(x, kernel):
 
 def record_of(x, kernel, m):
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    state = SimState(t=0.0, k=0, opinions=x, dim=x.shape[1])
-    return compute_moments(state, kernel, m)
+    return compute_moments(x, kernel, m, 0.0)
 
 
 class TestComputeMoments:
@@ -189,10 +187,8 @@ class TestJumpLawProperty:
         x_pre, x_new, n0 = arrival
         k = x_pre.shape[0] - n0 + 1
         m = np.zeros(x_pre.shape[1])
-        state = SimState(t=0.5, k=k - 1, opinions=x_pre, dim=x_pre.shape[1])
-        pre = compute_moments(state, kernel, m)
-        post = compute_moments(SimState(t=0.5, k=k, opinions=np.vstack([x_pre, x_new]),
-                                        dim=x_pre.shape[1]), kernel, m)
+        pre = compute_moments(x_pre, kernel, m, 0.5)
+        post = compute_moments(np.vstack([x_pre, x_new]), kernel, m, 0.5)
         pred = predict_jumps(pre, x_new, k, n0)
         scale = max(1.0, abs(pre.m2), float(x_new @ x_new))
         residual = max(float(np.max(np.abs((post.m1 - pre.m1) - pred.dm1))),
