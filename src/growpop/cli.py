@@ -305,26 +305,17 @@ def _source(spec: _Fields) -> OpinionSource:
 
 
 def _record_grid(spec: _Fields | None, t_end: float) -> tuple[float, ...]:
-    """The grid ``spec`` asks for, geometric if none; a geometric one's t_first
-    and points default to t_end / 100 and 64. A run that ends at t = 0 has no
-    time to record in: there a uniform grid, or a geometric one without
-    t_first, is empty, each field given checked as its constructor checks it."""
+    """The grid ``spec`` asks for, geometric if none; a field left out takes
+    the default of its builder."""
     spec = _Fields({"type": "geometric"}, "") if spec is None else spec
     kind = spec.variant("uniform", "geometric", "explicit")
     if kind == "explicit":
         grid = spec.get("times", "times")
-    elif t_end == 0.0 and (kind == "uniform" or "t_first" not in spec.obj):
-        if kind == "uniform":
-            _build(spec.prefix, _number, spec.get("dt", "number"), "dt", "> 0")
-        else:
-            _build(spec.prefix, _integer, spec.get("points", "integer", 64), "points", 2)
-        grid = ()
     elif kind == "uniform":
         grid = _build(spec.prefix, uniform_record_grid, t_end, spec.get("dt", "number"))
     else:
-        grid = _build(spec.prefix, geometric_record_grid,
-                      spec.get("t_first", "number", t_end / 100.0), t_end,
-                      spec.get("points", "integer", 64))
+        grid = _build(spec.prefix, geometric_record_grid, spec.get("t_first", "number", None),
+                      t_end, **spec.given(points="integer"))
     spec.close()
     return grid
 
@@ -499,9 +490,7 @@ def _cmd_conditions(args) -> int:
         alpha = _number(alpha, "--alpha", "> 0")
     if args.lam is not None:
         lambdas = [_number(lam, "--lambda", "> 0") for lam in lambdas]
-    n_max = args.n_max if args.n_max is not None else block.n_max
-    if n_max < 10:
-        raise ConfigError(f"--n-max must be >= 10, got {n_max}")
+    n_max = block.n_max if args.n_max is None else _integer(args.n_max, "--n-max", 10)
     _writable(args.out)
 
     lambdas = tuple(dict.fromkeys(lambdas))  # drop duplicates, keep order
@@ -529,11 +518,14 @@ def _cmd_envelope(args) -> int:
         raise ConfigError("envelope: config has no envelope block")
     _writable(args.out)
     spec, ns = cfg.envelope.spec, cfg.envelope.n_values
-    schedule = cfg.sim.schedule
+    schedule, n = cfg.sim.schedule, max(ns)
     try:  # an explicit schedule has no time past its last
-        injection_time(schedule, max(ns))
+        injection_time(schedule, n)
     except ValueError as err:
-        raise ConfigError(f"envelope.n = {max(ns)}: {err}") from None
+        raise ConfigError(f"envelope.n = {n}: {err}") from None
+    if isinstance(spec.jump_bound, ExplicitJumps) and len(spec.jump_bound.values) < n:
+        raise ConfigError(f"envelope.n = {n}: envelope.jump defines "
+                          f"{len(spec.jump_bound.values)} values, need {n}")
 
     # one table over the distinct n in increasing order, read back per request
     grid, at = np.unique(np.array(ns), return_inverse=True)

@@ -222,8 +222,9 @@ def integrate_interval(state: SimState, kernel: Kernel, t_end: float,
 
 
 def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
-    """Record times dt, 2*dt, ... below t_end, then t_end itself."""
-    t_end, dt = _number(t_end, "t_end", "> 0"), _number(dt, "dt", "> 0")
+    """Record times dt, 2*dt, ... below t_end, then t_end itself; none for a run
+    that ends at t_end = 0."""
+    t_end, dt = _number(t_end, "t_end", ">= 0"), _number(dt, "dt", "> 0")
     # the count is known first, so a count beyond memory raises at once
     try:
         pts = np.arange(1, math.floor(t_end / dt) + 1) * dt  # i * dt, bit for bit
@@ -231,15 +232,20 @@ def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
         raise ValueError(f"dt = {dt} up to t_end = {t_end}: the record times do not fit in "
                          f"memory: {err}") from err
     # i*dt rounds, so a multiple of dt meant to land on t_end can overshoot it
-    return (*pts[pts < t_end].tolist(), t_end)
+    return (*pts[pts < t_end].tolist(), t_end) if t_end > 0.0 else ()
 
 
-def geometric_record_grid(t_first: float, t_end: float, points: int) -> tuple[float, ...]:
-    """Geometrically spaced record times from t_first to t_end inclusive."""
-    t_first, t_end = _number(t_first, "t_first", "> 0"), _number(t_end, "t_end", "> 0")
+def geometric_record_grid(t_first: float | None, t_end: float,
+                          points: int = 64) -> tuple[float, ...]:
+    """``points`` geometrically spaced record times from t_first to t_end
+    inclusive. t_first None means t_end / 100, and then a run that ends at
+    t_end = 0 gets none; a t_first given must be > 0 and <= t_end."""
+    t_end, points = _number(t_end, "t_end", ">= 0"), _integer(points, "points", 2)
+    if t_first is None and t_end == 0.0:
+        return ()
+    t_first = _number(t_end / 100.0 if t_first is None else t_first, "t_first", "> 0")
     if t_first > t_end:
         raise ValueError(f"t_first must be <= t_end, got {t_first}, t_end = {t_end}")
-    points = _integer(points, "points", 2)
     try:
         grid = np.geomspace(t_first, t_end, points)
     except (MemoryError, OverflowError, ValueError) as err:
@@ -285,13 +291,14 @@ class SimConfig:
         x0.flags.writeable = False
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "initial_opinions", x0)
+        # the source first: opinions left out of a config are its mean, in its dim
+        if self.source.dim != dim:
+            raise ValueError(f"source.mean has dimension {self.source.dim}, config dim is {dim}")
         if x0.shape != (n0, dim):
             raise ValueError(f"initial_opinions shape {x0.shape} does not match "
                              f"(n0, dim) = ({n0}, {dim})")
         if not np.all(np.isfinite(x0)):
             raise ValueError("initial_opinions must be finite")
-        if self.source.dim != dim:
-            raise ValueError(f"source.mean has dimension {self.source.dim}, config dim is {dim}")
         object.__setattr__(self, "step_max", _number(self.step_max, "step_max", "> 0"))
         _end_time(self.schedule, self.horizon, self.max_agents)
         if self.horizon is not None:

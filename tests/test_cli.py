@@ -779,6 +779,8 @@ class TestDispatch:
         ({"type": "uniform", "dt": -1.0}, "record_grid.dt must be > 0 and finite, got -1.0"),
         ({"type": "geometric", "points": 1}, "record_grid.points must be an integer >= 2, got 1"),
         ({"type": "geometric", "step": 1}, "unknown field(s): record_grid.step"),
+        ({"type": "geometric", "t_first": 0.5},
+         "record_grid.t_first must be <= t_end, got 0.5, t_end = 0.0"),
     ])
     def test_run_that_ends_at_zero_checks_its_grid_fields(self, tmp_path, capsys, grid,
                                                           message):
@@ -798,6 +800,25 @@ class TestDispatch:
         assert cmd_dispatch(["envelope", "--config", path]) == 2
         assert capsys.readouterr() == (
             "", "error: envelope.n = 5: schedule defines 3 times, need 5\n")
+
+    def test_short_explicit_jump_bound_is_named(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("table work started before envelope.jump was checked")
+
+        monkeypatch.setattr(cli, "_condition_sums", no_work)
+        # the default n list reaches 1000
+        path = write_config(tmp_path, envelope={"y0": 1.0, "jump": {"type": "explicit",
+                                                                    "values": [0.5]}})
+        assert cmd_dispatch(["envelope", "--config", path]) == 2
+        assert capsys.readouterr() == (
+            "", "error: envelope.n = 1000: envelope.jump defines 1 values, need 1000\n")
+
+    def test_source_of_another_dim_is_named_before_the_opinions(self, tmp_path, capsys):
+        # opinions left out are the source's mean, so their shape follows it
+        path = write_config(tmp_path, initial_opinions=None,
+                            source={"type": "gaussian", "mean": [0.0, 1.0], "sigma2": 1.0})
+        assert cmd_dispatch(["simulate", "--config", path]) == 2
+        assert capsys.readouterr() == ("", "error: source.mean has dimension 2, config dim is 1\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["--alpha", "-1", "--lambda", "1"], "--alpha must be > 0 and finite, got -1.0"),
@@ -819,7 +840,7 @@ class TestDispatch:
         # reaches this check
         assert cmd_dispatch(["conditions", "--alpha", "0.5", "--lambda", "0.4",
                              "--n-max", "9"]) == 2
-        assert capsys.readouterr().err == "error: --n-max must be >= 10, got 9\n"
+        assert capsys.readouterr().err == "error: --n-max must be an integer >= 10, got 9\n"
 
     def test_conditions_table_boundary_rate(self, capsys):
         assert cmd_dispatch(["conditions", "--alpha", "1.0",

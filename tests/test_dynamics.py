@@ -1136,6 +1136,17 @@ class TestRecordGrids:
         assert math.isclose(grid[0], 0.1) and math.isclose(grid[-1], 10.0)
         assert len(grid) == 7
 
+    @pytest.mark.parametrize("t_end", [1e-3, 2.0, 1532.25])
+    def test_geometric_grid_defaults(self, t_end):
+        grid = geometric_record_grid(None, t_end)
+        assert np.array(grid).tobytes() == np.array(
+            geometric_record_grid(t_end / 100, t_end, 64)).tobytes()
+
+    def test_run_that_ends_at_zero_gets_no_record_time(self):
+        assert geometric_record_grid(None, 0.0) == ()
+        assert geometric_record_grid(None, 0.0, 8) == ()
+        assert uniform_record_grid(0.0, 0.1) == ()
+
     def test_invalid_grids_rejected(self):
         with pytest.raises(ValueError):
             uniform_record_grid(1.0, 0.0)
