@@ -21,12 +21,11 @@ RUNS = 150
 
 def main() -> None:
     sched = gp.PowerExponentialSchedule(alpha=0.5, n0=N0)
+    # d = 1, and the founder sits at the source mean: both SimConfig's defaults
     config = gp.SimConfig(
-        dim=1,
         kernel=gp.constant_kernel(1.0),
         schedule=sched,
         source=gp.gaussian_source(0.0, SIGMA2),
-        initial_opinions=np.zeros((N0, 1)),
         step_max=1e-2,
         max_agents=N0 + 300,
     )

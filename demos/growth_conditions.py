@@ -31,7 +31,7 @@ def main() -> None:
     for n in (10, 100, 1000, 10_000, 100_000):
         cells = []
         for alpha in (0.5, 1.5):
-            sched = gp.PowerExponentialSchedule(alpha=alpha, n0=1)
+            sched = gp.PowerExponentialSchedule(alpha=alpha)
             cells.append(f"{gp.condition_sum(kernel.psi_star, sched, n):12.4e}")
         print(f"{n:8d}" + "".join(cells))
     print("alpha = 0.5 decays (consensus), alpha = 1.5 does not.")

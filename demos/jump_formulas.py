@@ -27,7 +27,6 @@ ARRIVALS = 1000
 def main() -> None:
     rng = np.random.default_rng(11)
     config = gp.SimConfig(
-        dim=3,
         kernel=gp.constant_kernel(0.6),
         schedule=gp.PowerExponentialSchedule(alpha=0.6, n0=N0),
         source=gp.uniform_source((0.2, -0.1, 0.0), 0.75),

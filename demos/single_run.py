@@ -18,7 +18,6 @@ def main() -> None:
     sched = gp.PowerExponentialSchedule(alpha=0.8, n0=10)
     horizon = gp.injection_time(sched, 40)  # stop right at the 40th arrival
     config = gp.SimConfig(
-        dim=1,
         kernel=gp.rational_kernel(a=0.4, b=1.2),
         schedule=sched,
         source=gp.gaussian_source(0.0, 0.5),

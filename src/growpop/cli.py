@@ -48,7 +48,7 @@ from .dynamics import (
     _end_time,
 )
 from .kernels import Kernel, constant_kernel, rational_kernel
-from .montecarlo import EnsembleStats, run_ensemble
+from .montecarlo import EnsembleStats, run_ensemble, _uint64
 from .observables import MomentSeries, predict_jumps
 from .schedules import (
     ExplicitSchedule,
@@ -104,7 +104,7 @@ class ExperimentConfig:
     envelope: EnvelopeBlock | None = None
 
     def __post_init__(self):
-        self.master_seed = _integer(self.master_seed, "master_seed", 0)
+        self.master_seed = _uint64(self.master_seed, "master_seed")
         if self.output_path == "":  # no file has this name; stdout is None
             raise ValueError("output_path must name a file, got ''")
 
@@ -146,8 +146,7 @@ _KINDS = {
     "times": ("a list of finite numbers", lambda val: _finite_list(val, nonempty=False)),
     "vector": ("a finite number or a nonempty list of finite numbers",
                lambda val: float(val) if _is_finite(val) else _finite_list(val)),
-    "opinions": ('"at_mean" or a list of opinions, each a number or a list of numbers',
-                 lambda val: val if val == "at_mean" else _opinion_rows(val)),
+    "opinions": ("a list of opinions, each a number or a list of numbers", _opinion_rows),
 }
 
 
@@ -241,15 +240,11 @@ def load_config(path: str) -> ExperimentConfig:
     if source.sigma2 == 0.0:
         warnings.warn("source.sigma2 = 0: incoming opinions are a point mass at the mean",
                       UserWarning, stacklevel=2)
-    dim = top.get("dim", "integer", 1)
-    x0 = top.get("initial_opinions", "opinions", "at_mean")
-    if isinstance(x0, str):
-        x0 = np.tile(source.mean_vector, (schedule.n0, 1))
-    limits = top.given(step_max="number", horizon="number", max_agents="integer")
-    t_end = _build("", _end_time, schedule, limits.get("horizon"), limits.get("max_agents"))
+    fields = top.given(dim="integer", initial_opinions="opinions", step_max="number",
+                       horizon="number", max_agents="integer")
+    t_end = _build("", _end_time, schedule, fields.get("horizon"), fields.get("max_agents"))
     grid = _record_grid(top.get("record_grid", "object", None), t_end)
-    sim = _build("", SimConfig, dim=dim, kernel=kernel, schedule=schedule, source=source,
-                 initial_opinions=x0, record_grid=grid, **limits)
+    sim = _build("", SimConfig, kernel, schedule, source, record_grid=grid, **fields)
 
     conditions = None
     block = top.get("conditions", "object", None)
@@ -287,12 +282,12 @@ def _kernel(spec: _Fields) -> Kernel:
 
 def _schedule(spec: _Fields) -> GrowthSchedule:
     kind = spec.variant("power_exp", "explicit")
-    n0 = spec.get("n0", "integer", 1)
+    n0 = spec.given(n0="integer")
     if kind == "power_exp":
         schedule = _build(spec.prefix, PowerExponentialSchedule,
-                          alpha=spec.get("alpha", "number"), n0=n0)
+                          alpha=spec.get("alpha", "number"), **n0)
     else:
-        schedule = _build(spec.prefix, ExplicitSchedule, n0=n0, times=spec.get("times", "times"))
+        schedule = _build(spec.prefix, ExplicitSchedule, times=spec.get("times", "times"), **n0)
     spec.close()
     return schedule
 
@@ -451,7 +446,7 @@ def _writable(path: str | None) -> str | None:
 def _run_setup(args) -> tuple[ExperimentConfig, int, str | None]:
     """The config, seed and checked output path of a simulate or ensemble run."""
     cfg = load_config(args.config)
-    seed = cfg.master_seed if args.seed is None else _integer(args.seed, "--seed", 0)
+    seed = cfg.master_seed if args.seed is None else _uint64(args.seed, "--seed")
     return cfg, seed, _writable(args.out or cfg.output_path)
 
 
@@ -546,9 +541,8 @@ def _cmd_envelope(args) -> int:
 def _check_constant_decay() -> str | None:
     kernel = constant_kernel(1.0)
     config = SimConfig(
-        dim=1,
         kernel=kernel,
-        schedule=ExplicitSchedule(n0=6, times=(50.0,)),
+        schedule=ExplicitSchedule(times=(50.0,), n0=6),
         source=gaussian_source(0.0, 1.0),
         initial_opinions=np.linspace(-1.0, 2.0, 6)[:, None],
         step_max=1e-3,
@@ -568,7 +562,6 @@ def _check_constant_decay() -> str | None:
 def _rational_run() -> MomentSeries:
     """The run the jump and energy checks audit: rational kernel, d = 2, 40 arrivals."""
     config = SimConfig(
-        dim=2,
         kernel=rational_kernel(0.5, 0.5),
         schedule=PowerExponentialSchedule(alpha=0.5, n0=2),
         source=gaussian_source((0.25, -0.5), 1.0),

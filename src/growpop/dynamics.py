@@ -238,12 +238,12 @@ def uniform_record_grid(t_end: float, dt: float) -> tuple[float, ...]:
 def geometric_record_grid(t_first: float | None, t_end: float,
                           points: int = 64) -> tuple[float, ...]:
     """``points`` geometrically spaced record times from t_first to t_end
-    inclusive. t_first None means t_end / 100, and then a run that ends at
-    t_end = 0 gets none; a t_first given must be > 0 and <= t_end."""
+    inclusive. t_first None means t_end / 100, and a run whose t_end / 100 is
+    0.0, as at t_end = 0, gets none; a t_first given must be > 0 and <= t_end."""
     t_end, points = _number(t_end, "t_end", ">= 0"), _integer(points, "points", 2)
-    if t_first is None and t_end == 0.0:
+    if t_first is None and (t_first := t_end / 100.0) == 0.0:
         return ()
-    t_first = _number(t_end / 100.0 if t_first is None else t_first, "t_first", "> 0")
+    t_first = _number(t_first, "t_first", "> 0")
     if t_first > t_end:
         raise ValueError(f"t_first must be <= t_end, got {t_first}, t_end = {t_end}")
     try:
@@ -257,7 +257,8 @@ def geometric_record_grid(t_first: float | None, t_end: float,
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """Everything one run needs besides the seed; frozen, and checked once,
-    when it is built.
+    when it is built. ``dim`` None is the source's dimension, and
+    ``initial_opinions`` None the schedule's n0 founders at the source mean.
 
     Exactly one of horizon / max_agents may be omitted; when both are present
     the run stops at whichever comes first. max_agents counts the total
@@ -275,23 +276,24 @@ class SimConfig:
     (``MomentSeries.d_integral``).
     """
 
-    dim: int
     kernel: Kernel
     schedule: GrowthSchedule
     source: OpinionSource
-    initial_opinions: np.ndarray
+    dim: int | None = None
+    initial_opinions: np.ndarray | None = None
     step_max: float = 1e-2
     horizon: float | None = None
     max_agents: int | None = None
     record_grid: tuple[float, ...] = ()
 
     def __post_init__(self):
-        dim, n0 = _integer(self.dim, "dim", 1), self.schedule.n0
-        x0 = np.array(self.initial_opinions, dtype=float, ndmin=2)
+        dim = self.source.dim if self.dim is None else _integer(self.dim, "dim", 1)
+        n0, x0 = self.schedule.n0, self.initial_opinions
+        x0 = np.array(np.tile(self.source.mean, (n0, 1)) if x0 is None else x0, float, ndmin=2)
         x0.flags.writeable = False
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "initial_opinions", x0)
-        # the source first: opinions left out of a config are its mean, in its dim
+        # the source first: founders left out are its mean, in its dim
         if self.source.dim != dim:
             raise ValueError(f"source.mean has dimension {self.source.dim}, config dim is {dim}")
         if x0.shape != (n0, dim):

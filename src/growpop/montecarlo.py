@@ -3,7 +3,7 @@
 The only randomness in a run is the sequence of incoming opinions, so an
 ensemble is a set of runs of one SimConfig under seeds derived from a master
 seed by a counter-mixing construction (SplitMix64 finalizer over a Weyl
-sequence): distinct run indices and distinct master seeds can never collide.
+sequence): distinct run indices and master seeds in [0, 2^64) never collide.
 All runs of a config share the record timeline exactly (the schedule and the
 record grid are deterministic), so per-row sample means and standard errors
 are well defined. ``run_ensemble`` builds it once, in the calling process,
@@ -54,17 +54,22 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _uint64(value, name: str) -> int:
+    """``value`` as an integer in [0, 2^64), where 64-bit mixing folds no two into one."""
+    if (out := _integer(value, name, 0)) > _MASK64:
+        raise ValueError(f"{name} must be an integer < 2**64, got {value!r}")
+    return out
+
+
 def derive_run_seed(master_seed: int, run_index: int) -> int:
     """Per-run seed: collision-free in the run index and in the master seed.
 
     For a fixed master seed the map index -> seed is injective (odd Weyl
     increment composed with a bijective mixer); for a fixed index, distinct
-    64-bit master seeds give distinct seeds.
+    master seeds give distinct seeds. An argument outside [0, 2^64) raises.
     """
-    master_seed = _integer(master_seed, "master_seed")
-    run_index = _integer(run_index, "run_index", 0)
-    base = _mix64(master_seed & _MASK64)
-    return _mix64((base + ((run_index + 1) * _WEYL)) & _MASK64)
+    base = _mix64(_uint64(master_seed, "master_seed"))
+    return _mix64((base + ((_uint64(run_index, "run_index") + 1) * _WEYL)) & _MASK64)
 
 
 @dataclass(eq=False)

@@ -66,10 +66,10 @@ def _number(value, name: str, bound: str | None = None) -> float:
 
 @dataclass(frozen=True)
 class PowerExponentialSchedule:
-    """t_j = (ln(n0 + j))**(1/alpha); unbounded, strictly increasing."""
+    """t_j = (ln(n0 + j))**(1/alpha) after n0 founders, 1 by default; unbounded, increasing."""
 
     alpha: float
-    n0: int
+    n0: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _number(self.alpha, "alpha", "> 0"))
@@ -78,14 +78,14 @@ class PowerExponentialSchedule:
 
 @dataclass(frozen=True)
 class ExplicitSchedule:
-    """A finite, user-supplied list of strictly increasing positive times."""
+    """A finite list of strictly increasing positive times; n0 founders, 1 by default."""
 
-    n0: int
     times: tuple[float, ...]
+    n0: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n0", _integer(self.n0, "n0", 1))
         object.__setattr__(self, "times", tuple(_number(t, "times") for t in self.times))
+        object.__setattr__(self, "n0", _integer(self.n0, "n0", 1))
         prev = 0.0
         for i, t in enumerate(self.times):
             if t <= prev:
@@ -215,7 +215,7 @@ def population_at(schedule: GrowthSchedule, t: float) -> int:
     j = max(0, int(math.floor(math.exp(x))) - n0)
     if j > 2**53:
         # the walk below would step through runs of tied times one by one
-        raise OverflowError(f"population at t={t} is about {j} arrivals, past 2**53, "
+        raise OverflowError(f"population at t={t} is about {j:.3g} arrivals, past 2**53, "
                             "where arrival times tie")
     # The guess is within a few counts of the truth, a few hundred where times
     # tie below 2**53; settle it exactly.

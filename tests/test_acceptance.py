@@ -300,7 +300,7 @@ def test_growth_regime_contrast(regime_ensembles):
     stats, elapsed = regime_ensembles
     t5, w5, e5 = _grid_series(stats[0.5])
     t15, w15, e15 = _grid_series(stats[1.5])
-    horizon = gp.injection_time(gp.PowerExponentialSchedule(0.5, REGIME_N0),
+    horizon = gp.injection_time(gp.PowerExponentialSchedule(alpha=0.5, n0=REGIME_N0),
                                 REGIME_TARGET - REGIME_N0)
 
     # (a) decreasing trend of the smoothed tail over the final decade

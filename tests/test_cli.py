@@ -82,19 +82,35 @@ class TestLoadConfig:
 
     def test_left_out_fields_take_the_constructors_defaults(self, tmp_path):
         # the required fields alone, plus two blocks with only their required
-        # fields: every other field holds the default its dataclass declares
-        spec = {key: BASE_CONFIG[key] for key in ("kernel", "schedule", "source")}
+        # fields: every other field holds the default its dataclass declares,
+        # but dim and the founders, which SimConfig works out from the source
+        spec = {"kernel": BASE_CONFIG["kernel"], "schedule": {"type": "power_exp", "alpha": 0.5},
+                "source": {"type": "gaussian", "mean": [0.25, -0.5], "sigma2": 1.0}}
         cfg = load_spec(tmp_path, {**spec, "horizon": 2.0, "conditions": {},
                                    "envelope": {"y0": 1.0}})
         set_here = {"horizon", "record_grid", "conditions", "envelope"}
+        from_source = {"dim", "initial_opinions"}
         checked = []
-        for obj in (cfg, cfg.sim, cfg.conditions, cfg.envelope):
+        for obj in (cfg, cfg.sim, cfg.sim.schedule, cfg.conditions, cfg.envelope):
             for field in dataclasses.fields(obj):
                 if field.default is not dataclasses.MISSING and field.name not in set_here:
-                    assert getattr(obj, field.name) == field.default, field.name
+                    if field.name not in from_source:
+                        assert getattr(obj, field.name) == field.default, field.name
                     checked.append(field.name)
-        assert sorted(checked) == ["lambdas", "master_seed", "max_agents", "n_max", "n_values",
-                                   "output_path", "runs", "step_max", "workers"]
+        assert sorted(checked) == ["dim", "initial_opinions", "lambdas", "master_seed",
+                                   "max_agents", "n0", "n_max", "n_values", "output_path",
+                                   "runs", "step_max", "workers"]
+        assert cfg.sim.schedule.n0 == 1
+        assert cfg.sim.dim == cfg.sim.source.dim == 2
+        assert cfg.sim.initial_opinions.tolist() == [[0.25, -0.5]]
+
+    def test_at_mean_spelling_is_refused(self, tmp_path, capsys):
+        # founders left out sit at the source mean; no string asks for that
+        path = write_config(tmp_path, initial_opinions="at_mean")
+        assert cmd_dispatch(["simulate", "--config", path]) == 2
+        assert capsys.readouterr() == ("", "error: initial_opinions: expected a list of "
+                                           "opinions, each a number or a list of numbers, "
+                                           "got 'at_mean'\n")
 
     @pytest.mark.parametrize("grid", [None, {"type": "geometric", "points": 16}])
     def test_default_grid_does_not_depend_on_step_max(self, tmp_path, grid):
@@ -559,7 +575,7 @@ class TestDispatch:
                               env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
         assert re.fullmatch(r"error: the arrivals up to t_end = 100\.0 do not fit in memory: "
-                            r"population at t=100\.0 is about \d{44} arrivals, past 2\*\*53, "
+                            r"population at t=100\.0 is about 2\.69e\+43 arrivals, past 2\*\*53, "
                             r"where arrival times tie\n", done.stderr), done.stderr
 
     def test_no_arguments_is_usage_error(self, capsys):
@@ -640,6 +656,23 @@ class TestDispatch:
         assert cmd_dispatch([command, "--config", path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: master_seed must be an integer >= 0, got -1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_master_seed_past_2_64_is_refused(self, tmp_path, capsys, command):
+        # derive_run_seed mixes 64 bits, so 2**64 would run as master seed 0
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, master_seed=2**64)
+        assert cmd_dispatch([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: master_seed must be an integer < 2**64, got {2**64}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_seed_flag_past_2_64_is_named(self, tmp_path, capsys, command):
+        path = write_config(tmp_path)
+        assert cmd_dispatch([command, "--config", path, "--seed", str(2**64)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --seed must be an integer < 2**64, got {2**64}\n")
 
     @pytest.mark.parametrize("command", ["simulate", "ensemble"])
     def test_negative_seed_flag_is_named(self, tmp_path, capsys, command):
@@ -812,6 +845,27 @@ class TestDispatch:
         assert cmd_dispatch(["envelope", "--config", path]) == 2
         assert capsys.readouterr() == (
             "", "error: envelope.n = 1000: envelope.jump defines 1 values, need 1000\n")
+
+    def test_run_whose_default_t_first_underflows_writes_its_t_zero_row(self, tmp_path,
+                                                                       capsys):
+        # t_end / 100 is 0.0, so the default geometric grid holds no time, as
+        # at t_end = 0, and no arrival comes before t_end: the run writes the
+        # t = 0 row of the run that ends there
+        bare = write_config(tmp_path, "bare.json", max_agents=3, record_grid=None)
+        assert cmd_dispatch(["simulate", "--config", bare]) == 0
+        want = capsys.readouterr().out
+        path = write_config(tmp_path, max_agents=None, horizon=1e-322, record_grid=None)
+        assert cmd_dispatch(["simulate", "--config", path]) == 0
+        assert capsys.readouterr() == (want, "")
+        assert len(want.splitlines()) == 3
+
+    def test_config_without_dim_takes_its_sources(self, tmp_path, capsys):
+        path = write_config(tmp_path, dim=None, initial_opinions=None,
+                            source={"type": "gaussian", "mean": [0.25, -0.5], "sigma2": 1.0})
+        assert cmd_dispatch(["simulate", "--config", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "t,n,m1_0,m1_1,m2,v,w,dissipation,event"
+        assert lines[2].startswith("0.0,3,0.25,-0.5,")
 
     def test_source_of_another_dim_is_named_before_the_opinions(self, tmp_path, capsys):
         # opinions left out are the source's mean, so their shape follows it

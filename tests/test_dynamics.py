@@ -633,7 +633,8 @@ class TestRunSimulation:
         config = small_config(schedule=PowerExponentialSchedule(alpha=1.0, n0=3),
                               max_agents=None, horizon=44.0)
         with pytest.raises(ValueError, match=r"arrivals up to t_end = 44\.0 do not fit in memory: "
-                                             r"population at t=44\.0 is about \d{20} arrivals"):
+                                             r"population at t=44\.0 is about 1\.29e\+19 "
+                                             r"arrivals"):
             run_simulation(config, seed=0)
 
     def test_timeline_beyond_memory_names_its_size(self, monkeypatch):
@@ -1144,6 +1145,7 @@ class TestRecordGrids:
 
     def test_run_that_ends_at_zero_gets_no_record_time(self):
         assert geometric_record_grid(None, 0.0) == ()
+        assert geometric_record_grid(None, 1e-322) == ()  # t_end / 100 underflows to 0.0
         assert geometric_record_grid(None, 0.0, 8) == ()
         assert uniform_record_grid(0.0, 0.1) == ()
 
@@ -1161,6 +1163,33 @@ class TestRecordGrids:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("kernel, max_agents", [(constant_kernel(1.0), 200),
+                                                    (rational_kernel(0.5, 0.5), 20)],
+                             ids=["constant", "rational"])
+    def test_left_out_dim_and_founders_come_from_the_source(self, kernel, max_agents):
+        # dim is the source's, and the schedule's one founder sits at its mean
+        bare = SimConfig(kernel=kernel, schedule=PowerExponentialSchedule(alpha=0.5),
+                         source=gaussian_source(0.0, 1.0), max_agents=max_agents)
+        full = SimConfig(kernel=kernel, schedule=PowerExponentialSchedule(alpha=0.5, n0=1),
+                         source=gaussian_source(0.0, 1.0), dim=1,
+                         initial_opinions=np.zeros((1, 1)), max_agents=max_agents)
+        assert bare.dim == 1 and bare.initial_opinions.tobytes() == np.zeros((1, 1)).tobytes()
+        a, b = run_simulation(bare, seed=3), run_simulation(full, seed=3)
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name
+            else:
+                assert x == y, field.name
+
+    def test_founders_left_out_are_in_the_sources_dim(self):
+        config = SimConfig(kernel=constant_kernel(1.0),
+                           schedule=ExplicitSchedule(times=(1.0,), n0=2),
+                           source=gaussian_source((0.25, -0.5), 1.0), horizon=2.0)
+        assert config.dim == 2
+        assert config.initial_opinions.tolist() == [[0.25, -0.5], [0.25, -0.5]]
+        assert not config.initial_opinions.flags.writeable
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="initial_opinions"):
             small_config(initial_opinions=np.zeros((4, 1)))

@@ -90,6 +90,12 @@ class TestSeedDerivation:
             derive_run_seed(0.5, 0)
         with pytest.raises(ValueError):
             derive_run_seed(0, -1)
+        # 64-bit mixing would fold these onto the seeds of 0, 2**64 - 1 and run 0
+        for master, index, name in ((2**64, 0, "master_seed"), (-1, 0, "master_seed"),
+                                    (5, 2**64, "run_index")):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+                derive_run_seed(master, index)
+        assert derive_run_seed(2**64 - 1, 2**64 - 1) != derive_run_seed(2**64 - 1, 0)
 
 
 class TestOpinionSourceChecksItself:
@@ -200,6 +206,10 @@ def ensemble_config(**overrides):
 
 
 class TestRunEnsemble:
+    def test_negative_master_seed_is_refused(self):
+        with pytest.raises(ValueError, match=r"^master_seed must be an integer >= 0, got -1$"):
+            run_ensemble(ensemble_config(), 3, -1)
+
     def test_shapes_and_tags(self):
         stats = run_ensemble(ensemble_config(), runs=4, master_seed=1)
         rows = stats.grid.size

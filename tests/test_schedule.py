@@ -112,6 +112,15 @@ class TestPopulationCount:
         with pytest.raises(OverflowError, match=rf"population at t={t} .* past 2\*\*53"):
             population_at(s, t)
 
+    @pytest.mark.parametrize("alpha, t, about", [(1.0, 100.0, "2.69e+43"),
+                                                  (2.0, 26.0, "3.83e+293")])
+    def test_count_past_2_53_is_printed_to_three_digits(self, alpha, t, about):
+        s = PowerExponentialSchedule(alpha=alpha, n0=3)
+        with pytest.raises(OverflowError) as err:
+            population_at(s, t)
+        assert str(err.value) == (f"population at t={t} is about {about} arrivals, past 2**53, "
+                                  "where arrival times tie")
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_counts_below_2_53_arrivals_settle_among_ties(self, alpha):
         # up to 2**53 arrivals the count is settled: N(t) - n0 is the last j
@@ -255,6 +264,12 @@ class TestConfig:
     def test_default_n0(self, tmp_path):
         s = load_schedule(tmp_path, {"type": "power_exp", "alpha": 1.0})
         assert s.n0 == 1
+
+    def test_schedules_declare_one_founder(self, tmp_path):
+        assert PowerExponentialSchedule(alpha=1.0) == PowerExponentialSchedule(alpha=1.0, n0=1)
+        assert ExplicitSchedule(times=(1.0, 2.0)) == ExplicitSchedule(times=(1.0, 2.0), n0=1)
+        s = load_schedule(tmp_path, {"type": "explicit", "times": [0.5]})
+        assert s == ExplicitSchedule(times=(0.5,))
 
     def test_zero_alpha_names_field(self, tmp_path):
         with pytest.raises(ConfigError, match=r"schedule\.alpha must be > 0"):
