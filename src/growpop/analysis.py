@@ -8,10 +8,10 @@ which controls whether the variance contributions of early arrivals are
 forgotten (S -> 0, consensus) or pile up (S bounded away from zero). It is the
 envelope y0 e^(-lambda t_n) + sum_k g(k) e^(-lambda (t_n - t_k)) of a quantity
 decaying at rate lambda with jumps g(k), at y0 = 0 and g(k) = 1/k. The times
-come from a growth schedule or an AsymptoticTimes scale, read through
-``schedules._times``: they are finite, at least t_0 = 0 and nondecreasing by
-construction, so no term's exponent is positive and none overflows,
-regardless of how fast the times grow.
+come from a growth schedule, ``asymptotic_injection_times`` for the scale
+t_k = (ln k)^(1/alpha), read through ``schedules._times``: they are finite,
+at least t_0 = 0 and nondecreasing by construction, so no term's exponent is
+positive and none overflows, regardless of how fast the times grow.
 
 A table of envelopes at increasing n_1 < n_2 < ..., for any number of rates,
 costs one O(n_max) pass in O(chunk x rates) memory: k runs in fixed chunks
@@ -47,8 +47,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .schedules import (_CHUNK, AsymptoticTimes, TimeScale, _integer, _integers, _number,
-                        _times)
+from .schedules import (_CHUNK, GrowthSchedule, _integer, _integers, _number, _times,
+                        asymptotic_injection_times)
 
 __all__ = [
     "condition_sum",
@@ -77,7 +77,7 @@ def _weight_chunks(bound: JumpBound, n: int) -> Callable[[int, int], np.ndarray]
     raise ValueError(f"unsupported jump bound {bound!r}")
 
 
-def _condition_sums(lams: Sequence[float], times: TimeScale, ns, bound: JumpBound,
+def _condition_sums(lams: Sequence[float], times: GrowthSchedule, ns, bound: JumpBound,
                     y0: float = 0.0) -> np.ndarray:
     """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)) at each n of ``ns``,
     one row per rate of ``lams``.
@@ -136,13 +136,13 @@ def _condition_sums(lams: Sequence[float], times: TimeScale, ns, bound: JumpBoun
     return sums
 
 
-def condition_sum(lam: float, times: TimeScale, n: int) -> float:
+def condition_sum(lam: float, times: GrowthSchedule, n: int) -> float:
     """S(lambda, n) = sum_{k<=n} (1/k) exp(-lambda (t_n - t_k)).
 
-    ``times`` is a growth schedule or an AsymptoticTimes scale; a list of
-    times is an ``ExplicitSchedule``, which checks them when it is built. Only
-    time differences enter, so the value is invariant under shifting all
-    times by a constant.
+    ``times`` is a growth schedule, ``asymptotic_injection_times`` for the
+    scale t_k = (ln k)^(1/alpha); a list of times is an ``ExplicitSchedule``,
+    which checks them when it is built. Only time differences enter, so the
+    value is invariant under shifting all times by a constant.
     """
     return float(_condition_sums((lam,), times, (_integer(n, "n", 1),), HarmonicScaled(1.0))[0, 0])
 
@@ -225,8 +225,13 @@ class ClassificationError(RuntimeError):
     """A computed condition sum outside its proven band about the integral F."""
 
 
+# The classification horizon's default: the largest n whose sums are checked,
+# by ``classify_schedule`` and by ``growpop conditions`` (``cli.ConditionsBlock``).
+_N_MAX = 100_000
+
+
 def classify_schedule(alpha: float, psi_star: float, psi_max: float,
-                      n_max: int = 100_000) -> ScheduleClass:
+                      n_max: int = _N_MAX) -> ScheduleClass:
     """Trichotomy in the arrival exponent, with the sums checked against F.
 
     alpha < 1: arrivals decelerate fast enough that S(lambda, n) -> 0 for
@@ -246,7 +251,7 @@ def classify_schedule(alpha: float, psi_star: float, psi_max: float,
         raise ValueError(f"psi_star must be <= psi_max, got ({psi_star}, {psi_max})")
     n_max = _integer(n_max, "n_max", 10)
 
-    times, grid = AsymptoticTimes(alpha), _sum_grid(n_max)
+    times, grid = asymptotic_injection_times(alpha), _sum_grid(n_max)
     # one condition_sum call per grid point: each sum is its own one-point
     # table, independent of the carried recurrence of a multi-point one
     return _classify(alpha, psi_star, psi_max, grid,
@@ -266,7 +271,7 @@ def _conditions_table(alpha: float, lambdas: Sequence[float], n_max: int):
     smallest and largest lambda, are columns, so it is checked on the table.
     """
     grid = _sum_grid(n_max)
-    rows = _condition_sums(lambdas, AsymptoticTimes(alpha), grid, HarmonicScaled(1.0))
+    rows = _condition_sums(lambdas, asymptotic_injection_times(alpha), grid, HarmonicScaled(1.0))
     columns = dict(zip(lambdas, rows))
     return grid, columns, _classify(alpha, min(lambdas), max(lambdas), grid, columns.__getitem__)
 
@@ -355,7 +360,7 @@ class EnvelopeSpec:
         object.__setattr__(self, "y0", _number(self.y0, "y0"))
 
 
-def envelope_bound(spec: EnvelopeSpec, times: TimeScale, n: int) -> float:
+def envelope_bound(spec: EnvelopeSpec, times: GrowthSchedule, n: int) -> float:
     """y0 e^(-lam t_n) + sum_{k<=n} g(k) e^(-lam (t_n - t_k)), t_0 = 0.
 
     The jump bounds are nonnegative, so the terms are too, and their

@@ -39,6 +39,7 @@ from .analysis import (
     condition_sum,
     _condition_sums,
     _conditions_table,
+    _N_MAX,
 )
 from .dynamics import (
     SimConfig,
@@ -75,7 +76,7 @@ class _UsageError(Exception):
 
 @dataclass(eq=False)
 class ConditionsBlock:
-    n_max: int = 100_000
+    n_max: int = _N_MAX
     lambdas: tuple[float, ...] | None = None  # None: use the kernel bounds
 
     def __post_init__(self):

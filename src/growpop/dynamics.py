@@ -146,12 +146,18 @@ _PIECE = 16.0
 
 @dataclass(eq=False)
 class SimState:
-    """Population snapshot: time, arrivals applied so far, opinions (N, d)."""
+    """Population snapshot: time, arrivals applied so far, opinions (N, d).
+    2-D opinions must have ``dim`` columns; the entry points name other shapes."""
 
     t: float
     k: int
     opinions: np.ndarray
     dim: int
+
+    def __post_init__(self):
+        shape = np.shape(self.opinions)
+        if len(shape) == 2 and shape[1] != self.dim:
+            raise ValueError(f"dim = {self.dim!r} does not match opinions of shape {shape}")
 
 
 def rhs(state: SimState, kernel: Kernel) -> np.ndarray:
@@ -258,7 +264,7 @@ def geometric_record_grid(t_first: float | None, t_end: float,
 class SimConfig:
     """Everything one run needs besides the seed; frozen, and checked once,
     when it is built. ``dim`` None is the source's dimension, and
-    ``initial_opinions`` None the schedule's n0 founders at the source mean.
+    ``initial_opinions`` None the schedule's n0 >= 1 founders at the source mean.
 
     Exactly one of horizon / max_agents may be omitted; when both are present
     the run stops at whichever comes first. max_agents counts the total
@@ -287,8 +293,9 @@ class SimConfig:
     record_grid: tuple[float, ...] = ()
 
     def __post_init__(self):
+        n0 = _integer(self.schedule.n0, "schedule.n0", 1)  # a run needs a founder
         dim = self.source.dim if self.dim is None else _integer(self.dim, "dim", 1)
-        n0, x0 = self.schedule.n0, self.initial_opinions
+        x0 = self.initial_opinions
         x0 = np.array(np.tile(self.source.mean, (n0, 1)) if x0 is None else x0, float, ndmin=2)
         x0.flags.writeable = False
         object.__setattr__(self, "dim", dim)

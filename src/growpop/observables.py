@@ -124,7 +124,8 @@ def compute_moments(opinions, kernel: Kernel, m, t: float) -> MomentRecord:
     likewise V against m2 - |m1|^2. Disagreement beyond a scale-aware 1e-10
     raises: it is a standing self-check, not a recoverable condition. A
     non-finite moment fails the same checks, so an opinion that is inf or nan
-    raises too.
+    raises too. The target m is a vector of the opinions' dimension d, or a
+    number at d = 1; another shape raises ValueError.
 
     The mean is computed pivot-subtracted (about opinions[0]) so that an
     exactly coincident population yields exactly V = 0. The opinions (N, d)
@@ -132,7 +133,10 @@ def compute_moments(opinions, kernel: Kernel, m, t: float) -> MomentRecord:
     engine, whose rows give the same moments bit for bit.
     """
     x = _coordinate_major(opinions)
-    m1, m2, v, w = _moments(x, np.asarray(m, dtype=float))
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    if m.shape != (x.shape[0],):
+        raise ValueError(f"m shape {m.shape} does not match opinion dimension {x.shape[0]}")
+    m1, m2, v, w = _moments(x, m)
     return MomentRecord(t=float(t), n=x.shape[1], m1=m1, m2=m2, v=v, w=w,
                         dissipation=dissipation_of(opinions, kernel))
 

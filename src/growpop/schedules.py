@@ -8,9 +8,10 @@ time t_j, so the population is right-continuous:
 ``PowerExponentialSchedule`` pins t_j = (ln(n0 + j))**(1/alpha), the first
 instant at which exp(t**alpha) reaches n0 + j; equivalently N(t) tracks
 floor(exp(t**alpha)). Small alpha means fast arrivals, alpha = 1 is the
-exponential boundary case. ``AsymptoticTimes`` is the same scale with n0 = 0,
-t_k = (ln k)**(1/alpha), on which the condition sums of ``analysis`` have
-closed forms.
+exponential boundary case. With no founders, n0 = 0, the family is the scale
+t_k = (ln k)**(1/alpha) with t_1 = 0, ``asymptotic_injection_times(alpha)``,
+on which the condition sums of ``analysis`` have closed forms; a run needs a
+founder, so ``dynamics.SimConfig`` refuses it.
 
 This module alone turns a schedule into times. Every reader of arrival times,
 the engine's and the condition sums' included, goes through ``_times``, so
@@ -32,7 +33,6 @@ __all__ = [
     "PowerExponentialSchedule",
     "ExplicitSchedule",
     "GrowthSchedule",
-    "AsymptoticTimes",
     "asymptotic_injection_times",
     "injection_time",
     "population_at",
@@ -66,14 +66,14 @@ def _number(value, name: str, bound: str | None = None) -> float:
 
 @dataclass(frozen=True)
 class PowerExponentialSchedule:
-    """t_j = (ln(n0 + j))**(1/alpha) after n0 founders, 1 by default; unbounded, increasing."""
+    """t_j = (ln(n0 + j))**(1/alpha) after n0 >= 0 founders, 1 by default; unbounded, increasing."""
 
     alpha: float
     n0: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _number(self.alpha, "alpha", "> 0"))
-        object.__setattr__(self, "n0", _integer(self.n0, "n0", 1))
+        object.__setattr__(self, "n0", _integer(self.n0, "n0", 0))
 
 
 @dataclass(frozen=True)
@@ -98,26 +98,11 @@ class ExplicitSchedule:
 GrowthSchedule = Union[PowerExponentialSchedule, ExplicitSchedule]
 
 
-@dataclass(frozen=True)
-class AsymptoticTimes:
-    """Large-k time scale t_k = (ln k)^(1/alpha) of a power-exponential schedule.
-
-    This is the schedule with its initial population dropped (n0 = 0, so
-    t_1 = 0), the scale on which the condition sums admit closed forms:
-    alpha = 1 and lambda = 1 gives S(n) = 1 exactly for every n.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _number(self.alpha, "alpha", "> 0"))
-
-
-def asymptotic_injection_times(alpha: float) -> AsymptoticTimes:
-    return AsymptoticTimes(alpha=alpha)
-
-
-TimeScale = Union[GrowthSchedule, AsymptoticTimes]
+def asymptotic_injection_times(alpha: float) -> PowerExponentialSchedule:
+    """The scale t_k = (ln k)^(1/alpha), the power-exponential schedule with no
+    founders (n0 = 0, so t_1 = 0), on which the condition sums admit closed
+    forms: alpha = 1 and lambda = 1 gives S(n) = 1 exactly for every n."""
+    return PowerExponentialSchedule(alpha=alpha, n0=0)
 
 
 # Terms per chunk of the condition-sum pass, and the length of the integer
@@ -150,30 +135,26 @@ def _integers(lo: int, hi: int) -> np.ndarray:
     return np.arange(lo + 1, hi + 1, dtype=float)
 
 
-def _times(schedule: TimeScale, lo: int, hi: int) -> np.ndarray:
+def _times(schedule: GrowthSchedule, lo: int, hi: int) -> np.ndarray:
     """t_{lo+1..hi} of ``schedule`` as a new float array, 0 <= lo <= hi: the one
-    reader of arrival times.
+    reader of arrival times, one branch per schedule family.
 
     An explicit schedule's times are its own; an ``hi`` past their number
     raises ValueError. The power-exponential family's are
-    (ln(n0 + j))**(1/alpha) by numpy's log and power, with n0 = 0 on an
-    AsymptoticTimes scale: the integers n0 + j come from ``_integers``, and
-    at alpha = 1 the power is skipped, since x**1.0 == x. Each value depends
-    on j alone, not on where the slice starts, so slices agree bit for bit
-    with one full array. The family increases with j, so the last time
-    bounds the others: a last time past the float range raises OverflowError.
+    (ln(n0 + j))**(1/alpha) by numpy's log and power, n0 = 0 included: the
+    integers n0 + j come from ``_integers``, and at alpha = 1 the power is
+    skipped, since x**1.0 == x. Each value depends on j alone, not on where
+    the slice starts, so slices agree bit for bit with one full array. The
+    family increases with j, so the last time bounds the others: a last time
+    past the float range raises OverflowError.
     """
     if isinstance(schedule, ExplicitSchedule):
         if hi > len(schedule.times):
             raise ValueError(f"schedule defines {len(schedule.times)} times, need {hi}")
         return np.array(schedule.times[lo:hi], dtype=float)
-    if isinstance(schedule, AsymptoticTimes):
-        n0 = 0
-    elif isinstance(schedule, PowerExponentialSchedule):
-        n0 = schedule.n0
-    else:
-        raise ValueError("times must be a growth schedule or an AsymptoticTimes scale, "
-                         f"got {schedule!r}")
+    if not isinstance(schedule, PowerExponentialSchedule):
+        raise ValueError(f"times must be a growth schedule, got {schedule!r}")
+    n0 = schedule.n0
     t = _integers(n0 + lo, n0 + hi)
     np.log(t, out=t)
     if schedule.alpha != 1.0:
@@ -192,7 +173,8 @@ def injection_time(schedule: GrowthSchedule, j: int) -> float:
 
 
 def population_at(schedule: GrowthSchedule, t: float) -> int:
-    """Population N(t) = n0 + #{j : t_j <= t}; right-continuous, N(0) = n0.
+    """Population N(t) = n0 + #{j : t_j <= t}; right-continuous. N(0) = n0 for
+    n0 >= 1; at n0 = 0 the first time is t_1 = 0, so N(0) = 1.
 
     For the power-exponential family the count is located by comparing t
     against the times t_j themselves (an exp-based guess corrected by direct

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growpop import (
-    AsymptoticTimes,
     ClassificationError,
     EnvelopeSpec,
     ExplicitJumps,
@@ -87,7 +86,7 @@ class TestConditionSum:
                                        [1.0, 2.0, 3.0, 4.0, 5.0]])
     def test_rejects_other_times_sources(self, times):
         # a list of times is an ExplicitSchedule, which checks them when it is built
-        with pytest.raises(ValueError, match="growth schedule or an AsymptoticTimes scale"):
+        with pytest.raises(ValueError, match="times must be a growth schedule, got"):
             condition_sum(1.0, times, 5)
 
     @pytest.mark.parametrize("times", [[True, 2.0], [0.0, np.bool_(True)], (0.0, False, 2.0),
@@ -96,7 +95,7 @@ class TestConditionSum:
     def test_rejects_bool_entries(self, times):
         # numpy would turn a bool among numbers into 1.0 or 0.0: neither the sums
         # nor an explicit schedule take them
-        with pytest.raises(ValueError, match="growth schedule or an AsymptoticTimes scale"):
+        with pytest.raises(ValueError, match="times must be a growth schedule, got"):
             condition_sum(1.0, times, 2)
         with pytest.raises(ValueError, match="times must be a real number"):
             ExplicitSchedule(n0=1, times=times)
@@ -107,7 +106,7 @@ class TestConditionSum:
         # flattened, a (2, 2) table would read as the four times t_1..t_4
         spec = EnvelopeSpec(decay_rate=1.0, y0=0.0, jump_bound=HarmonicScaled(c=1.0))
         for call in (lambda: condition_sum(1.0, times, 4), lambda: envelope_bound(spec, times, 4)):
-            with pytest.raises(ValueError, match="growth schedule or an AsymptoticTimes scale"):
+            with pytest.raises(ValueError, match="times must be a growth schedule, got"):
                 call()
         with pytest.raises((TypeError, ValueError)):  # a scalar is not iterable
             ExplicitSchedule(n0=1, times=times)
@@ -130,7 +129,7 @@ class TestConditionSum:
         with pytest.raises(ValueError, match="> 0; offending entry 0"):
             ExplicitSchedule(n0=1, times=(-1000.0, -999.0))
         spec = EnvelopeSpec(decay_rate=1.0, y0=1e300, jump_bound=HarmonicScaled(c=0.0))
-        assert envelope_bound(spec, AsymptoticTimes(1.0), 1) == 1e300
+        assert envelope_bound(spec, asymptotic_injection_times(1.0), 1) == 1e300
 
     def test_boundary_limit_helper(self):
         # the sums approach 1/lambda on the boundary scale
@@ -171,7 +170,7 @@ class TestConditionSum:
                                    np.int64(-1)])
     def test_n_must_be_a_positive_integer(self, n):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
-            condition_sum(1.0, AsymptoticTimes(1.0), n)
+            condition_sum(1.0, asymptotic_injection_times(1.0), n)
 
 
 @st.composite
@@ -253,8 +252,8 @@ def _chunk_sources():
     size = CHUNK_EDGES[-1]
     seq = 0.1 + np.cumsum(np.random.default_rng(21).uniform(1e-4, 1e-3, size=size))
     return [
-        pytest.param(AsymptoticTimes(0.7), np.log(np.arange(1.0, size + 1)) ** (1 / 0.7),
-                     id="AsymptoticTimes"),
+        pytest.param(asymptotic_injection_times(0.7),
+                     np.log(np.arange(1.0, size + 1)) ** (1 / 0.7), id="n0=0"),
         pytest.param(PowerExponentialSchedule(alpha=1.5, n0=3),
                      np.log(np.arange(4.0, size + 4)) ** (1 / 1.5), id="schedule"),
         pytest.param(ExplicitSchedule(n0=1, times=tuple(seq.tolist())), seq, id="explicit"),
@@ -592,7 +591,7 @@ class TestEnvelope:
     def test_explicit_jump_bound_on_boundary_scale(self):
         values = tuple(1.0 / k**2 for k in range(1, 101))
         spec = EnvelopeSpec(decay_rate=1.0, y0=0.0, jump_bound=ExplicitJumps(values=values))
-        times = AsymptoticTimes(alpha=1.0)
+        times = asymptotic_injection_times(1.0)
         val = envelope_bound(spec, times, 100)
         # on the boundary scale: sum (1/k^2) (k/n) = H-ish / n
         expect = sum((1.0 / k**2) * (k / 100.0) for k in range(1, 101))

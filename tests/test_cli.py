@@ -347,7 +347,7 @@ class TestRoundTrip:
 PUBLIC_NAMES = {
     "Kernel", "constant_kernel", "rational_kernel",
     "PowerExponentialSchedule", "ExplicitSchedule", "GrowthSchedule",
-    "AsymptoticTimes", "asymptotic_injection_times",
+    "asymptotic_injection_times",
     "injection_time", "population_at",
     "OpinionSource", "gaussian_source", "uniform_source",
     "MomentRecord", "MomentSeries", "SeriesRow", "InjectionJump",

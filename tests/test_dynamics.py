@@ -427,6 +427,13 @@ class TestOpinionShapes:
             self.ENTRY_POINTS[entry](state, maker())
         assert str(err.value) == want
 
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_state_dim_must_be_the_column_count(self, dim):
+        with pytest.raises(ValueError, match=r"^dim = \d does not match opinions of shape "
+                                             r"\(3, 2\)$"):
+            SimState(t=0.0, k=0, opinions=np.zeros((3, 2)), dim=dim)
+        assert SimState(t=0.0, k=0, opinions=np.zeros((3, dim)), dim=dim).dim == dim
+
 
 def small_config(**overrides):
     base = dict(

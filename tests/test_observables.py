@@ -78,6 +78,21 @@ class TestComputeMoments:
         assert rec.w == 0.0
         assert rec.dissipation == 0.0
 
+    @pytest.mark.parametrize("m", [[0.5], [0.5, 0.5, 0.5], 0.5], ids=["(1,)", "(3,)", "scalar"])
+    def test_target_of_another_dimension_is_refused(self, m):
+        # numpy would broadcast a 1-vector to m = [0.5, 0.5]
+        x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 0.5]])
+        want = f"m shape {np.atleast_1d(m).shape} does not match opinion dimension 2"
+        with pytest.raises(ValueError) as err:
+            compute_moments(x, rational_kernel(0.5, 0.5), m, 0.0)
+        assert str(err.value) == want
+
+    def test_scalar_target_in_one_dimension(self):
+        x = np.array([[0.0], [2.0], [1.0]])
+        for m in (0.5, [0.5], np.array([0.5])):
+            rec = compute_moments(x, constant_kernel(1.0), m, 0.0)
+            assert rec.w == pytest.approx(0.25 + 2.0 / 3.0, rel=1e-15)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("maker", [lambda: constant_kernel(0.9),
                                        lambda: rational_kernel(0.4, 1.1)])

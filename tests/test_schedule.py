@@ -65,10 +65,21 @@ class TestPowerExponentialTimes:
         with pytest.raises(ValueError):
             PowerExponentialSchedule(alpha=alpha, n0=1)
 
-    @pytest.mark.parametrize("n0", [0, -3, 1.5])
+    @pytest.mark.parametrize("n0", [-3, 1.5])
     def test_rejects_bad_n0(self, n0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n0 must be an integer >= 0"):
             PowerExponentialSchedule(alpha=0.5, n0=n0)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 3.0])
+    def test_asymptotic_scale_is_the_schedule_with_no_founders(self, alpha):
+        assert gp.asymptotic_injection_times(alpha) == PowerExponentialSchedule(alpha=alpha, n0=0)
+
+    def test_a_run_needs_a_founder(self):
+        # n0 = 0 is a time scale, not a run: SimConfig names the field
+        with pytest.raises(ValueError, match=r"^schedule\.n0 must be an integer >= 1, got 0$"):
+            gp.SimConfig(kernel=gp.constant_kernel(1.0),
+                         schedule=PowerExponentialSchedule(0.5, n0=0),
+                         source=gp.gaussian_source(0.0, 1.0), horizon=1.0)
 
 
 class TestPopulationCount:
@@ -85,6 +96,18 @@ class TestPopulationCount:
     def test_zero_time(self):
         s = PowerExponentialSchedule(alpha=0.5, n0=7)
         assert population_at(s, 0.0) == 7
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_counts_the_asymptotic_scale(self, alpha):
+        # with no founders t_1 = ln 1 = 0, so the first arrival is in at t = 0
+        s = gp.asymptotic_injection_times(alpha)
+        assert injection_time(s, 1) == 0.0
+        assert population_at(s, 0.0) == 1
+        for k in [1, 2, 3, 10, 57, 1000, 12345, 10**5, 654321, 10**6]:
+            t_k = injection_time(s, k)
+            assert population_at(s, t_k) == k
+            if k > 1:
+                assert population_at(s, np.nextafter(t_k, 0.0)) == k - 1
 
     @pytest.mark.parametrize("alpha,n0", [(0.5, 1), (1.5, 4)])
     def test_matches_brute_count(self, alpha, n0):
@@ -135,7 +158,8 @@ class TestPopulationCount:
 SCALES = [
     *(pytest.param(PowerExponentialSchedule(alpha=alpha, n0=n0), id=f"power-{alpha:.3g}-{n0}")
       for alpha in (1 / 3, 0.5, 0.9, 1.5, 2.0) for n0 in (1, 10)),
-    *(pytest.param(gp.AsymptoticTimes(alpha), id=f"asymptotic-{alpha}") for alpha in (0.5, 1.5)),
+    *(pytest.param(gp.asymptotic_injection_times(alpha), id=f"asymptotic-{alpha}")
+      for alpha in (0.5, 1.5)),
     pytest.param(ExplicitSchedule(
         n0=2, times=np.cumsum(np.random.default_rng(5).uniform(0.01, 1.0, size=20000))),
         id="explicit"),
@@ -153,8 +177,7 @@ class TestTimesReader:
             assert _times(schedule, lo, hi).tobytes() == full[lo:hi].tobytes(), (lo, hi)
         for j in rng.integers(1, 20001, size=300).tolist():
             assert _times(schedule, j - 1, j).tobytes() == full[j - 1:j].tobytes(), j
-        if not isinstance(schedule, gp.AsymptoticTimes):
-            assert [injection_time(schedule, j) for j in range(1, 20001)] == full.tolist()
+        assert [injection_time(schedule, j) for j in range(1, 20001)] == full.tolist()
 
     @pytest.mark.parametrize("n0", [0, 1, 10], ids=lambda n0: f"n0={n0}")
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -162,11 +185,10 @@ class TestTimesReader:
         # t_j = ln(n0 + j) with no power taken at alpha = 1, its power 1/alpha
         # otherwise, for slices inside the 8,192-value ramp, straddling its
         # end, past it, longer than it, and ending at 2**53, the last integer
-        # the ramp serves; n0 = 0 is the AsymptoticTimes scale. A time scale
+        # the ramp serves; n0 = 0 is the condition sums' scale. A time scale
         # shifted by one index, which the classifier's band cannot see at
         # alpha 0.5, fails here.
-        schedule = (gp.AsymptoticTimes(alpha) if n0 == 0
-                    else PowerExponentialSchedule(alpha=alpha, n0=n0))
+        schedule = PowerExponentialSchedule(alpha=alpha, n0=n0)
         for lo, hi in [(0, 1), (0, 8192), (8000, 8400), (8191, 8193), (8192, 16384),
                        (20000, 20001), (3, 20003), (10**6, 10**6 + 8192),
                        (2**53 - n0 - 8, 2**53 - n0)]:
@@ -189,9 +211,9 @@ class TestTimesReader:
     def test_overflow_raises_without_a_warning(self):
         # pytest turns a leaked RuntimeWarning into an error
         with pytest.raises(OverflowError, match="t_8192"):
-            gp.condition_sum(1.0, gp.AsymptoticTimes(0.001), 10**4)
+            gp.condition_sum(1.0, gp.asymptotic_injection_times(0.001), 10**4)
         # the times below the float's range are still read
-        assert np.isfinite(_times(gp.AsymptoticTimes(0.001), 0, 7)).all()
+        assert np.isfinite(_times(gp.asymptotic_injection_times(0.001), 0, 7)).all()
 
     def test_conditions_cli_refuses_an_overflowing_scale(self, capsys):
         assert cmd_dispatch(["conditions", "--alpha", "0.001", "--lambda", "1.0"]) == 2
@@ -375,7 +397,6 @@ FLOAT_ARGUMENTS = [
                  id="uniform_record_grid"),
     pytest.param(lambda t_first, t_end: gp.geometric_record_grid(t_first, t_end, 16),
                  (0.5, 30.0), ("t_first", "t_end"), id="geometric_record_grid"),
-    pytest.param(gp.AsymptoticTimes, (0.5,), ("alpha",), id="AsymptoticTimes"),
     pytest.param(gp.asymptotic_injection_times, (0.5,), ("alpha",),
                  id="asymptotic_injection_times"),
     pytest.param(lambda lam: gp.condition_sum(lam, gp.asymptotic_injection_times(0.5), 50),
